@@ -131,7 +131,6 @@ def _cmd_eval(cfg: ExperimentConfig, args) -> dict:
 
 def _cmd_gradcheck(cfg: ExperimentConfig) -> dict:
     from dualpath.fusion import Model
-    from dualpath.synthdata import DatasetConfig
 
     seed = cfg.seeds[0]
     model = Model(cfg.model_config(seed))
@@ -141,7 +140,8 @@ def _cmd_gradcheck(cfg: ExperimentConfig) -> dict:
     return {"max_rel_error": res.max_rel_error,
             "coords_checked": res.coords_checked,
             "resampled": res.resampled, "skipped": res.skipped,
-            "passed": bool(res.max_rel_error < GRADCHECK_THRESHOLD)}
+            "passed": bool(res.max_rel_error < GRADCHECK_THRESHOLD
+                           and res.skipped == 0 and res.coords_checked > 0)}
 
 
 def _summarize_report(path: str) -> list[str]:

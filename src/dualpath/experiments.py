@@ -17,11 +17,12 @@ import numpy as np
 
 from dualpath.fusion import Ablation, Model, ModelConfig
 from dualpath.losses import LossConfig
-from dualpath.metrics import Metrics, evaluate, gating_summary, predict
+from dualpath.metrics import Metrics, evaluate, gating_summary
 from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
                                 inject_noise_dataset)
+from dualpath.tensor import no_grad
 from dualpath.trainer import TrainConfig, TrainHistory, train
 
 ABLATION_FLAGS = ("no_int", "no_rea", "no_sim", "no_diff", "no_uni", "no_rea_loss")
@@ -214,9 +215,10 @@ def run_main(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     for seed in cfg.seeds:
         model, history, metrics, gating = train_single(cfg, seed, splits)
         rows.append(_seed_row(seed, metrics, gating))
-        out_batch = model.forward_batch(test_data.text, test_data.video,
-                                        test_data.audio, train=False,
-                                        ablation=cfg.ablation())
+        with no_grad():
+            out_batch = model.forward_batch(test_data.text, test_data.video,
+                                            test_data.audio, train=False,
+                                            ablation=cfg.ablation())
         per_sample = out_batch.report.rows()
         for i in range(len(test_data)):
             gating_rows.append([seed, i, int(test_data.conflict_flag[i] >= 0)]

@@ -15,6 +15,7 @@ import numpy as np
 
 from dualpath.fusion import Ablation, Model
 from dualpath.synthdata import Dataset
+from dualpath.tensor import no_grad
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ def compute_metrics(labels: np.ndarray, preds: np.ndarray, num_classes: int,
 
 
 def predict(model: Model, data: Dataset, ablation: Ablation | None = None) -> np.ndarray:
-    out = model.forward_batch(data.text, data.video, data.audio,
-                              train=False, ablation=ablation)
+    with no_grad():
+        out = model.forward_batch(data.text, data.video, data.audio,
+                                  train=False, ablation=ablation)
     return out.probs.data.argmax(axis=1)
 
 
@@ -106,8 +108,9 @@ def evaluate(model: Model, data: Dataset, ablation: Ablation | None = None) -> M
 def gating_summary(model: Model, data: Dataset,
                    ablation: Ablation | None = None) -> dict:
     """Mean gate value on the conflicted and consistent subsets."""
-    out = model.forward_batch(data.text, data.video, data.audio,
-                              train=False, ablation=ablation)
+    with no_grad():
+        out = model.forward_batch(data.text, data.video, data.audio,
+                                  train=False, ablation=ablation)
     gate = out.report.gate.data.reshape(-1)
     mask = data.conflicted_mask
     return {

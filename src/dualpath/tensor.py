@@ -1,10 +1,20 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every operation records its parents and a backward closure; calling
-``backward()`` on a scalar result walks the record in reverse topological
-order and accumulates gradients into every node it reaches, parameters
-and inputs alike. Values are immutable once constructed; only the trainer
-mutates parameter ``data`` between steps.
+Every operation records its parents and a backward closure ``back(g)``
+that receives the gradient of the operation's output and accumulates the
+matching gradients into the parents. A closure captures its parents and,
+where the derivative needs it, the output *array*, never the output
+tensor, so the tape holds no reference cycles and a graph is freed by
+reference counting as soon as its last tensor goes. Calling
+``backward()`` on a scalar result walks the record in reverse
+topological order and accumulates gradients into every node it reaches,
+parameters and inputs alike. Values are immutable once constructed; only
+the trainer mutates parameter ``data`` between steps.
+
+Inside ``no_grad()`` operations compute the same values but record
+nothing: no parents, no closure. Nonsmooth ops still report their kinks
+to ``watch_kinks()``, so a finite-difference probe run without a tape is
+judged exactly as a recorded one.
 """
 
 from __future__ import annotations
@@ -20,6 +30,9 @@ Array = np.ndarray
 # a kink. See watch_kinks().
 _kink_watch: list[tuple[str, object]] | None = None
 
+# False inside no_grad(): ops then build neither parents nor a closure.
+_recording = True
+
 
 @contextmanager
 def watch_kinks():
@@ -32,6 +45,19 @@ def watch_kinks():
         yield _kink_watch
     finally:
         _kink_watch = prev
+
+
+@contextmanager
+def no_grad():
+    """Compute without recording a tape, for forwards whose graph is never
+    differentiated. Tensors made inside the block are leaves."""
+    global _recording
+    prev = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = prev
 
 
 def _note_kink(kind: str, payload) -> None:
@@ -55,11 +81,11 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_back")
 
-    def __init__(self, data, _parents: tuple = (), _back=None):
+    def __init__(self, data):
         self.data: Array = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
-        self._parents = _parents
-        self._back = _back
+        self._parents: tuple = ()
+        self._back = None
 
     # -- gradient plumbing -------------------------------------------------
 
@@ -94,72 +120,72 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._back is not None and node.grad is not None:
-                node._back()
+                node._back(node.grad)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
+        out = Tensor(self.data + other.data)
+        if _recording:
+            def back(g):
+                self._accum(g)
+                other._accum(g)
 
-        def back():
-            self._accum(out.grad)
-            other._accum(out.grad)
-
-        out._back = back
+            out._parents, out._back = (self, other), back
         return out
 
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data - other.data, (self, other))
+        out = Tensor(self.data - other.data)
+        if _recording:
+            def back(g):
+                self._accum(g)
+                other._accum(-g)
 
-        def back():
-            self._accum(out.grad)
-            other._accum(-out.grad)
-
-        out._back = back
+            out._parents, out._back = (self, other), back
         return out
 
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
+        out = Tensor(self.data * other.data)
+        if _recording:
+            def back(g):
+                self._accum(g * other.data)
+                other._accum(g * self.data)
 
-        def back():
-            self._accum(out.grad * other.data)
-            other._accum(out.grad * self.data)
-
-        out._back = back
+            out._parents, out._back = (self, other), back
         return out
 
     def __truediv__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
+        out = Tensor(self.data / other.data)
+        if _recording:
+            def back(g):
+                self._accum(g / other.data)
+                other._accum(-g * self.data / (other.data * other.data))
 
-        def back():
-            self._accum(out.grad / other.data)
-            other._accum(-out.grad * self.data / (other.data * other.data))
-
-        out._back = back
+            out._parents, out._back = (self, other), back
         return out
 
     def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, (self,))
+        out = Tensor(-self.data)
+        if _recording:
+            def back(g):
+                self._accum(-g)
 
-        def back():
-            self._accum(-out.grad)
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def __pow__(self, exponent) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only constant exponents are supported")
-        out = Tensor(self.data ** exponent, (self,))
+        out = Tensor(self.data ** exponent)
+        if _recording:
+            def back(g):
+                self._accum(g * exponent * self.data ** (exponent - 1))
 
-        def back():
-            self._accum(out.grad * exponent * self.data ** (exponent - 1))
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def __radd__(self, other) -> "Tensor":
@@ -179,75 +205,73 @@ class Tensor:
         a, b = self.data, other.data
         if a.ndim > 2 or b.ndim > 2:
             raise ValueError("matmul supports 1-D and 2-D operands only")
-        out = Tensor(a @ b, (self, other))
+        out = Tensor(a @ b)
+        if _recording:
+            def back(g):
+                if a.ndim == 2 and b.ndim == 2:
+                    self._accum(g @ b.T)
+                    other._accum(a.T @ g)
+                elif a.ndim == 2 and b.ndim == 1:
+                    self._accum(np.outer(g, b))
+                    other._accum(a.T @ g)
+                elif a.ndim == 1 and b.ndim == 2:
+                    self._accum(g @ b.T)
+                    other._accum(np.outer(a, g))
+                else:  # 1-D @ 1-D -> scalar
+                    self._accum(g * b)
+                    other._accum(g * a)
 
-        def back():
-            g = out.grad
-            if a.ndim == 2 and b.ndim == 2:
-                self._accum(g @ b.T)
-                other._accum(a.T @ g)
-            elif a.ndim == 2 and b.ndim == 1:
-                self._accum(np.outer(g, b))
-                other._accum(a.T @ g)
-            elif a.ndim == 1 and b.ndim == 2:
-                self._accum(g @ b.T)
-                other._accum(np.outer(a, g))
-            else:  # 1-D @ 1-D -> scalar
-                self._accum(g * b)
-                other._accum(g * a)
-
-        out._back = back
+            out._parents, out._back = (self, other), back
         return out
 
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
+        if _recording:
+            def back(g):
+                if axis is not None and not keepdims:
+                    g = np.expand_dims(g, axis)
+                self._accum(np.broadcast_to(g, self.data.shape))
 
-        def back():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape))
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        out = Tensor(self.data.mean(axis=axis, keepdims=keepdims), (self,))
+        out = Tensor(self.data.mean(axis=axis, keepdims=keepdims))
+        if _recording:
+            count = self.data.size if axis is None else np.prod(
+                [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
+            )
 
-        def back():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape) / count)
+            def back(g):
+                if axis is not None and not keepdims:
+                    g = np.expand_dims(g, axis)
+                self._accum(np.broadcast_to(g, self.data.shape) / count)
 
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], tuple):
             shape = shape[0]
-        out = Tensor(self.data.reshape(shape), (self,))
+        out = Tensor(self.data.reshape(shape))
+        if _recording:
+            def back(g):
+                self._accum(g.reshape(self.data.shape))
 
-        def back():
-            self._accum(out.grad.reshape(self.data.shape))
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def transpose(self) -> "Tensor":
         if self.data.ndim != 2:
             raise ValueError("transpose() is defined for 2-D tensors")
-        out = Tensor(self.data.T, (self,))
+        out = Tensor(self.data.T)
+        if _recording:
+            def back(g):
+                self._accum(g.T)
 
-        def back():
-            self._accum(out.grad.T)
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     @property
@@ -256,34 +280,36 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         # basic (slice/int/tuple) indexing only; backward scatters into zeros
-        out = Tensor(self.data[key], (self,))
+        out = Tensor(self.data[key])
+        if _recording:
+            def back(g):
+                buf = np.zeros_like(self.data)
+                buf[key] += g
+                self._accum(buf)
 
-        def back():
-            buf = np.zeros_like(self.data)
-            buf[key] += out.grad
-            self._accum(buf)
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     # -- elementwise functions ------------------------------------------------
 
     def exp(self) -> "Tensor":
-        out = Tensor(np.exp(self.data), (self,))
+        out = Tensor(np.exp(self.data))
+        if _recording:
+            y = out.data
 
-        def back():
-            self._accum(out.grad * out.data)
+            def back(g):
+                self._accum(g * y)
 
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), (self,))
+        out = Tensor(np.log(self.data))
+        if _recording:
+            def back(g):
+                self._accum(g / self.data)
 
-        def back():
-            self._accum(out.grad / self.data)
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def safe_log(self) -> "Tensor":
@@ -293,63 +319,69 @@ class Tensor:
         sums; gradient is masked to 0 on the zero set.
         """
         positive = self.data > 0
-        out = Tensor(np.log(np.where(positive, self.data, 1.0)), (self,))
+        out = Tensor(np.log(np.where(positive, self.data, 1.0)))
+        if _recording:
+            def back(g):
+                self._accum(np.where(positive, g / np.where(positive, self.data, 1.0), 0.0))
 
-        def back():
-            self._accum(np.where(positive, out.grad / np.where(positive, self.data, 1.0), 0.0))
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def sqrt(self) -> "Tensor":
-        out = Tensor(np.sqrt(self.data), (self,))
+        out = Tensor(np.sqrt(self.data))
+        if _recording:
+            y = out.data
 
-        def back():
-            self._accum(out.grad * 0.5 / out.data)
+            def back(g):
+                self._accum(g * 0.5 / y)
 
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def tanh(self) -> "Tensor":
-        out = Tensor(np.tanh(self.data), (self,))
+        out = Tensor(np.tanh(self.data))
+        if _recording:
+            y = out.data
 
-        def back():
-            self._accum(out.grad * (1.0 - out.data * out.data))
+            def back(g):
+                self._accum(g * (1.0 - y * y))
 
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def sigmoid(self) -> "Tensor":
         x = self.data
         s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(s, (self,))
+        out = Tensor(s)
+        if _recording:
+            y = out.data
 
-        def back():
-            self._accum(out.grad * out.data * (1.0 - out.data))
+            def back(g):
+                self._accum(g * y * (1.0 - y))
 
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def abs(self) -> "Tensor":
         # subgradient at 0 is defined as 0
         _note_kink("abs_signs", np.sign(self.data).astype(np.int8))
-        out = Tensor(np.abs(self.data), (self,))
+        out = Tensor(np.abs(self.data))
+        if _recording:
+            def back(g):
+                self._accum(g * np.sign(self.data))
 
-        def back():
-            self._accum(out.grad * np.sign(self.data))
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def clamp_min(self, floor: float) -> "Tensor":
         _note_kink("clamp_margin", float(np.min(np.abs(self.data - floor))))
         mask = self.data > floor
-        out = Tensor(np.where(mask, self.data, floor), (self,))
+        out = Tensor(np.where(mask, self.data, floor))
+        if _recording:
+            def back(g):
+                self._accum(g * mask)
 
-        def back():
-            self._accum(out.grad * mask)
-
-        out._back = back
+            out._parents, out._back = (self,), back
         return out
 
     def __repr__(self) -> str:
@@ -359,19 +391,21 @@ class Tensor:
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     """Concatenate along an axis; backward slices the gradient back apart."""
     parts = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
-    ax = axis if axis >= 0 else out.data.ndim + axis
-    sizes = [p.data.shape[ax] for p in parts]
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    if _recording:
+        ndim = out.data.ndim
+        ax = axis if axis >= 0 else ndim + axis
+        sizes = [p.data.shape[ax] for p in parts]
 
-    def back():
-        offset = 0
-        for p, size in zip(parts, sizes):
-            sl = [slice(None)] * out.data.ndim
-            sl[ax] = slice(offset, offset + size)
-            p._accum(out.grad[tuple(sl)])
-            offset += size
+        def back(g):
+            offset = 0
+            for p, size in zip(parts, sizes):
+                sl = [slice(None)] * ndim
+                sl[ax] = slice(offset, offset + size)
+                p._accum(g[tuple(sl)])
+                offset += size
 
-    out._back = back
+        out._parents, out._back = tuple(parts), back
     return out
 
 
@@ -384,11 +418,11 @@ def where_const(cond: Array, a: Tensor, b: Tensor) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     cond = np.asarray(cond, dtype=bool)
-    out = Tensor(np.where(cond, a.data, b.data), (a, b))
+    out = Tensor(np.where(cond, a.data, b.data))
+    if _recording:
+        def back(g):
+            a._accum(np.where(cond, g, 0.0))
+            b._accum(np.where(cond, 0.0, g))
 
-    def back():
-        a._accum(np.where(cond, out.grad, 0.0))
-        b._accum(np.where(cond, 0.0, out.grad))
-
-    out._back = back
+        out._parents, out._back = (a, b), back
     return out

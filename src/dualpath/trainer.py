@@ -25,7 +25,7 @@ from dualpath.fusion import Ablation, Model, ModelOutput
 from dualpath.losses import LossConfig, total_loss
 from dualpath.rng import Rng
 from dualpath.synthdata import Dataset, MODALITIES
-from dualpath.tensor import watch_kinks
+from dualpath.tensor import no_grad, watch_kinks
 
 
 class DivergenceError(RuntimeError):
@@ -135,8 +135,9 @@ def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
 def default_val_metric(model: Model, data: Dataset,
                        ablation: Ablation | None = None) -> float:
     """Plain accuracy on a split, eval mode."""
-    out = model.forward_batch(data.text, data.video, data.audio,
-                              train=False, ablation=ablation)
+    with no_grad():
+        out = model.forward_batch(data.text, data.video, data.audio,
+                                  train=False, ablation=ablation)
     pred = out.probs.data.argmax(axis=1)
     return float((pred == data.labels).mean())
 
@@ -146,7 +147,8 @@ def train(model: Model, train_data: Dataset, val_data: Dataset,
           ablation: Ablation | None = None,
           val_metric=None) -> TrainHistory:
     """Optimize in place; returns the history. The model ends at the
-    parameters of its best validation epoch."""
+    parameters of its best validation epoch. A non-finite training loss
+    or validation score raises DivergenceError."""
     cfg.validate()
     loss_cfg.validate()
     if len(train_data) == 0 or len(val_data) == 0:
@@ -187,6 +189,8 @@ def train(model: Model, train_data: Dataset, val_data: Dataset,
                 sums[k] = sums.get(k, 0.0) + val
         history.epoch_losses.append({k: val / steps_per_epoch for k, val in sums.items()})
         score = float(val_metric(model, val_data))
+        if not np.isfinite(score):
+            raise DivergenceError("val_metric")
         history.val_metrics.append(score)
         history.wall_clock.append(time.perf_counter() - t_start)
         if score > best_val:
@@ -251,8 +255,9 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     labels = batch.labels
 
     def loss_value() -> float:
-        out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
-        loss, _ = total_loss(out, labels, loss_cfg)
+        with no_grad():
+            out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
+            loss, _ = total_loss(out, labels, loss_cfg)
         return float(loss.data)
 
     model.zero_grad()

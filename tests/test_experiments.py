@@ -344,6 +344,22 @@ class TestCli:
         assert printed["passed"] is True
         assert printed["max_rel_error"] < 1e-4
 
+    @pytest.mark.parametrize("checked,skipped", [(0, 0), (5, 3)])
+    def test_gradcheck_fails_without_full_coverage(self, tmp_path, capsys,
+                                                   monkeypatch, checked, skipped):
+        import dualpath.cli as cli
+        from dualpath.trainer import GradCheckResult
+
+        partial = GradCheckResult(max_rel_error=0.0, per_group={"w": 0.0},
+                                  coords_checked=checked, resampled=12,
+                                  skipped=skipped)
+        monkeypatch.setattr(cli, "grad_check", lambda *a, **kw: partial)
+        cfg = tiny_config_json(tmp_path)
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["passed"] is False
+        assert printed["coords_checked"] == checked
+
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         cfg = tiny_config_json(tmp_path)
         env_dir = tmp_path / "from_env"

@@ -1,11 +1,16 @@
 """Autodiff engine: values, gradients against central differences,
 broadcasting, and the nonsmooth-op bookkeeping."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from dualpath.fusion import Model, ModelConfig
+from dualpath.losses import LossConfig, total_loss
 from dualpath.rng import Rng
-from dualpath.tensor import Tensor, concat, watch_kinks, where_const
+from dualpath.synthdata import DatasetConfig, generate
+from dualpath.tensor import Tensor, concat, no_grad, watch_kinks, where_const
 
 
 def fd_grad(f, arrays, eps=1e-6):
@@ -211,3 +216,73 @@ def test_watch_kinks_restores_previous_scope():
         Tensor(np.array([2.0])).abs()
     assert len(inner) == 1
     assert len(outer) == 2
+
+
+@pytest.fixture(scope="module")
+def default_batch():
+    return generate(DatasetConfig(n_train=16, n_val=0, n_test=0, seed=0))[0]
+
+
+def test_training_step_leaves_no_cyclic_garbage(default_batch):
+    """The tape holds no reference cycles: a whole step is freed by
+    reference counting, with nothing left for the cyclic collector."""
+    model = Model(ModelConfig(init_seed=0))
+    gc.collect()
+    gc.disable()
+    try:
+        out = model.forward_batch(default_batch.text, default_batch.video,
+                                  default_batch.audio, train=True,
+                                  rng=Rng(0, "train").child("dropout", 1))
+        loss, _ = total_loss(out, default_batch.labels, LossConfig())
+        loss.backward()
+        del out, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_no_grad_records_no_tape():
+    a = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]))
+    b = Tensor(np.array([[0.5, 1.0], [-1.0, 2.0]]))
+    with no_grad():
+        nodes = [a + b, a - b, a * b, a / b, -a, a ** 2, 2.0 - a, a @ b,
+                 a.sum(axis=0), a.mean(), a.reshape(-1), a.T, a[0],
+                 b.exp(), b.abs().log(), a.safe_log(), b.abs().sqrt(),
+                 a.tanh(), a.sigmoid(), a.abs(), a.clamp_min(0.0),
+                 concat([a, b], axis=0), where_const(a.data > 0, a, b)]
+    for node in nodes:
+        assert node._parents == () and node._back is None
+    assert (a + b)._back is not None
+
+
+def test_no_grad_restores_mode_when_nested_and_on_error():
+    x = Tensor([1.0])
+    with no_grad():
+        with no_grad():
+            assert (x * 2.0)._back is None
+        assert (x * 2.0)._back is None
+    assert (x * 2.0)._back is not None
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert (x * 2.0)._back is not None
+
+
+def test_no_grad_matches_recorded_forward(default_batch):
+    model = Model(ModelConfig(init_seed=0))
+
+    def forward():
+        with watch_kinks() as kinks:
+            out = model.forward_batch(default_batch.text, default_batch.video,
+                                      default_batch.audio, train=False)
+            loss, _ = total_loss(out, default_batch.labels, LossConfig())
+        return out.probs.data, float(loss.data), kinks
+
+    probs, loss, kinks = forward()
+    with no_grad():
+        probs_ng, loss_ng, kinks_ng = forward()
+    assert np.array_equal(probs, probs_ng)
+    assert loss == loss_ng
+    assert [k for k, _ in kinks] == [k for k, _ in kinks_ng]
+    for (_, p), (_, q) in zip(kinks, kinks_ng):
+        assert np.array_equal(p, q)

@@ -168,6 +168,14 @@ class TestTrainLoop:
                   LossConfig())
         assert err.value.component == "shared_text"
 
+    def test_nonfinite_val_metric_is_divergence(self, splits):
+        train_data, val_data, _ = splits
+        with pytest.raises(DivergenceError) as err:
+            train(Model(MODEL_CFG), train_data, val_data,
+                  quick_train_cfg(max_epochs=3), LossConfig(),
+                  val_metric=lambda m, d: float("nan"))
+        assert err.value.component == "val_metric"
+
     def test_rejects_empty_split(self, splits):
         train_data, _, _ = splits
         empty = train_data.subset(np.array([], dtype=int))
