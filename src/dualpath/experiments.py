@@ -15,14 +15,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from dualpath.fusion import Ablation, Model, ModelConfig
+from dualpath.fusion import Ablation, Model, ModelConfig, ModelOutput
 from dualpath.losses import LossConfig
-from dualpath.metrics import Metrics, evaluate, gating_summary
+from dualpath.metrics import (Metrics, eval_forward, evaluate, gate_stats,
+                              output_metrics)
 from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
                                 inject_noise_dataset)
-from dualpath.tensor import no_grad
 from dualpath.trainer import TrainConfig, TrainHistory, train
 
 ABLATION_FLAGS = ("no_int", "no_rea", "no_sim", "no_diff", "no_uni", "no_rea_loss")
@@ -176,8 +176,9 @@ METRIC_KEYS = ["acc", "macro_f1", "macro_precision", "macro_recall",
 
 def train_single(cfg: ExperimentConfig, seed: int,
                  splits: tuple[Dataset, Dataset, Dataset] | None = None,
-                 ) -> tuple[Model, TrainHistory, Metrics, dict]:
-    """Train one model at one seed; returns it with metrics on test."""
+                 ) -> tuple[Model, TrainHistory, Metrics, dict, ModelOutput]:
+    """Train one model at one seed; returns it with its metrics, its gate
+    statistics and its eval forward on the test split."""
     cfg.validate()
     if splits is None:
         splits = generate(cfg.dataset)
@@ -187,9 +188,9 @@ def train_single(cfg: ExperimentConfig, seed: int,
     tc = replace(cfg.train, seed=seed)
     history = train(model, train_data, val_data, tc, cfg.effective_loss(),
                     ablation=ablation)
-    metrics = evaluate(model, test_data, ablation)
-    gating = gating_summary(model, test_data, ablation)
-    return model, history, metrics, gating
+    test_out = eval_forward(model, test_data, ablation)
+    metrics = output_metrics(test_out, test_data, model.config.num_classes)
+    return model, history, metrics, gate_stats(test_out, test_data), test_out
 
 
 def _seed_row(seed: int, metrics: Metrics, gating: dict) -> dict:
@@ -213,13 +214,9 @@ def run_main(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     rows = []
     gating_rows = []
     for seed in cfg.seeds:
-        model, history, metrics, gating = train_single(cfg, seed, splits)
+        _, _, metrics, gating, test_out = train_single(cfg, seed, splits)
         rows.append(_seed_row(seed, metrics, gating))
-        with no_grad():
-            out_batch = model.forward_batch(test_data.text, test_data.video,
-                                            test_data.audio, train=False,
-                                            ablation=cfg.ablation())
-        per_sample = out_batch.report.rows()
+        per_sample = test_out.report.rows()
         for i in range(len(test_data)):
             gating_rows.append([seed, i, int(test_data.conflict_flag[i] >= 0)]
                                + [float(x) for x in per_sample[i]])
@@ -266,7 +263,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         vcfg = replace(cfg, **cleared)
         seed_rows = []
         for seed in cfg.seeds:
-            _, _, metrics, gating = train_single(vcfg, seed, splits)
+            _, _, metrics, gating, _ = train_single(vcfg, seed, splits)
             seed_rows.append(_seed_row(seed, metrics, gating))
         variant_rows.append({
             "variant": name,
@@ -305,7 +302,7 @@ def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         noisy_tests[sigma] = inject_noise_dataset(test_data, sigma, "text", rng)
     per_seed = []
     for seed in cfg.seeds:
-        model, _, clean_metrics, _ = train_single(cfg, seed, splits)
+        model, _, clean_metrics, _, _ = train_single(cfg, seed, splits)
         sigma_rows = []
         for sigma in cfg.sigmas:
             m = evaluate(model, noisy_tests[sigma], cfg.ablation())

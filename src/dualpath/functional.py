@@ -21,12 +21,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    z = x - shift
-    return z - z.exp().sum(axis=axis, keepdims=True).log()
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean and unit variance, then scale and shift."""
     mu = x.mean(axis=-1, keepdims=True)
@@ -69,11 +63,6 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     ok = denom.data > 0
     guarded = where_const(ok, denom, Tensor(np.ones_like(denom.data)))
     return where_const(ok, dots / guarded, Tensor(np.zeros_like(dots.data)))
-
-
-def frobenius_norm_sq(x: Tensor) -> Tensor:
-    """Squared Frobenius norm as a scalar tensor."""
-    return (x * x).sum()
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -116,11 +116,7 @@ class Model:
     def forward_batch(self, text, video, audio, train: bool = False,
                       rng: Rng | None = None,
                       ablation: Ablation | None = None) -> ModelOutput:
-        text = text if isinstance(text, Tensor) else Tensor(text)
-        video = video if isinstance(video, Tensor) else Tensor(video)
-        audio = audio if isinstance(audio, Tensor) else Tensor(audio)
-        if text.data.ndim != 2:
-            raise ValueError("forward_batch expects (N, d) inputs")
+        text, video, audio = self._check_inputs(text, video, audio)
         feats = self.decoupler(text, video, audio, train=train, rng=rng)
         intuition_repr = self.intuition(text, video, audio, feats)
         report = self.perception(feats)
@@ -139,11 +135,18 @@ class Model:
                            logits=logits, probs=probs, rea_logits=rea_logits,
                            report=report, features=feats)
 
-    def forward(self, bundle, ablation: Ablation | None = None) -> ModelOutput:
-        """Single-sample eval-mode forward."""
-        return self.forward_batch(bundle.text[None, :], bundle.video[None, :],
-                                  bundle.audio[None, :], train=False,
-                                  ablation=ablation)
+    def _check_inputs(self, *inputs) -> list[Tensor]:
+        """Wrap the modalities as tensors; each must be a finite
+        (N, feature_dim) array with the text input's N."""
+        out = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
+        want = out[0].data.shape[:1] + (self.config.feature_dim,)
+        for m, x in zip(MODALITIES, out):
+            if x.data.shape != want:
+                raise ValueError(f"{m} input has shape {x.data.shape}; forward_batch "
+                                 f"expects (N, {want[-1]}) with text's N")
+            if not np.isfinite(x.data).all():
+                raise ValueError(f"{m} input holds non-finite values")
+        return out
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -202,24 +205,40 @@ def save_checkpoint(path, model: Model) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """Rebuild a model from a checkpoint. A file shorter than its contents
+    say, or longer, raises ValueError naming what was being read."""
     with open(path, "rb") as fh:
-        magic, version = _CK_HEAD.unpack(fh.read(_CK_HEAD.size))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError("not a checkpoint file (bad magic)")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", fh.read(4))
-        config = ModelConfig(**json.loads(fh.read(cfg_len).decode("utf-8")))
-        (count,) = struct.unpack("<I", fh.read(4))
-        values: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            values[name] = arr.astype(np.float64)
+        blob = fh.read()
+    pos = 0
+
+    def take(n: int, section: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise ValueError(f"checkpoint truncated in {section}: needs {n} bytes "
+                             f"at offset {pos}, file is {len(blob)} bytes")
+        pos += n
+        return blob[pos - n:pos]
+
+    magic, version = _CK_HEAD.unpack(take(_CK_HEAD.size, "header"))
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError("not a checkpoint file (bad magic)")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    (cfg_len,) = struct.unpack("<I", take(4, "config length"))
+    config = ModelConfig(**json.loads(take(cfg_len, "config").decode("utf-8")))
+    (count,) = struct.unpack("<I", take(4, "parameter count"))
+    values: dict[str, np.ndarray] = {}
+    for k in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"parameter {k} name length"))
+        name = take(name_len, f"parameter {k} name").decode("utf-8")
+        (ndim,) = struct.unpack("<B", take(1, f"{name} ndim"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name} shape"))
+        n = int(np.prod(shape)) if shape else 1
+        arr = np.frombuffer(take(8 * n, f"{name} data"), dtype="<f8").reshape(shape)
+        values[name] = arr.astype(np.float64)
+    if pos != len(blob):
+        raise ValueError(f"checkpoint has {len(blob) - pos} bytes after the last "
+                         f"parameter (file is {len(blob)} bytes)")
     model = Model(config)
     expected = set(model.params())
     if set(values) != expected:

@@ -9,11 +9,11 @@ made-up number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from dualpath.fusion import Ablation, Model
+from dualpath.fusion import Ablation, Model, ModelOutput
 from dualpath.synthdata import Dataset
 from dualpath.tensor import no_grad
 
@@ -31,17 +31,8 @@ class Metrics:
     consistent_subset_acc: float | None
 
     def as_dict(self) -> dict:
-        d = {
-            "acc": self.acc,
-            "macro_f1": self.macro_f1,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "weighted_f1": self.weighted_f1,
-            "weighted_precision": self.weighted_precision,
-            "per_class_f1": list(self.per_class_f1),
-            "conflict_subset_acc": self.conflict_subset_acc,
-            "consistent_subset_acc": self.consistent_subset_acc,
-        }
+        d = asdict(self)
+        d["per_class_f1"] = list(self.per_class_f1)
         return d
 
 
@@ -91,26 +82,24 @@ def compute_metrics(labels: np.ndarray, preds: np.ndarray, num_classes: int,
     )
 
 
-def predict(model: Model, data: Dataset, ablation: Ablation | None = None) -> np.ndarray:
+def eval_forward(model: Model, data: Dataset,
+                 ablation: Ablation | None = None) -> ModelOutput:
+    """One eval-mode forward over a whole split, recording no tape; the
+    reducers below read predictions and gate statistics from it."""
     with no_grad():
-        out = model.forward_batch(data.text, data.video, data.audio,
-                                  train=False, ablation=ablation)
-    return out.probs.data.argmax(axis=1)
+        return model.forward_batch(data.text, data.video, data.audio,
+                                   train=False, ablation=ablation)
 
 
-def evaluate(model: Model, data: Dataset, ablation: Ablation | None = None) -> Metrics:
-    """Eval-mode metrics for a split, including conflict-subset accuracies."""
-    preds = predict(model, data, ablation)
-    return compute_metrics(data.labels, preds, model.config.num_classes,
-                           data.conflicted_mask)
+def output_metrics(out: ModelOutput, data: Dataset, num_classes: int) -> Metrics:
+    """Metrics of an eval forward's argmax predictions on its split."""
+    return compute_metrics(data.labels, out.probs.data.argmax(axis=1),
+                           num_classes, data.conflicted_mask)
 
 
-def gating_summary(model: Model, data: Dataset,
-                   ablation: Ablation | None = None) -> dict:
-    """Mean gate value on the conflicted and consistent subsets."""
-    with no_grad():
-        out = model.forward_batch(data.text, data.video, data.audio,
-                                  train=False, ablation=ablation)
+def gate_stats(out: ModelOutput, data: Dataset) -> dict:
+    """Mean gate value of an eval forward on the conflicted and consistent
+    subsets of its split."""
     gate = out.report.gate.data.reshape(-1)
     mask = data.conflicted_mask
     return {
@@ -120,3 +109,15 @@ def gating_summary(model: Model, data: Dataset,
         "n_conflicted": int(mask.sum()),
         "n_consistent": int((~mask).sum()),
     }
+
+
+def evaluate(model: Model, data: Dataset, ablation: Ablation | None = None) -> Metrics:
+    """Eval-mode metrics for a split, including conflict-subset accuracies."""
+    return output_metrics(eval_forward(model, data, ablation), data,
+                          model.config.num_classes)
+
+
+def gating_summary(model: Model, data: Dataset,
+                   ablation: Ablation | None = None) -> dict:
+    """Mean gate value on the conflicted and consistent subsets."""
+    return gate_stats(eval_forward(model, data, ablation), data)

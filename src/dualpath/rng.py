@@ -83,7 +83,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice_mask(self, n: int, prob: float) -> np.ndarray:
-        """Boolean mask of length n, each entry True with probability prob."""
-        return self._gen.uniform(size=n) < prob

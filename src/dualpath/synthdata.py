@@ -52,30 +52,10 @@ class DatasetConfig:
             )
 
 
-@dataclass(frozen=True)
-class ModalityBundle:
-    """One sample: three modality vectors, a label, and conflict flags."""
-
-    text: np.ndarray
-    video: np.ndarray
-    audio: np.ndarray
-    label: int
-    conflicted: bool
-    conflicted_modality: str | None = None
-
-    def __post_init__(self):
-        if self.conflicted and self.conflicted_modality not in MODALITIES:
-            raise ValueError("conflicted bundle must name a modality")
-        if not self.conflicted and self.conflicted_modality is not None:
-            raise ValueError("non-conflicted bundle must not name a modality")
-
-    def modality(self, name: str) -> np.ndarray:
-        return {"text": self.text, "video": self.video, "audio": self.audio}[name]
-
-
 @dataclass
 class Dataset:
-    """Column-major storage for a split; indexing yields ModalityBundle."""
+    """Column-major storage for a split: one (N, d) array per modality,
+    with labels and conflict flags alongside."""
 
     text: np.ndarray  # (N, d)
     video: np.ndarray
@@ -85,21 +65,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, i: int) -> ModalityBundle:
-        flag = int(self.conflict_flag[i])
-        return ModalityBundle(
-            text=self.text[i].copy(),
-            video=self.video[i].copy(),
-            audio=self.audio[i].copy(),
-            label=int(self.labels[i]),
-            conflicted=flag >= 0,
-            conflicted_modality=MODALITIES[flag] if flag >= 0 else None,
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def conflicted_mask(self) -> np.ndarray:
@@ -189,21 +154,9 @@ def generate(config: DatasetConfig) -> tuple[Dataset, Dataset, Dataset]:
     return train, val, test
 
 
-def inject_noise(bundle: ModalityBundle, sigma: float, modality: str, rng: Rng) -> ModalityBundle:
-    """Copy of the bundle with N(0, sigma^2 I) added to one modality."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if modality not in MODALITIES:
-        raise ValueError(f"unknown modality {modality!r}")
-    fields = {m: bundle.modality(m).copy() for m in MODALITIES}
-    if sigma > 0:
-        fields[modality] = fields[modality] + rng.normal(scale=sigma, size=fields[modality].shape)
-    return ModalityBundle(label=bundle.label, conflicted=bundle.conflicted,
-                          conflicted_modality=bundle.conflicted_modality, **fields)
-
-
 def inject_noise_dataset(data: Dataset, sigma: float, modality: str, rng: Rng) -> Dataset:
-    """Dataset-level counterpart of inject_noise; one substream per sample."""
+    """Copy of the split with N(0, sigma^2 I) added to one modality; each
+    sample draws from its own substream of ``rng``."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if modality not in MODALITIES:
@@ -239,61 +192,65 @@ def nearest_anchor_accuracy(data: Dataset, config: DatasetConfig, modality: str 
 
 # -- binary serialization ------------------------------------------------
 #
-# Layout (little-endian throughout):
-#   magic   4 bytes  b"DPDS"
-#   version u16
-#   C       u32      number of classes
-#   d       u32      feature dim
-#   N       u64      number of records
-#   records N times:
-#     label i32; conflict flag i8 (-1 none, else modality index in
-#     text/video/audio order); text, video, audio: d float64 each.
+# Little-endian: a header (magic b"DPDS", version u16, num_classes u32,
+# feature_dim u32, record count u64), then packed records as laid out by
+# _record_dtype. The conflict flag is -1 for none, else the index of the
+# conflicted modality in MODALITIES order.
 
 _HEADER = struct.Struct("<4sHIIQ")
-_REC_FIXED = struct.Struct("<ib")
 
 
-def _record_bytes(data: Dataset, i: int) -> bytes:
-    return (_REC_FIXED.pack(int(data.labels[i]), int(data.conflict_flag[i]))
-            + data.text[i].astype("<f8").tobytes()
-            + data.video[i].astype("<f8").tobytes()
-            + data.audio[i].astype("<f8").tobytes())
+def _record_dtype(d: int) -> np.dtype:
+    """One packed record: label, conflict flag, then the three modalities."""
+    return np.dtype([("label", "<i4"), ("flag", "i1")]
+                    + [(m, "<f8", (d,)) for m in MODALITIES])
+
+
+def _serialize(data: Dataset, config: DatasetConfig) -> tuple[bytes, np.ndarray]:
+    """Header and packed records of a split: its file bytes, which the digest hashes."""
+    rec = np.empty(len(data), dtype=_record_dtype(config.feature_dim))
+    rec["label"] = data.labels
+    rec["flag"] = data.conflict_flag
+    for m in MODALITIES:
+        rec[m] = data.modality(m)
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, config.num_classes,
+                        config.feature_dim, len(data)), rec
 
 
 def save_dataset(path, data: Dataset, config: DatasetConfig) -> None:
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, config.num_classes,
-                              config.feature_dim, len(data)))
-        for i in range(len(data)):
-            fh.write(_record_bytes(data, i))
+        fh.writelines(_serialize(data, config))
 
 
 def load_dataset(path) -> tuple[Dataset, int, int]:
-    """Read a dataset file; returns (dataset, num_classes, feature_dim)."""
+    """Read a dataset file; returns (dataset, num_classes, feature_dim).
+
+    The file must be exactly as long as its header says.
+    """
     with open(path, "rb") as fh:
-        magic, version, C, d, n = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != MAGIC:
-            raise ValueError("not a dataset file (bad magic)")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format version {version}")
-        feats = {m: np.zeros((n, d)) for m in MODALITIES}
-        labels = np.zeros(n, dtype=np.int64)
-        flags = np.zeros(n, dtype=np.int8)
-        vec_bytes = d * 8
-        for i in range(n):
-            label, flag = _REC_FIXED.unpack(fh.read(_REC_FIXED.size))
-            labels[i] = label
-            flags[i] = flag
-            for m in MODALITIES:
-                feats[m][i] = np.frombuffer(fh.read(vec_bytes), dtype="<f8")
-    return Dataset(feats["text"], feats["video"], feats["audio"], labels, flags), int(C), int(d)
+        blob = fh.read()
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"dataset file truncated: {len(blob)} bytes, "
+                         f"header alone needs {_HEADER.size}")
+    magic, version, C, d, n = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
+        raise ValueError("not a dataset file (bad magic)")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported dataset format version {version}")
+    dtype = _record_dtype(d)
+    want = _HEADER.size + n * dtype.itemsize
+    if len(blob) != want:
+        raise ValueError(f"dataset file is {len(blob)} bytes, "
+                         f"header says {want} ({n} records)")
+    rec = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size)
+    data = Dataset(*(rec[m].astype(np.float64) for m in MODALITIES),
+                   rec["label"].astype(np.int64), rec["flag"].astype(np.int8))
+    return data, int(C), int(d)
 
 
 def dataset_digest(data: Dataset, config: DatasetConfig) -> str:
     """SHA-256 over the serialized byte layout; stable across runs."""
     h = hashlib.sha256()
-    h.update(_HEADER.pack(MAGIC, FORMAT_VERSION, config.num_classes,
-                          config.feature_dim, len(data)))
-    for i in range(len(data)):
-        h.update(_record_bytes(data, i))
+    for part in _serialize(data, config):
+        h.update(part)
     return h.hexdigest()

@@ -23,6 +23,7 @@ import numpy as np
 
 from dualpath.fusion import Ablation, Model, ModelOutput
 from dualpath.losses import LossConfig, total_loss
+from dualpath.metrics import eval_forward, output_metrics
 from dualpath.rng import Rng
 from dualpath.synthdata import Dataset, MODALITIES
 from dualpath.tensor import no_grad, watch_kinks
@@ -135,11 +136,8 @@ def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
 def default_val_metric(model: Model, data: Dataset,
                        ablation: Ablation | None = None) -> float:
     """Plain accuracy on a split, eval mode."""
-    with no_grad():
-        out = model.forward_batch(data.text, data.video, data.audio,
-                                  train=False, ablation=ablation)
-    pred = out.probs.data.argmax(axis=1)
-    return float((pred == data.labels).mean())
+    return output_metrics(eval_forward(model, data, ablation), data,
+                          model.config.num_classes).acc
 
 
 def train(model: Model, train_data: Dataset, val_data: Dataset,
@@ -219,6 +217,12 @@ class GradCheckResult:
 
     def worst_group(self) -> str:
         return max(self.per_group, key=self.per_group.get)
+
+    def passed(self, threshold: float) -> bool:
+        """True only when something was certified: every wanted coordinate
+        was checked, at least one was, and all errors sit below threshold."""
+        return (self.max_rel_error < threshold and self.skipped == 0
+                and self.coords_checked > 0)
 
 
 def _kink_crossed(plus: list, minus: list, fd_eps: float) -> bool:

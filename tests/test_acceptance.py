@@ -235,7 +235,7 @@ def default_runs():
     start = time.perf_counter()
     rows = []
     for seed in cfg.seeds:
-        _, _, metrics, gating = train_single(cfg, seed, splits)
+        _, _, metrics, gating, _ = train_single(cfg, seed, splits)
         rows.append((seed, metrics, gating))
     elapsed = time.perf_counter() - start
     return cfg, splits, rows, elapsed
@@ -314,7 +314,7 @@ def test_criterion_9_reports_and_checkpoints_reproduce_exactly(tmp_path):
     for name in ("main_report.json", "main_metrics.csv", "gating.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    model, _, _, _ = train_single(cfg, 0)
+    model, _, _, _, _ = train_single(cfg, 0)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, model)
     loaded = load_checkpoint(ckpt)

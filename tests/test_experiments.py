@@ -16,6 +16,7 @@ from dualpath.experiments import (ABLATION_FLAGS, ExperimentConfig,
                                   load_experiment_config, render_csv,
                                   run_ablation, run_main, run_robustness,
                                   train_single, write_json)
+from dualpath.fusion import ModelOutput
 from dualpath.losses import LossConfig
 from dualpath.metrics import Metrics
 from dualpath.synthdata import DatasetConfig, dataset_digest, generate
@@ -140,8 +141,13 @@ class TestReportWriting:
 
 class TestTrainSingle:
     def test_returns_all_products(self):
-        model, history, metrics, gating = train_single(TINY, 0)
+        model, history, metrics, gating, test_out = train_single(TINY, 0)
         assert isinstance(history, TrainHistory)
+        assert isinstance(test_out, ModelOutput)
+        test = generate(TINY.dataset)[2]
+        preds = test_out.probs.data.argmax(axis=1)
+        assert len(preds) == len(test)
+        assert metrics.acc == float((preds == test.labels).mean())
         assert isinstance(metrics, Metrics)
         assert len(history.epoch_losses) <= TINY.train.max_epochs
         assert 0.0 <= metrics.acc <= 1.0
@@ -151,8 +157,8 @@ class TestTrainSingle:
 
     def test_reuses_provided_splits(self):
         splits = generate(TINY.dataset)
-        _, _, a, _ = train_single(TINY, 0, splits)
-        _, _, b, _ = train_single(TINY, 0, splits)
+        _, _, a, _, _ = train_single(TINY, 0, splits)
+        _, _, b, _, _ = train_single(TINY, 0, splits)
         assert a == b
 
 

@@ -106,14 +106,32 @@ class TestModelForward:
         with pytest.raises(ValueError):
             model.forward_batch(v, v, v)
 
-    def test_single_sample_forward_agrees_with_batch(self, batch):
+    def test_one_row_batch_agrees_with_full_batch(self, batch):
+        """Eval rows do not interact: a one-row batch gives that row's output."""
         model = Model(CFG)
         data = generate(DATA_CFG)[2]
-        bundle = data[3]
-        single = model.forward(bundle)
-        batched = model.forward_batch(data.text[3:4], data.video[3:4],
-                                      data.audio[3:4])
-        assert np.array_equal(single.probs.data, batched.probs.data)
+        full = model.forward_batch(data.text, data.video, data.audio)
+        row = model.forward_batch(data.text[3:4], data.video[3:4], data.audio[3:4])
+        assert np.allclose(row.probs.data, full.probs.data[3:4], rtol=0, atol=1e-12)
+
+    def test_rejects_nonfinite_input(self, batch):
+        text, video, audio = (x.copy() for x in batch)
+        text[2, 1] = np.nan
+        with pytest.raises(ValueError, match="text.*non-finite"):
+            Model(CFG).forward_batch(text, video, audio)
+        audio[0, 0] = np.inf
+        with pytest.raises(ValueError, match="audio.*non-finite"):
+            Model(CFG).forward_batch(batch[0], video, audio)
+
+    def test_rejects_wrong_feature_dim(self, batch):
+        text, video, audio = batch
+        with pytest.raises(ValueError, match="video"):
+            Model(CFG).forward_batch(text, video[:, :7], audio)
+
+    def test_rejects_mismatched_rows(self, batch):
+        text, video, audio = batch
+        with pytest.raises(ValueError, match="audio"):
+            Model(CFG).forward_batch(text, video, audio[:4])
 
 
 class TestAblation:
@@ -201,6 +219,23 @@ class TestCheckpoint:
         path = tmp_path / "future.ckpt"
         path.write_bytes(b"DPCK" + b"\xff\x7f" + b"\x00" * 32)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_rejects_truncated_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Model(CFG))
+        blob = path.read_bytes()
+        for cut, section in ((3, "header"), (8, "config length"), (40, "config"),
+                             (len(blob) - 1, "data")):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=f"truncated in .*{section}"):
+                load_checkpoint(path)
+
+    def test_rejects_padded_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Model(CFG))
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(ValueError, match="3 bytes after the last parameter"):
             load_checkpoint(path)
 
     def test_set_params_validates(self):

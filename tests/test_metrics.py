@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dualpath.fusion import Ablation, Model, ModelConfig
-from dualpath.metrics import (Metrics, compute_metrics, evaluate,
-                              gating_summary, predict)
+from dualpath.metrics import (Metrics, compute_metrics, eval_forward, evaluate,
+                              gate_stats, gating_summary, output_metrics)
 from dualpath.synthdata import DatasetConfig, generate
 
 
@@ -127,21 +127,31 @@ def model_and_split():
 
 
 class TestModelFacing:
-    def test_predict_matches_argmax(self, model_and_split):
+    def test_eval_forward_matches_forward_batch(self, model_and_split):
         model, test = model_and_split
-        preds = predict(model, test)
-        out = model.forward_batch(test.text, test.video, test.audio)
-        assert np.array_equal(preds, out.probs.data.argmax(axis=1))
+        out = eval_forward(model, test)
+        ref = model.forward_batch(test.text, test.video, test.audio)
+        assert np.array_equal(out.probs.data, ref.probs.data)
+        assert np.array_equal(out.report.gate.data, ref.report.gate.data)
 
     def test_evaluate_wires_conflict_mask(self, model_and_split):
         model, test = model_and_split
         m = evaluate(model, test)
         assert isinstance(m, Metrics)
-        preds = predict(model, test)
+        out = model.forward_batch(test.text, test.video, test.audio)
+        preds = out.probs.data.argmax(axis=1)
         mask = test.conflicted_mask
         if mask.any():
             want = float((preds[mask] == test.labels[mask]).mean())
             assert m.conflict_subset_acc == pytest.approx(want)
+
+    def test_reducers_share_one_forward(self, model_and_split):
+        """evaluate and gating_summary equal the reducers over one eval forward."""
+        model, test = model_and_split
+        for ablation in (None, Ablation(no_rea=True)):
+            out = eval_forward(model, test, ablation)
+            assert output_metrics(out, test, 3) == evaluate(model, test, ablation)
+            assert gate_stats(out, test) == gating_summary(model, test, ablation)
 
     def test_gating_summary_fields_and_ranges(self, model_and_split):
         model, test = model_and_split

@@ -58,8 +58,3 @@ def test_permutation_is_deterministic_permutation():
     p2 = Rng(3, "perm").permutation(50)
     assert np.array_equal(p1, p2)
     assert np.array_equal(np.sort(p1), np.arange(50))
-
-
-def test_choice_mask_rate():
-    mask = Rng(4, "mask").choice_mask(20000, 0.25)
-    assert abs(mask.mean() - 0.25) < 0.02

@@ -1,13 +1,16 @@
 """Synthetic data generator: geometry, conflict injection, serialization."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from dualpath.rng import Rng
-from dualpath.synthdata import (MODALITIES, Dataset, DatasetConfig, ModalityBundle,
-                                class_anchors, dataset_digest, generate,
-                                inject_noise, inject_noise_dataset, load_dataset,
-                                modality_maps, nearest_anchor_accuracy, save_dataset)
+from dualpath.synthdata import (MODALITIES, Dataset, DatasetConfig, class_anchors,
+                                dataset_digest, generate, inject_noise_dataset,
+                                load_dataset, modality_maps, nearest_anchor_accuracy,
+                                save_dataset)
 
 SMALL = DatasetConfig(num_classes=3, feature_dim=8, n_train=400, n_val=80,
                       n_test=80, seed=5)
@@ -72,9 +75,7 @@ def test_zero_conflict_rate_flags_nothing():
                         n_test=30, conflict_rate=0.0, seed=2)
     for split in generate(cfg):
         assert not split.conflicted_mask.any()
-        for bundle in split:
-            assert not bundle.conflicted
-            assert bundle.conflicted_modality is None
+        assert np.all(split.conflict_flag == -1)
 
 
 def test_conflict_fraction_within_binomial_bound():
@@ -95,20 +96,10 @@ def test_labels_roughly_uniform():
 
 
 def test_bundle_flags_are_consistent(small_splits):
-    train = small_splits[0]
-    for bundle in list(train)[:100]:
-        if bundle.conflicted:
-            assert bundle.conflicted_modality in MODALITIES
-        else:
-            assert bundle.conflicted_modality is None
-
-
-def test_bundle_validation():
-    v = np.zeros(4)
-    with pytest.raises(ValueError):
-        ModalityBundle(v, v, v, 0, conflicted=True, conflicted_modality=None)
-    with pytest.raises(ValueError):
-        ModalityBundle(v, v, v, 0, conflicted=False, conflicted_modality="text")
+    """A flag is -1 for a clean sample, else a modality index."""
+    for split in small_splits:
+        assert set(np.unique(split.conflict_flag)) <= {-1, 0, 1, 2}
+        assert np.array_equal(split.conflicted_mask, split.conflict_flag >= 0)
 
 
 def test_nearest_anchor_oracle_on_clean_modality(small_splits):
@@ -124,46 +115,48 @@ def test_default_config_oracle_meets_learnability_bar():
 
 
 def test_inject_noise_zero_sigma_is_identity(small_splits):
-    bundle = small_splits[2][0]
-    out = inject_noise(bundle, 0.0, "text", Rng(0, "n"))
-    assert np.array_equal(out.text, bundle.text)
-    assert np.array_equal(out.video, bundle.video)
-    assert np.array_equal(out.audio, bundle.audio)
+    test = small_splits[2]
+    out = inject_noise_dataset(test, 0.0, "text", Rng(0, "n"))
+    for m in MODALITIES:
+        assert np.array_equal(out.modality(m), test.modality(m))
 
 
 def test_inject_noise_touches_only_named_modality(small_splits):
-    bundle = small_splits[2][0]
-    out = inject_noise(bundle, 0.5, "video", Rng(1, "n"))
-    assert not np.array_equal(out.video, bundle.video)
-    assert np.array_equal(out.text, bundle.text)
-    assert np.array_equal(out.audio, bundle.audio)
-    assert out.label == bundle.label
+    test = small_splits[2]
+    out = inject_noise_dataset(test, 0.5, "video", Rng(1, "n"))
+    assert np.all(np.any(out.video != test.video, axis=1))
+    assert np.array_equal(out.text, test.text)
+    assert np.array_equal(out.audio, test.audio)
+    assert np.array_equal(out.labels, test.labels)
+    assert np.array_equal(out.conflict_flag, test.conflict_flag)
 
 
 def test_inject_noise_leaves_original_untouched(small_splits):
-    bundle = small_splits[2][1]
-    before = bundle.text.copy()
-    inject_noise(bundle, 1.0, "text", Rng(2, "n"))
-    assert np.array_equal(bundle.text, before)
+    test = small_splits[2]
+    before = [test.modality(m).copy() for m in MODALITIES]
+    inject_noise_dataset(test, 1.0, "text", Rng(2, "n"))
+    for m, arr in zip(MODALITIES, before):
+        assert np.array_equal(test.modality(m), arr)
 
 
 def test_inject_noise_magnitude_matches_sigma(small_splits):
-    bundle = small_splits[2][0]
-    sigma, trials = 0.3, 10000
+    """Mean squared deviation per row is sigma^2 * d over many rows."""
+    test = small_splits[0]
+    sigma, target = 0.3, 0.3 ** 2 * SMALL.feature_dim
     total = 0.0
-    for i in range(trials):
-        out = inject_noise(bundle, sigma, "text", Rng(3, "mc", i))
-        total += float(((out.text - bundle.text) ** 2).sum())
-    target = sigma ** 2 * SMALL.feature_dim
-    assert abs(total / trials - target) / target < 0.05
+    for k in range(25):  # 25 x 400 = 10 000 rows
+        out = inject_noise_dataset(test, sigma, "text", Rng(3, "mc", k))
+        total += float(((out.text - test.text) ** 2).sum())
+    rows = 25 * len(test)
+    assert abs(total / rows - target) / target < 0.05
 
 
 def test_inject_noise_rejects_bad_args(small_splits):
-    bundle = small_splits[2][0]
+    test = small_splits[2]
     with pytest.raises(ValueError):
-        inject_noise(bundle, -1.0, "text", Rng(0, "n"))
+        inject_noise_dataset(test, -1.0, "text", Rng(0, "n"))
     with pytest.raises(ValueError):
-        inject_noise(bundle, 0.1, "smell", Rng(0, "n"))
+        inject_noise_dataset(test, 0.1, "smell", Rng(0, "n"))
 
 
 def test_inject_noise_dataset_matches_contract(small_splits):
@@ -191,6 +184,38 @@ def test_save_load_round_trip_bit_exact(tmp_path, small_splits):
     assert np.array_equal(loaded.conflict_flag, test.conflict_flag)
 
 
+def test_loaded_arrays_keep_their_dtypes(tmp_path, small_splits):
+    path = tmp_path / "split.bin"
+    save_dataset(path, small_splits[2], SMALL)
+    loaded, _, _ = load_dataset(path)
+    assert loaded.labels.dtype == np.int64
+    assert loaded.conflict_flag.dtype == np.int8
+    for m in MODALITIES:
+        arr = loaded.modality(m)
+        assert arr.dtype == np.float64 and arr.flags.writeable
+
+
+def test_load_rejects_trailing_bytes(tmp_path, small_splits):
+    path = tmp_path / "split.bin"
+    save_dataset(path, small_splits[2], SMALL)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match=f"{size + 1} bytes.*{size}"):
+        load_dataset(path)
+
+
+def test_load_rejects_truncated_file(tmp_path, small_splits):
+    path = tmp_path / "split.bin"
+    save_dataset(path, small_splits[2], SMALL)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-5])
+    with pytest.raises(ValueError, match=f"{len(blob) - 5} bytes.*{len(blob)}"):
+        load_dataset(path)
+    path.write_bytes(blob[:10])
+    with pytest.raises(ValueError, match="truncated"):
+        load_dataset(path)
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -206,6 +231,29 @@ def test_digest_stable_and_sensitive(small_splits):
                         test.labels, test.conflict_flag)
     perturbed.text[0, 0] += 1e-9
     assert dataset_digest(perturbed, SMALL) != d1
+
+
+def test_file_bytes_match_the_documented_record_loop(tmp_path, small_splits):
+    """Reference: the header, then label i32, flag i8 and three f64[d]
+    vectors packed one record at a time."""
+    test = small_splits[2]
+    want = struct.pack("<4sHIIQ", b"DPDS", 1, SMALL.num_classes,
+                       SMALL.feature_dim, len(test))
+    for i in range(len(test)):
+        want += struct.pack("<ib", int(test.labels[i]), int(test.conflict_flag[i]))
+        want += b"".join(test.modality(m)[i].astype("<f8").tobytes() for m in MODALITIES)
+    path = tmp_path / "split.bin"
+    save_dataset(path, test, SMALL)
+    assert path.read_bytes() == want
+    assert dataset_digest(test, SMALL) == hashlib.sha256(want).hexdigest()
+
+
+def test_digest_pinned_for_a_small_config():
+    """The serialized layout is a file format: its bytes must not drift."""
+    cfg = DatasetConfig(num_classes=3, feature_dim=5, n_train=7, n_val=3,
+                        n_test=4, seed=11)
+    assert dataset_digest(generate(cfg)[0], cfg) == (
+        "69948661367cf0212ed7d71c3311895768d832f4bd0791834fd0642962c16ab3")
 
 
 def test_subset_selects_rows(small_splits):

@@ -238,3 +238,14 @@ class TestGradCheck:
         result = grad_check(model, small_batch, cfg, coords_per_group=4)
         assert result.per_group["rea_head.weight"] == 0.0
         assert result.max_rel_error < 1e-4
+
+    def test_passed_needs_coverage_and_no_skips(self):
+        def result(err, checked, skipped):
+            return GradCheckResult(max_rel_error=err, per_group={"w": err},
+                                   coords_checked=checked, resampled=0,
+                                   skipped=skipped)
+
+        assert result(1e-6, 10, 0).passed(1e-4)
+        assert not result(1e-3, 10, 0).passed(1e-4)
+        assert not result(0.0, 0, 0).passed(1e-4)
+        assert not result(0.0, 10, 1).passed(1e-4)
