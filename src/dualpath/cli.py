@@ -18,12 +18,12 @@ from dataclasses import replace
 
 from dualpath.experiments import (ABLATION_FLAGS, ExperimentConfig,
                                   load_experiment_config, run_ablation,
-                                  run_main, run_robustness, train_single,
-                                  write_csv, write_json)
+                                  run_main, run_robustness, split_digests,
+                                  train_single, write_csv, write_json)
 from dualpath.fusion import load_checkpoint, save_checkpoint
 from dualpath.losses import COMPONENT_ORDER
 from dualpath.metrics import evaluate
-from dualpath.synthdata import dataset_digest, generate, load_dataset, save_dataset
+from dualpath.synthdata import generate, load_dataset, save_dataset
 from dualpath.trainer import grad_check
 
 OUT_ENV_VAR = "DUALPATH_OUT"
@@ -91,11 +91,9 @@ def _resolve_config(args) -> ExperimentConfig:
 def _cmd_gen(cfg: ExperimentConfig) -> dict:
     os.makedirs(cfg.out_dir, exist_ok=True)
     splits = generate(cfg.dataset)
-    digests = {}
     for name, data in zip(("train", "val", "test"), splits):
-        path = os.path.join(cfg.out_dir, f"{name}.bin")
-        save_dataset(path, data, cfg.dataset)
-        digests[name] = dataset_digest(data, cfg.dataset)
+        save_dataset(os.path.join(cfg.out_dir, f"{name}.bin"), data, cfg.dataset)
+    digests = split_digests(splits, cfg.dataset)
     write_json(os.path.join(cfg.out_dir, "digests.json"), digests)
     return {"out_dir": cfg.out_dir, "digests": digests}
 
@@ -184,7 +182,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            out_dir = os.environ.get(OUT_ENV_VAR) or args.out or "runs"
+            out_dir = os.environ.get(OUT_ENV_VAR) or args.out or ExperimentConfig.out_dir
             _cmd_report(out_dir)
             return 0
         cfg = _resolve_config(args)

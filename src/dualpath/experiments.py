@@ -154,17 +154,21 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         fh.write(render_csv(header, rows))
 
 
-def _mean_std(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=np.float64)
-    return {"mean": float(arr.mean()), "std": float(arr.std())}
-
-
 def _aggregate(rows: list[dict], keys: list[str]) -> dict:
     out = {}
     for key in keys:
-        vals = [r[key] for r in rows if r[key] is not None]
-        out[key] = _mean_std(vals) if vals else None
+        vals = np.asarray([r[key] for r in rows if r[key] is not None],
+                          dtype=np.float64)
+        out[key] = ({"mean": float(vals.mean()), "std": float(vals.std())}
+                    if vals.size else None)
     return out
+
+
+def split_digests(splits: tuple[Dataset, Dataset, Dataset],
+                  config: DatasetConfig) -> dict[str, str]:
+    """Digest of each split's serialized bytes, keyed train/val/test."""
+    return {name: dataset_digest(data, config)
+            for name, data in zip(("train", "val", "test"), splits)}
 
 
 METRIC_KEYS = ["acc", "macro_f1", "macro_precision", "macro_recall",
@@ -202,24 +206,30 @@ def _seed_row(seed: int, metrics: Metrics, gating: dict) -> dict:
 
 # -- experiments -------------------------------------------------------------
 
+def _prepare(cfg: ExperimentConfig, out_dir: str | None
+             ) -> tuple[str, tuple[Dataset, Dataset, Dataset]]:
+    """Validate, create the output directory (``out_dir`` beats
+    ``cfg.out_dir``) and generate the splits every seed of a run shares."""
+    cfg.validate()
+    out = out_dir or cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+    return out, generate(cfg.dataset)
+
+
 def run_main(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Multi-seed training of the configured variant; reports per-seed and
     aggregate metrics plus gate behavior on conflicted vs consistent
     test subsets."""
-    cfg.validate()
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    splits = generate(cfg.dataset)
-    test_data = splits[2]
+    out, splits = _prepare(cfg, out_dir)
+    conflicted = splits[2].conflicted_mask.astype(int).tolist()
     rows = []
     gating_rows = []
     for seed in cfg.seeds:
         _, _, metrics, gating, test_out = train_single(cfg, seed, splits)
         rows.append(_seed_row(seed, metrics, gating))
-        per_sample = test_out.report.rows()
-        for i in range(len(test_data)):
-            gating_rows.append([seed, i, int(test_data.conflict_flag[i] >= 0)]
-                               + [float(x) for x in per_sample[i]])
+        per_sample = test_out.report.rows().tolist()
+        for i, flag in enumerate(conflicted):
+            gating_rows.append([seed, i, flag] + per_sample[i])
     gate_conf = [r["gate_mean_conflicted"] for r in rows]
     gate_cons = [r["gate_mean_consistent"] for r in rows]
     higher = [int(a is not None and b is not None and a > b)
@@ -227,11 +237,7 @@ def run_main(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     report = {
         "experiment": "main",
         "config": cfg.as_dict(),
-        "dataset_digest": {
-            "train": dataset_digest(splits[0], cfg.dataset),
-            "val": dataset_digest(splits[1], cfg.dataset),
-            "test": dataset_digest(splits[2], cfg.dataset),
-        },
+        "dataset_digest": split_digests(splits, cfg.dataset),
         "per_seed": rows,
         "aggregate": _aggregate(rows, METRIC_KEYS + ["gate_mean_conflicted",
                                                      "gate_mean_consistent"]),
@@ -250,21 +256,19 @@ def run_main(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
 def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Full model plus each single-flag ablation on byte-identical data."""
-    cfg.validate()
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    splits = generate(cfg.dataset)
+    out, splits = _prepare(cfg, out_dir)
     digest = dataset_digest(splits[0], cfg.dataset)
-    variants = [("full", {})] + [(flag, {flag: True}) for flag in ABLATION_FLAGS]
     variant_rows = []
-    for name, flags in variants:
-        cleared = {f: False for f in ABLATION_FLAGS}
-        cleared.update(flags)
-        vcfg = replace(cfg, **cleared)
+    csv_rows = []
+    for name in ("full",) + ABLATION_FLAGS:
+        vcfg = replace(cfg, **{f: f == name for f in ABLATION_FLAGS})
         seed_rows = []
         for seed in cfg.seeds:
             _, _, metrics, gating, _ = train_single(vcfg, seed, splits)
-            seed_rows.append(_seed_row(seed, metrics, gating))
+            row = _seed_row(seed, metrics, gating)
+            seed_rows.append(row)
+            csv_rows.append([name, seed] + [row[k] for k in METRIC_KEYS]
+                            + [row["gate_mean"]])
         variant_rows.append({
             "variant": name,
             "dataset_digest": digest,
@@ -277,11 +281,6 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "variants": variant_rows,
     }
     write_json(os.path.join(out, "ablation_report.json"), report)
-    csv_rows = []
-    for vr in variant_rows:
-        for r in vr["per_seed"]:
-            csv_rows.append([vr["variant"], r["seed"]]
-                            + [r[k] for k in METRIC_KEYS] + [r["gate_mean"]])
     write_csv(os.path.join(out, "ablation.csv"),
               ["variant", "seed"] + METRIC_KEYS + ["gate_mean"], csv_rows)
     return report
@@ -290,31 +289,30 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Train on clean data; evaluate with Gaussian noise injected into the
     text features at each sigma. Noise draws depend only on the dataset
-    seed and sigma, so reports are reproducible."""
-    cfg.validate()
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    splits = generate(cfg.dataset)
-    test_data = splits[2]
-    noisy_tests = {}
-    for si, sigma in enumerate(cfg.sigmas):
-        rng = Rng(cfg.dataset.seed, "robust/noise", si)
-        noisy_tests[sigma] = inject_noise_dataset(test_data, sigma, "text", rng)
+    seed and sigma, so reports are reproducible. Sigma 0 adds no noise:
+    its row is the clean test forward ``train_single`` already made."""
+    out, splits = _prepare(cfg, out_dir)
+    noisy_tests = {
+        sigma: inject_noise_dataset(splits[2], sigma, "text",
+                                    Rng(cfg.dataset.seed, "robust/noise", si))
+        for si, sigma in enumerate(cfg.sigmas) if sigma > 0}
+    columns = ["acc", "macro_f1", "weighted_f1"]
     per_seed = []
+    csv_rows = []
     for seed in cfg.seeds:
-        model, _, clean_metrics, _, _ = train_single(cfg, seed, splits)
+        model, _, clean, _, _ = train_single(cfg, seed, splits)
         sigma_rows = []
         for sigma in cfg.sigmas:
-            m = evaluate(model, noisy_tests[sigma], cfg.ablation())
-            sigma_rows.append({"sigma": sigma, **m.as_dict()})
-        per_seed.append({"seed": seed, "clean": clean_metrics.as_dict(),
+            m = (evaluate(model, noisy_tests[sigma], cfg.ablation())
+                 if sigma > 0 else clean).as_dict()
+            sigma_rows.append({"sigma": sigma, **m})
+            csv_rows.append([seed, sigma] + [m[k] for k in columns])
+        per_seed.append({"seed": seed, "clean": clean.as_dict(),
                          "by_sigma": sigma_rows})
-    by_sigma_mean = []
-    for si, sigma in enumerate(cfg.sigmas):
-        rows = [ps["by_sigma"][si] for ps in per_seed]
-        by_sigma_mean.append({"sigma": sigma,
-                              **{k: _mean_std([r[k] for r in rows])
-                                 for k in ("acc", "macro_f1", "weighted_f1")}})
+    by_sigma_mean = [
+        {"sigma": sigma, **_aggregate([ps["by_sigma"][si] for ps in per_seed],
+                                      columns)}
+        for si, sigma in enumerate(cfg.sigmas)]
     report = {
         "experiment": "robustness",
         "config": cfg.as_dict(),
@@ -323,11 +321,6 @@ def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "by_sigma_mean": by_sigma_mean,
     }
     write_json(os.path.join(out, "robustness_report.json"), report)
-    csv_rows = []
-    for ps in per_seed:
-        for r in ps["by_sigma"]:
-            csv_rows.append([ps["seed"], r["sigma"], r["acc"], r["macro_f1"],
-                             r["weighted_f1"]])
     write_csv(os.path.join(out, "robustness.csv"),
-              ["seed", "sigma", "acc", "macro_f1", "weighted_f1"], csv_rows)
+              ["seed", "sigma"] + columns, csv_rows)
     return report

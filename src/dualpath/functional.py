@@ -29,22 +29,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered / (var + eps).sqrt() * gain + bias
 
 
-def l2_norm_rows(x: Tensor) -> Tensor:
-    """Row-wise Euclidean norm, shape (N, 1). Zero rows map to 0 with
-    zero gradient rather than NaN."""
-    sq = (x * x).sum(axis=-1, keepdims=True)
+def l2_norm(x: Tensor, axis: int | None) -> Tensor:
+    """Euclidean norm along ``axis``: a kept (N, 1) column of row norms for
+    ``axis=-1``, a scalar for ``axis=None``. A zero row or vector maps to
+    exactly 0 with zero gradient rather than NaN."""
+    sq = (x * x).sum(axis=axis, keepdims=axis is not None)
     positive = sq.data > 0
-    _note_kink("norm_floor", float(np.sqrt(np.min(sq.data))) if sq.data.size else 0.0)
-    guarded = where_const(positive, sq, Tensor(np.ones_like(sq.data)))
-    return where_const(positive, guarded.sqrt(), Tensor(np.zeros_like(sq.data)))
-
-
-def l2_norm_vec(x: Tensor) -> Tensor:
-    """Euclidean norm of a flat vector as a scalar tensor; exactly 0 with
-    zero gradient when the whole vector is 0."""
-    sq = (x * x).sum()
-    positive = sq.data > 0
-    _note_kink("norm_floor", float(np.sqrt(sq.data)))
+    _note_kink("norm_floor", float(np.sqrt(sq.data.min())) if sq.data.size else 0.0)
     guarded = where_const(positive, sq, Tensor(np.ones_like(sq.data)))
     return where_const(positive, guarded.sqrt(), Tensor(np.zeros_like(sq.data)))
 
@@ -57,8 +48,8 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     if b.data.ndim == 1:
         b = b.reshape(1, -1)
     dots = (a * b).sum(axis=-1, keepdims=True)
-    na = l2_norm_rows(a)
-    nb = l2_norm_rows(b)
+    na = l2_norm(a, axis=-1)
+    nb = l2_norm(b, axis=-1)
     denom = na * nb
     ok = denom.data > 0
     guarded = where_const(ok, denom, Tensor(np.ones_like(denom.data)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualpath.decoupler import DecoupledFeatures
-from dualpath.functional import l2_norm_vec, one_hot
+from dualpath.functional import l2_norm, one_hot
 from dualpath.fusion import ModelOutput
 from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor
@@ -119,14 +119,14 @@ def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
         return Tensor(0.0)
     mu_a = a.mean(axis=0)
     mu_b = b.mean(axis=0)
-    total = l2_norm_vec(mu_a - mu_b)
+    total = l2_norm(mu_a - mu_b, axis=None)
     ca = a - mu_a.reshape(1, -1)
     cb = b - mu_b.reshape(1, -1)
     pow_a, pow_b = ca, cb
     for _ in range(2, order + 1):
         pow_a = pow_a * ca
         pow_b = pow_b * cb
-        total = total + l2_norm_vec(pow_a.mean(axis=0) - pow_b.mean(axis=0))
+        total = total + l2_norm(pow_a.mean(axis=0) - pow_b.mean(axis=0), axis=None)
     return total
 
 

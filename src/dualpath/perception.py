@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualpath.decoupler import DecoupledFeatures
-from dualpath.functional import cosine_rows, l2_norm_rows, softmax
+from dualpath.functional import cosine_rows, l2_norm, softmax
 from dualpath.layers import Affine
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES
@@ -157,7 +157,7 @@ class Perception:
         return softmax(logits, axis=-1)
 
     def gating_factor(self, gated_diff: Tensor, js_div: Tensor) -> Tensor:
-        strength = l2_norm_rows(gated_diff).tanh()
+        strength = l2_norm(gated_diff, axis=-1).tanh()
         return (strength + self.div_gate(js_div)).sigmoid()
 
     # -- full chain -------------------------------------------------------

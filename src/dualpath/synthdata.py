@@ -70,10 +70,6 @@ class Dataset:
     def conflicted_mask(self) -> np.ndarray:
         return self.conflict_flag >= 0
 
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.text[idx], self.video[idx], self.audio[idx],
-                       self.labels[idx], self.conflict_flag[idx])
-
     def modality(self, name: str) -> np.ndarray:
         return {"text": self.text, "video": self.video, "audio": self.audio}[name]
 

@@ -96,9 +96,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output, got shape %s" % (self.data.shape,))
@@ -177,49 +174,23 @@ class Tensor:
             out._parents, out._back = (self,), back
         return out
 
-    def __pow__(self, exponent) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only constant exponents are supported")
-        out = Tensor(self.data ** exponent)
-        if _recording:
-            def back(g):
-                self._accum(g * exponent * self.data ** (exponent - 1))
-
-            out._parents, out._back = (self,), back
-        return out
-
-    def __radd__(self, other) -> "Tensor":
-        return Tensor(other) + self
-
     def __rsub__(self, other) -> "Tensor":
         return Tensor(other) - self
 
     def __rmul__(self, other) -> "Tensor":
         return Tensor(other) * self
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor(other) / self
-
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self.data, other.data
-        if a.ndim > 2 or b.ndim > 2:
-            raise ValueError("matmul supports 1-D and 2-D operands only")
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError("matmul supports 2-D operands only, got %d-D @ %d-D"
+                             % (a.ndim, b.ndim))
         out = Tensor(a @ b)
         if _recording:
             def back(g):
-                if a.ndim == 2 and b.ndim == 2:
-                    self._accum(g @ b.T)
-                    other._accum(a.T @ g)
-                elif a.ndim == 2 and b.ndim == 1:
-                    self._accum(np.outer(g, b))
-                    other._accum(a.T @ g)
-                elif a.ndim == 1 and b.ndim == 2:
-                    self._accum(g @ b.T)
-                    other._accum(np.outer(a, g))
-                else:  # 1-D @ 1-D -> scalar
-                    self._accum(g * b)
-                    other._accum(g * a)
+                self._accum(g @ b.T)
+                other._accum(a.T @ g)
 
             out._parents, out._back = (self, other), back
         return out
@@ -240,9 +211,8 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = Tensor(self.data.mean(axis=axis, keepdims=keepdims))
         if _recording:
-            count = self.data.size if axis is None else np.prod(
-                [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-            )
+            # an empty result gets an empty gradient; the max() only avoids 0 // 0
+            count = self.data.size // max(out.data.size, 1)
 
             def back(g):
                 if axis is not None and not keepdims:
@@ -351,8 +321,8 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         x = self.data
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(s)
+        e = np.exp(-np.abs(x))
+        out = Tensor(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
         if _recording:
             y = out.data
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from dualpath.functional import NORM_FLOOR
 from dualpath.fusion import Ablation, Model, ModelOutput
 from dualpath.losses import LossConfig, total_loss
 from dualpath.metrics import eval_forward, output_metrics
@@ -237,7 +238,7 @@ def _kink_crossed(plus: list, minus: list, fd_eps: float) -> bool:
             if not np.array_equal(pay_p, pay_m):
                 return True
         elif kind_p == "norm_floor":
-            if min(pay_p, pay_m) < 1e-3:
+            if min(pay_p, pay_m) < NORM_FLOOR:
                 return True
         elif kind_p == "clamp_margin":
             if min(pay_p, pay_m) < 10.0 * fd_eps:

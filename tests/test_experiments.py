@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from dualpath import experiments
 from dualpath.cli import OUT_ENV_VAR, main
 from dualpath.experiments import (ABLATION_FLAGS, ExperimentConfig,
                                   load_experiment_config, render_csv,
@@ -268,6 +269,19 @@ class TestRunRobustness:
             assert zero_row["sigma"] == 0.0
             assert zero_row["acc"] == ps["clean"]["acc"]
             assert zero_row["macro_f1"] == ps["clean"]["macro_f1"]
+
+    def test_zero_sigma_runs_no_forward(self, tmp_path, monkeypatch):
+        calls = []
+        real = experiments.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evaluate", counting)
+        run_robustness(TINY, str(tmp_path))
+        noisy = [s for s in TINY.sigmas if s > 0]
+        assert len(calls) == len(TINY.seeds) * len(noisy) == 1
 
     def test_by_sigma_mean_matches_recomputation(self, robustness_result):
         report, _ = robustness_result

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dualpath.functional import (cosine_rows, l2_norm_rows, l2_norm_vec,
-                                 layer_norm, one_hot, softmax)
+from dualpath.functional import (cosine_rows, l2_norm, layer_norm, one_hot,
+                                 softmax)
 from dualpath.rng import Rng
-from dualpath.tensor import Tensor
+from dualpath.tensor import Tensor, watch_kinks
 
 from oracles import layer_norm_vec, softmax_vec
 
@@ -51,7 +51,8 @@ def test_layer_norm_moments_and_reference():
 def test_l2_norm_rows_values_and_zero_row():
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
     t = Tensor(x)
-    n = l2_norm_rows(t)
+    n = l2_norm(t, axis=-1)
+    assert n.data.shape == (2, 1)
     assert np.array_equal(n.data, [[5.0], [0.0]])
     n.sum().backward()
     assert np.allclose(t.grad[0], [0.6, 0.8])
@@ -59,11 +60,27 @@ def test_l2_norm_rows_values_and_zero_row():
 
 
 def test_l2_norm_vec_zero_vector():
+    v = Tensor(np.array([3.0, 0.0, 4.0]))
+    n = l2_norm(v, axis=None)
+    assert n.data.shape == ()
+    assert float(n.data) == 5.0
+    n.backward()
+    assert np.allclose(v.grad, [0.6, 0.0, 0.8])
     t = Tensor(np.zeros(4))
-    n = l2_norm_vec(t)
+    n = l2_norm(t, axis=None)
+    assert n.data.shape == ()
     assert float(n.data) == 0.0
     n.backward()
     assert np.array_equal(t.grad, np.zeros(4))
+
+
+def test_l2_norm_records_smallest_norm_as_kink_payload():
+    with watch_kinks() as rows_log:
+        l2_norm(Tensor(np.array([[3.0, 4.0], [0.6, 0.8]])), axis=-1)
+    with watch_kinks() as vec_log:
+        l2_norm(Tensor(np.array([0.0, 2.0])), axis=None)
+    assert rows_log == [("norm_floor", pytest.approx(1.0))]
+    assert vec_log == [("norm_floor", 2.0)]
 
 
 def test_cosine_rows_conventions():

@@ -254,12 +254,3 @@ def test_digest_pinned_for_a_small_config():
                         n_test=4, seed=11)
     assert dataset_digest(generate(cfg)[0], cfg) == (
         "69948661367cf0212ed7d71c3311895768d832f4bd0791834fd0642962c16ab3")
-
-
-def test_subset_selects_rows(small_splits):
-    test = small_splits[2]
-    idx = np.array([0, 3, 5])
-    sub = test.subset(idx)
-    assert len(sub) == 3
-    assert np.array_equal(sub.labels, test.labels[idx])
-    assert np.array_equal(sub.text, test.text[idx])

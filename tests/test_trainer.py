@@ -5,7 +5,7 @@ import pytest
 
 from dualpath.fusion import Model, ModelConfig
 from dualpath.losses import LossConfig
-from dualpath.synthdata import DatasetConfig, generate
+from dualpath.synthdata import Dataset, DatasetConfig, generate
 from dualpath.tensor import Tensor
 from dualpath.trainer import (AdamW, DivergenceError, GradCheckResult,
                               TrainConfig, default_val_metric, grad_check,
@@ -178,7 +178,9 @@ class TestTrainLoop:
 
     def test_rejects_empty_split(self, splits):
         train_data, _, _ = splits
-        empty = train_data.subset(np.array([], dtype=int))
+        empty = Dataset(train_data.text[:0], train_data.video[:0],
+                        train_data.audio[:0], train_data.labels[:0],
+                        train_data.conflict_flag[:0])
         model = Model(MODEL_CFG)
         with pytest.raises(ValueError):
             train(model, empty, train_data, quick_train_cfg(), LossConfig())
