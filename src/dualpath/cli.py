@@ -138,6 +138,7 @@ def _cmd_gradcheck(cfg: ExperimentConfig) -> dict:
     return {"max_rel_error": res.max_rel_error,
             "coords_checked": res.coords_checked,
             "resampled": res.resampled, "skipped": res.skipped,
+            "resampled_by_kind": res.resampled_by_kind,
             "passed": res.passed(GRADCHECK_THRESHOLD)}
 
 

@@ -5,6 +5,19 @@ Built on numpy's Philox bit generator. A root key is expanded per
 sees depends only on its own name, never on how many draws other
 consumers made before it. That makes data generation, parameter init
 and shuffling reproducible independently of call order.
+
+``Rng`` draws one stream at a time. ``Substreams`` draws many at once:
+row r is the stream of ``Rng(seed, label, r)`` (or of a named child of
+it), and its words come from one vectorized Philox4x64-10 pass over all
+rows (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011) instead of one ``np.random.Generator`` per row. The rows are
+bit-identical to the scalar streams, not merely equal in distribution:
+the key of a row is the same splitmix64/FNV-1a hash ``Rng`` computes,
+evaluated over arrays; the Philox rounds are integer arithmetic with
+numpy's counter (starting at 1) and output order; uniform doubles are
+numpy's ``(raw >> 11) * 2**-53``; and normals go through the one
+Box-Muller helper that ``Rng.normal`` also calls, on uniforms formed as
+numpy's ``low + (high - low) * u`` forms them.
 """
 
 from __future__ import annotations
@@ -12,10 +25,23 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_FNV_PRIME = 0x100000001B3
+_TINY = np.finfo(np.float64).tiny
+
+# Philox4x64 round multipliers and Weyl key increments (Random123, as numpy uses).
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> _S32
+
+# Rows per Philox pass in Substreams: bounds the size of the temporaries.
+_BLOCK_ROWS = 512
 
 
-def _splitmix64(x: int) -> int:
-    """One round of the splitmix64 mixer; a cheap 64-bit hash."""
+def _splitmix64(x):
+    """One round of the splitmix64 mixer; a cheap 64-bit hash of an int or
+    of a uint64 array (elementwise)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -23,11 +49,157 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _label_hash(label: str) -> int:
-    h = 0xCBF29CE484222325  # FNV-1a offset basis
-    for byte in label.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & _MASK64
+def _fnv1a(h, data: bytes):
+    """Continue an FNV-1a hash (an int or a uint64 array) over ``data``."""
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
+
+
+def _label_hash(label: str) -> int:
+    return _fnv1a(0xCBF29CE484222325, label.encode("utf-8"))  # FNV-1a offset basis
+
+
+def _fnv1a_decimal(h: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Continue each row's FNV-1a hash over the decimal digits of its value,
+    as ``_fnv1a(h, str(value).encode())`` would. Rows with fewer digits
+    than the widest skip the leading positions."""
+    width = len(str(int(values.max()))) if len(values) else 0
+    for pos in range(width - 1, -1, -1):
+        digit = (values // np.uint64(10 ** pos)) % np.uint64(10)
+        step = ((h ^ (digit + np.uint64(ord("0")))) * _FNV_PRIME) & _MASK64
+        h = np.where(values >= np.uint64(10 ** pos), step, h) if pos else step
+    return h
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray, n: int, loc: float, scale: float) -> np.ndarray:
+    """``n`` Gaussian draws per row from paired uniforms along the last
+    axis: the cosine half, then the sine half, cut to ``n``."""
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
+    return loc + scale * z
+
+
+def unit_double(raw: np.ndarray) -> np.ndarray:
+    """numpy's double from a 64-bit word: the top 53 bits over 2**53."""
+    return (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def philox4x64(ctr: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 over lanes: ``ctr`` (4, M) and ``key`` (2, M) uint64
+    give the (4, M) output block of every lane.
+
+    Words 0 and 2 of the counter meet the two round multipliers, so both
+    multiplies of a round run as one (2, M) operation; the high halves of
+    the 64x64 -> 128-bit products are built from 32-bit halves.
+    """
+    x = np.array(ctr[0::2], dtype=np.uint64)  # words 0 and 2
+    y = np.array(ctr[1::2], dtype=np.uint64)  # words 1 and 3
+    key = np.array(key, dtype=np.uint64)  # copied: the rounds bump it in place
+    for rnd in range(10):
+        if rnd:
+            key += _PHILOX_W
+        x_lo, x_hi = x & _MASK32, x >> _S32
+        t = _PHILOX_M_HI * x_lo + ((_PHILOX_M_LO * x_lo) >> _S32)
+        u = _PHILOX_M_LO * x_hi + (t & _MASK32)
+        hi = _PHILOX_M_HI * x_hi + (t >> _S32) + (u >> _S32)
+        lo = _PHILOX_M * x
+        x = hi[::-1] ^ y ^ key
+        y = lo[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]])
+
+
+def _lemire_rejected(leftover: np.ndarray, n: int) -> np.ndarray:
+    """numpy's rejection test for a bounded 32-bit draw below ``n``."""
+    return leftover < np.uint64((2 ** 32 - n) % n)
+
+
+def bounded32(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded integer in [0, n) from 32-bit words (Lemire's
+    multiply-shift), as ``Generator.integers(0, n)`` draws it for n < 2**32.
+
+    Returns (value, rejected). Where ``rejected`` is set, numpy would
+    discard the word and draw another, so the value is not the one numpy
+    gives and the caller must redraw that row with the scalar ``Rng``.
+    """
+    m = words * np.uint64(n)
+    return (m >> _S32).astype(np.int64), _lemire_rejected(m & _MASK32, n)
+
+
+class Substreams:
+    """Many substreams drawn together; row r is one ``Rng``'s stream.
+
+    ``Substreams(seed, label, n)`` holds ``Rng(seed, label, r)`` for r in
+    range(n); ``Rng.children`` and ``child`` derive named substreams the
+    way ``Rng.child`` does. Each draw starts at the beginning of every
+    row's stream, like a fresh ``Rng``; draws that must follow one another
+    in a stream are taken from one ``raw`` call.
+    """
+
+    def __init__(self, seed: int, label: str, n: int):
+        self.seed = int(seed)
+        self._hashes = np.full(n, _label_hash(label), dtype=np.uint64)  # FNV-1a of each row's label
+        self._index = np.arange(n, dtype=np.uint64)
+
+    @staticmethod
+    def _of(seed: int, hashes: np.ndarray, index: np.ndarray) -> "Substreams":
+        out = Substreams.__new__(Substreams)
+        out.seed, out._hashes, out._index = seed, hashes, index
+        return out
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def child(self, label: str) -> "Substreams":
+        """Row r becomes the stream of this row's ``Rng(...).child(label)``."""
+        h = _fnv1a(self._hashes, b"#")
+        h = _fnv1a_decimal(h, self._index)
+        h = _fnv1a(h, f"/{label}".encode("utf-8"))
+        return Substreams._of(self.seed, h, np.zeros(len(self), dtype=np.uint64))
+
+    @staticmethod
+    def concat(parts: list["Substreams"]) -> "Substreams":
+        """The rows of ``parts`` in order, drawn in one pass; one seed."""
+        if len({p.seed for p in parts}) != 1:
+            raise ValueError("concatenated substreams must share one seed")
+        return Substreams._of(parts[0].seed, np.concatenate([p._hashes for p in parts]),
+                              np.concatenate([p._index for p in parts]))
+
+    def _raw_blocks(self, words: int):
+        """Yield (rows, raw) for blocks of at most _BLOCK_ROWS rows, where raw
+        is (rows, words) uint64: the first ``words`` outputs of each row's
+        Philox stream. Callers transform each block before the next one, so
+        no temporary is wider than a block."""
+        blocks = -(-words // 4)
+        k1 = _splitmix64(_splitmix64(self.seed & _MASK64) ^ self._hashes)
+        k2 = _splitmix64(k1 ^ self._index)
+        width = min(len(self), _BLOCK_ROWS)
+        ctr = np.zeros((4, width * blocks), dtype=np.uint64)
+        ctr[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), width)  # numpy counts from 1
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            key = np.stack([np.repeat(k1[rows], blocks), np.repeat(k2[rows], blocks)])
+            out = philox4x64(ctr[:, :key.shape[1]], key)
+            yield rows, out.T.reshape(-1, 4 * blocks)[:, :words]
+
+    def raw(self, words: int) -> np.ndarray:
+        """(n, words) uint64: the first ``words`` outputs of every row's
+        Philox stream, as ``np.random.Philox.random_raw`` gives them."""
+        out = np.empty((len(self), words), dtype=np.uint64)
+        for rows, raw in self._raw_blocks(words):
+            out[rows] = raw
+        return out
+
+    def normal(self, size: int, scale: float = 1.0) -> np.ndarray:
+        """(n, size): each row's ``Rng.normal(scale=scale, size=size)``."""
+        pairs = (size + 1) // 2
+        out = np.empty((len(self), size))
+        for rows, raw in self._raw_blocks(2 * pairs):
+            u = unit_double(raw)
+            out[rows] = _box_muller(_TINY + (1.0 - _TINY) * u[:, :pairs], u[:, pairs:],
+                                    size, 0.0, scale)
+        return out
 
 
 class Rng:
@@ -52,10 +224,17 @@ class Rng:
         k2 = _splitmix64(k1 ^ (self.index & _MASK64))
         self._gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
 
+    def _child_label(self, label: str) -> str:
+        return f"{self.label}#{self.index}/{label}"
+
     def child(self, label: str, index: int = 0) -> "Rng":
         """Derive a named substream; the parent's own index is folded into
         the child label so siblings of distinct parents never collide."""
-        return Rng(self.seed, f"{self.label}#{self.index}/{label}", index)
+        return Rng(self.seed, self._child_label(label), index)
+
+    def children(self, label: str, n: int) -> Substreams:
+        """``child(label, i)`` for every i in range(n), drawn together."""
+        return Substreams(self.seed, self._child_label(label), n)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=size)
@@ -68,12 +247,9 @@ class Rng:
         """
         n = int(np.prod(size)) if size is not None else 1
         pairs = (n + 1) // 2
-        u1 = self._gen.uniform(low=np.finfo(np.float64).tiny, high=1.0, size=pairs)
+        u1 = self._gen.uniform(low=_TINY, high=1.0, size=pairs)
         u2 = self._gen.uniform(low=0.0, high=1.0, size=pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        z = loc + scale * z
+        z = _box_muller(u1, u2, n, loc, scale)
         if size is None:
             return z[0]
         return z.reshape(size)

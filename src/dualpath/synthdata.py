@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualpath.rng import Rng
+from dualpath.rng import Rng, Substreams, bounded32, unit_double
 
 MODALITIES = ("text", "video", "audio")
 
@@ -116,27 +116,52 @@ def modality_maps(config: DatasetConfig) -> dict[str, np.ndarray]:
     return maps
 
 
+def _draw_header(config: DatasetConfig, split: str, i: int) -> tuple[int, bool, int, int]:
+    """Sample i's label, conflict bit, swapped modality and other-class
+    draw, from its own ``Rng`` stream: the reference that the batched
+    draw in ``_draw_split`` reproduces."""
+    srng = Rng(config.seed, f"sample/{split}", i)
+    y = int(srng.integers(0, config.num_classes))
+    conflict = bool(srng.uniform() < config.conflict_rate)
+    if not conflict:
+        return y, False, -1, 0
+    return y, True, int(srng.integers(0, 3)), int(srng.integers(0, config.num_classes - 1))
+
+
 def _draw_split(config: DatasetConfig, split: str, n: int,
                 anchors: np.ndarray, maps: dict[str, np.ndarray]) -> Dataset:
-    d = config.feature_dim
-    feats = {m: np.zeros((n, d)) for m in MODALITIES}
-    labels = np.zeros(n, dtype=np.int64)
-    flags = np.full(n, -1, dtype=np.int8)
-    for i in range(n):
-        srng = Rng(config.seed, f"sample/{split}", i)
-        y = int(srng.integers(0, config.num_classes))
-        labels[i] = y
-        conflict = bool(srng.uniform() < config.conflict_rate)
-        swap_m = int(srng.integers(0, 3)) if conflict else -1
-        if conflict:
-            other = int(srng.integers(0, config.num_classes - 1))
-            y_swap = other if other < y else other + 1
-            flags[i] = swap_m
-        for mi, m in enumerate(MODALITIES):
-            source = y_swap if mi == swap_m else y
-            eps = srng.child(f"noise/{m}").normal(scale=1.0, size=d)
-            feats[m][i] = maps[m] @ anchors[source] + config.noise_std * eps
-    return Dataset(feats["text"], feats["video"], feats["audio"], labels, flags)
+    """Every sample from its own substreams, drawn for all rows at once.
+
+    Sample i's stream gives, in order: ``integers(0, C)``, ``uniform()``
+    and, for a conflicted sample, ``integers(0, 3)`` and
+    ``integers(0, C - 1)``. numpy draws those integers from 32-bit halves
+    of the 64-bit words r0, r1, r2: the low half of r0, then the buffered
+    high half of r0 after ``uniform()`` took r1, then the low half of r2.
+    A row where numpy would reject a word is redrawn by ``_draw_header``.
+    """
+    d, C = config.feature_dim, config.num_classes
+    if n == 0:  # a vectorized draw has a fixed cost; an empty split skips it
+        return Dataset(*(np.zeros((0, d)) for _ in MODALITIES),
+                       np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8))
+    rows = Substreams(config.seed, f"sample/{split}", n)
+    r0, r1, r2 = rows.raw(3).T
+    y, redo = bounded32(r0 & 0xFFFFFFFF, C)
+    conflict = unit_double(r1) < config.conflict_rate
+    swap_m, rej_swap = bounded32(r0 >> 32, 3)
+    other, rej_other = bounded32(r2 & 0xFFFFFFFF, C - 1)
+    redo |= conflict & (rej_swap | rej_other)
+    for i in np.flatnonzero(redo):
+        y[i], conflict[i], swap_m[i], other[i] = _draw_header(config, split, int(i))
+    y_swap = np.where(other < y, other, other + 1)
+    flags = np.where(conflict, swap_m, -1).astype(np.int8)
+    # All three modalities in one buffer: row block mi holds modality mi.
+    feats = Substreams.concat([rows.child(f"noise/{m}") for m in MODALITIES]).normal(d)
+    feats *= config.noise_std
+    for mi, m in enumerate(MODALITIES):
+        # One matvec per class, as a per-sample maps[m] @ anchors[c] computes it.
+        centers = np.stack([maps[m] @ anchors[c] for c in range(C)])
+        feats[mi * n:(mi + 1) * n] += centers[np.where(flags == mi, y_swap, y)]
+    return Dataset(feats[:n], feats[n:2 * n], feats[2 * n:], y, flags)
 
 
 def generate(config: DatasetConfig) -> tuple[Dataset, Dataset, Dataset]:
@@ -151,8 +176,8 @@ def generate(config: DatasetConfig) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def inject_noise_dataset(data: Dataset, sigma: float, modality: str, rng: Rng) -> Dataset:
-    """Copy of the split with N(0, sigma^2 I) added to one modality; each
-    sample draws from its own substream of ``rng``."""
+    """Copy of the split with N(0, sigma^2 I) added to one modality; sample
+    i draws from ``rng.child("inject", i)``, all samples in one pass."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if modality not in MODALITIES:
@@ -161,8 +186,7 @@ def inject_noise_dataset(data: Dataset, sigma: float, modality: str, rng: Rng) -
                   data.labels.copy(), data.conflict_flag.copy())
     if sigma > 0:
         arr = out.modality(modality)
-        for i in range(len(out)):
-            arr[i] += rng.child("inject", i).normal(scale=sigma, size=arr.shape[1])
+        arr += rng.children("inject", len(out)).normal(arr.shape[1], scale=sigma)
     return out
 
 

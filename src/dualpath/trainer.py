@@ -215,6 +215,7 @@ class GradCheckResult:
     coords_checked: int
     resampled: int
     skipped: int
+    resampled_by_kind: dict[str, int] = field(default_factory=dict)
 
     def worst_group(self) -> str:
         return max(self.per_group, key=self.per_group.get)
@@ -226,24 +227,25 @@ class GradCheckResult:
                 and self.coords_checked > 0)
 
 
-def _kink_crossed(plus: list, minus: list, fd_eps: float) -> bool:
-    """True when the two finite-difference evaluations did not stay on one
-    smooth branch of every nonsmooth op."""
+def _kink_crossed(plus: list, minus: list, fd_eps: float) -> str | None:
+    """The kind of kink the two finite-difference evaluations crossed, or
+    None when both stayed on one smooth branch of every nonsmooth op.
+    "length" means the two recorded different kink sequences."""
     if len(plus) != len(minus):
-        return True
+        return "length"
     for (kind_p, pay_p), (kind_m, pay_m) in zip(plus, minus):
         if kind_p != kind_m:
-            return True
+            return "length"
         if kind_p == "abs_signs":
             if not np.array_equal(pay_p, pay_m):
-                return True
+                return kind_p
         elif kind_p == "norm_floor":
             if min(pay_p, pay_m) < NORM_FLOOR:
-                return True
+                return kind_p
         elif kind_p == "clamp_margin":
             if min(pay_p, pay_m) < 10.0 * fd_eps:
-                return True
-    return False
+                return kind_p
+    return None
 
 
 def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
@@ -277,6 +279,7 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     rng = Rng(seed, "gradcheck")
     per_group: dict[str, float] = {}
     checked = resampled = skipped = 0
+    by_kind: dict[str, int] = {}
     for name, param in model.params().items():
         flat = param.data.reshape(-1)
         gflat = grads[name].reshape(-1)
@@ -294,8 +297,10 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
             with watch_kinks() as kinks_minus:
                 lo = loss_value()
             flat[i] = orig
-            if _kink_crossed(kinks_plus, kinks_minus, epsilon):
+            kind = _kink_crossed(kinks_plus, kinks_minus, epsilon)
+            if kind is not None:
                 resampled += 1
+                by_kind[kind] = by_kind.get(kind, 0) + 1
                 continue
             fd = (hi - lo) / (2.0 * epsilon)
             rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
@@ -307,4 +312,5 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         per_group[name] = worst
     return GradCheckResult(max_rel_error=max(per_group.values()),
                            per_group=per_group, coords_checked=checked,
-                           resampled=resampled, skipped=skipped)
+                           resampled=resampled, skipped=skipped,
+                           resampled_by_kind=by_kind)

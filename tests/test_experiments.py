@@ -363,6 +363,7 @@ class TestCli:
         printed = json.loads(capsys.readouterr().out)
         assert printed["passed"] is True
         assert printed["max_rel_error"] < 1e-4
+        assert sum(printed["resampled_by_kind"].values()) == printed["resampled"]
 
     @pytest.mark.parametrize("checked,skipped", [(0, 0), (5, 3)])
     def test_gradcheck_fails_without_full_coverage(self, tmp_path, capsys,
@@ -372,13 +373,15 @@ class TestCli:
 
         partial = GradCheckResult(max_rel_error=0.0, per_group={"w": 0.0},
                                   coords_checked=checked, resampled=12,
-                                  skipped=skipped)
+                                  skipped=skipped,
+                                  resampled_by_kind={"norm_floor": 12})
         monkeypatch.setattr(cli, "grad_check", lambda *a, **kw: partial)
         cfg = tiny_config_json(tmp_path)
         assert main(["gradcheck", "--config", str(cfg)]) == 1
         printed = json.loads(capsys.readouterr().out)
         assert printed["passed"] is False
         assert printed["coords_checked"] == checked
+        assert printed["resampled_by_kind"] == {"norm_floor": 12}
 
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         cfg = tiny_config_json(tmp_path)

@@ -1,8 +1,10 @@
 """Random stream derivation: reproducibility and substream independence."""
 
 import numpy as np
+import pytest
 
-from dualpath.rng import Rng
+from dualpath import rng as rng_module
+from dualpath.rng import Rng, Substreams, bounded32, philox4x64, unit_double
 
 
 def test_same_key_same_stream():
@@ -58,3 +60,79 @@ def test_permutation_is_deterministic_permutation():
     p2 = Rng(3, "perm").permutation(50)
     assert np.array_equal(p1, p2)
     assert np.array_equal(np.sort(p1), np.arange(50))
+
+
+# -- batched substreams ----------------------------------------------------
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+def test_philox_lanes_equal_numpy_philox(blocks):
+    keys = np.random.default_rng(blocks).integers(0, 2 ** 64, size=(2, 1000),
+                                                  dtype=np.uint64, endpoint=False)
+    keys[:, :50] |= np.uint64(1 << 63)  # keys with the top bit set
+    keys[:, 50:60] = np.uint64(2 ** 64 - 1)
+    ctr = np.zeros((4, 1000 * blocks), dtype=np.uint64)
+    ctr[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), 1000)
+    out = philox4x64(ctr, np.repeat(keys, blocks, axis=1)).T.reshape(1000, 4 * blocks)
+    for i in range(1000):
+        want = np.random.Philox(key=keys[:, i]).random_raw(4 * blocks)
+        assert np.array_equal(out[i], want), i
+
+
+@pytest.mark.parametrize("words", [1, 3, 4, 13])
+def test_raw_words_equal_each_rows_bit_generator(words):
+    rows = Substreams(12, "raw", 600)
+    raw = rows.raw(words)
+    assert raw.shape == (600, words) and raw.dtype == np.uint64
+    for i in range(600):
+        assert np.array_equal(raw[i], Rng(12, "raw", i)._gen.bit_generator.random_raw(words))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000, 11000])
+def test_batched_rows_equal_scalar_streams(n):
+    """Every row, across the 1/2/3/4/5-digit index boundaries and the
+    Philox row blocks, equals its scalar stream bit for bit."""
+    rows = Substreams(3, "sample/train", n)
+    noise = rows.child("noise/text").normal(16)
+    odd = rows.child("noise/audio").normal(5, scale=0.3)
+    uni = unit_double(rows.raw(6))
+    injected = Rng(9, "robust/noise", 2).children("inject", n).normal(7, scale=0.7)
+    assert noise.shape == (n, 16) and odd.shape == (n, 5) and uni.shape == (n, 6)
+    for i in range(n):
+        srng = Rng(3, "sample/train", i)
+        assert np.array_equal(noise[i], srng.child("noise/text").normal(scale=1.0, size=16)), i
+        assert np.array_equal(odd[i], srng.child("noise/audio").normal(scale=0.3, size=5)), i
+        assert np.array_equal(uni[i], Rng(3, "sample/train", i).uniform(size=6)), i
+        assert np.array_equal(injected[i], Rng(9, "robust/noise", 2).child("inject", i)
+                              .normal(scale=0.7, size=7)), i
+
+
+def test_child_of_child_and_concat_follow_the_scalar_labels():
+    rows = Substreams(4, "a", 25)
+    grand = rows.child("b").child("c").normal(4)
+    both = unit_double(Substreams.concat([rows.child("x"), rows]).raw(2))
+    for i in range(25):
+        assert np.array_equal(grand[i], Rng(4, "a", i).child("b").child("c").normal(size=4))
+        assert np.array_equal(both[i], Rng(4, "a", i).child("x").uniform(size=2))
+        assert np.array_equal(both[25 + i], Rng(4, "a", i).uniform(size=2))
+    with pytest.raises(ValueError):
+        Substreams.concat([rows, Substreams(5, "a", 3)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 1000])
+def test_bounded32_equals_numpy_integers_from_the_low_half(n):
+    rows = Substreams(8, "ints", 500)
+    value, rejected = bounded32(rows.raw(1)[:, 0] & np.uint64(0xFFFFFFFF), n)
+    assert not rejected.any()  # each row would be rejected with p <= n / 2**32
+    for i in range(500):
+        assert value[i] == Rng(8, "ints", i).integers(0, n)
+
+
+def test_lemire_rejection_threshold_is_numpys():
+    """numpy rejects a draw below n when (word * n) mod 2**32 falls under
+    (2**32 - n) mod n."""
+    words = np.array([0, 1, 2 ** 32 - 1, 1431655765, 1431655766], dtype=np.uint64)
+    value, rejected = bounded32(words, 3)  # threshold (2**32 - 3) % 3 == 1
+    assert value.tolist() == [0, 0, 2, 0, 1]
+    assert rejected.tolist() == [True, False, False, False, False]
+    assert not rng_module._lemire_rejected(np.arange(5, dtype=np.uint64), 4).any()

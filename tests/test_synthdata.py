@@ -1,11 +1,16 @@
 """Synthetic data generator: geometry, conflict injection, serialization."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dualpath.rng as rng_module
+import dualpath.synthdata as synthdata
 from dualpath.rng import Rng
 from dualpath.synthdata import (MODALITIES, Dataset, DatasetConfig, class_anchors,
                                 dataset_digest, generate, inject_noise_dataset,
@@ -254,3 +259,74 @@ def test_digest_pinned_for_a_small_config():
                         n_test=4, seed=11)
     assert dataset_digest(generate(cfg)[0], cfg) == (
         "69948661367cf0212ed7d71c3311895768d832f4bd0791834fd0642962c16ab3")
+
+
+# Digests of the default config's splits and of one noise injection, pinned
+# while every sample still drew from its own np.random.Generator.
+DEFAULT_DIGESTS = (
+    "4ea020d68455ca2c4c1cc9dcd1869dcac007881caf1a2dcbbe42f67842a0e9d4",
+    "cc6592b78e2ab8b55288fd2e92266c1e51f4684a3b477795a5a8b454f73a0d29",
+    "04e84065c74e4d0b4fa87884c960673e1ed0dbf0ac2f58a7b6721a8ab6b657dd",
+)
+INJECTED_DIGEST = "174ad964b214096da5f974fe4de7d2ef8bc29f59c480f59020dab1a54fe47252"
+
+
+@pytest.fixture(scope="module")
+def default_splits():
+    return generate(DatasetConfig())
+
+
+def test_default_config_digests_pinned(default_splits):
+    cfg = DatasetConfig()
+    assert tuple(dataset_digest(s, cfg) for s in default_splits) == DEFAULT_DIGESTS
+
+
+def test_inject_noise_digest_pinned(default_splits):
+    noisy = inject_noise_dataset(default_splits[2], 0.3, "text", Rng(3, "robust/noise", 2))
+    assert dataset_digest(noisy, DatasetConfig()) == INJECTED_DIGEST
+
+
+def test_lemire_rejected_rows_are_redrawn_by_the_scalar_stream(monkeypatch):
+    """Rows flagged as rejected take the scalar path; the splits must not
+    change, so the scalar redraw agrees with the batched draw."""
+    redrawn = []
+    scalar = synthdata._draw_header
+    flag = rng_module._lemire_rejected
+
+    def spy(config, split, i):
+        redrawn.append((split, i))
+        return scalar(config, split, i)
+
+    monkeypatch.setattr(synthdata, "_draw_header", spy)
+    monkeypatch.setattr(rng_module, "_lemire_rejected",
+                        lambda leftover, n: flag(leftover, n) | (np.arange(len(leftover)) % 7 == 3))
+    cfg = DatasetConfig()
+    assert tuple(dataset_digest(s, cfg) for s in generate(cfg)) == DEFAULT_DIGESTS
+    assert ("train", 3) in redrawn and ("test", 395) in redrawn
+    assert len(redrawn) >= (cfg.n_train + cfg.n_val + cfg.n_test) // 7
+
+
+def test_draw_header_is_the_per_sample_reference(default_splits):
+    cfg = DatasetConfig()
+    train = default_splits[0]
+    for i in range(0, cfg.n_train, 97):
+        y, conflict, swap_m, _ = synthdata._draw_header(cfg, "train", i)
+        assert train.labels[i] == y
+        assert train.conflict_flag[i] == (swap_m if conflict else -1)
+
+
+def test_data_paths_do_not_import_numpy_ma():
+    """numpy.ma (with inspect and ast) costs ~7 MB of resident memory; the
+    data paths must not pull it in (np.unique does, on first use)."""
+    code = ("import sys\n"
+            "from dualpath.rng import Rng\n"
+            "from dualpath.synthdata import DatasetConfig, generate, inject_noise_dataset\n"
+            "test = generate(DatasetConfig(n_train=50, n_val=10, n_test=600))[2]\n"
+            "inject_noise_dataset(test, 0.3, 'text', Rng(1, 'n'))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -8,8 +8,8 @@ from dualpath.losses import LossConfig
 from dualpath.synthdata import Dataset, DatasetConfig, generate
 from dualpath.tensor import Tensor
 from dualpath.trainer import (AdamW, DivergenceError, GradCheckResult,
-                              TrainConfig, default_val_metric, grad_check,
-                              train)
+                              TrainConfig, _kink_crossed, default_val_metric,
+                              grad_check, train)
 
 DATA_CFG = DatasetConfig(num_classes=3, feature_dim=8, n_train=120, n_val=40,
                          n_test=40, conflict_rate=0.3, seed=21)
@@ -219,6 +219,7 @@ class TestGradCheck:
         assert result.max_rel_error < 1e-4, result.worst_group()
         assert result.coords_checked > 0
         assert set(result.per_group) == set(model.params())
+        assert sum(result.resampled_by_kind.values()) == result.resampled
 
     def test_detects_corrupted_gradient(self, small_batch):
         model = Model(ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6,
@@ -251,3 +252,48 @@ class TestGradCheck:
         assert not result(1e-3, 10, 0).passed(1e-4)
         assert not result(0.0, 0, 0).passed(1e-4)
         assert not result(0.0, 10, 1).passed(1e-4)
+
+
+class TestKinkKinds:
+    def test_kink_crossed_names_the_kind_that_tripped(self):
+        eps = 1e-5
+        signs = ("abs_signs", np.array([1.0, -1.0]))
+        assert _kink_crossed([signs], [signs], eps) is None
+        assert _kink_crossed([signs], [("abs_signs", np.array([1.0, 1.0]))],
+                             eps) == "abs_signs"
+        assert _kink_crossed([("norm_floor", 5e-4)], [("norm_floor", 0.5)],
+                             eps) == "norm_floor"
+        assert _kink_crossed([("norm_floor", 0.5)], [("norm_floor", 0.4)], eps) is None
+        assert _kink_crossed([("clamp_margin", 1e-5)], [("clamp_margin", 1.0)],
+                             eps) == "clamp_margin"
+        assert _kink_crossed([("clamp_margin", 1.0)], [("clamp_margin", 1.0)], eps) is None
+        assert _kink_crossed([signs], [], eps) == "length"
+        assert _kink_crossed([signs], [("norm_floor", 1.0)], eps) == "length"
+        # The first kink in recorded order that trips is the one named.
+        assert _kink_crossed([("norm_floor", 1e-4), ("abs_signs", np.array([1.0]))],
+                             [("norm_floor", 1e-4), ("abs_signs", np.array([-1.0]))],
+                             eps) == "norm_floor"
+
+    def test_result_defaults_to_no_kinds(self):
+        res = GradCheckResult(max_rel_error=0.0, per_group={}, coords_checked=0,
+                              resampled=0, skipped=0)
+        assert res.resampled_by_kind == {}
+
+    def test_trained_model_resamples_are_attributed_to_norm_floor(self):
+        """Known gap: after 2 epochs on 400 samples a guarded CMD norm sits
+        below the absolute NORM_FLOOR for every probe, so nothing is
+        certified. The breakdown makes that visible; it does not fix it."""
+        cfg = DatasetConfig(n_train=400)
+        train_split, val_split, _ = generate(cfg)
+        model = Model(ModelConfig())
+        train(model, train_split, val_split, TrainConfig(max_epochs=2, patience=2),
+              LossConfig())
+        batch = Dataset(*(a[:8] for a in (train_split.text, train_split.video,
+                                          train_split.audio, train_split.labels,
+                                          train_split.conflict_flag)))
+        result = grad_check(model, batch, LossConfig(), coords_per_group=1)
+        size = sum(p.data.size for p in model.params().values())
+        assert result.coords_checked == 0
+        assert result.resampled == size
+        assert result.resampled_by_kind == {"norm_floor": size}
+        assert not result.passed(1e-4)
