@@ -4,21 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from dualpath.tensor import Tensor, _note_kink, where_const
-
-NORM_FLOOR = 1e-3  # below this, guarded norms sit in a kink neighborhood
+from dualpath.tensor import Tensor, _note_kink, node, where_const
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``.
+    """Numerically stable softmax along ``axis``, one tape node.
 
     Rows land on the probability simplex to within accumulated float
     rounding; the max-shift is treated as a constant, which leaves the
     gradient unchanged.
     """
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def back(g):
+        x._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return node(y, (x,), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -29,15 +31,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered / (var + eps).sqrt() * gain + bias
 
 
+def guarded_sqrt(sq: np.ndarray) -> np.ndarray:
+    """Square roots of the squared norms ``sq``, exactly 0 where ``sq`` is
+    0, with the smallest norm recorded as a ``norm_floor`` kink."""
+    _note_kink("norm_floor", float(np.sqrt(sq.min())) if sq.size else 0.0)
+    positive = sq > 0
+    return np.where(positive, np.sqrt(np.where(positive, sq, 1.0)), 0.0)
+
+
 def l2_norm(x: Tensor, axis: int | None) -> Tensor:
     """Euclidean norm along ``axis``: a kept (N, 1) column of row norms for
     ``axis=-1``, a scalar for ``axis=None``. A zero row or vector maps to
-    exactly 0 with zero gradient rather than NaN."""
-    sq = (x * x).sum(axis=axis, keepdims=axis is not None)
-    positive = sq.data > 0
-    _note_kink("norm_floor", float(np.sqrt(sq.data.min())) if sq.data.size else 0.0)
-    guarded = where_const(positive, sq, Tensor(np.ones_like(sq.data)))
-    return where_const(positive, guarded.sqrt(), Tensor(np.zeros_like(sq.data)))
+    exactly 0 with zero gradient rather than NaN. One tape node."""
+    norm = guarded_sqrt((x.data * x.data).sum(axis=axis, keepdims=axis is not None))
+
+    def back(g):
+        x._accum(x.data * np.divide(g, norm, out=np.zeros_like(norm), where=norm > 0))
+
+    return node(norm, (x,), back)
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -57,6 +68,14 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """(N, num_classes) indicator rows; a label outside [0, num_classes)
+    raises ValueError rather than wrapping around."""
+    labels = np.asarray(labels)
+    bad = (labels < 0) | (labels >= num_classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"label {labels[i]} at position {i} is outside "
+                         f"[0, {num_classes})")
     out = np.zeros((len(labels), num_classes), dtype=np.float64)
     out[np.arange(len(labels)), labels] = 1.0
     return out

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualpath.decoupler import DecoupledFeatures
-from dualpath.functional import l2_norm, one_hot
+from dualpath.functional import guarded_sqrt, one_hot
 from dualpath.fusion import ModelOutput
 from dualpath.synthdata import MODALITIES
-from dualpath.tensor import Tensor
+from dualpath.tensor import Tensor, _note_kink, node
 
 log = logging.getLogger(__name__)
 
@@ -46,15 +46,23 @@ class LossConfig:
 
 
 def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the true class.
+    """Mean negative log-probability of the true class, one tape node.
 
     Probabilities are floored at 1e-12 before the log so a confidently
-    wrong prediction yields a large finite loss, never an infinity.
+    wrong prediction yields a large finite loss, never an infinity; a
+    floored probability gets no gradient.
     """
     n, c = probs.data.shape
-    mask = Tensor(one_hot(np.asarray(labels), c))
-    picked = (probs * mask).sum(axis=-1, keepdims=True)
-    return -(picked.clamp_min(PROB_FLOOR).log()).mean()
+    mask = one_hot(np.asarray(labels), c)
+    picked = (probs.data * mask).sum(axis=-1, keepdims=True)
+    _note_kink("clamp_margin", float(np.min(np.abs(picked - PROB_FLOOR))))
+    above = picked > PROB_FLOOR
+    clamped = np.where(above, picked, PROB_FLOOR)
+
+    def back(g):
+        probs._accum(mask * (-g / n / clamped * above))
+
+    return node(-(np.log(clamped).mean()), (probs,), back)
 
 
 def task_loss(outputs: ModelOutput, labels: np.ndarray,
@@ -73,34 +81,38 @@ def task_loss(outputs: ModelOutput, labels: np.ndarray,
     return total, parts
 
 
-def _center(x: Tensor) -> Tensor:
-    return x - x.mean(axis=0, keepdims=True)
-
-
 def diff_loss(feats: DecoupledFeatures) -> Tensor:
     """Squared Frobenius norms of cross-covariance-like products between
     batch-centered private and shared matrices, plus between private
     matrices of different modalities (ordered pairs). Each term is
-    normalized by (N * d_h)^2 so the scale is batch-size independent."""
+    normalized by (N * d_h)^2 so the scale is batch-size independent.
+    One tape node over the six feature tensors."""
     n, d_h = feats.private_text.data.shape
     if n < 2:
         log.warning("diff_loss skipped: batch of %d is too small", n)
         return Tensor(0.0)
     scale = 1.0 / float(n * d_h) ** 2
-    private = {m: _center(feats.private(m)) for m in MODALITIES}
-    shared = {m: _center(feats.shared(m)) for m in MODALITIES}
-    total = None
-    for m in MODALITIES:
-        prod = private[m].T @ shared[m]
-        term = (prod * prod).sum() * scale
-        total = term if total is None else total + term
-    for i in MODALITIES:
-        for j in MODALITIES:
-            if i == j:
-                continue
-            prod = private[i].T @ private[j]
-            total = total + (prod * prod).sum() * scale
-    return total
+    inputs = tuple(feats.private(m) for m in MODALITIES) + tuple(
+        feats.shared(m) for m in MODALITIES)
+    centered = [t.data - t.data.mean(axis=0, keepdims=True) for t in inputs]
+    k = len(MODALITIES)
+    # (left, right) input positions: private-shared per modality, then
+    # private-private over ordered pairs of different modalities
+    pairs = [(i, k + i) for i in range(k)] + [
+        (i, j) for i in range(k) for j in range(k) if i != j]
+    prods = [centered[i].T @ centered[j] for i, j in pairs]
+    terms = [(prod * prod).sum() * scale for prod in prods]
+
+    def back(g):
+        grads = [np.zeros_like(c) for c in centered]
+        for (i, j), prod in zip(pairs, prods):
+            gp = (2.0 * scale) * g * prod
+            grads[i] += centered[j] @ gp.T
+            grads[j] += centered[i] @ gp
+        for t, gt in zip(inputs, grads):
+            t._accum(gt - gt.mean(axis=0))
+
+    return node(sum(terms[1:], terms[0]), inputs, back)
 
 
 def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
@@ -108,7 +120,8 @@ def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
 
     Norm of the mean difference plus norms of the differences of
     per-dimension central moments from 2 up to ``order``. Zero when the
-    batches share all those moments; symmetric in its arguments.
+    batches share all those moments; symmetric in its arguments. One tape
+    node; a zero moment difference passes no gradient.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -117,17 +130,33 @@ def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
         log.warning("cmd skipped: batches of %d/%d are too small",
                     n, b.data.shape[0])
         return Tensor(0.0)
-    mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
-    total = l2_norm(mu_a - mu_b, axis=None)
-    ca = a - mu_a.reshape(1, -1)
-    cb = b - mu_b.reshape(1, -1)
+    mu_a = a.data.mean(axis=0)
+    mu_b = b.data.mean(axis=0)
+    diffs = [mu_a - mu_b]
+    ca = a.data - mu_a.reshape(1, -1)
+    cb = b.data - mu_b.reshape(1, -1)
     pow_a, pow_b = ca, cb
     for _ in range(2, order + 1):
         pow_a = pow_a * ca
         pow_b = pow_b * cb
-        total = total + l2_norm(pow_a.mean(axis=0) - pow_b.mean(axis=0), axis=None)
-    return total
+        diffs.append(pow_a.mean(axis=0) - pow_b.mean(axis=0))
+    norms = [guarded_sqrt((d * d).sum()) for d in diffs]
+
+    def back(g):
+        # unit moment differences scaled by g; order k sits at index k - 1
+        units = [g * d / norm if norm > 0 else np.zeros_like(d)
+                 for d, norm in zip(diffs, norms)]
+        for x, c, sign in ((a, ca, 1.0), (b, cb, -1.0)):
+            rows = c.shape[0]
+            # d mean(c**k) / dc = k c**(k-1) / rows, then through the centering
+            grad_c = np.zeros_like(c)
+            power = np.ones_like(c)
+            for k in range(2, order + 1):
+                power = power * c
+                grad_c += (k / rows) * power * units[k - 1]
+            x._accum(sign * (units[0] / rows + grad_c - grad_c.mean(axis=0)))
+
+    return node(sum(norms[1:], norms[0]), (a, b), back)
 
 
 def sim_loss(feats: DecoupledFeatures, order: int) -> Tensor:

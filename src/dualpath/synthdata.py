@@ -245,7 +245,8 @@ def save_dataset(path, data: Dataset, config: DatasetConfig) -> None:
 def load_dataset(path) -> tuple[Dataset, int, int]:
     """Read a dataset file; returns (dataset, num_classes, feature_dim).
 
-    The file must be exactly as long as its header says.
+    The file must be exactly as long as its header says, every label must
+    lie in [0, num_classes) and every conflict flag in {-1, 0, 1, 2}.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -263,6 +264,12 @@ def load_dataset(path) -> tuple[Dataset, int, int]:
         raise ValueError(f"dataset file is {len(blob)} bytes, "
                          f"header says {want} ({n} records)")
     rec = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size)
+    for field, low, high in (("label", 0, C), ("flag", -1, len(MODALITIES))):
+        bad = (rec[field] < low) | (rec[field] >= high)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"record {i}: {field} {rec[field][i]} "
+                             f"is outside [{low}, {high})")
     data = Dataset(*(rec[m].astype(np.float64) for m in MODALITIES),
                    rec["label"].astype(np.int64), rec["flag"].astype(np.int8))
     return data, int(C), int(d)

@@ -11,6 +11,9 @@ topological order and accumulates gradients into every node it reaches,
 parameters and inputs alike. Values are immutable once constructed; only
 the trainer mutates parameter ``data`` between steps.
 
+Composite functions with a hand-written backward (softmax, the guarded
+norm and the loss terms) record one node each through ``node()``.
+
 Inside ``no_grad()`` operations compute the same values but record
 nothing: no parents, no closure. Nonsmooth ops still report their kinks
 to ``watch_kinks()``, so a finite-difference probe run without a tape is
@@ -356,6 +359,17 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, data={self.data!r})"
+
+
+def node(data, parents: tuple, back) -> Tensor:
+    """A tensor holding ``data`` whose backward closure ``back(g)`` passes
+    the gradient on to ``parents``. Inside no_grad() it is a plain leaf
+    and ``back`` is dropped, so ``back`` should compute backward-only
+    arrays itself rather than capture them."""
+    out = Tensor(data)
+    if _recording:
+        out._parents, out._back = parents, back
+    return out
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -9,9 +9,10 @@ restored at the end.
 The gradient checker compares every parameter group's analytic gradient
 against central differences on a subsample of coordinates. Probes that
 straddle a nonsmooth point (an absolute value whose argument changes
-sign between the two evaluations, a guarded norm near zero, a
-probability at the clamp floor) are resampled and counted, so the
-reported error reflects only genuinely differentiable coordinates.
+sign between the two evaluations, a guarded norm or a clamped
+probability within ten probe steps of its kink) are resampled and
+counted, so the reported error reflects only genuinely differentiable
+coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dualpath.functional import NORM_FLOOR
 from dualpath.fusion import Ablation, Model, ModelOutput
 from dualpath.losses import LossConfig, total_loss
 from dualpath.metrics import eval_forward, output_metrics
@@ -239,12 +239,9 @@ def _kink_crossed(plus: list, minus: list, fd_eps: float) -> str | None:
         if kind_p == "abs_signs":
             if not np.array_equal(pay_p, pay_m):
                 return kind_p
-        elif kind_p == "norm_floor":
-            if min(pay_p, pay_m) < NORM_FLOOR:
-                return kind_p
-        elif kind_p == "clamp_margin":
-            if min(pay_p, pay_m) < 10.0 * fd_eps:
-                return kind_p
+        elif min(pay_p, pay_m) < 10.0 * fd_eps:
+            # norm_floor and clamp_margin: distance to the kink against the step
+            return kind_p
     return None
 
 

@@ -1,13 +1,22 @@
 """Independent straight-line re-implementations used as test oracles.
 
-Everything here is plain numpy on single samples with explicit loops
-and textbook formulas. Nothing imports the package's differentiable
-ops; model weights are read directly off the parameter tensors. If the
-production pipeline and these functions agree to tight tolerance on
-random inputs, both would have to share a bug to be wrong together.
+Everything here except the composite references at the end is plain
+numpy on single samples with explicit loops and textbook formulas, and
+imports none of the package's differentiable ops; model weights are
+read directly off the parameter tensors. If the production pipeline and
+these functions agree to tight tolerance on random inputs, both would
+have to share a bug to be wrong together.
+
+The composite references rebuild each fused op (softmax, the guarded
+norm, cross-entropy, the orthogonality penalty and CMD) from primitive
+Tensor ops, whose gradients are checked on their own, with the same
+numpy work in the same order and the same kink records. The fused ops
+must match them: values bit for bit, gradients to rounding.
 """
 
 import numpy as np
+
+from dualpath.tensor import Tensor, _note_kink, where_const
 
 MODS = ("text", "video", "audio")
 
@@ -154,3 +163,67 @@ def trace_forward(model, text, video, audio):
     out["probs"] = softmax_vec(logits)
     out["rea_logits"] = affine_vec(reasoning, model.rea_head)
     return out
+
+
+# -- composite references for the fused single-node ops -----------------------
+
+PROB_FLOOR = 1e-12
+
+
+def softmax_composite(x, axis=-1):
+    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
+    e = (x - shift).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def l2_norm_composite(x, axis):
+    sq = (x * x).sum(axis=axis, keepdims=axis is not None)
+    positive = sq.data > 0
+    _note_kink("norm_floor", float(np.sqrt(sq.data.min())) if sq.data.size else 0.0)
+    guarded = where_const(positive, sq, Tensor(np.ones_like(sq.data)))
+    return where_const(positive, guarded.sqrt(), Tensor(np.zeros_like(sq.data)))
+
+
+def cross_entropy_composite(probs, labels):
+    n, c = probs.data.shape
+    mask = Tensor(np.eye(c)[np.asarray(labels)])
+    picked = (probs * mask).sum(axis=-1, keepdims=True)
+    return -(picked.clamp_min(PROB_FLOOR).log()).mean()
+
+
+def _center_composite(x):
+    return x - x.mean(axis=0, keepdims=True)
+
+
+def diff_loss_composite(feats):
+    n, d_h = feats.private_text.data.shape
+    scale = 1.0 / float(n * d_h) ** 2
+    private = {m: _center_composite(feats.private(m)) for m in MODS}
+    shared = {m: _center_composite(feats.shared(m)) for m in MODS}
+    total = None
+    for m in MODS:
+        prod = private[m].T @ shared[m]
+        term = (prod * prod).sum() * scale
+        total = term if total is None else total + term
+    for i in MODS:
+        for j in MODS:
+            if i == j:
+                continue
+            prod = private[i].T @ private[j]
+            total = total + (prod * prod).sum() * scale
+    return total
+
+
+def cmd_composite(a, b, order):
+    mu_a = a.mean(axis=0)
+    mu_b = b.mean(axis=0)
+    total = l2_norm_composite(mu_a - mu_b, axis=None)
+    ca = a - mu_a.reshape(1, -1)
+    cb = b - mu_b.reshape(1, -1)
+    pow_a, pow_b = ca, cb
+    for _ in range(2, order + 1):
+        pow_a = pow_a * ca
+        pow_b = pow_b * cb
+        total = total + l2_norm_composite(pow_a.mean(axis=0) - pow_b.mean(axis=0),
+                                          axis=None)
+    return total

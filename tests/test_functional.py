@@ -111,3 +111,9 @@ def test_cosine_rows_bounded():
 def test_one_hot():
     oh = one_hot(np.array([0, 2, 1]), 3)
     assert np.array_equal(oh, np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float))
+
+
+@pytest.mark.parametrize("labels", [[-1], [4], [0, 3, 7]])
+def test_one_hot_rejects_out_of_range_labels(labels):
+    with pytest.raises(ValueError, match="outside"):
+        one_hot(np.array(labels), 4)

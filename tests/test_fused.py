@@ -1,0 +1,169 @@
+"""Fused single-node ops against their composite references.
+
+Each fused op (softmax, l2_norm, cross_entropy, diff_loss, cmd) must give
+the composite's values bit for bit, its gradients to rounding and its
+kink records exactly, while recording one tape node per call and none
+under no_grad(). A last test caps the tape of a whole training step.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from dualpath.decoupler import DecoupledFeatures
+from dualpath.functional import l2_norm, softmax
+from dualpath.fusion import Model, ModelConfig
+from dualpath.losses import PROB_FLOOR, LossConfig, cmd, cross_entropy, diff_loss, total_loss
+from dualpath.rng import Rng
+from dualpath.synthdata import DatasetConfig, generate
+from dualpath.tensor import Tensor, no_grad, watch_kinks
+
+GRAD_RTOL = 1e-12
+# perfbench/census.py after the loss-stack fusion: nodes reachable from the
+# loss of one default batch-16 training step, and of one eval forward+loss.
+TRAIN_STEP_NODES = 266
+EVAL_NODES = 254
+
+
+def tape_nodes(root):
+    """Distinct nodes reachable from ``root``, leaves included."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def run(fn, arrays, wrap):
+    """Call ``fn`` on fresh tensors; return value, gradients, kinks and the
+    output. A non-scalar output is reduced against fixed weights so every
+    element's gradient is exercised."""
+    tensors = [Tensor(a.copy()) for a in arrays]
+    with watch_kinks() as kinks:
+        out = fn(*wrap(tensors))
+    loss = out
+    if out.data.ndim:
+        weights = Rng(99, "fused/weights").normal(size=out.data.shape)
+        loss = (out * Tensor(weights)).sum()
+    loss.backward()
+    grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    return out.data, grads, kinks, out
+
+
+def assert_matches_reference(fused, reference, arrays, wrap=lambda ts: ts):
+    value, grads, kinks, out = run(fused, arrays, wrap)
+    ref_value, ref_grads, ref_kinks, _ = run(reference, arrays, wrap)
+    assert np.array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert np.all(np.isfinite(g))
+        assert np.max(np.abs(g - ref), initial=0.0) <= GRAD_RTOL * np.max(np.abs(ref), initial=0.0)
+    assert [k for k, _ in kinks] == [k for k, _ in ref_kinks]
+    assert [p for _, p in kinks] == [p for _, p in ref_kinks]
+    # one recorded node whose parents are the input leaves
+    assert out._back is not None
+    assert all(p._back is None for p in out._parents)
+    with no_grad():
+        quiet = fused(*wrap([Tensor(a.copy()) for a in arrays]))
+    assert quiet._parents == () and quiet._back is None
+    assert np.array_equal(quiet.data, value)
+    return value, grads
+
+
+def normal(label, shape, scale=1.0):
+    return Rng(7, "fused/" + label).normal(scale=scale, size=shape)
+
+
+def feats_of(ts):
+    return (DecoupledFeatures(*ts),)
+
+
+BATCHES = [2, 16]
+
+
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_softmax(n, axis):
+    assert_matches_reference(lambda x: softmax(x, axis=axis),
+                             lambda x: oracles.softmax_composite(x, axis=axis),
+                             [normal("sm", (n, 4), scale=3.0)])
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_l2_norm_rows_with_a_zero_row(n):
+    x = normal("l2", (n, 6))
+    x[0] = 0.0
+    _, (grad,) = assert_matches_reference(lambda t: l2_norm(t, axis=-1),
+                                          lambda t: oracles.l2_norm_composite(t, -1), [x])
+    assert np.array_equal(grad[0], np.zeros(6))
+
+
+@pytest.mark.parametrize("vec", [normal("l2v", (5,)), np.zeros(5)])
+def test_l2_norm_vector(vec):
+    assert_matches_reference(lambda t: l2_norm(t, axis=None),
+                             lambda t: oracles.l2_norm_composite(t, None), [vec])
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_cross_entropy_with_a_probability_below_the_floor(n):
+    labels = np.arange(n) % 4
+    logits = normal("ce", (n, 4), scale=2.0)
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    probs[0] = [PROB_FLOOR / 10.0, 1.0 - PROB_FLOOR / 10.0, 0.0, 0.0]
+    _, (grad,) = assert_matches_reference(lambda p: cross_entropy(p, labels),
+                                          lambda p: oracles.cross_entropy_composite(p, labels),
+                                          [probs])
+    assert np.array_equal(grad[0], np.zeros(4))
+    assert np.all(grad[1:][np.arange(n - 1), labels[1:]] < 0)
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_diff_loss(n):
+    arrays = [normal(f"diff{i}", (n, 5)) for i in range(6)]
+    assert_matches_reference(diff_loss, oracles.diff_loss_composite, arrays, wrap=feats_of)
+
+
+def test_diff_loss_with_one_tensor_in_several_slots():
+    s, p = normal("ds", (4, 3)), normal("dp", (4, 3))
+
+    def same(ts):
+        return (DecoupledFeatures(ts[0], ts[0], ts[0], ts[1], ts[1], ts[1]),)
+
+    assert_matches_reference(diff_loss, oracles.diff_loss_composite, [s, p], wrap=same)
+
+
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_cmd(n, order):
+    a = normal("cmd_a", (n, 5))
+    b = normal("cmd_b", (n, 5)) + 0.3
+    assert_matches_reference(lambda x, y: cmd(x, y, order),
+                             lambda x, y: oracles.cmd_composite(x, y, order), [a, b])
+
+
+def test_cmd_of_a_batch_with_itself_is_zero_with_zero_gradient():
+    x = normal("cmd_x", (16, 5))
+    value, (grad,) = assert_matches_reference(
+        lambda t: cmd(t, t, 5), lambda t: oracles.cmd_composite(t, t, 5), [x])
+    assert value == 0.0
+    assert np.array_equal(grad, np.zeros_like(x))
+
+
+def test_cmd_batches_of_different_sizes():
+    assert_matches_reference(lambda x, y: cmd(x, y, 3),
+                             lambda x, y: oracles.cmd_composite(x, y, 3),
+                             [normal("cmd_c", (5, 4)), normal("cmd_d", (9, 4))])
+
+
+def test_training_step_tape_stays_fused():
+    """Same batch and seeds as perfbench/census.py: undoing a fusion grows
+    the tape past the census and fails here."""
+    batch = generate(DatasetConfig(n_train=16, n_val=0, n_test=0, seed=0))[0]
+    model = Model(ModelConfig(init_seed=0))
+    for train, cap in ((True, TRAIN_STEP_NODES), (False, EVAL_NODES)):
+        rng = Rng(0, "train").child("dropout", 1) if train else None
+        out = model.forward_batch(batch.text, batch.video, batch.audio,
+                                  train=train, rng=rng)
+        loss, _ = total_loss(out, batch.labels, LossConfig())
+        assert tape_nodes(loss) <= cap

@@ -221,6 +221,25 @@ def test_load_rejects_truncated_file(tmp_path, small_splits):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field,record,value,match", [
+    ("labels", 3, -1, r"record 3: label -1 is outside \[0, 3\)"),
+    ("labels", 0, SMALL.num_classes, r"record 0: label 3 is outside \[0, 3\)"),
+    ("conflict_flag", 7, 5, r"record 7: flag 5 is outside \[-1, 3\)"),
+])
+def test_load_rejects_out_of_range_labels_and_flags(tmp_path, small_splits,
+                                                    field, record, value, match):
+    test = small_splits[2]
+    arrays = {"labels": test.labels.copy(), "conflict_flag": test.conflict_flag.copy()}
+    arrays[field][record] = value
+    arrays[field][record + 1] = value  # only the first bad record is named
+    bad = Dataset(test.text, test.video, test.audio, arrays["labels"],
+                  arrays["conflict_flag"])
+    path = tmp_path / "split.bin"
+    save_dataset(path, bad, SMALL)
+    with pytest.raises(ValueError, match=match):
+        load_dataset(path)
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
