@@ -168,7 +168,8 @@ class Model:
                 raise KeyError(f"unknown parameter {name!r}")
             if params[name].data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name!r}")
-            params[name].data = np.array(arr, dtype=np.float64)
+            # write in place: the arrays may be views into an optimizer's arena
+            params[name].data[...] = arr
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params().items()}

@@ -236,21 +236,6 @@ class Tensor:
             out._parents, out._back = (self,), back
         return out
 
-    def transpose(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ValueError("transpose() is defined for 2-D tensors")
-        out = Tensor(self.data.T)
-        if _recording:
-            def back(g):
-                self._accum(g.T)
-
-            out._parents, out._back = (self,), back
-        return out
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __getitem__(self, key) -> "Tensor":
         # basic (slice/int/tuple) indexing only; backward scatters into zeros
         out = Tensor(self.data[key])
@@ -264,26 +249,6 @@ class Tensor:
         return out
 
     # -- elementwise functions ------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        out = Tensor(np.exp(self.data))
-        if _recording:
-            y = out.data
-
-            def back(g):
-                self._accum(g * y)
-
-            out._parents, out._back = (self,), back
-        return out
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data))
-        if _recording:
-            def back(g):
-                self._accum(g / self.data)
-
-            out._parents, out._back = (self,), back
-        return out
 
     def safe_log(self) -> "Tensor":
         """log(x) where x > 0, exactly 0 where x == 0.
@@ -342,17 +307,6 @@ class Tensor:
         if _recording:
             def back(g):
                 self._accum(g * np.sign(self.data))
-
-            out._parents, out._back = (self,), back
-        return out
-
-    def clamp_min(self, floor: float) -> "Tensor":
-        _note_kink("clamp_margin", float(np.min(np.abs(self.data - floor))))
-        mask = self.data > floor
-        out = Tensor(np.where(mask, self.data, floor))
-        if _recording:
-            def back(g):
-                self._accum(g * mask)
 
             out._parents, out._back = (self,), back
         return out

@@ -2,9 +2,14 @@
 
 The optimizer is adaptive moment estimation with decoupled weight decay
 and bias-corrected moments; the learning rate ramps linearly over the
-first fraction of total steps, then stays constant. Validation accuracy
-drives early stopping, and the best-scoring epoch's parameters are
-restored at the end.
+first fraction of total steps, then stays constant. It packs every
+parameter group into one flat arena (each ``Tensor.data`` becomes a view
+into it) and updates the whole buffer at once, elementwise in the same
+expression order as a group-by-group loop, so the bits do not depend on
+the layout. A group that received no gradient (the divergence gate
+under a gate clamp) is masked out: no update, no moment change, no
+decay. Validation accuracy drives early stopping, and the best-scoring
+epoch's parameters are restored at the end, written into the arena.
 
 The gradient checker compares every parameter group's analytic gradient
 against central differences on a subsample of coordinates. Probes that
@@ -17,7 +22,6 @@ coordinates.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,20 +69,31 @@ class TrainConfig:
 class TrainHistory:
     epoch_losses: list[dict] = field(default_factory=list)
     val_metrics: list[float] = field(default_factory=list)
-    wall_clock: list[float] = field(default_factory=list)
     best_epoch: int = -1
     stopped_early: bool = False
 
 
 class AdamW:
     """Adaptive moments with bias correction; weight decay is applied
-    directly to the parameter, never through the gradient."""
+    directly to the parameter, never through the gradient. ``arena``
+    (the parameters), ``m`` and ``v`` are flat buffers holding the groups
+    in ``params`` order; every in-place write to them takes a
+    per-element "received a gradient" mask."""
 
     def __init__(self, params: dict, cfg: TrainConfig):
-        self.params = params
         self.cfg = cfg
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._tensors = list(params.values())
+        sizes = [p.data.size for p in self._tensors]
+        self._sizes = np.array(sizes)
+        self.arena = np.concatenate([p.data for p in self._tensors], axis=None)
+        offsets = np.cumsum([0] + sizes)
+        for p, lo, hi in zip(self._tensors, offsets, offsets[1:]):
+            p.data = self.arena[lo:hi].reshape(p.data.shape)
+        self._zeros = [np.zeros(n) for n in sizes]  # gathered for a None grad
+        self._masks: dict[tuple, np.ndarray] = {}  # received flags -> mask
+        self._grad = np.empty_like(self.arena)
+        self.m = np.zeros_like(self.arena)
+        self.v = np.zeros_like(self.arena)
         self.t = 0
 
     def step(self, lr: float) -> None:
@@ -86,18 +101,21 @@ class AdamW:
         b1, b2 = self.cfg.beta1, self.cfg.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.cfg.epsilon)
-            p.data -= lr * update + lr * self.cfg.weight_decay * p.data
+        grads = [p.grad for p in self._tensors]
+        flags = tuple(gr is not None for gr in grads)
+        mask = self._masks.get(flags)
+        if mask is None:
+            mask = self._masks[flags] = np.repeat(flags, self._sizes)
+        g = np.concatenate([gr if ok else z for gr, ok, z in zip(grads, flags, self._zeros)],
+                           axis=None, out=self._grad)
+        m, v, w = self.m, self.v, self.arena
+        np.multiply(m, b1, out=m, where=mask)
+        np.add(m, (1.0 - b1) * g, out=m, where=mask)
+        np.multiply(v, b2, out=v, where=mask)
+        np.add(v, (1.0 - b2) * (g * g), out=v, where=mask)
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.cfg.epsilon)
+        np.subtract(w, lr * update + lr * self.cfg.weight_decay * w, out=w,
+                    where=mask)
 
 
 def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
@@ -167,7 +185,6 @@ def train(model: Model, train_data: Dataset, val_data: Dataset,
     bad_epochs = 0
     step = 0
     for epoch in range(cfg.max_epochs):
-        t_start = time.perf_counter()
         order = rng.child("shuffle", epoch).permutation(n)
         sums: dict[str, float] = {}
         for b in range(steps_per_epoch):
@@ -191,7 +208,6 @@ def train(model: Model, train_data: Dataset, val_data: Dataset,
         if not np.isfinite(score):
             raise DivergenceError("val_metric")
         history.val_metrics.append(score)
-        history.wall_clock.append(time.perf_counter() - t_start)
         if score > best_val:
             best_val = score
             best_snapshot = model.snapshot()

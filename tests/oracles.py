@@ -1,22 +1,27 @@
 """Independent straight-line re-implementations used as test oracles.
 
-Everything here except the composite references at the end is plain
-numpy on single samples with explicit loops and textbook formulas, and
-imports none of the package's differentiable ops; model weights are
-read directly off the parameter tensors. If the production pipeline and
-these functions agree to tight tolerance on random inputs, both would
-have to share a bug to be wrong together.
+Everything here except the sections at the end is plain numpy on single
+samples with explicit loops and textbook formulas, and imports none of
+the package's differentiable ops; model weights are read directly off
+the parameter tensors. If the production pipeline and these functions
+agree to tight tolerance on random inputs, both would have to share a
+bug to be wrong together.
 
 The composite references rebuild each fused op (softmax, the guarded
 norm, cross-entropy, the orthogonality penalty and CMD) from primitive
 Tensor ops, whose gradients are checked on their own, with the same
 numpy work in the same order and the same kink records. The fused ops
-must match them: values bit for bit, gradients to rounding.
+must match them: values bit for bit, gradients to rounding. The
+primitives only they use (exp, log, clamp_min, transpose) are test-local
+nodes built with ``tensor.node()``.
+
+``adamw_reference`` is the optimizer step as a loop over parameter
+groups; the whole-buffer ``AdamW`` must match it bit for bit.
 """
 
 import numpy as np
 
-from dualpath.tensor import Tensor, _note_kink, where_const
+from dualpath.tensor import Tensor, _note_kink, node, where_const
 
 MODS = ("text", "video", "audio")
 
@@ -165,6 +170,44 @@ def trace_forward(model, text, video, audio):
     return out
 
 
+# -- primitive nodes used only by the composite references --------------------
+
+def exp(x):
+    y = np.exp(x.data)
+
+    def back(g):
+        x._accum(g * y)
+
+    return node(y, (x,), back)
+
+
+def log(x):
+    def back(g):
+        x._accum(g / x.data)
+
+    return node(np.log(x.data), (x,), back)
+
+
+def clamp_min(x, floor):
+    _note_kink("clamp_margin", float(np.min(np.abs(x.data - floor))))
+    mask = x.data > floor
+
+    def back(g):
+        x._accum(g * mask)
+
+    return node(np.where(mask, x.data, floor), (x,), back)
+
+
+def transpose(x):
+    if x.data.ndim != 2:
+        raise ValueError("transpose() is defined for 2-D tensors")
+
+    def back(g):
+        x._accum(g.T)
+
+    return node(x.data.T, (x,), back)
+
+
 # -- composite references for the fused single-node ops -----------------------
 
 PROB_FLOOR = 1e-12
@@ -172,7 +215,7 @@ PROB_FLOOR = 1e-12
 
 def softmax_composite(x, axis=-1):
     shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    e = (x - shift).exp()
+    e = exp(x - shift)
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -188,7 +231,7 @@ def cross_entropy_composite(probs, labels):
     n, c = probs.data.shape
     mask = Tensor(np.eye(c)[np.asarray(labels)])
     picked = (probs * mask).sum(axis=-1, keepdims=True)
-    return -(picked.clamp_min(PROB_FLOOR).log()).mean()
+    return -(log(clamp_min(picked, PROB_FLOOR))).mean()
 
 
 def _center_composite(x):
@@ -202,14 +245,14 @@ def diff_loss_composite(feats):
     shared = {m: _center_composite(feats.shared(m)) for m in MODS}
     total = None
     for m in MODS:
-        prod = private[m].T @ shared[m]
+        prod = transpose(private[m]) @ shared[m]
         term = (prod * prod).sum() * scale
         total = term if total is None else total + term
     for i in MODS:
         for j in MODS:
             if i == j:
                 continue
-            prod = private[i].T @ private[j]
+            prod = transpose(private[i]) @ private[j]
             total = total + (prod * prod).sum() * scale
     return total
 
@@ -227,3 +270,26 @@ def cmd_composite(a, b, order):
         total = total + l2_norm_composite(pow_a.mean(axis=0) - pow_b.mean(axis=0),
                                           axis=None)
     return total
+
+
+# -- optimizer reference ------------------------------------------------------
+
+def adamw_reference(params, ms, vs, t, lr, cfg):
+    """Step ``t`` (1-based) of AdamW, one parameter group at a time.
+    ``ms`` and ``vs`` map group names to moment arrays, updated in place;
+    a group whose grad is None is skipped: no update, no decay."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        g = p.grad
+        m = ms[name]
+        v = vs[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        p.data -= lr * update + lr * cfg.weight_decay * p.data

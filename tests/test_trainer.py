@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from dualpath.fusion import Model, ModelConfig
+import oracles
+from dualpath.fusion import Ablation, Model, ModelConfig, load_checkpoint, save_checkpoint
 from dualpath.losses import LossConfig
+from dualpath.rng import Rng
 from dualpath.synthdata import Dataset, DatasetConfig, generate
 from dualpath.tensor import Tensor
 from dualpath.trainer import (AdamW, DivergenceError, GradCheckResult,
@@ -62,6 +64,72 @@ class TestAdamW:
             p.grad = 2.0 * p.data
             opt.step(cfg.learning_rate)
         assert abs(p.data[0]) < 0.5
+
+    def test_matches_per_group_reference_bit_for_bit(self):
+        """The whole-buffer step against the group-by-group loop on a
+        default model's groups, with the gated groups' grads None on some
+        steps: moments and parameters agree exactly after every step."""
+        cfg = TrainConfig()
+        ref = Model(ModelConfig()).params()
+        params = Model(ModelConfig()).params()
+        assert len(params) == 54
+        opt = AdamW(params, cfg)
+        ms = {k: np.zeros_like(p.data) for k, p in ref.items()}
+        vs = {k: np.zeros_like(p.data) for k, p in ref.items()}
+        rng = Rng(0, "adamw_reference")
+        for t in range(1, 26):
+            for i, (name, p) in enumerate(params.items()):
+                g = rng.child(f"grad{i}", t).normal(scale=10.0 ** (i % 5 - 3),
+                                                    size=p.data.shape)
+                gated = name.startswith("perception.div_gate.") and t % 3 != 1
+                p.grad = None if gated else g
+                ref[name].grad = None if gated else g.copy()
+            lr = cfg.learning_rate * min(1.0, t / 5)
+            opt.step(lr)
+            oracles.adamw_reference(ref, ms, vs, t, lr, cfg)
+            assert np.array_equal(opt.m, np.concatenate(list(ms.values()), axis=None))
+            assert np.array_equal(opt.v, np.concatenate(list(vs.values()), axis=None))
+            for name, p in params.items():
+                assert np.array_equal(p.data, ref[name].data), (t, name)
+
+    def test_restored_values_land_in_the_arena(self, tmp_path):
+        model = Model(MODEL_CFG)
+        params = model.params()
+        opt = AdamW(params, TrainConfig(learning_rate=0.01))
+        init = model.snapshot()
+
+        def step():
+            for i, p in enumerate(params.values()):
+                p.grad = np.full(p.data.shape, 0.5 + i)
+            opt.step(0.01)
+
+        step()
+        snap = model.snapshot()
+        frozen = {k: a.copy() for k, a in snap.items()}
+        step()
+        for name, p in params.items():
+            assert np.array_equal(snap[name], frozen[name]), name
+            assert not np.array_equal(p.data, snap[name]), name
+
+        model.set_params(init)
+        for name, p in params.items():
+            assert np.shares_memory(p.data, opt.arena), name
+            assert np.array_equal(p.data, init[name]), name
+        step()
+        for name, p in params.items():
+            assert not np.array_equal(p.data, init[name]), name
+
+        save_checkpoint(tmp_path / "ck.bin", model)
+        saved = model.snapshot()
+        loaded = load_checkpoint(tmp_path / "ck.bin")
+        loaded_params = loaded.params()
+        loaded_opt = AdamW(loaded_params, TrainConfig())
+        model.set_params(loaded.snapshot())
+        for name, p in loaded_params.items():
+            assert np.shares_memory(p.data, loaded_opt.arena), name
+            assert np.array_equal(p.data, saved[name]), name
+            assert np.shares_memory(params[name].data, opt.arena), name
+            assert np.array_equal(params[name].data, saved[name]), name
 
 
 class TestTrainLoop:
@@ -192,6 +260,23 @@ class TestTrainLoop:
             TrainConfig(warmup_proportion=1.0).validate()
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0).validate()
+
+    @pytest.mark.parametrize("ablation", [Ablation(no_int=True), Ablation(no_rea=True)],
+                             ids=["no_int", "no_rea"])
+    def test_clamped_gate_parameters_get_no_update_and_no_decay(self, splits, ablation):
+        """Under a gate clamp the divergence gate receives no gradient, so
+        it must stay at its init bit for bit; decay alone would shrink the
+        weight off 1.0."""
+        train_data, val_data, _ = splits
+        model = Model(MODEL_CFG)
+        before = model.snapshot()
+        train(model, train_data, val_data, quick_train_cfg(max_epochs=2),
+              LossConfig(), ablation=ablation)
+        after = model.snapshot()
+        for name in ("perception.div_gate.weight", "perception.div_gate.bias"):
+            assert np.array_equal(after[name], before[name]), name
+        assert after["perception.div_gate.weight"][0, 0] == 1.0
+        assert not np.array_equal(after["head.weight"], before["head.weight"])
 
     def test_default_val_metric_is_accuracy(self, splits):
         _, val_data, _ = splits
