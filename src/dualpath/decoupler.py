@@ -40,25 +40,24 @@ class Decoupler:
     ``share_weights`` reuses one shared encoder across modalities."""
 
     def __init__(self, rng: Rng, feature_dim: int, hidden_dim: int,
-                 dropout: float = 0.0, share_weights: bool = False,
-                 activation=None):
+                 dropout: float = 0.0, share_weights: bool = False):
         self.share_weights = share_weights
         self.shared_enc: dict[str, TanhMlp] = {}
         self.private_enc: dict[str, TanhMlp] = {}
         if share_weights:
             common = TanhMlp(rng.child("shared"), feature_dim, hidden_dim,
-                             hidden_dim, "decoupler.shared", dropout, activation)
+                             hidden_dim, "decoupler.shared", dropout)
             for m in MODALITIES:
                 self.shared_enc[m] = common
         else:
             for m in MODALITIES:
                 self.shared_enc[m] = TanhMlp(
                     rng.child(f"shared/{m}"), feature_dim, hidden_dim, hidden_dim,
-                    f"decoupler.shared_{m}", dropout, activation)
+                    f"decoupler.shared_{m}", dropout)
         for m in MODALITIES:
             self.private_enc[m] = TanhMlp(
                 rng.child(f"private/{m}"), feature_dim, hidden_dim, hidden_dim,
-                f"decoupler.private_{m}", dropout, activation)
+                f"decoupler.private_{m}", dropout)
 
     def __call__(self, text: Tensor, video: Tensor, audio: Tensor,
                  train: bool = False, rng: Rng | None = None) -> DecoupledFeatures:

@@ -1,10 +1,12 @@
-"""Differentiable building blocks shared across the model modules."""
+"""Differentiable building blocks shared across the model modules, one
+tape node each with a hand-written backward. Kernels count axes from the
+end, so they hold for any number of leading batch axes."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from dualpath.tensor import Tensor, _note_kink, node, where_const
+from dualpath.tensor import Tensor, _note_kink, node
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -24,11 +26,23 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean and unit variance, then scale and shift."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
+    """Normalize each row to zero mean and unit variance, then scale and
+    shift. One tape node."""
+    xd = x.data
+    centered = xd - xd.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+
+    def back(g):
+        gn = g * gain.data
+        # through 1/std: std depends on centered via mean(centered ** 2)
+        gc = gn / std - centered * ((gn * centered).sum(axis=-1, keepdims=True)
+                                    / (std * std * std * xd.shape[-1]))
+        x._accum(gc - gc.mean(axis=-1, keepdims=True))
+        gain._accum(g * normed)
+        bias._accum(g)
+
+    return node(normed * gain.data + bias.data, (x, gain, bias), back)
 
 
 def guarded_sqrt(sq: np.ndarray) -> np.ndarray:
@@ -52,19 +66,31 @@ def l2_norm(x: Tensor, axis: int | None) -> Tensor:
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity between (N, d) and (N, d) or (d,) broadcast.
+    """Row-wise cosine similarity between (N, d) and (N, d) or (d,)
+    broadcast, as a kept (N, 1) column. One tape node; both norms are
+    recorded as ``norm_floor`` kinks, ``a``'s first.
 
-    Rows whose norm is zero yield similarity 0.
+    Rows whose norm is zero yield similarity 0 with zero gradient.
     """
-    if b.data.ndim == 1:
-        b = b.reshape(1, -1)
-    dots = (a * b).sum(axis=-1, keepdims=True)
-    na = l2_norm(a, axis=-1)
-    nb = l2_norm(b, axis=-1)
+    ad = a.data
+    bd = b.data.reshape(1, -1) if b.data.ndim == 1 else b.data
+    dots = (ad * bd).sum(axis=-1, keepdims=True)
+    na = guarded_sqrt((ad * ad).sum(axis=-1, keepdims=True))
+    nb = guarded_sqrt((bd * bd).sum(axis=-1, keepdims=True))
     denom = na * nb
-    ok = denom.data > 0
-    guarded = where_const(ok, denom, Tensor(np.ones_like(denom.data)))
-    return where_const(ok, dots / guarded, Tensor(np.zeros_like(dots.data)))
+    ok = denom > 0
+    guarded = np.where(ok, denom, 1.0)
+
+    def back(g):
+        g_dots = np.where(ok, g, 0.0) / guarded
+        g_denom = -g_dots * dots / guarded
+        # d|a|/da = a / |a|, zero for a zero row (where g_denom is zero too)
+        ga = np.divide(g_denom * nb, na, out=np.zeros_like(g_denom), where=na > 0)
+        gb = np.divide(g_denom * na, nb, out=np.zeros_like(g_denom), where=nb > 0)
+        a._accum(g_dots * bd + ad * ga)
+        b._accum(g_dots * ad + bd * gb)
+
+    return node(np.where(ok, dots / guarded, 0.0), (a, b), back)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from dualpath.layers import Affine
 from dualpath.perception import ConflictReport, Perception
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES
-from dualpath.tensor import Tensor
+from dualpath.tensor import Tensor, constant
 
 CHECKPOINT_MAGIC = b"DPCK"
 CHECKPOINT_VERSION = 1
@@ -124,7 +124,7 @@ class Model:
         reasoning_repr = reasoning_aggregate(report.trust, private)
         gate = report.gate
         if ablation is not None and ablation.gate_override is not None:
-            gate = Tensor(np.full_like(report.gate.data, ablation.gate_override))
+            gate = constant(np.full_like(report.gate.data, ablation.gate_override))
             report.gate = gate
         fused = final_fuse(intuition_repr, reasoning_repr, gate)
         logits = self.head(fused)
@@ -136,9 +136,9 @@ class Model:
                            report=report, features=feats)
 
     def _check_inputs(self, *inputs) -> list[Tensor]:
-        """Wrap the modalities as tensors; each must be a finite
+        """Wrap the modalities as constant tensors; each must be a finite
         (N, feature_dim) array with the text input's N."""
-        out = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
+        out = [x if isinstance(x, Tensor) else constant(x) for x in inputs]
         want = out[0].data.shape[:1] + (self.config.feature_dim,)
         for m, x in zip(MODALITIES, out):
             if x.data.shape != want:

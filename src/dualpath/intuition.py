@@ -30,13 +30,13 @@ class IntuitionPath:
 
     def fuse_raw(self, text: Tensor, video: Tensor, audio: Tensor) -> Tensor:
         """Squashed projection of the concatenated raw features."""
-        return self.context(concat([text, video, audio], axis=-1)).tanh()
+        return self.context.tanh(concat([text, video, audio], axis=-1))
 
     def synergy_vector(self, feats: DecoupledFeatures) -> Tensor:
         """Squashed projection of the pairwise shared-feature products."""
         st, sv, sa = feats.shared_text, feats.shared_video, feats.shared_audio
         prods = concat([st * sv, st * sa, sv * sa], axis=-1)
-        return self.synergy(prods).tanh()
+        return self.synergy.tanh(prods)
 
     def __call__(self, text: Tensor, video: Tensor, audio: Tensor,
                  feats: DecoupledFeatures) -> Tensor:

@@ -2,7 +2,7 @@
 
 Parameters are plain Tensors collected into ordered dicts so the trainer,
 the checkpoint writer and the gradient checker all see one flat namespace
-of named arrays.
+of named arrays. An affine map, squashed or not, records one tape node.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from dualpath.rng import Rng
-from dualpath.tensor import Tensor
+from dualpath.tensor import Tensor, constant, node
 
 
 def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -28,35 +28,58 @@ class Affine:
         self.bias = Tensor(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return _affine(x, self.weight, self.bias, squash=False)
+
+    def tanh(self, x: Tensor) -> Tensor:
+        """tanh(x @ W + b)."""
+        return _affine(x, self.weight, self.bias, squash=True)
 
     def params(self) -> dict[str, Tensor]:
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
 
 
-class TanhMlp:
-    """affine -> tanh -> (dropout in train mode) -> affine.
+def _affine(x: Tensor, weight: Tensor, bias: Tensor, squash: bool) -> Tensor:
+    """x @ W + b, then tanh when ``squash``, as one node. The weight's
+    gradient contracts the second-to-last axis and the bias takes the
+    gradient summed down to its shape."""
+    xd, wd = x.data, weight.data
+    if xd.ndim < 2:
+        raise ValueError(f"affine input must be at least 2-D (rows of features), "
+                         f"got shape {xd.shape}")
+    y = xd @ wd
+    y += bias.data
+    if squash:
+        np.tanh(y, out=y)
 
-    ``activation`` is injectable so tests can run the identity case;
-    the default is Tensor.tanh.
-    """
+    def back(g):
+        if squash:
+            g = g * (1.0 - y * y)
+        if not x.const:
+            x._accum(g @ wd.swapaxes(-1, -2))
+        weight._accum(xd.swapaxes(-1, -2) @ g)
+        bias._accum(g)
+
+    return node(y, (x, weight, bias), back)
+
+
+class TanhMlp:
+    """affine -> tanh -> (dropout in train mode) -> affine."""
 
     def __init__(self, rng: Rng, d_in: int, d_hidden: int, d_out: int, name: str,
-                 dropout: float = 0.0, activation=None):
+                 dropout: float = 0.0):
         self.name = name
         self.dropout = float(dropout)
-        self.activation = activation if activation is not None else Tensor.tanh
         self.lin1 = Affine(rng.child("lin1"), d_in, d_hidden, f"{name}.lin1")
         self.lin2 = Affine(rng.child("lin2"), d_hidden, d_out, f"{name}.lin2")
 
     def __call__(self, x: Tensor, train: bool = False, rng: Rng | None = None) -> Tensor:
-        h = self.activation(self.lin1(x))
+        h = self.lin1.tanh(x)
         if train and self.dropout > 0.0:
             if rng is None:
                 raise ValueError("dropout in train mode needs an rng")
             keep = 1.0 - self.dropout
             mask = (rng.uniform(size=h.data.shape) < keep) / keep
-            h = h * Tensor(mask)
+            h = h * constant(mask)
         return self.lin2(h)
 
     def params(self) -> dict[str, Tensor]:

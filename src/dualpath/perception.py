@@ -25,7 +25,7 @@ from dualpath.functional import cosine_rows, l2_norm, softmax
 from dualpath.layers import Affine
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES
-from dualpath.tensor import Tensor, concat
+from dualpath.tensor import Tensor, concat, node
 
 REPORT_COLUMNS = (
     "semantic_energy", "js_div",
@@ -72,29 +72,58 @@ def deviations(private: dict[str, Tensor]) -> tuple[Tensor, dict[str, Tensor]]:
     return c, devs
 
 
+def _safe_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(p) where p > 0 and exactly 0 where p == 0, with the mask p > 0.
+    Terms with p == 0 follow the 0*log(0) = 0 convention and pass no
+    gradient through the log."""
+    positive = p > 0
+    return np.log(np.where(positive, p, 1.0)), positive
+
+
 def js_divergence(probs: dict[str, Tensor]) -> Tensor:
-    """Mean KL of each distribution to their average, (N, 1) per sample.
+    """Mean KL of each distribution to their average, (N, 1) per sample,
+    one tape node.
 
     Zero probabilities follow the 0*log(0) = 0 convention; the average
     is zero only where all three inputs are, and those terms vanish.
     Bounded above by ln 3.
     """
-    avg = (probs["text"] + probs["video"] + probs["audio"]) * (1.0 / 3.0)
-    log_avg = avg.safe_log()
+    ps = tuple(probs[m] for m in MODALITIES)
+    avg = (ps[0].data + ps[1].data + ps[2].data) * (1.0 / 3.0)
+    log_avg, avg_positive = _safe_log(avg)
+    gaps, masks = [], []
     total = None
-    for m in MODALITIES:
-        p = probs[m]
-        kl = (p * (p.safe_log() - log_avg)).sum(axis=-1, keepdims=True)
+    for p in ps:
+        log_p, positive = _safe_log(p.data)
+        gap = log_p - log_avg
+        kl = (p.data * gap).sum(axis=-1, keepdims=True)
         total = kl if total is None else total + kl
-    return total * (1.0 / 3.0)
+        gaps.append(gap)
+        masks.append(positive)
+
+    def back(g):
+        # d/dp_m: log p_m - log avg, plus 1 from p_m's own log and minus 1
+        # from the average's log, each only where that log is taken
+        g = g * (1.0 / 3.0)
+        for p, gap, positive in zip(ps, gaps, masks):
+            p._accum(g * (gap - (avg_positive > positive)))
+
+    return node(total * (1.0 / 3.0), ps, back)
 
 
 def normalized_entropy(p: Tensor, num_classes: int) -> Tensor:
-    """Shannon entropy scaled to [0, 1] by ln C, (N, 1) per sample."""
+    """Shannon entropy scaled to [0, 1] by ln C, (N, 1) per sample, one
+    tape node. Zero probabilities contribute 0 and take no gradient from
+    their log."""
     if num_classes < 2:
         raise ValueError("normalized_entropy needs at least 2 classes")
-    h = -(p * p.safe_log()).sum(axis=-1, keepdims=True)
-    return h * (1.0 / np.log(num_classes))
+    scale = 1.0 / np.log(num_classes)
+    log_p, positive = _safe_log(p.data)
+
+    def back(g):
+        p._accum(-(g * scale) * (log_p + positive))
+
+    return node(-(p.data * log_p).sum(axis=-1, keepdims=True) * scale, (p,), back)
 
 
 class Perception:
@@ -133,7 +162,7 @@ class Perception:
 
     def difference_vector(self, devs: dict[str, Tensor]) -> Tensor:
         cat = concat([devs[m] for m in MODALITIES], axis=-1)
-        return self.diff_proj(cat).tanh()
+        return self.diff_proj.tanh(cat)
 
     def semantic_energy(self, diff_vector: Tensor) -> Tensor:
         return cosine_rows(diff_vector, self.prototype) * self.temperature
@@ -153,7 +182,7 @@ class Perception:
     def reliability_weights(self, gated_diff: Tensor,
                             entropies: dict[str, Tensor]) -> Tensor:
         unc = concat([entropies[m] for m in MODALITIES], axis=-1)
-        logits = self.trust_out(self.trust_in(gated_diff + self.unc_lift(unc)).tanh())
+        logits = self.trust_out(self.trust_in.tanh(gated_diff + self.unc_lift(unc)))
         return softmax(logits, axis=-1)
 
     def gating_factor(self, gated_diff: Tensor, js_div: Tensor) -> Tensor:

@@ -5,14 +5,21 @@ that receives the gradient of the operation's output and accumulates the
 matching gradients into the parents. A closure captures its parents and,
 where the derivative needs it, the output *array*, never the output
 tensor, so the tape holds no reference cycles and a graph is freed by
-reference counting as soon as its last tensor goes. Calling
-``backward()`` on a scalar result walks the record in reverse
-topological order and accumulates gradients into every node it reaches,
-parameters and inputs alike. Values are immutable once constructed; only
-the trainer mutates parameter ``data`` between steps.
+reference counting as soon as its last tensor goes; no global list holds
+a node. Every tensor takes a sequence number when it is created, and a
+node's parents always exist before it, so decreasing sequence number is a
+reverse topological order. Calling ``backward()`` on a scalar result
+gathers the recorded nodes it can reach in one pass, clears their stale
+gradients and runs their closures in that order. Gradients accumulate
+into leaves, parameters and inputs alike, except constants: the
+operands ops wrap themselves and the arrays ``constant()`` wraps get no
+gradient product and are never accumulated into. Values are immutable
+once constructed; only the trainer mutates parameter ``data`` between
+steps.
 
-Composite functions with a hand-written backward (softmax, the guarded
-norm and the loss terms) record one node each through ``node()``.
+Composite functions with a hand-written backward (affine maps, softmax,
+layer norm, cosine similarity, the divergences, the guarded norm and the
+loss terms) record one node each through ``node()``.
 
 Inside ``no_grad()`` operations compute the same values but record
 nothing: no parents, no closure. Nonsmooth ops still report their kinks
@@ -23,6 +30,7 @@ judged exactly as a recorded one.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import count
 
 import numpy as np
 
@@ -35,6 +43,10 @@ _kink_watch: list[tuple[str, object]] | None = None
 
 # False inside no_grad(): ops then build neither parents nor a closure.
 _recording = True
+
+# Creation sequence numbers; backward() runs closures in decreasing order.
+# Only their order matters, so one counter serves every graph.
+_next_seq = count().__next__
 
 
 @contextmanager
@@ -70,8 +82,6 @@ def _note_kink(kind: str, payload) -> None:
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum a broadcast gradient back down to the original operand shape."""
-    if grad.shape == shape:
-        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -82,50 +92,52 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_back")
+    __slots__ = ("data", "grad", "const", "_parents", "_back", "_seq")
 
     def __init__(self, data):
         self.data: Array = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
+        self.const = False
         self._parents: tuple = ()
         self._back = None
+        self._seq = _next_seq()
 
     # -- gradient plumbing -------------------------------------------------
 
     def _accum(self, g: Array) -> None:
-        g = _unbroadcast(g, self.data.shape)
+        if self.const:
+            return
+        if g.shape != self.data.shape:
+            g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
             self.grad = np.array(g)  # own the buffer; g may be a view
         else:
             self.grad += g
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into every non-constant leaf the tape
+        reaches. Recorded nodes keep their gradient of this call only, so
+        a graph can be differentiated again, from this root or another."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output, got shape %s" % (self.data.shape,))
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        found = {self._seq: self}
+        stack = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+            for p in stack.pop()._parents:
+                if p._back is not None and p._seq not in found:
+                    p.grad = None
+                    found[p._seq] = p
+                    stack.append(p)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for seq in sorted(found, reverse=True):
+            node = found[seq]
             if node._back is not None and node.grad is not None:
                 node._back(node.grad)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = other if isinstance(other, Tensor) else constant(other)
         out = Tensor(self.data + other.data)
         if _recording:
             def back(g):
@@ -136,7 +148,7 @@ class Tensor:
         return out
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = other if isinstance(other, Tensor) else constant(other)
         out = Tensor(self.data - other.data)
         if _recording:
             def back(g):
@@ -147,23 +159,27 @@ class Tensor:
         return out
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = other if isinstance(other, Tensor) else constant(other)
         out = Tensor(self.data * other.data)
         if _recording:
             def back(g):
-                self._accum(g * other.data)
-                other._accum(g * self.data)
+                if not self.const:
+                    self._accum(g * other.data)
+                if not other.const:
+                    other._accum(g * self.data)
 
             out._parents, out._back = (self, other), back
         return out
 
     def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = other if isinstance(other, Tensor) else constant(other)
         out = Tensor(self.data / other.data)
         if _recording:
             def back(g):
-                self._accum(g / other.data)
-                other._accum(-g * self.data / (other.data * other.data))
+                if not self.const:
+                    self._accum(g / other.data)
+                if not other.const:
+                    other._accum(-g * self.data / (other.data * other.data))
 
             out._parents, out._back = (self, other), back
         return out
@@ -178,13 +194,13 @@ class Tensor:
         return out
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) - self
+        return constant(other) - self
 
     def __rmul__(self, other) -> "Tensor":
-        return Tensor(other) * self
+        return constant(other) * self
 
     def __matmul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = other if isinstance(other, Tensor) else constant(other)
         a, b = self.data, other.data
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError("matmul supports 2-D operands only, got %d-D @ %d-D"
@@ -192,8 +208,10 @@ class Tensor:
         out = Tensor(a @ b)
         if _recording:
             def back(g):
-                self._accum(g @ b.T)
-                other._accum(a.T @ g)
+                if not self.const:
+                    self._accum(g @ b.swapaxes(-1, -2))
+                if not other.const:
+                    other._accum(a.swapaxes(-1, -2) @ g)
 
             out._parents, out._back = (self, other), back
         return out
@@ -250,32 +268,6 @@ class Tensor:
 
     # -- elementwise functions ------------------------------------------------
 
-    def safe_log(self) -> "Tensor":
-        """log(x) where x > 0, exactly 0 where x == 0.
-
-        Supports the 0*log(0) = 0 convention in entropy and divergence
-        sums; gradient is masked to 0 on the zero set.
-        """
-        positive = self.data > 0
-        out = Tensor(np.log(np.where(positive, self.data, 1.0)))
-        if _recording:
-            def back(g):
-                self._accum(np.where(positive, g / np.where(positive, self.data, 1.0), 0.0))
-
-            out._parents, out._back = (self,), back
-        return out
-
-    def sqrt(self) -> "Tensor":
-        out = Tensor(np.sqrt(self.data))
-        if _recording:
-            y = out.data
-
-            def back(g):
-                self._accum(g * 0.5 / y)
-
-            out._parents, out._back = (self,), back
-        return out
-
     def tanh(self) -> "Tensor":
         out = Tensor(np.tanh(self.data))
         if _recording:
@@ -315,6 +307,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, data={self.data!r})"
 
 
+def constant(data) -> Tensor:
+    """A leaf that takes no gradient: backward closures compute no
+    gradient product for it and never accumulate into it."""
+    out = Tensor(data)
+    out.const = True
+    return out
+
+
 def node(data, parents: tuple, back) -> Tensor:
     """A tensor holding ``data`` whose backward closure ``back(g)`` passes
     the gradient on to ``parents``. Inside no_grad() it is a plain leaf
@@ -328,7 +328,7 @@ def node(data, parents: tuple, back) -> Tensor:
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     """Concatenate along an axis; backward slices the gradient back apart."""
-    parts = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
+    parts = [t if isinstance(t, Tensor) else constant(t) for t in tensors]
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     if _recording:
         ndim = out.data.ndim
@@ -344,23 +344,4 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
                 offset += size
 
         out._parents, out._back = tuple(parts), back
-    return out
-
-
-def where_const(cond: Array, a: Tensor, b: Tensor) -> Tensor:
-    """Select between two tensors with a constant boolean mask.
-
-    The mask is data, not a differentiable input: gradient flows to ``a``
-    where cond holds and to ``b`` elsewhere.
-    """
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(cond, dtype=bool)
-    out = Tensor(np.where(cond, a.data, b.data))
-    if _recording:
-        def back(g):
-            a._accum(np.where(cond, g, 0.0))
-            b._accum(np.where(cond, 0.0, g))
-
-        out._parents, out._back = (a, b), back
     return out

@@ -7,12 +7,14 @@ the parameter tensors. If the production pipeline and these functions
 agree to tight tolerance on random inputs, both would have to share a
 bug to be wrong together.
 
-The composite references rebuild each fused op (softmax, the guarded
-norm, cross-entropy, the orthogonality penalty and CMD) from primitive
-Tensor ops, whose gradients are checked on their own, with the same
-numpy work in the same order and the same kink records. The fused ops
-must match them: values bit for bit, gradients to rounding. The
-primitives only they use (exp, log, clamp_min, transpose) are test-local
+The composite references rebuild each fused op (the affine map with and
+without tanh, softmax, layer norm, the guarded norm, cosine similarity,
+the JS divergence, the normalized entropy, cross-entropy, the
+orthogonality penalty and CMD) from primitive Tensor ops, whose
+gradients are checked on their own, with the same numpy work in the same
+order and the same kink records. The fused ops must match them: values
+bit for bit, gradients to rounding. The primitives only they use (exp,
+log, safe_log, sqrt, clamp_min, transpose, where_const) are test-local
 nodes built with ``tensor.node()``.
 
 ``adamw_reference`` is the optimizer step as a loop over parameter
@@ -21,7 +23,7 @@ groups; the whole-buffer ``AdamW`` must match it bit for bit.
 
 import numpy as np
 
-from dualpath.tensor import Tensor, _note_kink, node, where_const
+from dualpath.tensor import Tensor, _note_kink, node
 
 MODS = ("text", "video", "audio")
 
@@ -188,6 +190,40 @@ def log(x):
     return node(np.log(x.data), (x,), back)
 
 
+def safe_log(x):
+    """log(x) where x > 0, exactly 0 where x == 0, where the gradient is
+    masked to 0 too: the 0*log(0) = 0 convention of entropy sums."""
+    positive = x.data > 0
+
+    def back(g):
+        x._accum(np.where(positive, g / np.where(positive, x.data, 1.0), 0.0))
+
+    return node(np.log(np.where(positive, x.data, 1.0)), (x,), back)
+
+
+def sqrt(x):
+    y = np.sqrt(x.data)
+
+    def back(g):
+        x._accum(g * 0.5 / y)
+
+    return node(y, (x,), back)
+
+
+def where_const(cond, a, b):
+    """Select with a constant boolean mask: gradient flows to ``a`` where
+    cond holds and to ``b`` elsewhere."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    cond = np.asarray(cond, dtype=bool)
+
+    def back(g):
+        a._accum(np.where(cond, g, 0.0))
+        b._accum(np.where(cond, 0.0, g))
+
+    return node(np.where(cond, a.data, b.data), (a, b), back)
+
+
 def clamp_min(x, floor):
     _note_kink("clamp_margin", float(np.min(np.abs(x.data - floor))))
     mask = x.data > floor
@@ -213,6 +249,47 @@ def transpose(x):
 PROB_FLOOR = 1e-12
 
 
+def affine_composite(x, weight, bias):
+    return x @ weight + bias
+
+
+def affine_tanh_composite(x, weight, bias):
+    return (x @ weight + bias).tanh()
+
+
+def layer_norm_composite(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / sqrt(var + eps) * gain + bias
+
+
+def cosine_rows_composite(a, b):
+    if b.data.ndim == 1:
+        b = b.reshape(1, -1)
+    dots = (a * b).sum(axis=-1, keepdims=True)
+    denom = l2_norm_composite(a, -1) * l2_norm_composite(b, -1)
+    ok = denom.data > 0
+    guarded = where_const(ok, denom, Tensor(np.ones_like(denom.data)))
+    return where_const(ok, dots / guarded, Tensor(np.zeros_like(dots.data)))
+
+
+def js_divergence_composite(probs):
+    avg = (probs["text"] + probs["video"] + probs["audio"]) * (1.0 / 3.0)
+    log_avg = safe_log(avg)
+    total = None
+    for m in MODS:
+        p = probs[m]
+        kl = (p * (safe_log(p) - log_avg)).sum(axis=-1, keepdims=True)
+        total = kl if total is None else total + kl
+    return total * (1.0 / 3.0)
+
+
+def normalized_entropy_composite(p, num_classes):
+    h = -(p * safe_log(p)).sum(axis=-1, keepdims=True)
+    return h * (1.0 / np.log(num_classes))
+
+
 def softmax_composite(x, axis=-1):
     shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
     e = exp(x - shift)
@@ -224,7 +301,7 @@ def l2_norm_composite(x, axis):
     positive = sq.data > 0
     _note_kink("norm_floor", float(np.sqrt(sq.data.min())) if sq.data.size else 0.0)
     guarded = where_const(positive, sq, Tensor(np.ones_like(sq.data)))
-    return where_const(positive, guarded.sqrt(), Tensor(np.zeros_like(sq.data)))
+    return where_const(positive, sqrt(guarded), Tensor(np.zeros_like(sq.data)))
 
 
 def cross_entropy_composite(probs, labels):

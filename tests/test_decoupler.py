@@ -28,19 +28,6 @@ def test_zero_weights_give_bias_image():
         assert np.array_equal(feats.private(m).data, np.full((4, 5), 1.5))
 
 
-def test_identity_configuration_passes_input_through():
-    d = 6
-    dec = Decoupler(Rng(0, "dec"), d, d, activation=lambda t: t)
-    enc = dec.shared_enc["text"]
-    enc.lin1.weight.data[:] = np.eye(d)
-    enc.lin1.bias.data[:] = 0.0
-    enc.lin2.weight.data[:] = np.eye(d)
-    enc.lin2.bias.data[:] = 0.0
-    text, video, audio = make_inputs(Rng(1, "x"), 3, d)
-    feats = dec(text, video, audio)
-    assert np.array_equal(feats.shared_text.data, text.data)
-
-
 def test_matches_straight_line_oracle():
     dec = Decoupler(Rng(3, "dec"), feature_dim=7, hidden_dim=5)
     x = Rng(4, "x").normal(size=(6, 7))

@@ -1,9 +1,11 @@
 """Fused single-node ops against their composite references.
 
-Each fused op (softmax, l2_norm, cross_entropy, diff_loss, cmd) must give
-the composite's values bit for bit, its gradients to rounding and its
-kink records exactly, while recording one tape node per call and none
-under no_grad(). A last test caps the tape of a whole training step.
+Each fused op (the affine map with and without tanh, softmax, layer_norm,
+l2_norm, cosine_rows, js_divergence, normalized_entropy, cross_entropy,
+diff_loss, cmd) must give the composite's values bit for bit, its
+gradients to rounding and its kink records exactly, while recording one
+tape node per call and none under no_grad(). A last test caps the tape
+of a whole training step.
 """
 
 import numpy as np
@@ -11,18 +13,21 @@ import pytest
 
 import oracles
 from dualpath.decoupler import DecoupledFeatures
-from dualpath.functional import l2_norm, softmax
+from dualpath.functional import cosine_rows, l2_norm, layer_norm, softmax
 from dualpath.fusion import Model, ModelConfig
+from dualpath.layers import Affine
 from dualpath.losses import PROB_FLOOR, LossConfig, cmd, cross_entropy, diff_loss, total_loss
+from dualpath.perception import js_divergence, normalized_entropy
 from dualpath.rng import Rng
-from dualpath.synthdata import DatasetConfig, generate
-from dualpath.tensor import Tensor, no_grad, watch_kinks
+from dualpath.synthdata import MODALITIES, DatasetConfig, generate
+from dualpath.tensor import Tensor, constant, no_grad, watch_kinks
 
 GRAD_RTOL = 1e-12
-# perfbench/census.py after the loss-stack fusion: nodes reachable from the
-# loss of one default batch-16 training step, and of one eval forward+loss.
-TRAIN_STEP_NODES = 266
-EVAL_NODES = 254
+# perfbench/census.py after the affine, layer-norm, cosine and divergence
+# fusions: nodes reachable from the loss of one default batch-16 training
+# step, and of one eval forward+loss.
+TRAIN_STEP_NODES = 178
+EVAL_NODES = 166
 
 
 def tape_nodes(root):
@@ -80,6 +85,104 @@ def feats_of(ts):
 
 
 BATCHES = [2, 16]
+
+
+def affine_layer(weight, bias, squash):
+    d_in, d_out = weight.data.shape
+    lin = Affine(Rng(0, "fused/affine"), d_in, d_out, "lin")
+    lin.weight, lin.bias = weight, bias
+    return lin.tanh if squash else lin
+
+
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("squash", [False, True])
+def test_affine_with_a_zero_row(n, squash):
+    x = normal("aff_x", (n, 6))
+    x[0] = 0.0
+    ref = oracles.affine_tanh_composite if squash else oracles.affine_composite
+    assert_matches_reference(lambda x, w, b: affine_layer(w, b, squash)(x), ref,
+                             [x, normal("aff_w", (6, 3)), normal("aff_b", (3,))])
+
+
+def test_affine_rejects_a_1d_input():
+    with pytest.raises(ValueError, match="2-D"):
+        affine_layer(Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), squash=False)(
+            Tensor(np.ones(3)))
+
+
+def test_affine_takes_no_gradient_into_a_constant_input():
+    x = constant(normal("aff_c", (4, 6)))
+    w, b = Tensor(normal("aff_w", (6, 3))), Tensor(normal("aff_b", (3,)))
+    affine_layer(w, b, squash=True)(x).sum().backward()
+    assert x.grad is None
+    assert w.grad is not None and b.grad is not None
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_layer_norm_with_a_zero_row(n):
+    x = normal("ln_x", (n, 5), scale=2.0)
+    x[0] = 0.0
+    assert_matches_reference(layer_norm, oracles.layer_norm_composite,
+                             [x, normal("ln_g", (5,)) + 1.0, normal("ln_b", (5,))])
+
+
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("shape", ["vector", "rows"])
+def test_cosine_rows_with_a_zero_row(n, shape):
+    a = normal("cos_a", (n, 5))
+    a[0] = 0.0
+    b = normal("cos_b", (5,) if shape == "vector" else (n, 5))
+    if shape == "rows":
+        b[-1] = 0.0
+    value, _ = assert_matches_reference(cosine_rows, oracles.cosine_rows_composite, [a, b])
+    assert value.shape == (n, 1) and value[0, 0] == 0.0
+
+
+def test_cosine_rows_against_a_zero_vector():
+    value, grads = assert_matches_reference(cosine_rows, oracles.cosine_rows_composite,
+                                            [normal("cos_z", (4, 5)), np.zeros(5)])
+    assert np.array_equal(value, np.zeros((4, 1)))
+    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
+
+
+def probabilities(label, n, zeros):
+    """(n, 4) rows on the simplex; each listed (row, column) is exactly 0."""
+    p = np.exp(normal(label, (n, 4), scale=2.0))
+    for i, j in zeros:
+        p[i, j] = 0.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def as_probs(ts):
+    return (dict(zip(MODALITIES, ts)),)
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_js_divergence_with_zero_probabilities(n):
+    # column 0 of row 0 is zero in one input only, column 3 in all three
+    arrays = [probabilities("js_t", n, [(0, 0), (0, 3)]),
+              probabilities("js_v", n, [(0, 3)]),
+              probabilities("js_a", n, [(0, 3), (n - 1, 1)])]
+    assert_matches_reference(js_divergence, oracles.js_divergence_composite, arrays,
+                             wrap=as_probs)
+
+
+def test_js_divergence_with_one_tensor_in_two_slots():
+    p, q = probabilities("js_p", 3, [(1, 2)]), probabilities("js_q", 3, [])
+
+    def two(ts):
+        return ({"text": ts[0], "video": ts[1], "audio": ts[0]},)
+
+    assert_matches_reference(js_divergence, oracles.js_divergence_composite, [p, q],
+                             wrap=two)
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_normalized_entropy_with_zero_probabilities(n):
+    p = probabilities("ent", n, [(0, 1), (n - 1, 0), (n - 1, 2)])
+    p[n // 2] = [0.0, 1.0, 0.0, 0.0]
+    assert_matches_reference(lambda t: normalized_entropy(t, 4),
+                             lambda t: oracles.normalized_entropy_composite(t, 4), [p])
 
 
 @pytest.mark.parametrize("n", BATCHES)

@@ -8,7 +8,7 @@ from dualpath.fusion import Ablation, Model, ModelConfig, load_checkpoint, save_
 from dualpath.losses import LossConfig
 from dualpath.rng import Rng
 from dualpath.synthdata import Dataset, DatasetConfig, generate
-from dualpath.tensor import Tensor
+from dualpath.tensor import Tensor, no_grad
 from dualpath.trainer import (AdamW, DivergenceError, GradCheckResult,
                               TrainConfig, _kink_crossed, default_val_metric,
                               grad_check, train)
@@ -337,6 +337,28 @@ class TestGradCheck:
         assert not result(1e-3, 10, 0).passed(1e-4)
         assert not result(0.0, 0, 0).passed(1e-4)
         assert not result(0.0, 10, 1).passed(1e-4)
+
+
+    def test_abs_kink_near_a_deviation_is_probed_at_smaller_steps(self, small_batch):
+        """One text deviation |private - centroid| sits 1e-6 from its kink:
+        probing the text private bias at 1e-5 moves it by 6.7e-6 and flips
+        its sign, at 1e-6 it does not. The retry at the smaller step must
+        certify every wanted coordinate instead of resampling them away."""
+        model = Model(ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6,
+                                  init_seed=5))
+        with no_grad():
+            out = model.forward_batch(small_batch.text, small_batch.video,
+                                      small_batch.audio)
+        signed = out.features.private_text.data - out.report.centroid.data
+        row, col = 2, 3
+        # a text bias shift b moves private_text - centroid by 2b/3
+        bias = model.decoupler.private_enc["text"].lin2.bias
+        bias.data[col] += 1.5 * (np.sign(signed[row, col]) * 1e-6 - signed[row, col])
+        result = grad_check(model, small_batch, LossConfig(), coords_per_group=20)
+        size = sum(min(p.data.size, 20) for p in model.params().values())
+        assert result.skipped == 0 and result.resampled == 0
+        assert result.coords_checked == size
+        assert result.passed(1e-4), result.worst_group()
 
 
 class TestKinkKinds:
