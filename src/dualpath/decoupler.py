@@ -19,7 +19,8 @@ from dualpath.tensor import Tensor
 
 @dataclass
 class DecoupledFeatures:
-    """Batched shared and private projections, each (N, hidden_dim)."""
+    """Batched shared and private projections, each (N, hidden_dim), or
+    (M, N, hidden_dim) from a stack of M models."""
 
     shared_text: Tensor
     shared_video: Tensor

@@ -2,7 +2,10 @@
 
 Every run is a pure function of its config, and report files contain no
 timestamps or timings, so identical (config, seeds) produce identical
-bytes. Wall-clock lives only in the in-memory TrainHistory.
+bytes. All the models of one experiment (its seeds, and for the grid
+every variant at every seed) train together as one stack and are tested
+in one stacked forward; each model's numbers are bit for bit those of a
+run of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
                                 inject_noise_dataset)
-from dualpath.trainer import TrainConfig, TrainHistory, train
+from dualpath.trainer import TrainConfig, TrainHistory, train_models
 
 ABLATION_FLAGS = ("no_int", "no_rea", "no_sim", "no_diff", "no_uni", "no_rea_loss")
 
@@ -176,7 +179,29 @@ METRIC_KEYS = ["acc", "macro_f1", "macro_precision", "macro_recall",
                "conflict_subset_acc", "consistent_subset_acc"]
 
 
-# -- single run --------------------------------------------------------------
+# -- training runs -----------------------------------------------------------
+
+def train_runs(runs: list[tuple[ExperimentConfig, int]],
+               splits: tuple[Dataset, Dataset, Dataset],
+               ) -> list[tuple[Model, TrainHistory, Metrics, dict, ModelOutput]]:
+    """Train one model per (config, seed) run, all in one stack, and test
+    them in one stacked forward; returns, per run, the model with its
+    history, its metrics, its gate statistics and its eval forward on the
+    test split. The configs may differ in their ablation flags only."""
+    train_data, val_data, test_data = splits
+    models = [Model(cfg.model_config(seed)) for cfg, seed in runs]
+    ablations = [cfg.ablation() for cfg, _ in runs]
+    histories = train_models(models, train_data, val_data,
+                             [replace(cfg.train, seed=seed) for cfg, seed in runs],
+                             [cfg.effective_loss() for cfg, _ in runs], ablations)
+    test_out = eval_forward(Model.stack(models), test_data, ablations)
+    out = []
+    for m, (model, history) in enumerate(zip(models, histories)):
+        member = test_out.member(m)
+        metrics = output_metrics(member, test_data, model.config.num_classes)
+        out.append((model, history, metrics, gate_stats(member, test_data), member))
+    return out
+
 
 def train_single(cfg: ExperimentConfig, seed: int,
                  splits: tuple[Dataset, Dataset, Dataset] | None = None,
@@ -186,15 +211,7 @@ def train_single(cfg: ExperimentConfig, seed: int,
     cfg.validate()
     if splits is None:
         splits = generate(cfg.dataset)
-    train_data, val_data, test_data = splits
-    model = Model(cfg.model_config(seed))
-    ablation = cfg.ablation()
-    tc = replace(cfg.train, seed=seed)
-    history = train(model, train_data, val_data, tc, cfg.effective_loss(),
-                    ablation=ablation)
-    test_out = eval_forward(model, test_data, ablation)
-    metrics = output_metrics(test_out, test_data, model.config.num_classes)
-    return model, history, metrics, gate_stats(test_out, test_data), test_out
+    return train_runs([(cfg, seed)], splits)[0]
 
 
 def _seed_row(seed: int, metrics: Metrics, gating: dict) -> dict:
@@ -224,8 +241,8 @@ def run_main(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     conflicted = splits[2].conflicted_mask.astype(int).tolist()
     rows = []
     gating_rows = []
-    for seed in cfg.seeds:
-        _, _, metrics, gating, test_out = train_single(cfg, seed, splits)
+    results = train_runs([(cfg, seed) for seed in cfg.seeds], splits)
+    for seed, (_, _, metrics, gating, test_out) in zip(cfg.seeds, results):
         rows.append(_seed_row(seed, metrics, gating))
         per_sample = test_out.report.rows().tolist()
         for i, flag in enumerate(conflicted):
@@ -260,11 +277,14 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     digest = dataset_digest(splits[0], cfg.dataset)
     variant_rows = []
     csv_rows = []
-    for name in ("full",) + ABLATION_FLAGS:
-        vcfg = replace(cfg, **{f: f == name for f in ABLATION_FLAGS})
+    names = ("full",) + ABLATION_FLAGS
+    results = iter(train_runs(
+        [(replace(cfg, **{f: f == name for f in ABLATION_FLAGS}), seed)
+         for name in names for seed in cfg.seeds], splits))
+    for name in names:
         seed_rows = []
         for seed in cfg.seeds:
-            _, _, metrics, gating, _ = train_single(vcfg, seed, splits)
+            _, _, metrics, gating, _ = next(results)
             row = _seed_row(seed, metrics, gating)
             seed_rows.append(row)
             csv_rows.append([name, seed] + [row[k] for k in METRIC_KEYS]
@@ -290,7 +310,7 @@ def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Train on clean data; evaluate with Gaussian noise injected into the
     text features at each sigma. Noise draws depend only on the dataset
     seed and sigma, so reports are reproducible. Sigma 0 adds no noise:
-    its row is the clean test forward ``train_single`` already made."""
+    its row is the clean test forward ``train_runs`` already made."""
     out, splits = _prepare(cfg, out_dir)
     noisy_tests = {
         sigma: inject_noise_dataset(splits[2], sigma, "text",
@@ -299,8 +319,8 @@ def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     columns = ["acc", "macro_f1", "weighted_f1"]
     per_seed = []
     csv_rows = []
-    for seed in cfg.seeds:
-        model, _, clean, _, _ = train_single(cfg, seed, splits)
+    results = train_runs([(cfg, seed) for seed in cfg.seeds], splits)
+    for seed, (model, _, clean, _, _) in zip(cfg.seeds, results):
         sigma_rows = []
         for sigma in cfg.sigmas:
             m = (evaluate(model, noisy_tests[sigma], cfg.ablation())

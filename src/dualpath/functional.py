@@ -29,16 +29,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize each row to zero mean and unit variance, then scale and
     shift. One tape node."""
     xd = x.data
-    centered = xd - xd.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    d = xd.shape[-1]
+    # sum / d is ndarray.mean's own arithmetic without its Python-level wrapper
+    centered = xd - xd.sum(axis=-1, keepdims=True) / d
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + eps)
     normed = centered / std
 
     def back(g):
         gn = g * gain.data
         # through 1/std: std depends on centered via mean(centered ** 2)
         gc = gn / std - centered * ((gn * centered).sum(axis=-1, keepdims=True)
-                                    / (std * std * std * xd.shape[-1]))
-        x._accum(gc - gc.mean(axis=-1, keepdims=True))
+                                    / (std * std * std * d))
+        x._accum(gc - gc.sum(axis=-1, keepdims=True) / d)
         gain._accum(g * normed)
         bias._accum(g)
 
@@ -54,8 +56,8 @@ def guarded_sqrt(sq: np.ndarray) -> np.ndarray:
 
 
 def l2_norm(x: Tensor, axis: int | None) -> Tensor:
-    """Euclidean norm along ``axis``: a kept (N, 1) column of row norms for
-    ``axis=-1``, a scalar for ``axis=None``. A zero row or vector maps to
+    """Euclidean norm along ``axis``: a kept (..., N, 1) column of row norms
+    for ``axis=-1``, a scalar for ``axis=None``. A zero row or vector maps to
     exactly 0 with zero gradient rather than NaN. One tape node."""
     norm = guarded_sqrt((x.data * x.data).sum(axis=axis, keepdims=axis is not None))
 
@@ -66,9 +68,10 @@ def l2_norm(x: Tensor, axis: int | None) -> Tensor:
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity between (N, d) and (N, d) or (d,)
-    broadcast, as a kept (N, 1) column. One tape node; both norms are
-    recorded as ``norm_floor`` kinks, ``a``'s first.
+    """Row-wise cosine similarity between (..., N, d) rows and rows that
+    broadcast against them: (..., N, d), a stack's (M, 1, d) vectors, or
+    one (d,) vector. A kept (..., N, 1) column. One tape node; both norms
+    are recorded as ``norm_floor`` kinks, ``a``'s first.
 
     Rows whose norm is zero yield similarity 0 with zero gradient.
     """
@@ -94,14 +97,13 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """(N, num_classes) indicator rows; a label outside [0, num_classes)
-    raises ValueError rather than wrapping around."""
+    """(..., num_classes) indicator rows for labels of any shape, such as a
+    stack's (M, N); a label outside [0, num_classes) raises ValueError
+    rather than wrapping around."""
     labels = np.asarray(labels)
     bad = (labels < 0) | (labels >= num_classes)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"label {labels[i]} at position {i} is outside "
+        raise ValueError(f"label {labels.flat[i]} at position {i} is outside "
                          f"[0, {num_classes})")
-    out = np.zeros((len(labels), num_classes), dtype=np.float64)
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
+    return (labels[..., None] == np.arange(num_classes)).astype(np.float64)

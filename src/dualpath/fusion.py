@@ -5,13 +5,17 @@ re-weights private features by trust. A per-sample gate in (0, 1) mixes
 the two, leaning on reasoning when perceived conflict is high. Ablations
 clamp the gate instead of deleting branches, so parameter counts stay
 comparable across variants.
+
+``Model.stack`` builds one model over M member models whose parameters
+carry a leading model axis; its forward runs all M at once, each slice
+bit-identical to that member's own forward, with a per-model gate clamp.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from dualpath.layers import Affine
 from dualpath.perception import ConflictReport, Perception
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES
-from dualpath.tensor import Tensor, constant
+from dualpath.tensor import Tensor, constant, node
 
 CHECKPOINT_MAGIC = b"DPCK"
 CHECKPOINT_VERSION = 1
@@ -72,6 +76,9 @@ class Ablation:
 
 @dataclass
 class ModelOutput:
+    """A forward's tensors. Shapes are a plain model's; a stack's carry a
+    leading model axis, (M, N, ...), and ``member`` takes one model's."""
+
     intuition_repr: Tensor   # (N, d_h)
     reasoning_repr: Tensor   # (N, d_h)
     fused: Tensor            # (N, d_h)
@@ -81,12 +88,26 @@ class ModelOutput:
     report: ConflictReport
     features: DecoupledFeatures
 
+    def member(self, m: int) -> "ModelOutput":
+        """Model ``m``'s slice of a stacked forward, as constant tensors."""
+        return _take(self, m)
+
+
+def _take(x, m: int):
+    if isinstance(x, Tensor):
+        return constant(x.data[m])
+    if isinstance(x, dict):
+        return {k: _take(v, m) for k, v in x.items()}
+    if is_dataclass(x):
+        return replace(x, **{f.name: _take(getattr(x, f.name), m) for f in fields(x)})
+    raise TypeError(f"cannot take a model slice of {type(x).__name__}")
+
 
 def reasoning_aggregate(trust: Tensor, private: dict[str, Tensor]) -> Tensor:
-    """Trust-weighted sum of the private features, (N, d_h)."""
+    """Trust-weighted sum of the private features, (..., N, d_h)."""
     out = None
     for i, m in enumerate(MODALITIES):
-        term = trust[:, i:i + 1] * private[m]
+        term = trust[..., i:i + 1] * private[m]
         out = term if out is None else out + term
     return out
 
@@ -96,10 +117,37 @@ def final_fuse(intuition_repr: Tensor, reasoning_repr: Tensor, gate: Tensor) -> 
     return (1.0 - gate) * intuition_repr + gate * reasoning_repr
 
 
+def clamp_gate(gate: Tensor, mask: np.ndarray, value: np.ndarray) -> Tensor:
+    """``value`` where ``mask`` is set and ``gate`` elsewhere, the masks
+    broadcasting over rows. A fully clamped gate is a constant, as the
+    gate of a plain ablated model is; a stack that clamps only some of
+    its models records one node that passes no gradient back through the
+    clamped entries."""
+    data = np.where(mask, value, gate.data)
+    if mask.all():
+        return constant(data)
+
+    def back(g):
+        gate._accum(np.where(mask, 0.0, g))
+
+    return node(data, (gate,), back)
+
+
+def _stacked_shape(name: str, shape: tuple) -> tuple:
+    """A parameter's shape within a stack, less the model axis: matrices
+    keep theirs, the stat weight becomes the (4, 1) column its matmul
+    takes, and vectors and scalars become (1, d) and (1, 1) rows that
+    broadcast over samples."""
+    if name == "perception.stat_weight":
+        return shape + (1,)
+    return (1,) * (2 - len(shape)) + shape
+
+
 class Model:
     def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
+        self.stack_size: int | None = None  # M for a stack, None for a plain model
         rng = Rng(config.init_seed, "init")
         self.decoupler = Decoupler(rng.child("decoupler"), config.feature_dim,
                                    config.hidden_dim, dropout=config.dropout,
@@ -123,9 +171,9 @@ class Model:
         private = {m: feats.private(m) for m in MODALITIES}
         reasoning_repr = reasoning_aggregate(report.trust, private)
         gate = report.gate
-        if ablation is not None and ablation.gate_override is not None:
-            gate = constant(np.full_like(report.gate.data, ablation.gate_override))
-            report.gate = gate
+        clamp = self._gate_clamp(ablation)
+        if clamp is not None:
+            gate = report.gate = clamp_gate(gate, *clamp)
         fused = final_fuse(intuition_repr, reasoning_repr, gate)
         logits = self.head(fused)
         probs = softmax(logits, axis=-1)
@@ -135,15 +183,40 @@ class Model:
                            logits=logits, probs=probs, rea_logits=rea_logits,
                            report=report, features=feats)
 
+    def _gate_clamp(self, ablation) -> tuple[np.ndarray, np.ndarray] | None:
+        """The gate override as (mask, value) arrays, or None when no model
+        is clamped. A plain model takes one ``Ablation`` or None and gets
+        0-d arrays; a stack takes None or one entry per model and gets
+        (M, 1, 1) arrays."""
+        if self.stack_size is None:
+            ablations = [ablation]
+        else:
+            ablations = [None] * self.stack_size if ablation is None else list(ablation)
+            if len(ablations) != self.stack_size:
+                raise ValueError(f"{len(ablations)} ablations for a stack of "
+                                 f"{self.stack_size} models")
+        values = [a.gate_override if a is not None else None for a in ablations]
+        if all(v is None for v in values):
+            return None
+        mask = np.array([v is not None for v in values])
+        value = np.array([0.0 if v is None else v for v in values])
+        shape = () if self.stack_size is None else (-1, 1, 1)
+        return mask.reshape(shape), value.reshape(shape)
+
     def _check_inputs(self, *inputs) -> list[Tensor]:
         """Wrap the modalities as constant tensors; each must be a finite
-        (N, feature_dim) array with the text input's N."""
+        (N, feature_dim) array with the text input's N. A stack of M models
+        also takes (M, N, feature_dim), one batch per model."""
         out = [x if isinstance(x, Tensor) else constant(x) for x in inputs]
-        want = out[0].data.shape[:1] + (self.config.feature_dim,)
+        d, shape = self.config.feature_dim, out[0].data.shape
+        per_model = self.stack_size is not None and shape[:1] == (self.stack_size,)
+        want = shape[:2 if per_model and len(shape) == 3 else 1] + (d,)
         for m, x in zip(MODALITIES, out):
             if x.data.shape != want:
+                layout = f"(N, {d})" if self.stack_size is None else (
+                    f"(N, {d}) or ({self.stack_size}, N, {d})")
                 raise ValueError(f"{m} input has shape {x.data.shape}; forward_batch "
-                                 f"expects (N, {want[-1]}) with text's N")
+                                 f"expects {layout} with text's N")
             if not np.isfinite(x.data).all():
                 raise ValueError(f"{m} input holds non-finite values")
         return out
@@ -156,6 +229,41 @@ class Model:
         out.update(self.head.params())
         out.update(self.rea_head.params())
         return out
+
+    def gate_params(self) -> list[str]:
+        """The parameters that reach the loss only through the gate: a
+        clamped model's share of them gets no gradient."""
+        return list(self.perception.div_gate.params())
+
+    @classmethod
+    def stack(cls, members: list["Model"]) -> "Model":
+        """One model over ``members`` (M of them) that runs them together.
+        Every parameter gains a leading model axis: weights (M, d_in,
+        d_out); biases, gains and the prototype (M, 1, d); scalars
+        (M, 1, 1); the stat weight (M, 4, 1). Its arrays are copies;
+        ``bind`` makes the members' parameters views of them. Members must
+        share a config up to ``init_seed``."""
+        config = members[0].config
+        for member in members:
+            if replace(member.config, init_seed=config.init_seed) != config:
+                raise ValueError("stacked models must share a config up to init_seed")
+        out = cls(config)
+        out.stack_size = len(members)
+        member_params = [member.params() for member in members]
+        for name, p in out.params().items():
+            shape = _stacked_shape(name, p.data.shape)
+            p.data = np.stack([mp[name].data.reshape(shape) for mp in member_params])
+        return out
+
+    def bind(self, members: list["Model"]) -> None:
+        """Make each member's parameters views of its slice of this stack,
+        so the stack's updates show in the members and a member's
+        ``set_params`` writes into the stack."""
+        member_params = [member.params() for member in members]
+        for name, p in self.params().items():
+            for m, mp in enumerate(member_params):
+                q = mp[name]
+                q.data = p.data[m].reshape(q.data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params().values():

@@ -3,6 +3,9 @@
 Parameters are plain Tensors collected into ordered dicts so the trainer,
 the checkpoint writer and the gradient checker all see one flat namespace
 of named arrays. An affine map, squashed or not, records one tape node.
+In a stack of models (``fusion.Model.stack``) a weight is (M, d_in,
+d_out) and a bias (M, 1, d_out); inputs are (M, N, d_in), or one
+(N, d_in) batch that every model takes.
 """
 
 from __future__ import annotations

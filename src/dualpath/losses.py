@@ -6,6 +6,12 @@ terms shape the decoupled subspaces: an orthogonality penalty pushes
 private features away from shared ones (and from each other), and a
 moment-matching penalty pulls the shared features of different
 modalities toward a common distribution.
+
+Every term counts axes from the end. On a stack's (M, N, ...) outputs
+each term is an (M,) vector, one value per model, and the loss weights
+may be (M,) vectors too, so ablation variants that zero a term train in
+one stack. Means are written as sums over the count: that is
+``ndarray.mean``'s own arithmetic, without its Python-level wrapper.
 """
 
 from __future__ import annotations
@@ -27,9 +33,14 @@ PROB_FLOOR = 1e-12
 
 COMPONENT_ORDER = ("cls", "rea", "uni", "diff", "sim", "total")
 
+WEIGHTS = ("reasoning_weight", "unimodal_weight", "orthogonality_weight",
+           "alignment_weight")
+
 
 @dataclass(frozen=True)
 class LossConfig:
+    """Term weights (floats, or (M,) arrays for a stack) and the CMD order."""
+
     reasoning_weight: float = 0.1     # on the auxiliary reasoning-head CE
     unimodal_weight: float = 0.1      # on the summed unimodal CEs
     orthogonality_weight: float = 0.1
@@ -37,22 +48,33 @@ class LossConfig:
     moment_order: int = 5
 
     def validate(self) -> None:
-        for name in ("reasoning_weight", "unimodal_weight",
-                     "orthogonality_weight", "alignment_weight"):
-            if getattr(self, name) < 0:
+        for name in WEIGHTS:
+            if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0")
         if self.moment_order < 1:
             raise ValueError("moment_order must be >= 1")
 
 
+def stack_loss_configs(cfgs: list[LossConfig]) -> LossConfig:
+    """One config for a stack: each weight an (M,) vector of the members'
+    weights. A weight of 0.0 multiplies its term exactly as a member's own
+    config does. The moment order shapes the graph, so it must agree."""
+    if len({c.moment_order for c in cfgs}) != 1:
+        raise ValueError("stacked loss configs must share moment_order")
+    return LossConfig(**{name: np.array([getattr(c, name) for c in cfgs])
+                         for name in WEIGHTS}, moment_order=cfgs[0].moment_order)
+
+
 def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the true class, one tape node.
+    """Mean negative log-probability of the true class over the rows of
+    (..., N, C) probabilities with (..., N) labels: a scalar for a plain
+    batch, (M,) for a stack's. One tape node.
 
     Probabilities are floored at 1e-12 before the log so a confidently
     wrong prediction yields a large finite loss, never an infinity; a
     floored probability gets no gradient.
     """
-    n, c = probs.data.shape
+    n, c = probs.data.shape[-2:]
     mask = one_hot(np.asarray(labels), c)
     picked = (probs.data * mask).sum(axis=-1, keepdims=True)
     _note_kink("clamp_margin", float(np.min(np.abs(picked - PROB_FLOOR))))
@@ -60,9 +82,9 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
     clamped = np.where(above, picked, PROB_FLOOR)
 
     def back(g):
-        probs._accum(mask * (-g / n / clamped * above))
+        probs._accum(mask * (-g[..., None, None] / n / clamped * above))
 
-    return node(-(np.log(clamped).mean()), (probs,), back)
+    return node(-(np.log(clamped).sum(axis=(-2, -1)) / n), (probs,), back)
 
 
 def task_loss(outputs: ModelOutput, labels: np.ndarray,
@@ -77,8 +99,13 @@ def task_loss(outputs: ModelOutput, labels: np.ndarray,
         term = cross_entropy(outputs.report.probs[m], labels)
         uni = term if uni is None else uni + term
     total = cls + cfg.reasoning_weight * rea + cfg.unimodal_weight * uni
-    parts = {"cls": float(cls.data), "rea": float(rea.data), "uni": float(uni.data)}
+    parts = {"cls": _value(cls), "rea": _value(rea), "uni": _value(uni)}
     return total, parts
+
+
+def _value(t: Tensor):
+    """A loss term as Python floats: one for a plain model, a list for a stack."""
+    return t.data.tolist()
 
 
 def diff_loss(feats: DecoupledFeatures) -> Tensor:
@@ -86,37 +113,38 @@ def diff_loss(feats: DecoupledFeatures) -> Tensor:
     batch-centered private and shared matrices, plus between private
     matrices of different modalities (ordered pairs). Each term is
     normalized by (N * d_h)^2 so the scale is batch-size independent.
-    One tape node over the six feature tensors."""
-    n, d_h = feats.private_text.data.shape
+    One tape node over the six (..., N, d_h) feature tensors."""
+    *lead, n, d_h = feats.private_text.data.shape
     if n < 2:
         log.warning("diff_loss skipped: batch of %d is too small", n)
-        return Tensor(0.0)
+        return Tensor(np.zeros(lead))
     scale = 1.0 / float(n * d_h) ** 2
     inputs = tuple(feats.private(m) for m in MODALITIES) + tuple(
         feats.shared(m) for m in MODALITIES)
-    centered = [t.data - t.data.mean(axis=0, keepdims=True) for t in inputs]
+    centered = [t.data - t.data.sum(axis=-2, keepdims=True) / n for t in inputs]
     k = len(MODALITIES)
     # (left, right) input positions: private-shared per modality, then
     # private-private over ordered pairs of different modalities
     pairs = [(i, k + i) for i in range(k)] + [
         (i, j) for i in range(k) for j in range(k) if i != j]
-    prods = [centered[i].T @ centered[j] for i, j in pairs]
-    terms = [(prod * prod).sum() * scale for prod in prods]
+    prods = [centered[i].swapaxes(-1, -2) @ centered[j] for i, j in pairs]
+    terms = [(prod * prod).sum(axis=(-2, -1)) * scale for prod in prods]
 
     def back(g):
+        g = g[..., None, None]
         grads = [np.zeros_like(c) for c in centered]
         for (i, j), prod in zip(pairs, prods):
             gp = (2.0 * scale) * g * prod
-            grads[i] += centered[j] @ gp.T
+            grads[i] += centered[j] @ gp.swapaxes(-1, -2)
             grads[j] += centered[i] @ gp
         for t, gt in zip(inputs, grads):
-            t._accum(gt - gt.mean(axis=0))
+            t._accum(gt - gt.sum(axis=-2, keepdims=True) / n)
 
     return node(sum(terms[1:], terms[0]), inputs, back)
 
 
 def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
-    """Central moment discrepancy between two (N, d) batches.
+    """Central moment discrepancy between two (..., N, d) batches.
 
     Norm of the mean difference plus norms of the differences of
     per-dimension central moments from 2 up to ``order``. Zero when the
@@ -125,36 +153,41 @@ def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    n = a.data.shape[0]
-    if n < 2 or b.data.shape[0] < 2:
-        log.warning("cmd skipped: batches of %d/%d are too small",
-                    n, b.data.shape[0])
-        return Tensor(0.0)
-    mu_a = a.data.mean(axis=0)
-    mu_b = b.data.mean(axis=0)
+    n, n_b = a.data.shape[-2], b.data.shape[-2]
+    if n < 2 or n_b < 2:
+        log.warning("cmd skipped: batches of %d/%d are too small", n, n_b)
+        return Tensor(np.zeros(a.data.shape[:-2]))
+    # (..., 1, d) per-dimension moments: a kept axis where the rows were
+    mu_a = a.data.sum(axis=-2, keepdims=True) / n
+    mu_b = b.data.sum(axis=-2, keepdims=True) / n_b
     diffs = [mu_a - mu_b]
-    ca = a.data - mu_a.reshape(1, -1)
-    cb = b.data - mu_b.reshape(1, -1)
+    ca = a.data - mu_a
+    cb = b.data - mu_b
     pow_a, pow_b = ca, cb
     for _ in range(2, order + 1):
         pow_a = pow_a * ca
         pow_b = pow_b * cb
-        diffs.append(pow_a.mean(axis=0) - pow_b.mean(axis=0))
-    norms = [guarded_sqrt((d * d).sum()) for d in diffs]
+        diffs.append(pow_a.sum(axis=-2, keepdims=True) / n
+                     - pow_b.sum(axis=-2, keepdims=True) / n_b)
+    norms = [guarded_sqrt((d * d).sum(axis=(-2, -1))) for d in diffs]
 
     def back(g):
         # unit moment differences scaled by g; order k sits at index k - 1
-        units = [g * d / norm if norm > 0 else np.zeros_like(d)
-                 for d, norm in zip(diffs, norms)]
+        g = g[..., None, None]
+        units = []
+        for d, norm in zip(diffs, norms):
+            norm = norm[..., None, None]
+            units.append(np.divide(g * d, norm, out=np.zeros_like(d), where=norm > 0))
         for x, c, sign in ((a, ca, 1.0), (b, cb, -1.0)):
-            rows = c.shape[0]
+            rows = c.shape[-2]
             # d mean(c**k) / dc = k c**(k-1) / rows, then through the centering
             grad_c = np.zeros_like(c)
             power = np.ones_like(c)
             for k in range(2, order + 1):
                 power = power * c
                 grad_c += (k / rows) * power * units[k - 1]
-            x._accum(sign * (units[0] / rows + grad_c - grad_c.mean(axis=0)))
+            x._accum(sign * (units[0] / rows + grad_c
+                             - grad_c.sum(axis=-2, keepdims=True) / rows))
 
     return node(sum(norms[1:], norms[0]), (a, b), back)
 
@@ -171,13 +204,15 @@ def sim_loss(feats: DecoupledFeatures, order: int) -> Tensor:
 
 def total_loss(outputs: ModelOutput, labels: np.ndarray,
                cfg: LossConfig) -> tuple[Tensor, dict[str, float]]:
-    """Full objective; returns the scalar and a per-component breakdown."""
+    """Full objective; returns it and a per-component breakdown. For a
+    stack's outputs, with (M, N) labels, the objective is (M,), one value
+    per model, and each component a list of M floats."""
     cfg.validate()
     task, parts = task_loss(outputs, labels, cfg)
     diff = diff_loss(outputs.features)
     sim = sim_loss(outputs.features, cfg.moment_order)
     total = task + cfg.orthogonality_weight * diff + cfg.alignment_weight * sim
-    parts["diff"] = float(diff.data)
-    parts["sim"] = float(sim.data)
-    parts["total"] = float(total.data)
+    parts["diff"] = _value(diff)
+    parts["sim"] = _value(sim)
+    parts["total"] = _value(total)
     return total, parts

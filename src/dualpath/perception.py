@@ -11,7 +11,9 @@ and the scalar gate that decides how much the reasoning pathway
 contributes downstream.
 
 All ops are batched: vectors per sample are rows, scalars per sample
-are (N, 1) columns.
+are (N, 1) columns. A stack of models (see ``fusion.Model.stack``) puts
+its model axis in front, (M, N, d) and (M, N, 1), and every op counts
+axes from the end.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ REPORT_COLUMNS = (
 
 @dataclass
 class ConflictReport:
-    """Every intermediate of the perception chain for a batch."""
+    """Every intermediate of the perception chain for a batch. Shapes are
+    a plain model's; a stack's carry a leading model axis, (M, N, ...)."""
 
     centroid: Tensor          # (N, d_h)
     deviations: dict          # modality -> (N, d_h), elementwise |private - centroid|
@@ -53,7 +56,8 @@ class ConflictReport:
     gate: Tensor              # (N, 1), in (0, 1)
 
     def rows(self) -> np.ndarray:
-        """Diagnostic record per sample, columns as in REPORT_COLUMNS."""
+        """Diagnostic record per sample, (..., N, 11), columns as in
+        REPORT_COLUMNS."""
         cols = [
             self.semantic_energy.data, self.js_div.data,
             self.entropies["text"].data, self.entropies["video"].data,
@@ -61,7 +65,7 @@ class ConflictReport:
             self.stat_bias.data, self.conflict_energy.data,
             self.trust.data, self.gate.data,
         ]
-        return np.concatenate([c.reshape(len(self.gate.data), -1) for c in cols], axis=1)
+        return np.concatenate(cols, axis=-1)
 
 
 def deviations(private: dict[str, Tensor]) -> tuple[Tensor, dict[str, Tensor]]:
@@ -172,7 +176,10 @@ class Perception:
 
     def statistical_bias(self, js_div: Tensor, entropies: dict[str, Tensor]) -> Tensor:
         stats = concat([js_div] + [entropies[m] for m in MODALITIES], axis=-1)
-        return stats @ self.stat_weight.reshape(4, 1) + self.stat_bias
+        weight = self.stat_weight  # a stack holds it as (M, 4, 1) columns already
+        if weight.data.ndim == 1:
+            weight = weight.reshape(4, 1)
+        return stats @ weight + self.stat_bias
 
     def conflict_vector(self, semantic_energy: Tensor, stat_bias: Tensor,
                         diff_vector: Tensor) -> tuple[Tensor, Tensor]:

@@ -6,7 +6,10 @@ sees depends only on its own name, never on how many draws other
 consumers made before it. That makes data generation, parameter init
 and shuffling reproducible independently of call order.
 
-``Rng`` draws one stream at a time. ``Substreams`` draws many at once:
+``Rng`` draws one stream at a time. ``StackedRng`` gives each model of a
+stack its own ``Rng`` and stacks their draws along a leading model axis;
+models that share a seed share the draws, which are made once.
+``Substreams`` draws many at once:
 row r is the stream of ``Rng(seed, label, r)`` (or of a named child of
 it), and its words come from one vectorized Philox4x64-10 pass over all
 rows (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -259,3 +262,37 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+
+class StackedRng:
+    """One ``Rng(seed, label, index)`` per model of a stack, with the
+    methods the training loop draws from. A draw of ``size`` (M, ...)
+    stacks each model's draw of ``size[1:]``; models given the same seed
+    get the same rows, drawn once, so a stack of variants at a few seeds
+    builds one generator per distinct seed, not per model.
+    """
+
+    def __init__(self, seeds, label: str = "root", index: int = 0):
+        distinct = list(dict.fromkeys(int(s) for s in seeds))
+        self._rngs = [Rng(s, label, index) for s in distinct]
+        self._rows = np.array([distinct.index(int(s)) for s in seeds])
+
+    @staticmethod
+    def _of(rngs: list[Rng], rows: np.ndarray) -> "StackedRng":
+        out = StackedRng.__new__(StackedRng)
+        out._rngs, out._rows = rngs, rows
+        return out
+
+    def child(self, label: str, index: int = 0) -> "StackedRng":
+        """Every model's ``Rng.child(label, index)``."""
+        return StackedRng._of([r.child(label, index) for r in self._rngs], self._rows)
+
+    def uniform(self, size: tuple) -> np.ndarray:
+        """(M, ...) where row m is model m's ``uniform(size=size[1:])``."""
+        if size[0] != len(self._rows):
+            raise ValueError(f"draw of {size[0]} rows from a stack of {len(self._rows)}")
+        return np.stack([r.uniform(size=size[1:]) for r in self._rngs])[self._rows]
+
+    def permutation(self, n: int) -> np.ndarray:
+        """(M, n) where row m is model m's ``permutation(n)``."""
+        return np.stack([r.permutation(n) for r in self._rngs])[self._rows]

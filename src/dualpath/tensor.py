@@ -17,6 +17,9 @@ gradient product and are never accumulated into. Values are immutable
 once constructed; only the trainer mutates parameter ``data`` between
 steps.
 
+Matmul takes matrices or stacks of them (one leading axis, as a stack of
+models has), each slice the product of its own matrices.
+
 Composite functions with a hand-written backward (affine maps, softmax,
 layer norm, cosine similarity, the divergences, the guarded norm and the
 loss terms) record one node each through ``node()``.
@@ -93,6 +96,8 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 class Tensor:
     __slots__ = ("data", "grad", "const", "_parents", "_back", "_seq")
+    # numpy defers to the reflected operators, so ``array * tensor`` is a node
+    __array_ufunc__ = None
 
     def __init__(self, data):
         self.data: Array = np.asarray(data, dtype=np.float64)
@@ -202,9 +207,9 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else constant(other)
         a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("matmul supports 2-D operands only, got %d-D @ %d-D"
-                             % (a.ndim, b.ndim))
+        if a.ndim != b.ndim or a.ndim < 2:
+            raise ValueError("matmul takes two operands of one rank, at least 2-D "
+                             "(stacks of matrices), got %d-D @ %d-D" % (a.ndim, b.ndim))
         out = Tensor(a @ b)
         if _recording:
             def back(g):

@@ -1,15 +1,25 @@
 """Mini-batch training and finite-difference gradient certification.
 
+``train_models`` trains M models at once as one stack (``Model.stack``):
+one forward, one loss vector, one backward of its sum and one optimizer
+step a batch. Each model keeps everything a run of its own would have:
+its init, its shuffle and dropout streams, its loss weights and gate
+clamp, its history, its patience counter and its best snapshot, and its
+parameters come out bit for bit as if it had trained alone. ``train`` is
+the call for one model.
+
 The optimizer is adaptive moment estimation with decoupled weight decay
 and bias-corrected moments; the learning rate ramps linearly over the
 first fraction of total steps, then stays constant. It packs every
 parameter group into one flat arena (each ``Tensor.data`` becomes a view
 into it) and updates the whole buffer at once, elementwise in the same
 expression order as a group-by-group loop, so the bits do not depend on
-the layout. A group that received no gradient (the divergence gate
-under a gate clamp) is masked out: no update, no moment change, no
-decay. Validation accuracy drives early stopping, and the best-scoring
-epoch's parameters are restored at the end, written into the arena.
+the layout. A model's share of a group that received no gradient (the
+divergence gate under a gate clamp) is masked out: no update, no moment
+change, no decay. Validation accuracy drives early stopping; a model
+that stops leaves the stack, which is rebuilt from the others with
+their moments, and at the end each model's best-scoring epoch's
+parameters are restored, written into its arena.
 
 The gradient checker compares every parameter group's analytic gradient
 against central differences on a subsample of coordinates. Probes that
@@ -26,14 +36,14 @@ there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from dualpath.fusion import Ablation, Model, ModelOutput
-from dualpath.losses import LossConfig, total_loss
-from dualpath.metrics import eval_forward, output_metrics
-from dualpath.rng import Rng
+from dualpath.losses import LossConfig, stack_loss_configs, total_loss
+from dualpath.metrics import eval_forward
+from dualpath.rng import Rng, StackedRng
 from dualpath.synthdata import Dataset, MODALITIES
 from dualpath.tensor import no_grad, watch_kinks
 
@@ -81,8 +91,9 @@ class AdamW:
     """Adaptive moments with bias correction; weight decay is applied
     directly to the parameter, never through the gradient. ``arena``
     (the parameters), ``m`` and ``v`` are flat buffers holding the groups
-    in ``params`` order; every in-place write to them takes a
-    per-element "received a gradient" mask."""
+    in ``params`` order, each group's M model slices in model order for
+    a stack; every in-place write to them takes a per-element "received
+    a gradient" mask."""
 
     def __init__(self, params: dict, cfg: TrainConfig):
         self.cfg = cfg
@@ -90,36 +101,64 @@ class AdamW:
         sizes = [p.data.size for p in self._tensors]
         self._sizes = np.array(sizes)
         self.arena = np.concatenate([p.data for p in self._tensors], axis=None)
-        offsets = np.cumsum([0] + sizes)
+        offsets = self._offsets = np.cumsum([0] + sizes)
         for p, lo, hi in zip(self._tensors, offsets, offsets[1:]):
             p.data = self.arena[lo:hi].reshape(p.data.shape)
         self._zeros = [np.zeros(n) for n in sizes]  # gathered for a None grad
-        self._masks: dict[tuple, np.ndarray] = {}  # received flags -> mask
+        self._masks: dict[bytes, np.ndarray | bool] = {}  # received flags -> mask
         self._grad = np.empty_like(self.arena)
+        self._tmp = (np.empty_like(self.arena), np.empty_like(self.arena))
         self.m = np.zeros_like(self.arena)
         self.v = np.zeros_like(self.arena)
         self.t = 0
 
-    def step(self, lr: float) -> None:
+    def take(self, params: dict, rows: list[int]) -> "AdamW":
+        """An optimizer over ``params``, a stack of this one's models
+        ``rows``, that carries their moments and the step count."""
+        out = AdamW(params, self.cfg)
+        out.t = self.t
+        spans = zip(self._tensors, self._offsets, self._offsets[1:],
+                    out._offsets, out._offsets[1:])
+        for p, lo, hi, out_lo, out_hi in spans:
+            for mine, theirs in ((self.m, out.m), (self.v, out.v)):
+                theirs[out_lo:out_hi] = mine[lo:hi].reshape(p.data.shape)[rows].ravel()
+        return out
+
+    def step(self, lr: float, received: np.ndarray | None = None) -> None:
+        """One update. A group whose grad is None received nothing; for a
+        stack, ``received`` is an (M, groups) bool array that also masks
+        out single models' shares of a group."""
         self.t += 1
         b1, b2 = self.cfg.beta1, self.cfg.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         grads = [p.grad for p in self._tensors]
-        flags = tuple(gr is not None for gr in grads)
-        mask = self._masks.get(flags)
+        has_grad = [gr is not None for gr in grads]
+        flags = np.array([has_grad]) if received is None else received & has_grad
+        key = flags.tobytes()
+        mask = self._masks.get(key)
         if mask is None:
-            mask = self._masks[flags] = np.repeat(flags, self._sizes)
-        g = np.concatenate([gr if ok else z for gr, ok, z in zip(grads, flags, self._zeros)],
+            # group-major, then model-major: each model's share of a group
+            models = len(flags)
+            mask = self._masks[key] = True if flags.all() else np.repeat(
+                flags.T.ravel(), np.repeat(self._sizes // models, models))
+        g = np.concatenate([gr if ok else z for gr, ok, z in zip(grads, has_grad, self._zeros)],
                            axis=None, out=self._grad)
         m, v, w = self.m, self.v, self.arena
+        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+        # w -= lr (m / bc1) / (sqrt(v / bc2) + eps) + lr wd w,
+        # evaluated in place, op for op, in two scratch buffers
+        a, b = self._tmp
         np.multiply(m, b1, out=m, where=mask)
-        np.add(m, (1.0 - b1) * g, out=m, where=mask)
+        np.add(m, np.multiply(g, 1.0 - b1, out=a), out=m, where=mask)
         np.multiply(v, b2, out=v, where=mask)
-        np.add(v, (1.0 - b2) * (g * g), out=v, where=mask)
-        update = (m / bc1) / (np.sqrt(v / bc2) + self.cfg.epsilon)
-        np.subtract(w, lr * update + lr * self.cfg.weight_decay * w, out=w,
-                    where=mask)
+        np.multiply(np.multiply(g, g, out=a), 1.0 - b2, out=a)
+        np.add(v, a, out=v, where=mask)
+        np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), self.cfg.epsilon, out=a)
+        np.divide(np.divide(m, bc1, out=b), a, out=b)
+        np.multiply(b, lr, out=b)
+        np.add(b, np.multiply(w, lr * self.cfg.weight_decay, out=a), out=b)
+        np.subtract(w, b, out=w, where=mask)
 
 
 def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
@@ -157,73 +196,118 @@ def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
 
 
 def default_val_metric(model: Model, data: Dataset,
-                       ablation: Ablation | None = None) -> float:
-    """Plain accuracy on a split, eval mode."""
-    return output_metrics(eval_forward(model, data, ablation), data,
-                          model.config.num_classes).acc
+                       ablation: Ablation | list[Ablation | None] | None = None):
+    """Plain accuracy on a split, eval mode: a float for a plain model, an
+    (M,) array for a stack (``ablation`` then holds one entry per model)."""
+    preds = eval_forward(model, data, ablation).probs.data.argmax(axis=-1)
+    return (preds == data.labels).mean(axis=-1)
 
 
 def train(model: Model, train_data: Dataset, val_data: Dataset,
           cfg: TrainConfig, loss_cfg: LossConfig,
           ablation: Ablation | None = None,
           val_metric=None) -> TrainHistory:
-    """Optimize in place; returns the history. The model ends at the
-    parameters of its best validation epoch. A non-finite training loss
-    or validation score raises DivergenceError."""
-    cfg.validate()
-    loss_cfg.validate()
+    """Optimize one model in place: ``train_models`` with M = 1."""
+    return train_models([model], train_data, val_data, [cfg], [loss_cfg],
+                        [ablation], val_metric)[0]
+
+
+def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
+                 cfgs: list[TrainConfig], loss_cfgs: list[LossConfig],
+                 ablations: list[Ablation | None] | None = None,
+                 val_metric=None) -> list[TrainHistory]:
+    """Optimize ``models`` in place as one stack, model m under
+    ``cfgs[m]``, ``loss_cfgs[m]`` and ``ablations[m]``; returns their
+    histories. The configs may differ in ``seed`` only. A model that
+    stops early leaves the stack; each ends at the parameters of its best
+    validation epoch. ``val_metric(model,
+    data)``, if given, scores one model at a time. A non-finite training
+    loss or validation score raises DivergenceError."""
+    cfg = cfgs[0]
+    for c in cfgs:
+        c.validate()
+        if replace(c, seed=cfg.seed) != cfg:
+            raise ValueError("stacked runs must share every train setting but the seed")
+    stack_loss_configs(loss_cfgs).validate()
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and val splits must be nonempty")
-    if val_metric is None:
-        val_metric = lambda m, d: default_val_metric(m, d, ablation)
-    rng = Rng(cfg.seed, "train")
-    params = model.params()
-    opt = AdamW(params, cfg)
+    ablations = list(ablations) if ablations is not None else [None] * len(models)
+    stack = Model.stack(models)
+    opt = AdamW(stack.params(), cfg)
+    stack.bind(models)
+    clamped = np.array([a is not None and a.gate_override is not None for a in ablations])
+    gate_only = np.isin(list(stack.params()), stack.gate_params())
     n = len(train_data)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.max_epochs * steps_per_epoch
     warmup_steps = max(1, int(round(cfg.warmup_proportion * total_steps)))
-    history = TrainHistory()
-    best_val = -np.inf
-    best_snapshot = model.snapshot()
-    bad_epochs = 0
+    histories = [TrainHistory() for _ in models]
+    best_val = [-np.inf] * len(models)
+    best_snapshot = [model.snapshot() for model in models]
+    bad_epochs = [0] * len(models)
+    live = list(range(len(models)))  # the models in the stack, in stack order
     step = 0
     for epoch in range(cfg.max_epochs):
+        rng = StackedRng([cfgs[m].seed for m in live], "train")
+        live_loss = stack_loss_configs([loss_cfgs[m] for m in live])
+        live_ablations = [ablations[m] for m in live]
+        received = ~(clamped[live, None] & gate_only)
         order = rng.child("shuffle", epoch).permutation(n)
-        sums: dict[str, float] = {}
+        sums: list[dict[str, float]] = [{} for _ in live]
         for b in range(steps_per_epoch):
-            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            idx = order[:, b * cfg.batch_size:(b + 1) * cfg.batch_size]
             step += 1
             lr = cfg.learning_rate * min(1.0, step / warmup_steps)
-            model.zero_grad()
-            out = model.forward_batch(train_data.text[idx], train_data.video[idx],
+            stack.zero_grad()
+            out = stack.forward_batch(train_data.text[idx], train_data.video[idx],
                                       train_data.audio[idx], train=True,
                                       rng=rng.child("dropout", step),
-                                      ablation=ablation)
-            loss, parts = total_loss(out, train_data.labels[idx], loss_cfg)
-            if not np.isfinite(parts["total"]):
-                raise DivergenceError(_first_nonfinite(out, parts))
-            loss.backward()
-            opt.step(lr)
-            for k, val in parts.items():
-                sums[k] = sums.get(k, 0.0) + val
-        history.epoch_losses.append({k: val / steps_per_epoch for k, val in sums.items()})
-        score = float(val_metric(model, val_data))
-        if not np.isfinite(score):
-            raise DivergenceError("val_metric")
-        history.val_metrics.append(score)
-        if score > best_val:
-            best_val = score
-            best_snapshot = model.snapshot()
-            history.best_epoch = epoch
-            bad_epochs = 0
+                                      ablation=live_ablations)
+            loss, parts = total_loss(out, train_data.labels[idx], live_loss)
+            for i, total in enumerate(parts["total"]):
+                if not np.isfinite(total):
+                    raise DivergenceError(_first_nonfinite(
+                        out.member(i), {k: vals[i] for k, vals in parts.items()}))
+            loss.sum().backward()
+            opt.step(lr, received)
+            for i, row in enumerate(sums):
+                for k, vals in parts.items():
+                    row[k] = row.get(k, 0.0) + vals[i]
+        if val_metric is None:
+            scores = default_val_metric(stack, val_data, live_ablations).tolist()
         else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                history.stopped_early = True
-                break
-    model.set_params(best_snapshot)
-    return history
+            scores = [val_metric(models[m], val_data) for m in live]
+        keep = []
+        for i, m in enumerate(live):
+            history = histories[m]
+            history.epoch_losses.append({k: val / steps_per_epoch
+                                         for k, val in sums[i].items()})
+            score = float(scores[i])
+            if not np.isfinite(score):
+                raise DivergenceError("val_metric")
+            history.val_metrics.append(score)
+            if score > best_val[m]:
+                best_val[m] = score
+                best_snapshot[m] = models[m].snapshot()
+                history.best_epoch = epoch
+                bad_epochs[m] = 0
+            else:
+                bad_epochs[m] += 1
+                if bad_epochs[m] >= cfg.patience:
+                    history.stopped_early = True
+                    continue
+            keep.append(i)
+        if not keep:
+            break
+        if len(keep) < len(live):
+            # a stopped model leaves the stack, its parameters where they are
+            live = [live[i] for i in keep]
+            stack = Model.stack([models[m] for m in live])
+            opt = opt.take(stack.params(), keep)
+            stack.bind([models[m] for m in live])
+    for model, snapshot in zip(models, best_snapshot):
+        model.set_params(snapshot)
+    return histories
 
 
 # -- gradient certification -------------------------------------------------

@@ -7,6 +7,7 @@ rather than model quality. Quality bars live in the acceptance suite.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,36 @@ def test_run_main_is_byte_deterministic(tmp_path):
     run_main(TINY, str(out_b))
     for name in ("main_report.json", "main_metrics.csv", "gating.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# Patience below max_epochs, so the stacked models stop at different epochs;
+# the grid mixes full, gate-clamped and loss-ablated variants in one stack.
+STOPPING = replace(TINY, dataset=replace(TINY.dataset, n_train=120, n_val=40, seed=5),
+                   train=replace(TINY.train, max_epochs=8, patience=2,
+                                 learning_rate=3e-3),
+                   seeds=(0, 1))
+
+
+@pytest.mark.parametrize("runner", [run_main, run_ablation, run_robustness])
+def test_stacked_reports_match_one_model_at_a_time(tmp_path, monkeypatch, runner):
+    """Every runner trains its models in one stack; training them one at a
+    time instead must give byte-identical report files."""
+    runner(STOPPING, str(tmp_path / "stacked"))
+    stacked = experiments.train_runs
+    histories = [h for _, h, _, _, _ in stacked(
+        [(STOPPING, seed) for seed in STOPPING.seeds], generate(STOPPING.dataset))]
+    assert len({len(h.val_metrics) for h in histories}) > 1
+
+    def one_at_a_time(runs, splits):
+        return [result for run in runs for result in stacked([run], splits)]
+
+    monkeypatch.setattr(experiments, "train_runs", one_at_a_time)
+    runner(STOPPING, str(tmp_path / "alone"))
+    names = sorted(os.listdir(tmp_path / "stacked"))
+    assert names == sorted(os.listdir(tmp_path / "alone")) and names
+    for name in names:
+        assert ((tmp_path / "stacked" / name).read_bytes()
+                == (tmp_path / "alone" / name).read_bytes()), name
 
 
 class TestRunAblation:

@@ -4,8 +4,9 @@ Each fused op (the affine map with and without tanh, softmax, layer_norm,
 l2_norm, cosine_rows, js_divergence, normalized_entropy, cross_entropy,
 diff_loss, cmd) must give the composite's values bit for bit, its
 gradients to rounding and its kink records exactly, while recording one
-tape node per call and none under no_grad(). A last test caps the tape
-of a whole training step.
+tape node per call and none under no_grad(). A test caps the tape of a
+whole training step. The stacked tests run each kernel once over a stack
+of models, (M, N, d), against its plain call on every model's slice.
 """
 
 import numpy as np
@@ -88,7 +89,7 @@ BATCHES = [2, 16]
 
 
 def affine_layer(weight, bias, squash):
-    d_in, d_out = weight.data.shape
+    d_in, d_out = weight.data.shape[-2:]
     lin = Affine(Rng(0, "fused/affine"), d_in, d_out, "lin")
     lin.weight, lin.bias = weight, bias
     return lin.tanh if squash else lin
@@ -270,3 +271,141 @@ def test_training_step_tape_stays_fused():
                                   train=train, rng=rng)
         loss, _ = total_loss(out, batch.labels, LossConfig())
         assert tape_nodes(loss) <= cap
+
+
+# -- stacked kernels ----------------------------------------------------------
+#
+# A stack of M models runs each kernel once over (M, N, ...) arrays. Every
+# model's slice must equal the kernel's plain 2-D call on that slice: values
+# and gradients bit for bit, and each kink record the smallest of the
+# slices' records of that position.
+
+STACK = 3
+
+
+def run_weighted(fn, arrays, wrap, weights):
+    """Value, gradients and kinks of ``fn``, reduced against ``weights``."""
+    tensors = [Tensor(a.copy()) for a in arrays]
+    with watch_kinks() as kinks:
+        out = fn(*wrap(tensors))
+    (out * Tensor(weights)).sum().backward()
+    grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    return out.data, grads, kinks
+
+
+def assert_stack_matches_slices(fn, arrays, plain, wrap=lambda ts: ts, slice_fn=None):
+    """``arrays`` carry a leading model axis, except where ``plain[i]`` is
+    None: that input is shared whole by every model. ``plain[i]`` is the
+    shape of one model's slice as the plain kernel takes it. Model m's
+    slice runs ``slice_fn(m)``, ``fn`` by default."""
+    with no_grad():
+        shape = fn(*wrap([Tensor(a) for a in arrays])).data.shape
+    weights = Rng(99, "fused/stack").normal(size=shape)
+    value, grads, kinks = run_weighted(fn, arrays, wrap, weights)
+    slices = []
+    for m in range(STACK):
+        part = [a if p is None else a[m].reshape(p) for a, p in zip(arrays, plain)]
+        slices.append(run_weighted(slice_fn(m) if slice_fn else fn, part, wrap, weights[m]))
+    for m, (v, gs, _) in enumerate(slices):
+        assert np.array_equal(value[m], v), m
+        for i, p in enumerate(plain):
+            if p is not None:
+                assert np.array_equal(grads[i][m].reshape(p), gs[i]), (m, i)
+        if p is None:  # a shared input takes the slices' gradients, summed in order
+            total = slices[0][1][i].copy()
+            for _, gs, _ in slices[1:]:
+                total += gs[i]
+            assert np.array_equal(grads[i], total), i
+    assert all(len(k) == len(kinks) for _, _, k in slices)
+    for j, (kind, payload) in enumerate(kinks):
+        assert all(k[j][0] == kind for _, _, k in slices)
+        assert payload == min(k[j][1] for _, _, k in slices)
+    return value
+
+
+def stacked(label, shape, scale=1.0):
+    return normal("stack/" + label, (STACK,) + shape, scale)
+
+
+@pytest.mark.parametrize("n", [1, 16, 17])
+@pytest.mark.parametrize("squash", [False, True])
+@pytest.mark.parametrize("shared_input", [False, True], ids=["own", "shared"])
+def test_stacked_affine(n, squash, shared_input):
+    x = normal("stack/aff_x", (n, 6)) if shared_input else stacked("aff_x", (n, 6))
+    assert_stack_matches_slices(
+        lambda x, w, b: affine_layer(w, b, squash)(x),
+        [x, stacked("aff_w", (6, 3)), stacked("aff_b", (1, 3))],
+        [None if shared_input else (n, 6), (6, 3), (3,)])
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_stacked_layer_norm(n):
+    assert_stack_matches_slices(
+        layer_norm, [stacked("ln_x", (n, 5), 2.0), stacked("ln_g", (1, 5)) + 1.0,
+                     stacked("ln_b", (1, 5))], [(n, 5), (5,), (5,)])
+
+
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("shape", ["vector", "rows"])
+def test_stacked_cosine_rows(n, shape):
+    a = stacked("cos_a", (n, 5))
+    a[1, 0] = 0.0
+    b = stacked("cos_b", (1, 5) if shape == "vector" else (n, 5))
+    assert_stack_matches_slices(cosine_rows, [a, b],
+                                [(n, 5), (5,) if shape == "vector" else (n, 5)])
+
+
+def stacked_probabilities(label, n):
+    return np.stack([probabilities(f"{label}{m}", n, [(0, m)]) for m in range(STACK)])
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_stacked_divergence_and_entropy(n):
+    arrays = [stacked_probabilities(f"sjs{i}", n) for i in range(3)]
+    assert_stack_matches_slices(js_divergence, arrays, [(n, 4)] * 3, wrap=as_probs)
+    assert_stack_matches_slices(lambda t: normalized_entropy(t, 4), arrays[:1], [(n, 4)])
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_stacked_softmax_and_l2_norm(n):
+    x = stacked("sm", (n, 4), 3.0)
+    x[2, 0] = 0.0
+    assert_stack_matches_slices(softmax, [x], [(n, 4)])
+    assert_stack_matches_slices(lambda t: l2_norm(t, axis=-1), [x], [(n, 4)])
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_stacked_cross_entropy(n):
+    probs = stacked_probabilities("sce", n)
+    probs[1, 0] = [PROB_FLOOR / 10.0, 1.0 - PROB_FLOOR / 10.0, 0.0, 0.0]
+    labels = (np.arange(STACK * n).reshape(STACK, n) * 7) % 4
+    value = assert_stack_matches_slices(
+        lambda p: cross_entropy(p, labels), [probs], [(n, 4)],
+        slice_fn=lambda m: lambda p: cross_entropy(p, labels[m]))
+    assert value.shape == (STACK,)
+
+
+@pytest.mark.parametrize("n", BATCHES)
+def test_stacked_diff_loss(n):
+    value = assert_stack_matches_slices(
+        diff_loss, [stacked(f"sdiff{i}", (n, 5)) for i in range(6)], [(n, 5)] * 6,
+        wrap=feats_of)
+    assert value.shape == (STACK,)
+
+
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_stacked_cmd(n, order):
+    a = stacked("scmd_a", (n, 5))
+    b = stacked("scmd_b", (n, 5)) + 0.3
+    b[1] = a[1]  # one model whose moments all agree: zero norms, zero gradient
+    assert_stack_matches_slices(lambda x, y: cmd(x, y, order), [a, b], [(n, 5)] * 2)
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_stacked_matmul(n):
+    assert_stack_matches_slices(lambda a, b: a @ b,
+                                [stacked("smm_a", (n, 4)), stacked("smm_b", (4, 1))],
+                                [(n, 4), (4, 1)])
+    with pytest.raises(ValueError, match="one rank"):
+        Tensor(stacked("smm_a", (n, 4))) @ Tensor(normal("smm_c", (4, 1)))

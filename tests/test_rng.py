@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dualpath import rng as rng_module
-from dualpath.rng import Rng, Substreams, bounded32, philox4x64, unit_double
+from dualpath.rng import (Rng, StackedRng, Substreams, bounded32, philox4x64,
+                          unit_double)
 
 
 def test_same_key_same_stream():
@@ -136,3 +137,19 @@ def test_lemire_rejection_threshold_is_numpys():
     assert value.tolist() == [0, 0, 2, 0, 1]
     assert rejected.tolist() == [True, False, False, False, False]
     assert not rng_module._lemire_rejected(np.arange(5, dtype=np.uint64), 4).any()
+
+
+def test_stacked_rows_are_each_models_own_stream():
+    """Row m of a stacked draw is model m's scalar draw; models that share
+    a seed share it."""
+    seeds = [3, 5, 3]
+    stacked = StackedRng(seeds, "train")
+    drop = stacked.child("dropout", 4).child("drop/shared/text").uniform(size=(3, 2, 5))
+    order = stacked.child("shuffle", 1).permutation(7)
+    for m, seed in enumerate(seeds):
+        rng = Rng(seed, "train")
+        assert np.array_equal(drop[m], rng.child("dropout", 4).child(
+            "drop/shared/text").uniform(size=(2, 5)))
+        assert np.array_equal(order[m], rng.child("shuffle", 1).permutation(7))
+    with pytest.raises(ValueError, match="stack of 3"):
+        stacked.uniform(size=(2, 5))

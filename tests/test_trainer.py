@@ -1,5 +1,7 @@
 """Optimizer mechanics, training loop control flow, gradient certification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from dualpath.synthdata import Dataset, DatasetConfig, generate
 from dualpath.tensor import Tensor, no_grad
 from dualpath.trainer import (AdamW, DivergenceError, GradCheckResult,
                               TrainConfig, _kink_crossed, default_val_metric,
-                              grad_check, train)
+                              grad_check, train, train_models)
 
 DATA_CFG = DatasetConfig(num_classes=3, feature_dim=8, n_train=120, n_val=40,
                          n_test=40, conflict_rate=0.3, seed=21)
@@ -91,6 +93,45 @@ class TestAdamW:
             assert np.array_equal(opt.v, np.concatenate(list(vs.values()), axis=None))
             for name, p in params.items():
                 assert np.array_equal(p.data, ref[name].data), (t, name)
+
+    def test_a_model_share_that_received_nothing_does_not_move(self):
+        """Two models' slices of two groups; model 1 received nothing for
+        "p" (a clamped gate) and model 0 nothing at all: those shares keep
+        their values and moments, the rest update."""
+        p = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        q = Tensor(np.array([[[5.0]], [[6.0]]]))
+        opt = AdamW({"p": p, "q": q}, TrainConfig(learning_rate=0.1, weight_decay=0.5))
+        received = np.array([[False, False], [False, True]])
+        for _ in range(3):
+            p.grad, q.grad = np.ones((2, 2)), np.ones((2, 1, 1))
+            opt.step(0.1, received)
+        assert np.array_equal(p.data, [[1.0, 2.0], [3.0, 4.0]])
+        assert q.data[0, 0, 0] == 5.0 and q.data[1, 0, 0] < 6.0
+        assert np.array_equal(opt.m[:5], np.zeros(5)) and opt.m[5] > 0.0
+        assert np.array_equal(opt.v[:5], np.zeros(5)) and opt.v[5] > 0.0
+
+    def test_take_carries_the_kept_models_moments(self):
+        """Dropping the middle model of three: the new optimizer holds the
+        other two's parameters, moments and step count, and steps them
+        exactly as the old one would have."""
+        rng = Rng(0, "adamw_take")
+        shapes = {"w": (3, 4, 2), "b": (3, 1, 2), "s": (3, 1, 1)}
+        params = {k: Tensor(rng.child(k).normal(size=s)) for k, s in shapes.items()}
+        opt = AdamW(params, TrainConfig())
+        for t in range(4):
+            for k, p in params.items():
+                p.grad = rng.child(f"g{k}", t).normal(size=p.data.shape)
+            opt.step(0.01)
+        kept = {k: Tensor(p.data[[0, 2]]) for k, p in params.items()}
+        taken = opt.take(kept, [0, 2])
+        assert taken.t == opt.t == 4
+        for k, p in params.items():
+            p.grad = rng.child(f"g{k}", 9).normal(size=p.data.shape)
+            kept[k].grad = p.grad[[0, 2]]
+        opt.step(0.01)
+        taken.step(0.01)
+        for k, p in params.items():
+            assert np.array_equal(kept[k].data, p.data[[0, 2]]), k
 
     def test_restored_values_land_in_the_arena(self, tmp_path):
         model = Model(MODEL_CFG)
@@ -277,6 +318,40 @@ class TestTrainLoop:
             assert np.array_equal(after[name], before[name]), name
         assert after["perception.div_gate.weight"][0, 0] == 1.0
         assert not np.array_equal(after["head.weight"], before["head.weight"])
+
+    def test_mixed_stack_matches_models_trained_alone(self, splits):
+        """A full, a reasoning-only and a consensus-only model, at two seeds
+        with different loss weights, trained as one stack with a patience
+        that stops them at different epochs: each ends bit for bit where it
+        ends trained alone, with the same history, and the clamped models'
+        gates stay at init."""
+        train_data, val_data, _ = splits
+        seeds = (0, 1, 0)
+        ablations = [None, Ablation(no_int=True), Ablation(no_rea=True)]
+        cfgs = [quick_train_cfg(seed=s, max_epochs=8, patience=2) for s in seeds]
+        loss_cfgs = [LossConfig(), LossConfig(unimodal_weight=0.0),
+                     LossConfig(reasoning_weight=0.0)]
+        models = [Model(replace(MODEL_CFG, init_seed=s)) for s in seeds]
+        init = [m.snapshot() for m in models]
+        histories = train_models(models, train_data, val_data, cfgs, loss_cfgs, ablations)
+        assert len({len(h.val_metrics) for h in histories}) > 1
+        for m, model in enumerate(models):
+            alone = Model(replace(MODEL_CFG, init_seed=seeds[m]))
+            history = train(alone, train_data, val_data, cfgs[m], loss_cfgs[m],
+                            ablation=ablations[m])
+            assert history == histories[m], m
+            for name, arr in alone.snapshot().items():
+                assert np.array_equal(model.snapshot()[name], arr), (m, name)
+        for m in (1, 2):
+            for name in models[m].gate_params():
+                assert np.array_equal(models[m].snapshot()[name], init[m][name]), (m, name)
+
+    def test_stacked_runs_must_share_their_train_settings(self, splits):
+        train_data, val_data, _ = splits
+        with pytest.raises(ValueError, match="but the seed"):
+            train_models([Model(MODEL_CFG), Model(MODEL_CFG)], train_data, val_data,
+                         [quick_train_cfg(), quick_train_cfg(batch_size=8)],
+                         [LossConfig(), LossConfig()])
 
     def test_default_val_metric_is_accuracy(self, splits):
         _, val_data, _ = splits
