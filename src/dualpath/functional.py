@@ -50,7 +50,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def guarded_sqrt(sq: np.ndarray) -> np.ndarray:
     """Square roots of the squared norms ``sq``, exactly 0 where ``sq`` is
     0, with the smallest norm recorded as a ``norm_floor`` kink."""
-    _note_kink("norm_floor", float(np.sqrt(sq.min())) if sq.size else 0.0)
+    _note_kink("norm_floor", sq)
     positive = sq > 0
     return np.where(positive, np.sqrt(np.where(positive, sq, 1.0)), 0.0)
 

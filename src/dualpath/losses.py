@@ -77,7 +77,7 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
     n, c = probs.data.shape[-2:]
     mask = one_hot(np.asarray(labels), c)
     picked = (probs.data * mask).sum(axis=-1, keepdims=True)
-    _note_kink("clamp_margin", float(np.min(np.abs(picked - PROB_FLOOR))))
+    _note_kink("clamp_margin", picked, PROB_FLOOR)
     above = picked > PROB_FLOOR
     clamped = np.where(above, picked, PROB_FLOOR)
 

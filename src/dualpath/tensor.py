@@ -27,7 +27,9 @@ loss terms) record one node each through ``node()``.
 Inside ``no_grad()`` operations compute the same values but record
 nothing: no parents, no closure. Nonsmooth ops still report their kinks
 to ``watch_kinks()``, so a finite-difference probe run without a tape is
-judged exactly as a recorded one.
+judged exactly as a recorded one. An op hands ``_note_kink`` its raw
+array and the reduction to a kink record runs only inside a watch, so
+an unwatched forward pays nothing for it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ Array = np.ndarray
 # a kink. See watch_kinks().
 _kink_watch: list[tuple[str, object]] | None = None
 
+# M in a member watch: payloads then keep one record per model-axis slice.
+_kink_members: int | None = None
+
 # False inside no_grad(): ops then build neither parents nor a closure.
 _recording = True
 
@@ -53,16 +58,26 @@ _next_seq = count().__next__
 
 
 @contextmanager
-def watch_kinks():
-    """Collect kink diagnostics (abs sign patterns, guarded norms) from
-    every op executed inside the block."""
-    global _kink_watch
-    prev = _kink_watch
-    _kink_watch = []
+def watch_kinks(members: int | None = None):
+    """Collect kink diagnostics from every op executed inside the block,
+    as (kind, payload) entries in execution order: ``abs_signs``, the
+    int8 signs of an absolute value's argument; ``norm_floor``, the
+    smallest norm a guarded norm took; ``clamp_margin``, the smallest
+    distance of a clamped value from its floor.
+
+    With ``members=M`` the block runs a stack of M models and each entry
+    holds one record per model, indexed by the leading model axis:
+    ``norm_floor`` and ``clamp_margin`` become (M,) vectors of per-slice
+    minima and ``abs_signs`` keeps its (M, ...) signs, so model m's
+    records are exactly those its own forward would make. A payload
+    without that axis raises ValueError."""
+    global _kink_watch, _kink_members
+    prev = _kink_watch, _kink_members
+    _kink_watch, _kink_members = [], members
     try:
         yield _kink_watch
     finally:
-        _kink_watch = prev
+        _kink_watch, _kink_members = prev
 
 
 @contextmanager
@@ -78,9 +93,28 @@ def no_grad():
         _recording = prev
 
 
-def _note_kink(kind: str, payload) -> None:
-    if _kink_watch is not None:
-        _kink_watch.append((kind, payload))
+def _note_kink(kind: str, raw: Array, floor: float = 0.0) -> None:
+    """Record a kink of ``kind`` while a watch is open, reducing ``raw``
+    only then: an absolute value's argument to its signs, squared norms
+    to the smallest norm, values clamped at ``floor`` to their smallest
+    distance from it."""
+    if _kink_watch is None:
+        return
+    members = _kink_members
+    if members is not None and raw.shape[:1] != (members,):
+        raise ValueError(f"{kind} payload of shape {raw.shape} lacks the "
+                         f"leading axis of {members} models")
+    if kind == "abs_signs":
+        payload = np.sign(raw).astype(np.int8)
+    else:
+        if kind == "clamp_margin":
+            raw = np.abs(raw - floor)
+        rows = raw.reshape(members or 1, -1)
+        low = rows.min(axis=1) if raw.size else np.zeros(len(rows))
+        if kind == "norm_floor":
+            low = np.sqrt(low)
+        payload = low if members is not None else float(low[0])
+    _kink_watch.append((kind, payload))
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -299,7 +333,7 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         # subgradient at 0 is defined as 0
-        _note_kink("abs_signs", np.sign(self.data).astype(np.int8))
+        _note_kink("abs_signs", self.data)
         out = Tensor(np.abs(self.data))
         if _recording:
             def back(g):

@@ -31,7 +31,15 @@ coordinates. When an absolute value's sign flip is the only kink a
 probe crossed, the same coordinate is probed again at a tenth of the
 step, then at a hundredth, and the first step that crosses nothing is
 used; rounding in the quotient grows like 1e-16 |L| / step, so it stops
-there.
+there. The probes run in rounds: one no-grad forward of a stack of
+copies of the model evaluates up to twelve probes, member 2j at pair j's
++step and member 2j + 1 at its -step, and a member watch of the kinks
+judges each probe from its own members' records. A stack slice is bit
+for bit its model's own forward, so the result is exactly that of
+probing one coordinate at a time, and the model itself is never
+written. A group takes a new coordinate only while its checked and
+in-flight probes fall short of its quota, so the coordinates probed are
+those a one-at-a-time loop would probe.
 """
 
 from __future__ import annotations
@@ -331,6 +339,12 @@ class GradCheckResult:
                 and self.coords_checked > 0)
 
 
+# Probe pairs one stacked forward of grad_check evaluates: member 2j holds
+# pair j's +step and member 2j + 1 its -step. More pairs run faster but
+# raise peak memory; see BENCH_stacked_probes.json.
+_PROBE_PAIRS = 12
+
+
 def _kink_crossed(plus: list, minus: list, fd_eps: float) -> str | None:
     """The kind of kink the two finite-difference evaluations crossed, or
     None when both stayed on one smooth branch of every nonsmooth op.
@@ -363,73 +377,99 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
                seed: int = 0, corrupt_hook=None) -> GradCheckResult:
     """Certify analytic gradients of the full objective against central
     differences, >= coords_per_group coordinates per parameter group
-    (capped at group size).
+    (capped at group size). ``model`` is never written: the probes
+    perturb a stack of copies of it.
 
     ``corrupt_hook`` receives the analytic gradient dict before the
     comparison; tests use it to verify the checker actually detects a
     broken gradient.
     """
     labels = batch.labels
-
-    def loss_value() -> float:
-        with no_grad():
-            out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
-            loss, _ = total_loss(out, labels, loss_cfg)
-        return float(loss.data)
-
-    def probe(flat: np.ndarray, i: int) -> tuple[str | None, float]:
-        """Central difference at coordinate ``i``, or the kink it crossed."""
-        orig = flat[i]
-        for step in (epsilon, epsilon / 10.0, epsilon / 100.0):
-            flat[i] = orig + step
-            with watch_kinks() as kinks_plus:
-                hi = loss_value()
-            flat[i] = orig - step
-            with watch_kinks() as kinks_minus:
-                lo = loss_value()
-            flat[i] = orig
-            kind = _kink_crossed(kinks_plus, kinks_minus, step)
-            if kind is None:
-                return None, (hi - lo) / (2.0 * step)
-            if not _only_abs_crossed(kinks_plus, kinks_minus, step):
-                break
-        return kind, 0.0
-
     model.zero_grad()
     out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
     loss, _ = total_loss(out, labels, loss_cfg)
     loss.backward()
+    params = model.params()
     grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-             for name, p in model.params().items()}
+             for name, p in params.items()}
     if corrupt_hook is not None:
         corrupt_hook(grads)
 
+    names = list(params)
+    flats = [p.data.reshape(-1) for p in params.values()]
+    gflats = [grads[name].reshape(-1) for name in names]
     rng = Rng(seed, "gradcheck")
-    per_group: dict[str, float] = {}
-    checked = resampled = skipped = 0
-    by_kind: dict[str, int] = {}
-    for name, param in model.params().items():
-        flat = param.data.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        pool = list(rng.child(name).permutation(flat.size))
-        want = min(flat.size, coords_per_group)
-        done = 0
-        worst = 0.0
-        while done < want and pool:
-            i = int(pool.pop())
-            kind, fd = probe(flat, i)
-            if kind is not None:
-                resampled += 1
-                by_kind[kind] = by_kind.get(kind, 0) + 1
+    pools = [list(rng.child(name).permutation(flat.size)) for name, flat in zip(names, flats)]
+    wants = [min(flat.size, coords_per_group) for flat in flats]
+    done = [0] * len(names)
+    in_flight = [0] * len(names)
+    # per group, in pop order: a probe's relative error, or the kink kind
+    # that resampled it
+    outcomes: list[list] = [[] for _ in names]
+    steps = (epsilon, epsilon / 10.0, epsilon / 100.0)
+    members = 2 * _PROBE_PAIRS
+    # A stack of `members` copies of the model that holds one array per
+    # group, broadcast read-only over the members; a round gives the
+    # groups it perturbs writable per-member copies and drops them after
+    # its forward.
+    stack = Model.stack([model])
+    stack.stack_size = members
+    tensors = list(stack.params().values())
+    shared = [np.broadcast_to(t.data, (members,) + t.data.shape[1:]) for t in tensors]
+    for t, view in zip(tensors, shared):
+        t.data = view
+    retries: list[tuple[int, int, int, int]] = []
+    while True:
+        # (group, coordinate, outcome slot, step index) per pair of members
+        probes, retries = retries, []
+        for g, pool in enumerate(pools):
+            while len(probes) < _PROBE_PAIRS and pool and done[g] + in_flight[g] < wants[g]:
+                probes.append((g, int(pool.pop()), len(outcomes[g]), 0))
+                outcomes[g].append(None)
+                in_flight[g] += 1
+        if not probes:
+            break
+        rows = {}
+        for j, (g, i, _, k) in enumerate(probes):
+            if g not in rows:
+                tensors[g].data = np.array(shared[g])
+                rows[g] = tensors[g].data.reshape(members, -1)
+            rows[g][2 * j, i] = flats[g][i] + steps[k]
+            rows[g][2 * j + 1, i] = flats[g][i] - steps[k]
+        with no_grad(), watch_kinks(members) as kinks:
+            out = stack.forward_batch(batch.text, batch.video, batch.audio, train=False)
+            values = total_loss(out, labels, loss_cfg)[0].data
+        for g in rows:
+            tensors[g].data = shared[g]
+        for j, (g, i, slot, k) in enumerate(probes):
+            plus = [(kind, pay[2 * j]) for kind, pay in kinks]
+            minus = [(kind, pay[2 * j + 1]) for kind, pay in kinks]
+            kind = _kink_crossed(plus, minus, steps[k])
+            if kind is None:
+                fd = (float(values[2 * j]) - float(values[2 * j + 1])) / (2.0 * steps[k])
+                g_i = gflats[g][i]
+                outcomes[g][slot] = abs(fd - g_i) / max(abs(fd), abs(g_i), 1e-8)
+                done[g] += 1
+            elif k + 1 < len(steps) and _only_abs_crossed(plus, minus, steps[k]):
+                retries.append((g, i, slot, k + 1))
                 continue
-            rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
-            worst = max(worst, rel)
-            done += 1
-            checked += 1
-        if done < want:
-            skipped += want - done
+            else:
+                outcomes[g][slot] = kind
+            in_flight[g] -= 1
+
+    per_group: dict[str, float] = {}
+    by_kind: dict[str, int] = {}
+    for name, results in zip(names, outcomes):
+        worst = 0.0
+        for res in results:
+            if isinstance(res, str):
+                by_kind[res] = by_kind.get(res, 0) + 1
+            else:
+                worst = max(worst, res)
         per_group[name] = worst
+    checked = sum(done)
     return GradCheckResult(max_rel_error=max(per_group.values()),
                            per_group=per_group, coords_checked=checked,
-                           resampled=resampled, skipped=skipped,
+                           resampled=sum(by_kind.values()),
+                           skipped=sum(wants) - checked,
                            resampled_by_kind=by_kind)

@@ -19,11 +19,19 @@ nodes built with ``tensor.node()``.
 
 ``adamw_reference`` is the optimizer step as a loop over parameter
 groups; the whole-buffer ``AdamW`` must match it bit for bit.
+
+``grad_check_reference`` is the gradient certifier probing one
+coordinate at a time, two plain forwards a probe, perturbing the model's
+own parameters; the stacked ``grad_check`` must return exactly its
+result.
 """
 
 import numpy as np
 
-from dualpath.tensor import Tensor, _note_kink, node
+from dualpath.losses import total_loss
+from dualpath.rng import Rng
+from dualpath.tensor import Tensor, _note_kink, no_grad, node, watch_kinks
+from dualpath.trainer import GradCheckResult, _kink_crossed, _only_abs_crossed
 
 MODS = ("text", "video", "audio")
 
@@ -225,7 +233,7 @@ def where_const(cond, a, b):
 
 
 def clamp_min(x, floor):
-    _note_kink("clamp_margin", float(np.min(np.abs(x.data - floor))))
+    _note_kink("clamp_margin", x.data, floor)
     mask = x.data > floor
 
     def back(g):
@@ -299,7 +307,7 @@ def softmax_composite(x, axis=-1):
 def l2_norm_composite(x, axis):
     sq = (x * x).sum(axis=axis, keepdims=axis is not None)
     positive = sq.data > 0
-    _note_kink("norm_floor", float(np.sqrt(sq.data.min())) if sq.data.size else 0.0)
+    _note_kink("norm_floor", sq.data)
     guarded = where_const(positive, sq, Tensor(np.ones_like(sq.data)))
     return where_const(positive, sqrt(guarded), Tensor(np.zeros_like(sq.data)))
 
@@ -370,3 +378,76 @@ def adamw_reference(params, ms, vs, t, lr, cfg):
         v += (1.0 - b2) * (g * g)
         update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
         p.data -= lr * update + lr * cfg.weight_decay * p.data
+
+
+# -- certifier reference ------------------------------------------------------
+
+def grad_check_reference(model, batch, loss_cfg, epsilon=1e-5, coords_per_group=20,
+                         seed=0, corrupt_hook=None):
+    """``trainer.grad_check`` one probe at a time: each probe writes its
+    coordinate into the model, evaluates the loss at +step and at -step
+    with two plain forwards, and writes the coordinate back."""
+    labels = batch.labels
+
+    def loss_value() -> float:
+        with no_grad():
+            out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
+            loss, _ = total_loss(out, labels, loss_cfg)
+        return float(loss.data)
+
+    def probe(flat: np.ndarray, i: int) -> tuple[str | None, float]:
+        """Central difference at coordinate ``i``, or the kink it crossed."""
+        orig = flat[i]
+        for step in (epsilon, epsilon / 10.0, epsilon / 100.0):
+            flat[i] = orig + step
+            with watch_kinks() as kinks_plus:
+                hi = loss_value()
+            flat[i] = orig - step
+            with watch_kinks() as kinks_minus:
+                lo = loss_value()
+            flat[i] = orig
+            kind = _kink_crossed(kinks_plus, kinks_minus, step)
+            if kind is None:
+                return None, (hi - lo) / (2.0 * step)
+            if not _only_abs_crossed(kinks_plus, kinks_minus, step):
+                break
+        return kind, 0.0
+
+    model.zero_grad()
+    out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
+    loss, _ = total_loss(out, labels, loss_cfg)
+    loss.backward()
+    grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+             for name, p in model.params().items()}
+    if corrupt_hook is not None:
+        corrupt_hook(grads)
+
+    rng = Rng(seed, "gradcheck")
+    per_group: dict[str, float] = {}
+    checked = resampled = skipped = 0
+    by_kind: dict[str, int] = {}
+    for name, param in model.params().items():
+        flat = param.data.reshape(-1)
+        gflat = grads[name].reshape(-1)
+        pool = list(rng.child(name).permutation(flat.size))
+        want = min(flat.size, coords_per_group)
+        done = 0
+        worst = 0.0
+        while done < want and pool:
+            i = int(pool.pop())
+            kind, fd = probe(flat, i)
+            if kind is not None:
+                resampled += 1
+                by_kind[kind] = by_kind.get(kind, 0) + 1
+                continue
+            rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
+            worst = max(worst, rel)
+            done += 1
+            checked += 1
+        if done < want:
+            skipped += want - done
+        per_group[name] = worst
+    return GradCheckResult(max_rel_error=max(per_group.values()),
+                           per_group=per_group, coords_checked=checked,
+                           resampled=resampled, skipped=skipped,
+                           resampled_by_kind=by_kind)

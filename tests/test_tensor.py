@@ -312,6 +312,45 @@ def test_watch_kinks_restores_previous_scope():
     assert len(outer) == 2
 
 
+def test_member_watch_keeps_each_models_records():
+    """Over a stack's (M, ...) arrays a member watch records, per model,
+    exactly what a plain watch records on that model's slice."""
+    from dualpath.functional import l2_norm
+    from dualpath.losses import cross_entropy
+
+    rng = Rng(0, "member-watch")
+    x = rng.child("x").normal(size=(3, 5, 4))
+    x[1, 2] = 0.0  # one model holds a zero row: its smallest norm is 0
+    probs = rng.child("p").uniform(size=(3, 5, 4))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    labels = np.array([0, 3, 1, 1, 2])
+
+    def record(x, probs):
+        Tensor(x).abs()
+        l2_norm(Tensor(x), axis=-1)
+        cross_entropy(Tensor(probs), labels)
+
+    with watch_kinks(members=3) as stacked:
+        record(x, probs)
+    assert [k for k, _ in stacked] == ["abs_signs", "norm_floor", "clamp_margin"]
+    assert stacked[0][1].shape == (3, 5, 4)
+    for m in range(3):
+        with watch_kinks() as plain:
+            record(x[m], probs[m])
+        assert np.array_equal(stacked[0][1][m], plain[0][1])
+        for (kind, payload), (plain_kind, plain_payload) in zip(stacked[1:], plain[1:]):
+            assert kind == plain_kind
+            assert payload.shape == (3,) and payload[m] == plain_payload
+    assert stacked[1][1][1] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 3)])
+def test_member_watch_rejects_a_payload_without_the_model_axis(shape):
+    with watch_kinks(members=3):
+        with pytest.raises(ValueError, match="3 models"):
+            Tensor(np.ones(shape)).abs()
+
+
 @pytest.fixture(scope="module")
 def default_batch():
     return generate(DatasetConfig(n_train=16, n_val=0, n_test=0, seed=0))[0]

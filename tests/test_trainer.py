@@ -1,11 +1,14 @@
 """Optimizer mechanics, training loop control flow, gradient certification."""
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
+from itertools import count
 
 import numpy as np
 import pytest
 
 import oracles
+from dualpath import trainer
 from dualpath.fusion import Ablation, Model, ModelConfig, load_checkpoint, save_checkpoint
 from dualpath.losses import LossConfig
 from dualpath.rng import Rng
@@ -369,6 +372,93 @@ def small_batch():
     return generate(cfg)[0]
 
 
+SMALL_MODEL = ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6)
+
+
+def abs_kink_model(batch: Dataset) -> Model:
+    """A small model one of whose text deviations |private - centroid|
+    sits 1e-6 from its kink: probing the text private bias at 1e-5 moves
+    it by 6.7e-6 and flips its sign, at 1e-6 it does not."""
+    model = Model(replace(SMALL_MODEL, init_seed=5))
+    with no_grad():
+        out = model.forward_batch(batch.text, batch.video, batch.audio)
+    signed = out.features.private_text.data - out.report.centroid.data
+    row, col = 2, 3
+    # a text bias shift b moves private_text - centroid by 2b/3
+    bias = model.decoupler.private_enc["text"].lin2.bias
+    bias.data[col] += 1.5 * (np.sign(signed[row, col]) * 1e-6 - signed[row, col])
+    return model
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A default model after 2 epochs on 400 samples, and a batch of 8."""
+    train_split, val_split, _ = generate(DatasetConfig(n_train=400))
+    model = Model(ModelConfig())
+    train(model, train_split, val_split, TrainConfig(max_epochs=2, patience=2),
+          LossConfig())
+    batch = Dataset(*(a[:8] for a in (train_split.text, train_split.video,
+                                      train_split.audio, train_split.labels,
+                                      train_split.conflict_flag)))
+    return model, batch
+
+
+def perfbench_setup(seed: int):
+    """The benchmark's gradcheck unit for ``seed``: a fresh default model,
+    a batch of 8 and the probe seed, drawn as ``perfbench`` draws them."""
+    data_seed, init_seed, probe_seed = (
+        int(x) for x in Rng(seed, "perfbench").integers(0, 2 ** 31 - 1, size=3))
+    batch = generate(DatasetConfig(n_train=8, n_val=0, n_test=0, seed=data_seed))[0]
+    return Model(ModelConfig(init_seed=init_seed)), batch, LossConfig(), {"seed": probe_seed}
+
+
+CRITERION_1_SHAPES = [
+    (ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6, init_seed=0),
+     DatasetConfig(num_classes=3, feature_dim=8, n_train=8, n_val=2, n_test=2, seed=41)),
+    (ModelConfig(feature_dim=16, num_classes=4, hidden_dim=16, init_seed=1),
+     DatasetConfig(num_classes=4, feature_dim=16, n_train=8, n_val=2, n_test=2, seed=42)),
+    (ModelConfig(feature_dim=8, num_classes=4, hidden_dim=5, init_seed=2),
+     DatasetConfig(num_classes=4, feature_dim=8, n_train=8, n_val=2, n_test=2, seed=43)),
+]
+
+
+def reference_setup(name: str, request):
+    """(model, batch, loss config, grad_check keywords) of a named set-up."""
+    if name.startswith("perfbench-"):
+        return perfbench_setup(int(name.split("-")[1]))
+    if name.startswith("criterion-1-"):
+        model_cfg, data_cfg = CRITERION_1_SHAPES[int(name[-1])]
+        return Model(model_cfg), generate(data_cfg)[0], LossConfig(), {}
+    if name == "trained":
+        model, batch = request.getfixturevalue("trained")
+        return model, batch, LossConfig(), {}
+    if name == "eps-1e-2":
+        # six classes: some true-class probabilities sit within 10 x 1e-2
+        # of the floor while every guarded norm stays clear of its kink
+        batch = generate(DatasetConfig(num_classes=6, feature_dim=8, n_train=8,
+                                       n_val=2, n_test=2, seed=31))[0]
+        model = Model(replace(SMALL_MODEL, num_classes=6, init_seed=0))
+        return model, batch, LossConfig(), {"epsilon": 1e-2, "coords_per_group": 5}
+    small = request.getfixturevalue("small_batch")
+    if name == "abs-retry":
+        return abs_kink_model(small), small, LossConfig(), {}
+    if name == "corrupt-hook":
+        def corrupt(grads):
+            grads["head.weight"] *= 1.01
+
+        return (Model(replace(SMALL_MODEL, init_seed=6)), small, LossConfig(),
+                {"coords_per_group": 8, "corrupt_hook": corrupt})
+    if name == "eps-1e-3":
+        return (Model(replace(SMALL_MODEL, init_seed=0)), small, LossConfig(),
+                {"epsilon": 1e-3})
+    if name == "shared-encoder":
+        return (Model(replace(SMALL_MODEL, init_seed=3, share_shared_encoder=True)),
+                small, LossConfig(), {"coords_per_group": 8})
+    assert name == "no-reasoning-loss", name
+    return (Model(replace(SMALL_MODEL, init_seed=7)), small,
+            LossConfig(reasoning_weight=0.0), {"coords_per_group": 4})
+
+
 class TestGradCheck:
     def test_full_objective_gradients_certify(self, small_batch):
         model = Model(ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6,
@@ -415,20 +505,10 @@ class TestGradCheck:
 
 
     def test_abs_kink_near_a_deviation_is_probed_at_smaller_steps(self, small_batch):
-        """One text deviation |private - centroid| sits 1e-6 from its kink:
-        probing the text private bias at 1e-5 moves it by 6.7e-6 and flips
-        its sign, at 1e-6 it does not. The retry at the smaller step must
-        certify every wanted coordinate instead of resampling them away."""
-        model = Model(ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6,
-                                  init_seed=5))
-        with no_grad():
-            out = model.forward_batch(small_batch.text, small_batch.video,
-                                      small_batch.audio)
-        signed = out.features.private_text.data - out.report.centroid.data
-        row, col = 2, 3
-        # a text bias shift b moves private_text - centroid by 2b/3
-        bias = model.decoupler.private_enc["text"].lin2.bias
-        bias.data[col] += 1.5 * (np.sign(signed[row, col]) * 1e-6 - signed[row, col])
+        """One text deviation sits 1e-6 from its kink (``abs_kink_model``).
+        The retry at the smaller step must certify every wanted coordinate
+        instead of resampling them away."""
+        model = abs_kink_model(small_batch)
         result = grad_check(model, small_batch, LossConfig(), coords_per_group=20)
         size = sum(min(p.data.size, 20) for p in model.params().values())
         assert result.skipped == 0 and result.resampled == 0
@@ -461,20 +541,94 @@ class TestKinkKinds:
                               resampled=0, skipped=0)
         assert res.resampled_by_kind == {}
 
-    def test_trained_model_certifies_every_coordinate(self):
+    def test_trained_model_certifies_every_coordinate(self, trained):
         """After 2 epochs on 400 samples some CMD moment differences sit
         near 1e-3, far above the probe step; the certifier must check
         every wanted coordinate rather than resample them all away."""
-        cfg = DatasetConfig(n_train=400)
-        train_split, val_split, _ = generate(cfg)
-        model = Model(ModelConfig())
-        train(model, train_split, val_split, TrainConfig(max_epochs=2, patience=2),
-              LossConfig())
-        batch = Dataset(*(a[:8] for a in (train_split.text, train_split.video,
-                                          train_split.audio, train_split.labels,
-                                          train_split.conflict_flag)))
+        model, batch = trained
         result = grad_check(model, batch, LossConfig(), coords_per_group=20)
         size = sum(min(p.data.size, 20) for p in model.params().values())
         assert result.coords_checked == size
         assert result.skipped == 0
         assert result.passed(1e-4), result.worst_group()
+
+
+class TestStackedProbes:
+    """``grad_check`` evaluates its probes in rounds, many to one stacked
+    forward; ``oracles.grad_check_reference`` probes one coordinate at a
+    time with two plain forwards. Their results must be identical."""
+
+    @pytest.mark.parametrize("name", [
+        "perfbench-1", "perfbench-80", "perfbench-404", "perfbench-52",
+        "criterion-1-0", "criterion-1-1", "criterion-1-2", "abs-retry",
+        "corrupt-hook", "trained", "eps-1e-3", "eps-1e-2", "shared-encoder",
+        "no-reasoning-loss"])
+    def test_matches_one_probe_at_a_time(self, name, request):
+        model, batch, loss_cfg, kw = reference_setup(name, request)
+        result = grad_check(model, batch, loss_cfg, **kw)
+        reference = oracles.grad_check_reference(model, batch, loss_cfg, **kw)
+        assert json.dumps(asdict(result)) == json.dumps(asdict(reference))
+        # each set-up exercises what it is here for
+        kinds = set(result.resampled_by_kind)
+        if name == "perfbench-52":  # fails on rounding, not on a kink
+            assert not result.passed(1e-4) and result.skipped == 0
+        elif name == "corrupt-hook":
+            assert result.per_group["head.weight"] >= 0.009
+        elif name == "eps-1e-3":
+            assert kinds == {"norm_floor"} and result.skipped > 0
+        elif name == "eps-1e-2":
+            assert kinds == {"clamp_margin", "abs_signs"} and result.skipped > 0
+        else:
+            assert result.passed(1e-4), result.worst_group()
+
+    def test_default_check_makes_one_forward_per_round(self, monkeypatch):
+        """A fresh default model certifies 811 coordinates without a
+        resample. One probe at a time that took 1 + 2 x 811 = 1623
+        forwards; in rounds of twelve it takes the analytic forward and
+        one per round."""
+        model, batch, loss_cfg, kw = perfbench_setup(1)
+        forward = Model.forward_batch
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.stack_size)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_batch", counting)
+        result = grad_check(model, batch, loss_cfg, **kw)
+        assert result.coords_checked == 811 and result.resampled == 0
+        assert len(calls) == 1 + 68
+        assert calls == [None] + [2 * trainer._PROBE_PAIRS] * 68
+
+    def test_never_writes_the_model(self, small_batch, monkeypatch):
+        """The probes perturb a stack of copies: a member bound to an
+        optimizer arena keeps its parameters and its arena bytes, also
+        when the loss raises in the middle of a probe."""
+        members = [Model(replace(SMALL_MODEL, init_seed=s)) for s in (5, 6)]
+        stack = Model.stack(members)
+        opt = AdamW(stack.params(), TrainConfig())
+        stack.bind(members)
+        model = members[1]
+        arena = opt.arena.tobytes()
+        before = {k: a.tobytes() for k, a in model.snapshot().items()}
+
+        def assert_untouched():
+            assert opt.arena.tobytes() == arena
+            for name, p in model.params().items():
+                assert p.data.tobytes() == before[name], name
+                assert np.shares_memory(p.data, opt.arena), name
+
+        grad_check(model, small_batch, LossConfig(), coords_per_group=4)
+        assert_untouched()
+        calls = count()
+        total_loss = trainer.total_loss
+
+        def failing(*args, **kwargs):
+            if next(calls) == 1:  # the first probe's loss, after the analytic one
+                raise RuntimeError("loss failed")
+            return total_loss(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "total_loss", failing)
+        with pytest.raises(RuntimeError, match="loss failed"):
+            grad_check(model, small_batch, LossConfig(), coords_per_group=4)
+        assert_untouched()
