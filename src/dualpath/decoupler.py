@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from dualpath.layers import TanhMlp
-from dualpath.rng import Rng
+from dualpath.rng import Rng, StackedRng
 from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor
 
@@ -43,33 +45,48 @@ class Decoupler:
     def __init__(self, rng: Rng, feature_dim: int, hidden_dim: int,
                  dropout: float = 0.0, share_weights: bool = False):
         self.share_weights = share_weights
+        self.dropout = float(dropout)
         self.shared_enc: dict[str, TanhMlp] = {}
         self.private_enc: dict[str, TanhMlp] = {}
         if share_weights:
             common = TanhMlp(rng.child("shared"), feature_dim, hidden_dim,
-                             hidden_dim, "decoupler.shared", dropout)
+                             hidden_dim, "decoupler.shared")
             for m in MODALITIES:
                 self.shared_enc[m] = common
         else:
             for m in MODALITIES:
                 self.shared_enc[m] = TanhMlp(
                     rng.child(f"shared/{m}"), feature_dim, hidden_dim, hidden_dim,
-                    f"decoupler.shared_{m}", dropout)
+                    f"decoupler.shared_{m}")
         for m in MODALITIES:
             self.private_enc[m] = TanhMlp(
                 rng.child(f"private/{m}"), feature_dim, hidden_dim, hidden_dim,
-                f"decoupler.private_{m}", dropout)
+                f"decoupler.private_{m}")
 
     def __call__(self, text: Tensor, video: Tensor, audio: Tensor,
-                 train: bool = False, rng: Rng | None = None) -> DecoupledFeatures:
+                 train: bool = False, rng: Rng | StackedRng | None = None
+                 ) -> DecoupledFeatures:
         feats = {"text": text, "video": video, "audio": audio}
+        masks = self._dropout_masks(text, rng) if train and self.dropout > 0.0 else None
         out = {}
-        for m in MODALITIES:
-            srng = rng.child(f"drop/shared/{m}") if rng is not None else None
-            prng = rng.child(f"drop/private/{m}") if rng is not None else None
-            out[f"shared_{m}"] = self.shared_enc[m](feats[m], train, srng)
-            out[f"private_{m}"] = self.private_enc[m](feats[m], train, prng)
+        for i, m in enumerate(MODALITIES):
+            shared_mask, private_mask = (None, None) if masks is None else masks[2 * i:2 * i + 2]
+            out[f"shared_{m}"] = self.shared_enc[m](feats[m], shared_mask)
+            out[f"private_{m}"] = self.private_enc[m](feats[m], private_mask)
         return DecoupledFeatures(**out)
+
+    def _dropout_masks(self, x: Tensor, rng: Rng | StackedRng | None) -> np.ndarray:
+        """Inverted-dropout masks of the six hidden layers, (6, ..., N,
+        hidden_dim) in shared/private order per modality, drawn in one call:
+        the mask of encoder ``{kind}_{m}`` comes from
+        ``rng.child(f"drop/{kind}/{m}")``."""
+        if rng is None:
+            raise ValueError("dropout in train mode needs an rng")
+        weight = self.private_enc["text"].lin1.weight.data  # (..., d_in, hidden_dim)
+        shape = np.broadcast_shapes(x.data.shape[:-1], weight.shape[:-2] + (1,)) + weight.shape[-1:]
+        labels = [f"drop/{kind}/{m}" for m in MODALITIES for kind in ("shared", "private")]
+        keep = 1.0 - self.dropout
+        return (rng.child_uniforms(labels, shape) < keep) / keep
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -66,22 +66,16 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor, squash: bool) -> Tensor:
 
 
 class TanhMlp:
-    """affine -> tanh -> (dropout in train mode) -> affine."""
+    """affine -> tanh -> (times a dropout mask, when given) -> affine."""
 
-    def __init__(self, rng: Rng, d_in: int, d_hidden: int, d_out: int, name: str,
-                 dropout: float = 0.0):
+    def __init__(self, rng: Rng, d_in: int, d_hidden: int, d_out: int, name: str):
         self.name = name
-        self.dropout = float(dropout)
         self.lin1 = Affine(rng.child("lin1"), d_in, d_hidden, f"{name}.lin1")
         self.lin2 = Affine(rng.child("lin2"), d_hidden, d_out, f"{name}.lin2")
 
-    def __call__(self, x: Tensor, train: bool = False, rng: Rng | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         h = self.lin1.tanh(x)
-        if train and self.dropout > 0.0:
-            if rng is None:
-                raise ValueError("dropout in train mode needs an rng")
-            keep = 1.0 - self.dropout
-            mask = (rng.uniform(size=h.data.shape) < keep) / keep
+        if mask is not None:
             h = h * constant(mask)
         return self.lin2(h)
 

@@ -25,7 +25,7 @@ from dualpath.decoupler import DecoupledFeatures
 from dualpath.functional import guarded_sqrt, one_hot
 from dualpath.fusion import ModelOutput
 from dualpath.synthdata import MODALITIES
-from dualpath.tensor import Tensor, _note_kink, node
+from dualpath.tensor import Tensor, _note_kink, is_recording, node
 
 log = logging.getLogger(__name__)
 
@@ -127,8 +127,16 @@ def diff_loss(feats: DecoupledFeatures) -> Tensor:
     # private-private over ordered pairs of different modalities
     pairs = [(i, k + i) for i in range(k)] + [
         (i, j) for i in range(k) for j in range(k) if i != j]
-    prods = [centered[i].swapaxes(-1, -2) @ centered[j] for i, j in pairs]
-    terms = [(prod * prod).sum(axis=(-2, -1)) * scale for prod in prods]
+    # Each product is reduced to its term as it is made; it is kept only
+    # for the backward, so under no_grad() at most one is alive.
+    keep = is_recording()
+    prods, value = [], None
+    for i, j in pairs:
+        prod = centered[i].swapaxes(-1, -2) @ centered[j]
+        term = (prod * prod).sum(axis=(-2, -1)) * scale
+        value = term if value is None else value + term
+        if keep:
+            prods.append(prod)
 
     def back(g):
         g = g[..., None, None]
@@ -140,66 +148,96 @@ def diff_loss(feats: DecoupledFeatures) -> Tensor:
         for t, gt in zip(inputs, grads):
             t._accum(gt - gt.sum(axis=-2, keepdims=True) / n)
 
-    return node(sum(terms[1:], terms[0]), inputs, back)
+    return node(value, inputs, back)
 
 
 def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
-    """Central moment discrepancy between two (..., N, d) batches.
+    """Central moment discrepancy between two (..., N, d) batches (Zellinger
+    et al., ICLR 2017); the batches may differ in N.
 
     Norm of the mean difference plus norms of the differences of
     per-dimension central moments from 2 up to ``order``. Zero when the
     batches share all those moments; symmetric in its arguments. One tape
-    node; a zero moment difference passes no gradient.
+    node; a zero moment difference passes no gradient. A batch of fewer
+    than two rows makes it 0 with a warning.
+    """
+    return _moment_match((a, b), ((0, 1),), order, 1.0)
+
+
+# The unordered modality pairs of sim_loss, by position in MODALITIES.
+_SIM_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def sim_loss(feats: DecoupledFeatures, order: int) -> Tensor:
+    """Mean CMD over the three unordered modality pairs of shared features,
+    (text, video), (text, audio) and (video, audio): one tape node whose
+    value and gradients are those of three ``cmd`` calls summed in that
+    order and scaled by 1/3, bit for bit."""
+    return _moment_match(tuple(feats.shared(m) for m in MODALITIES), _SIM_PAIRS,
+                         order, 1.0 / 3.0)
+
+
+def _moment_match(inputs: tuple[Tensor, ...], pairs: tuple[tuple[int, int], ...],
+                  order: int, scale: float) -> Tensor:
+    """``scale`` times the sum of ``cmd(inputs[i], inputs[j], order)`` over
+    ``pairs`` (i, j), added in pair order, as one tape node.
+
+    Each input's centered powers and moments are formed once, however many
+    pairs it joins, and each order's norms are one ``guarded_sqrt`` over
+    the pairs, so a kink watch gets one ``norm_floor`` record per order:
+    the smallest norm of that order over the pairs. The backward runs the
+    pairs as separate nodes would, last pair first and each pair's left
+    input before its right, and reuses the forward's powers.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    n, n_b = a.data.shape[-2], b.data.shape[-2]
-    if n < 2 or n_b < 2:
-        log.warning("cmd skipped: batches of %d/%d are too small", n, n_b)
-        return Tensor(np.zeros(a.data.shape[:-2]))
-    # (..., 1, d) per-dimension moments: a kept axis where the rows were
-    mu_a = a.data.sum(axis=-2, keepdims=True) / n
-    mu_b = b.data.sum(axis=-2, keepdims=True) / n_b
-    diffs = [mu_a - mu_b]
-    ca = a.data - mu_a
-    cb = b.data - mu_b
-    pow_a, pow_b = ca, cb
-    for _ in range(2, order + 1):
-        pow_a = pow_a * ca
-        pow_b = pow_b * cb
-        diffs.append(pow_a.sum(axis=-2, keepdims=True) / n
-                     - pow_b.sum(axis=-2, keepdims=True) / n_b)
+    rows = [x.data.shape[-2] for x in inputs]
+    if min(rows) < 2:
+        log.warning("cmd skipped: batches of %s are too small", "/".join(map(str, rows)))
+        return Tensor(np.zeros(inputs[0].data.shape[:-2]))
+    # per input: the mean and central moments 2 .. order, each (..., 1, d)
+    # (a kept axis where the rows were), and the powers c**1 .. c**(order-1)
+    # of the centered rows c, kept for the backward only
+    keep = is_recording()
+    powers, moments = [], []
+    for x, n in zip(inputs, rows):
+        mu = x.data.sum(axis=-2, keepdims=True) / n
+        c = power = x.data - mu
+        pw, ms = [c] if keep else [], [mu]
+        for k in range(2, order + 1):
+            power = power * c
+            ms.append(power.sum(axis=-2, keepdims=True) / n)
+            if keep and k < order:
+                pw.append(power)
+        powers.append(pw)
+        moments.append(ms)
+    # per order: the pairs' moment differences, (..., P, 1, d), and norms, (..., P)
+    diffs = [np.stack([moments[i][k] - moments[j][k] for i, j in pairs], axis=-3)
+             for k in range(order)]
     norms = [guarded_sqrt((d * d).sum(axis=(-2, -1))) for d in diffs]
+    per_pair = sum(norms[1:], norms[0])
+    value = per_pair[..., 0]
+    for p in range(1, len(pairs)):
+        value = value + per_pair[..., p]
 
     def back(g):
-        # unit moment differences scaled by g; order k sits at index k - 1
-        g = g[..., None, None]
+        # unit moment differences scaled by each pair's g; order k sits at index k - 1
+        g = (g * scale)[..., None, None, None]
         units = []
         for d, norm in zip(diffs, norms):
             norm = norm[..., None, None]
             units.append(np.divide(g * d, norm, out=np.zeros_like(d), where=norm > 0))
-        for x, c, sign in ((a, ca, 1.0), (b, cb, -1.0)):
-            rows = c.shape[-2]
-            # d mean(c**k) / dc = k c**(k-1) / rows, then through the centering
-            grad_c = np.zeros_like(c)
-            power = np.ones_like(c)
-            for k in range(2, order + 1):
-                power = power * c
-                grad_c += (k / rows) * power * units[k - 1]
-            x._accum(sign * (units[0] / rows + grad_c
-                             - grad_c.sum(axis=-2, keepdims=True) / rows))
+        for p in reversed(range(len(pairs))):
+            for i, sign in zip(pairs[p], (1.0, -1.0)):
+                pw, n = powers[i], rows[i]
+                # d mean(c**k) / dc = k c**(k-1) / n, then through the centering
+                grad_c = np.zeros_like(pw[0])
+                for k in range(2, order + 1):
+                    grad_c += (k / n) * pw[k - 2] * units[k - 1][..., p, :, :]
+                inputs[i]._accum(sign * (units[0][..., p, :, :] / n + grad_c
+                                         - grad_c.sum(axis=-2, keepdims=True) / n))
 
-    return node(sum(norms[1:], norms[0]), (a, b), back)
-
-
-def sim_loss(feats: DecoupledFeatures, order: int) -> Tensor:
-    """Mean CMD over the three unordered modality pairs of shared features."""
-    pairs = [("text", "video"), ("text", "audio"), ("video", "audio")]
-    total = None
-    for i, j in pairs:
-        term = cmd(feats.shared(i), feats.shared(j), order)
-        total = term if total is None else total + term
-    return total * (1.0 / 3.0)
+    return node(value * scale, inputs, back)
 
 
 def total_loss(outputs: ModelOutput, labels: np.ndarray,

@@ -21,6 +21,23 @@ numpy's counter (starting at 1) and output order; uniform doubles are
 numpy's ``(raw >> 11) * 2**-53``; and normals go through the one
 Box-Muller helper that ``Rng.normal`` also calls, on uniforms formed as
 numpy's ``low + (high - low) * u`` forms them.
+
+Deriving a stream is cheap; drawing from it is what costs. An ``Rng``
+builds its numpy ``Generator`` on its first draw only, so a parent that
+only names children (the training step's ``dropout`` stream) never
+builds one. ``Rng.child`` continues the parent's cached FNV-1a hash over
+``#{index}/{label}`` rather than hashing the whole child label again:
+FNV-1a is streaming, so the key is the one the full label gives.
+``child_uniforms`` (on ``Rng`` and ``StackedRng`` alike) draws a few
+fresh child streams, such as the six dropout masks of a training step,
+in one call: one ``np.random.Philox`` serves every (label, distinct
+seed) stream of the call, its public state set to the stream's key at
+counter 0, so its raw words are the fresh stream's and ``unit_double``
+of them is ``Generator.uniform(0, 1)`` bit for bit. ``Substreams`` is
+not used for these draws: its numpy-level Philox pass costs more than
+per-stream bit generators until there are many rows. For 12 rows of 256
+words, on a shared 2-core machine, it took ~540 us, twelve fresh numpy
+generators ~200-280 us and the re-keyed one ~90-140 us.
 """
 
 from __future__ import annotations
@@ -63,6 +80,13 @@ def _label_hash(label: str) -> int:
     return _fnv1a(0xCBF29CE484222325, label.encode("utf-8"))  # FNV-1a offset basis
 
 
+def _key_of(seed_key: int, label_hash: int, index: int) -> tuple[int, int]:
+    """The Philox key of the stream (seed, label, index), given the
+    splitmix64 hash of its seed and the FNV-1a hash of its label."""
+    k1 = _splitmix64(seed_key ^ label_hash)
+    return k1, _splitmix64(k1 ^ (index & _MASK64))
+
+
 def _fnv1a_decimal(h: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Continue each row's FNV-1a hash over the decimal digits of its value,
     as ``_fnv1a(h, str(value).encode())`` would. Rows with fewer digits
@@ -87,6 +111,27 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray, n: int, loc: float, scale: float
 def unit_double(raw: np.ndarray) -> np.ndarray:
     """numpy's double from a 64-bit word: the top 53 bits over 2**53."""
     return (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _fresh_uniforms(seeds: list[int], label_hashes: list[int], size: tuple) -> np.ndarray:
+    """(len(label_hashes), len(seeds), *size): entry (i, s) is
+    ``uniform(size=size)`` of a fresh ``Rng(seeds[s], label, 0)`` whose
+    label has FNV-1a hash ``label_hashes[i]``. One bit generator serves
+    every stream: setting its public state to a stream's key, at the
+    counter and empty buffer of a fresh generator, gives that stream's raw
+    words, and ``uniform(0, 1)`` is numpy's double of each word."""
+    words = int(np.prod(size))
+    raw = np.empty((len(label_hashes), len(seeds), words), dtype=np.uint64)
+    bitgen = np.random.Philox(0)
+    state = bitgen.state  # a copy: the fresh counter and buffer stay in it
+    key = state["state"]["key"]
+    seed_keys = [_splitmix64(seed & _MASK64) for seed in seeds]
+    for label_hash, rows in zip(label_hashes, raw):
+        for k0, row in zip(seed_keys, rows):
+            key[0], key[1] = _key_of(k0, label_hash, 0)
+            bitgen.state = state
+            row[:] = bitgen.random_raw(words)
+    return unit_double(raw).reshape(raw.shape[:2] + tuple(size))
 
 
 def philox4x64(ctr: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -219,25 +264,44 @@ class Rng:
     """
 
     def __init__(self, seed: int, label: str = "root", index: int = 0):
-        self.seed = int(seed)
-        self.label = label
-        self.index = int(index)
-        k0 = _splitmix64(self.seed & _MASK64)
-        k1 = _splitmix64(k0 ^ _label_hash(label))
-        k2 = _splitmix64(k1 ^ (self.index & _MASK64))
-        self._gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
+        self._keyed(int(seed), label, _label_hash(label), int(index))
+
+    def _keyed(self, seed: int, label: str, label_hash: int, index: int) -> "Rng":
+        self.seed, self.label, self.index = seed, label, index
+        self._hash = label_hash  # FNV-1a of ``label``, continued by child()
+        self._key = _key_of(_splitmix64(seed & _MASK64), label_hash, index)
+        self._generator = None
+        return self
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        """The stream's numpy generator, built on the first draw."""
+        if self._generator is None:
+            self._generator = np.random.Generator(
+                np.random.Philox(key=np.array(self._key, dtype=np.uint64)))
+        return self._generator
 
     def _child_label(self, label: str) -> str:
         return f"{self.label}#{self.index}/{label}"
 
+    def _child_hash(self, label: str) -> int:
+        return _fnv1a(self._hash, f"#{self.index}/{label}".encode("utf-8"))
+
     def child(self, label: str, index: int = 0) -> "Rng":
         """Derive a named substream; the parent's own index is folded into
         the child label so siblings of distinct parents never collide."""
-        return Rng(self.seed, self._child_label(label), index)
+        return Rng.__new__(Rng)._keyed(self.seed, self._child_label(label),
+                                       self._child_hash(label), int(index))
 
     def children(self, label: str, n: int) -> Substreams:
         """``child(label, i)`` for every i in range(n), drawn together."""
         return Substreams(self.seed, self._child_label(label), n)
+
+    def child_uniforms(self, labels: list[str], size: tuple) -> np.ndarray:
+        """(len(labels), *size): row i is ``child(labels[i]).uniform(size=size)``,
+        drawn without building a child or a generator."""
+        return _fresh_uniforms([self.seed], [self._child_hash(label) for label in labels],
+                               size)[:, 0]
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=size)
@@ -287,11 +351,15 @@ class StackedRng:
         """Every model's ``Rng.child(label, index)``."""
         return StackedRng._of([r.child(label, index) for r in self._rngs], self._rows)
 
-    def uniform(self, size: tuple) -> np.ndarray:
-        """(M, ...) where row m is model m's ``uniform(size=size[1:])``."""
+    def child_uniforms(self, labels: list[str], size: tuple) -> np.ndarray:
+        """(len(labels), M, ...) where entry (i, m) is model m's
+        ``child(labels[i]).uniform(size=size[1:])``: one fresh stream per
+        label and distinct seed."""
         if size[0] != len(self._rows):
             raise ValueError(f"draw of {size[0]} rows from a stack of {len(self._rows)}")
-        return np.stack([r.uniform(size=size[1:]) for r in self._rngs])[self._rows]
+        # every model's Rng has the same label and index, so one hash per label
+        hashes = [self._rngs[0]._child_hash(label) for label in labels]
+        return _fresh_uniforms([r.seed for r in self._rngs], hashes, size[1:])[:, self._rows]
 
     def permutation(self, n: int) -> np.ndarray:
         """(M, n) where row m is model m's ``permutation(n)``."""

@@ -93,6 +93,12 @@ def no_grad():
         _recording = prev
 
 
+def is_recording() -> bool:
+    """False inside no_grad(): a node's backward will never run, so an op
+    need not keep what only its backward reads."""
+    return _recording
+
+
 def _note_kink(kind: str, raw: Array, floor: float = 0.0) -> None:
     """Record a kink of ``kind`` while a watch is open, reducing ``raw``
     only then: an absolute value's argument to its signs, squared norms

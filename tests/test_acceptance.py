@@ -15,7 +15,7 @@ import pytest
 from oracles import trace_forward
 
 from dualpath.experiments import (DEFAULT_SIGMAS, ExperimentConfig, run_ablation,
-                                  run_main, run_robustness, train_single)
+                                  run_main, run_robustness, train_runs, train_single)
 from dualpath.functional import layer_norm
 from dualpath.fusion import (Model, ModelConfig, load_checkpoint,
                              save_checkpoint)
@@ -233,10 +233,9 @@ def default_runs():
     cfg = ExperimentConfig()
     splits = generate(cfg.dataset)
     start = time.perf_counter()
-    rows = []
-    for seed in cfg.seeds:
-        _, _, metrics, gating, _ = train_single(cfg, seed, splits)
-        rows.append((seed, metrics, gating))
+    runs = train_runs([(cfg, seed) for seed in cfg.seeds], splits)  # one stack
+    rows = [(seed, metrics, gating)
+            for seed, (_, _, metrics, gating, _) in zip(cfg.seeds, runs)]
     elapsed = time.perf_counter() - start
     return cfg, splits, rows, elapsed
 

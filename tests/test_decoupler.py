@@ -6,7 +6,8 @@ import pytest
 from oracles import mlp_vec
 
 from dualpath.decoupler import Decoupler
-from dualpath.rng import Rng
+from dualpath.fusion import Model, ModelConfig
+from dualpath.rng import Rng, StackedRng
 from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor
 
@@ -99,3 +100,62 @@ def test_dropout_train_mode_is_seeded():
     c = dec(text, video, audio, train=True, rng=Rng(18, "drop"))
     assert np.array_equal(a.shared_text.data, b.shared_text.data)
     assert not np.array_equal(a.shared_text.data, c.shared_text.data)
+
+
+class NoDraws:
+    """An rng that fails any draw."""
+
+    def child_uniforms(self, labels, size):
+        raise AssertionError("drew dropout masks")
+
+
+def test_zero_dropout_draws_nothing_in_train_mode():
+    dec = Decoupler(Rng(19, "dec"), feature_dim=6, hidden_dim=5, dropout=0.0)
+    text, video, audio = make_inputs(Rng(20, "x"), 3, 6)
+    a = dec(text, video, audio, train=True, rng=NoDraws())
+    b = dec(text, video, audio, train=False)
+    for m in MODALITIES:
+        assert np.array_equal(a.shared(m).data, b.shared(m).data)
+        assert np.array_equal(a.private(m).data, b.private(m).data)
+
+
+def masked_features(dec, inputs, drop):
+    """Each encoder's output under the mask drawn from its own labeled
+    stream: ``drop(label, shape)`` is that stream's uniform draw."""
+    keep = 1.0 - dec.dropout
+    out = {}
+    for m, x in zip(MODALITIES, inputs):
+        for kind, enc in (("shared", dec.shared_enc[m]), ("private", dec.private_enc[m])):
+            h = enc.lin1.tanh(x)
+            mask = (drop(f"drop/{kind}/{m}", h.data.shape) < keep) / keep
+            out[f"{kind}_{m}"] = enc.lin2(h * Tensor(mask)).data
+    return out
+
+
+@pytest.mark.parametrize("step", [3, 70, 512, 4096, 65536])
+@pytest.mark.parametrize("share", [False, True])
+def test_one_draw_of_six_masks_equals_per_label_streams(step, share):
+    dec = Decoupler(Rng(21, "dec"), feature_dim=6, hidden_dim=5, dropout=0.3,
+                    share_weights=share)
+    inputs = make_inputs(Rng(22, "x"), 4, 6)
+    rng = Rng(23, "train").child("dropout", step)
+    feats = dec(*inputs, train=True, rng=rng)
+    want = masked_features(dec, inputs,
+                           lambda label, shape: rng.child(label).uniform(size=shape))
+    for name, value in want.items():
+        assert np.array_equal(getattr(feats, name).data, value), name
+
+
+def test_stacked_masks_equal_each_models_streams():
+    models = [Model(ModelConfig(feature_dim=6, hidden_dim=5, init_seed=s)) for s in (0, 1, 2)]
+    stack = Model.stack(models)
+    seeds = [4, 9, 4]
+    inputs = [Tensor(Rng(24, m).normal(size=(3, 2, 6))) for m in MODALITIES]
+    feats = stack.decoupler(*inputs, train=True,
+                            rng=StackedRng(seeds, "train").child("dropout", 12))
+    for i, (model, seed) in enumerate(zip(models, seeds)):
+        rng = Rng(seed, "train").child("dropout", 12)
+        want = masked_features(model.decoupler, [Tensor(x.data[i]) for x in inputs],
+                               lambda label, shape: rng.child(label).uniform(size=shape))
+        for name, value in want.items():
+            assert np.array_equal(getattr(feats, name).data[i], value), (i, name)

@@ -2,12 +2,14 @@
 
 Each fused op (the affine map with and without tanh, softmax, layer_norm,
 l2_norm, cosine_rows, js_divergence, normalized_entropy, cross_entropy,
-diff_loss, cmd) must give the composite's values bit for bit, its
+diff_loss, cmd, sim_loss) must give the composite's values bit for bit, its
 gradients to rounding and its kink records exactly, while recording one
 tape node per call and none under no_grad(). A test caps the tape of a
 whole training step. The stacked tests run each kernel once over a stack
 of models, (M, N, d), against its plain call on every model's slice.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -17,18 +19,20 @@ from dualpath.decoupler import DecoupledFeatures
 from dualpath.functional import cosine_rows, l2_norm, layer_norm, softmax
 from dualpath.fusion import Model, ModelConfig
 from dualpath.layers import Affine
-from dualpath.losses import PROB_FLOOR, LossConfig, cmd, cross_entropy, diff_loss, total_loss
+from dualpath.losses import (PROB_FLOOR, LossConfig, cmd, cross_entropy, diff_loss, sim_loss,
+                             total_loss)
 from dualpath.perception import js_divergence, normalized_entropy
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES, DatasetConfig, generate
 from dualpath.tensor import Tensor, constant, no_grad, watch_kinks
+from dualpath.trainer import _kink_crossed
 
 GRAD_RTOL = 1e-12
 # perfbench/census.py after the affine, layer-norm, cosine and divergence
-# fusions: nodes reachable from the loss of one default batch-16 training
-# step, and of one eval forward+loss.
-TRAIN_STEP_NODES = 178
-EVAL_NODES = 166
+# fusions and the one-node sim_loss: nodes reachable from the loss of one
+# default batch-16 training step, and of one eval forward+loss.
+TRAIN_STEP_NODES = 172
+EVAL_NODES = 160
 
 
 def tape_nodes(root):
@@ -409,3 +413,103 @@ def test_stacked_matmul(n):
                                 [(n, 4), (4, 1)])
     with pytest.raises(ValueError, match="one rank"):
         Tensor(stacked("smm_a", (n, 4))) @ Tensor(normal("smm_c", (4, 1)))
+
+
+# -- sim_loss: one node over the three modality pairs -----------------------
+
+def three_pair_sim(pair_fn, order):
+    """sim_loss as three CMD terms, (t, v) + (t, a) + (v, a), then / 3."""
+    def sim(feats):
+        t, v, a = (feats.shared(m) for m in MODALITIES)
+        return (pair_fn(t, v, order) + pair_fn(t, a, order)
+                + pair_fn(v, a, order)) * (1.0 / 3.0)
+    return sim
+
+
+def sim_features(label, shape):
+    """Six feature arrays; the video shared features sit a hair off the
+    text ones, so the (text, video) mean difference is a near-kink."""
+    arrays = [normal(f"{label}{i}", shape) for i in range(6)]
+    arrays[1] = arrays[0] + 1e-6 * normal(f"{label}near", shape)
+    return arrays
+
+
+def run_sim(fn, arrays, members=None):
+    """Value, the three shared inputs' gradients and the kink records."""
+    tensors = [Tensor(a.copy()) for a in arrays]
+    with watch_kinks(members) as kinks:
+        out = fn(DecoupledFeatures(*tensors[:3], *tensors[3:]))
+    weights = Rng(99, "fused/sim").normal(size=out.data.shape)
+    (out * Tensor(weights)).sum().backward()
+    return out, [t.grad for t in tensors[:3]], kinks
+
+
+def pairs_min(kinks, order):
+    """Per order, the smallest of the three pairs' records: the composite
+    records pair by pair, orders 1 .. order within each pair."""
+    assert len(kinks) == 3 * order and all(k == "norm_floor" for k, _ in kinks)
+    return [np.minimum.reduce([kinks[p * order + k][1] for p in range(3)])
+            for k in range(order)]
+
+
+@pytest.mark.parametrize("members", [None, STACK], ids=["plain", "stacked"])
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_sim_loss_is_three_cmd_terms_bit_for_bit(members, n, order):
+    shape = (n, 5) if members is None else (members, n, 5)
+    arrays = sim_features(f"sim{members}", shape)
+    out, grads, kinks = run_sim(lambda f: sim_loss(f, order), arrays, members)
+    ref_out, ref_grads, ref_kinks = run_sim(three_pair_sim(cmd, order), arrays, members)
+    assert np.array_equal(out.data, ref_out.data)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+    assert [k for k, _ in kinks] == ["norm_floor"] * order
+    assert all(np.array_equal(p, want) for (_, p), want in zip(kinks, pairs_min(ref_kinks, order)))
+    assert out._back is not None and len(out._parents) == 3  # one node
+    if members is None:  # the primitive composite: values bit for bit, gradients to rounding
+        comp_out, comp_grads, comp_kinks = run_sim(
+            three_pair_sim(oracles.cmd_composite, order), arrays)
+        assert np.array_equal(out.data, comp_out.data)
+        for g, ref in zip(grads, comp_grads):
+            assert np.max(np.abs(g - ref)) <= GRAD_RTOL * np.max(np.abs(ref))
+        assert [p for _, p in comp_kinks] == [p for _, p in ref_kinks]
+
+
+@pytest.mark.parametrize("members", [None, STACK], ids=["plain", "stacked"])
+def test_sim_loss_kink_verdicts_match_three_cmd_terms(members):
+    """A probe pair judged from the fused records gets the verdict it gets
+    from the three terms' records: the near-kink of the (text, video) mean
+    difference trips large steps and not small ones."""
+    shape = (8, 4) if members is None else (members, 8, 4)
+    arrays = sim_features("simkink", shape)
+    verdicts = {}
+    for name, fn in (("fused", lambda f: sim_loss(f, 3)), ("terms", three_pair_sim(cmd, 3))):
+        for step in (1e-3, 1e-5, 1e-7, 1e-9):
+            plus, minus = [a.copy() for a in arrays], [a.copy() for a in arrays]
+            plus[2].reshape(-1)[5] += step
+            minus[2].reshape(-1)[5] -= step
+            records = [run_sim(fn, a, members)[2] for a in (plus, minus)]
+            if members is not None:  # each model's records, as grad_check reads them
+                records = [[[(k, p[m]) for k, p in rec] for rec in records]
+                           for m in range(members)]
+            else:
+                records = [records]
+            verdicts.setdefault(name, []).append(
+                [_kink_crossed(*rec, step) for rec in records])
+    assert verdicts["fused"] == verdicts["terms"]
+    flat = [v for per_step in verdicts["fused"] for v in per_step]
+    assert "norm_floor" in flat and None in flat
+
+
+@pytest.mark.parametrize("members", [None, STACK], ids=["plain", "stacked"])
+def test_sim_loss_of_a_batch_of_one_is_zero_without_gradient(members, caplog):
+    shape = (1, 5) if members is None else (members, 1, 5)
+    arrays = [normal(f"sim1_{i}", shape) for i in range(6)]
+    with caplog.at_level(logging.WARNING, logger="dualpath.losses"):
+        out, grads, kinks = run_sim(lambda f: sim_loss(f, 5), arrays, members)
+    ref_out, ref_grads, _ = run_sim(three_pair_sim(cmd, 5), arrays, members)
+    assert np.array_equal(out.data, np.zeros(shape[:-2]))
+    assert np.array_equal(out.data, ref_out.data)
+    assert grads == ref_grads == [None] * 3
+    assert kinks == []
+    assert any("too small" in r.message for r in caplog.records)

@@ -144,7 +144,7 @@ def test_stacked_rows_are_each_models_own_stream():
     a seed share it."""
     seeds = [3, 5, 3]
     stacked = StackedRng(seeds, "train")
-    drop = stacked.child("dropout", 4).child("drop/shared/text").uniform(size=(3, 2, 5))
+    drop = stacked.child("dropout", 4).child_uniforms(["drop/shared/text"], (3, 2, 5))[0]
     order = stacked.child("shuffle", 1).permutation(7)
     for m, seed in enumerate(seeds):
         rng = Rng(seed, "train")
@@ -152,4 +152,57 @@ def test_stacked_rows_are_each_models_own_stream():
             "drop/shared/text").uniform(size=(2, 5)))
         assert np.array_equal(order[m], rng.child("shuffle", 1).permutation(7))
     with pytest.raises(ValueError, match="stack of 3"):
-        stacked.uniform(size=(2, 5))
+        stacked.child_uniforms(["drop/shared/text"], (2, 5))
+
+
+# -- fresh streams drawn together --------------------------------------------
+
+LABELS = [f"drop/{kind}/{m}" for m in ("text", "video", "audio")
+          for kind in ("shared", "private")]
+
+
+@pytest.mark.parametrize("step", [0, 7, 42, 123, 9999, 99999])
+def test_child_uniforms_equal_each_childs_draw(step):
+    """Steps of one to five digits, so the continued label hash runs over
+    every width of the parent index."""
+    parent = Rng(21, "train").child("dropout", step)
+    draws = parent.child_uniforms(LABELS, (4, 3))
+    assert draws.shape == (6, 4, 3)
+    for row, label in zip(draws, LABELS):
+        assert np.array_equal(row, parent.child(label).uniform(size=(4, 3)))
+    assert parent._generator is None  # the parent itself never drew
+
+
+@pytest.mark.parametrize("step", [1, 56, 999, 10000])
+def test_stacked_child_uniforms_equal_each_models_draw(step):
+    seeds = [8, 3, 8, 5]  # a repeated seed shares its rows
+    parent = StackedRng(seeds, "train").child("dropout", step)
+    draws = parent.child_uniforms(LABELS, (4, 2, 5))
+    assert draws.shape == (6, 4, 2, 5)
+    for row, label in zip(draws, LABELS):
+        for m, seed in enumerate(seeds):
+            want = Rng(seed, "train").child("dropout", step).child(label).uniform(size=(2, 5))
+            assert np.array_equal(row[m], want), (label, m)
+    with pytest.raises(ValueError, match="stack of 4"):
+        parent.child_uniforms(LABELS, (3, 2, 5))
+
+
+def test_nested_child_key_equals_the_full_labels_key():
+    """child() continues the parent's label hash instead of hashing the
+    whole label again; the key is that of the full label."""
+    nested = Rng(17, "train", 2).child("dropout", 31).child("drop/shared/audio", 4)
+    flat = Rng(17, "train#2/dropout#31/drop/shared/audio", 4)
+    assert nested.label == flat.label
+    assert nested._key == flat._key
+    assert np.array_equal(nested.uniform(size=6), flat.uniform(size=6))
+
+
+def test_generator_is_built_on_the_first_draw_only():
+    r = Rng(5, "lazy")
+    assert r._generator is None
+    first = r.uniform(size=3)
+    gen = r._generator
+    assert gen is not None
+    r.uniform(size=3)
+    assert r._generator is gen
+    assert np.array_equal(first, Rng(5, "lazy").uniform(size=3))
