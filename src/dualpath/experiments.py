@@ -15,6 +15,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,10 +58,12 @@ class ExperimentConfig:
         self.loss.validate()
         if self.no_int and self.no_rea:
             raise ValueError("no_int and no_rea cannot both be set")
-        if any(s < 0 for s in self.sigmas):
-            raise ValueError("sigmas must be >= 0")
+        if not all(isinstance(s, Real) and np.isfinite(s) and s >= 0 for s in self.sigmas):
+            raise ValueError(f"sigmas must be finite numbers >= 0, got {self.sigmas!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not all(isinstance(s, Integral) for s in self.seeds):
+            raise ValueError(f"seeds must be integers, got {self.seeds!r}")
 
     def model_config(self, seed: int) -> ModelConfig:
         return ModelConfig(

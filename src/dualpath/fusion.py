@@ -315,7 +315,9 @@ def save_checkpoint(path, model: Model) -> None:
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint. A file shorter than its contents
-    say, or longer, raises ValueError naming what was being read."""
+    say, or longer, raises ValueError naming what was being read; a NaN or
+    infinite parameter value raises ValueError naming the first such
+    parameter."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = 0
@@ -344,6 +346,8 @@ def load_checkpoint(path) -> Model:
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name} shape"))
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(take(8 * n, f"{name} data"), dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")
         values[name] = arr.astype(np.float64)
     if pos != len(blob):
         raise ValueError(f"checkpoint has {len(blob) - pos} bytes after the last "

@@ -45,6 +45,9 @@ class DatasetConfig:
             raise ValueError("conflict_rate must lie in [0, 1]")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
+        for name in ("n_train", "n_val", "n_test"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.num_classes > 2 ** self.feature_dim:
             raise ValueError(
                 "cannot separate %d anchors in %d dimensions"

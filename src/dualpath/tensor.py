@@ -20,9 +20,12 @@ steps.
 Matmul takes matrices or stacks of them (one leading axis, as a stack of
 models has), each slice the product of its own matrices.
 
-Composite functions with a hand-written backward (affine maps, softmax,
-layer norm, cosine similarity, the divergences, the guarded norm and the
-loss terms) record one node each through ``node()``.
+Every op records exactly one node through ``node()``: the primitive
+``Tensor`` ops and ``concat`` here, and the composite functions with a
+hand-written backward elsewhere (affine maps, softmax, layer norm,
+cosine similarity, the divergences, the guarded norm and the loss
+terms). ``node()`` is the only code that reads the recording flag or
+attaches parents and a closure.
 
 Inside ``no_grad()`` operations compute the same values but record
 nothing: no parents, no closure. Nonsmooth ops still report their kinks
@@ -182,61 +185,33 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else constant(other)
-        out = Tensor(self.data + other.data)
-        if _recording:
-            def back(g):
-                self._accum(g)
-                other._accum(g)
+        other = _operand(other)
 
-            out._parents, out._back = (self, other), back
-        return out
+        def back(g):
+            self._accum(g)
+            other._accum(g)
+
+        return node(self.data + other.data, (self, other), back)
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else constant(other)
-        out = Tensor(self.data - other.data)
-        if _recording:
-            def back(g):
-                self._accum(g)
-                other._accum(-g)
+        other = _operand(other)
 
-            out._parents, out._back = (self, other), back
-        return out
+        def back(g):
+            self._accum(g)
+            other._accum(-g)
+
+        return node(self.data - other.data, (self, other), back)
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else constant(other)
-        out = Tensor(self.data * other.data)
-        if _recording:
-            def back(g):
-                if not self.const:
-                    self._accum(g * other.data)
-                if not other.const:
-                    other._accum(g * self.data)
+        other = _operand(other)
 
-            out._parents, out._back = (self, other), back
-        return out
+        def back(g):
+            if not self.const:
+                self._accum(g * other.data)
+            if not other.const:
+                other._accum(g * self.data)
 
-    def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else constant(other)
-        out = Tensor(self.data / other.data)
-        if _recording:
-            def back(g):
-                if not self.const:
-                    self._accum(g / other.data)
-                if not other.const:
-                    other._accum(-g * self.data / (other.data * other.data))
-
-            out._parents, out._back = (self, other), back
-        return out
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data)
-        if _recording:
-            def back(g):
-                self._accum(-g)
-
-            out._parents, out._back = (self,), back
-        return out
+        return node(self.data * other.data, (self, other), back)
 
     def __rsub__(self, other) -> "Tensor":
         return constant(other) - self
@@ -245,108 +220,73 @@ class Tensor:
         return constant(other) * self
 
     def __matmul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else constant(other)
+        other = _operand(other)
         a, b = self.data, other.data
         if a.ndim != b.ndim or a.ndim < 2:
             raise ValueError("matmul takes two operands of one rank, at least 2-D "
                              "(stacks of matrices), got %d-D @ %d-D" % (a.ndim, b.ndim))
-        out = Tensor(a @ b)
-        if _recording:
-            def back(g):
-                if not self.const:
-                    self._accum(g @ b.swapaxes(-1, -2))
-                if not other.const:
-                    other._accum(a.swapaxes(-1, -2) @ g)
 
-            out._parents, out._back = (self, other), back
-        return out
+        def back(g):
+            if not self.const:
+                self._accum(g @ b.swapaxes(-1, -2))
+            if not other.const:
+                other._accum(a.swapaxes(-1, -2) @ g)
+
+        return node(a @ b, (self, other), back)
 
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
-        if _recording:
-            def back(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape))
+        def back(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.data.shape))
 
-            out._parents, out._back = (self,), back
-        return out
+        return node(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.mean(axis=axis, keepdims=keepdims))
-        if _recording:
-            # an empty result gets an empty gradient; the max() only avoids 0 // 0
-            count = self.data.size // max(out.data.size, 1)
+    def reshape(self, *shape: int) -> "Tensor":
+        def back(g):
+            self._accum(g.reshape(self.data.shape))
 
-            def back(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape) / count)
-
-            out._parents, out._back = (self,), back
-        return out
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        out = Tensor(self.data.reshape(shape))
-        if _recording:
-            def back(g):
-                self._accum(g.reshape(self.data.shape))
-
-            out._parents, out._back = (self,), back
-        return out
+        return node(self.data.reshape(shape), (self,), back)
 
     def __getitem__(self, key) -> "Tensor":
         # basic (slice/int/tuple) indexing only; backward scatters into zeros
-        out = Tensor(self.data[key])
-        if _recording:
-            def back(g):
-                buf = np.zeros_like(self.data)
-                buf[key] += g
-                self._accum(buf)
+        def back(g):
+            buf = np.zeros_like(self.data)
+            buf[key] += g
+            self._accum(buf)
 
-            out._parents, out._back = (self,), back
-        return out
+        return node(self.data[key], (self,), back)
 
     # -- elementwise functions ------------------------------------------------
 
     def tanh(self) -> "Tensor":
-        out = Tensor(np.tanh(self.data))
-        if _recording:
-            y = out.data
+        y = np.tanh(self.data)
 
-            def back(g):
-                self._accum(g * (1.0 - y * y))
+        def back(g):
+            self._accum(g * (1.0 - y * y))
 
-            out._parents, out._back = (self,), back
-        return out
+        return node(y, (self,), back)
 
     def sigmoid(self) -> "Tensor":
         x = self.data
         e = np.exp(-np.abs(x))
-        out = Tensor(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
-        if _recording:
-            y = out.data
+        y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-            def back(g):
-                self._accum(g * y * (1.0 - y))
+        def back(g):
+            self._accum(g * y * (1.0 - y))
 
-            out._parents, out._back = (self,), back
-        return out
+        return node(y, (self,), back)
 
     def abs(self) -> "Tensor":
         # subgradient at 0 is defined as 0
         _note_kink("abs_signs", self.data)
-        out = Tensor(np.abs(self.data))
-        if _recording:
-            def back(g):
-                self._accum(g * np.sign(self.data))
 
-            out._parents, out._back = (self,), back
-        return out
+        def back(g):
+            self._accum(g * np.sign(self.data))
+
+        return node(np.abs(self.data), (self,), back)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, data={self.data!r})"
@@ -358,6 +298,11 @@ def constant(data) -> Tensor:
     out = Tensor(data)
     out.const = True
     return out
+
+
+def _operand(x) -> Tensor:
+    """``x`` itself if it is a tensor, else ``x`` wrapped as a constant."""
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def node(data, parents: tuple, back) -> Tensor:
@@ -373,20 +318,18 @@ def node(data, parents: tuple, back) -> Tensor:
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     """Concatenate along an axis; backward slices the gradient back apart."""
-    parts = [t if isinstance(t, Tensor) else constant(t) for t in tensors]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    if _recording:
-        ndim = out.data.ndim
-        ax = axis if axis >= 0 else ndim + axis
-        sizes = [p.data.shape[ax] for p in parts]
+    parts = tuple(_operand(t) for t in tensors)
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    ndim = data.ndim
+    ax = axis if axis >= 0 else ndim + axis
 
-        def back(g):
-            offset = 0
-            for p, size in zip(parts, sizes):
-                sl = [slice(None)] * ndim
-                sl[ax] = slice(offset, offset + size)
-                p._accum(g[tuple(sl)])
-                offset += size
+    def back(g):
+        offset = 0
+        for p in parts:
+            size = p.data.shape[ax]
+            sl = [slice(None)] * ndim
+            sl[ax] = slice(offset, offset + size)
+            p._accum(g[tuple(sl)])
+            offset += size
 
-        out._parents, out._back = tuple(parts), back
-    return out
+    return node(data, parts, back)

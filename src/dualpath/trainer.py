@@ -85,6 +85,15 @@ class TrainConfig:
             raise ValueError("warmup_proportion must lie in [0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be > 0")
 
 
 @dataclass
@@ -213,24 +222,21 @@ def default_val_metric(model: Model, data: Dataset,
 
 def train(model: Model, train_data: Dataset, val_data: Dataset,
           cfg: TrainConfig, loss_cfg: LossConfig,
-          ablation: Ablation | None = None,
-          val_metric=None) -> TrainHistory:
+          ablation: Ablation | None = None) -> TrainHistory:
     """Optimize one model in place: ``train_models`` with M = 1."""
     return train_models([model], train_data, val_data, [cfg], [loss_cfg],
-                        [ablation], val_metric)[0]
+                        [ablation])[0]
 
 
 def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
                  cfgs: list[TrainConfig], loss_cfgs: list[LossConfig],
-                 ablations: list[Ablation | None] | None = None,
-                 val_metric=None) -> list[TrainHistory]:
+                 ablations: list[Ablation | None] | None = None) -> list[TrainHistory]:
     """Optimize ``models`` in place as one stack, model m under
     ``cfgs[m]``, ``loss_cfgs[m]`` and ``ablations[m]``; returns their
     histories. The configs may differ in ``seed`` only. A model that
     stops early leaves the stack; each ends at the parameters of its best
-    validation epoch. ``val_metric(model,
-    data)``, if given, scores one model at a time. A non-finite training
-    loss or validation score raises DivergenceError."""
+    validation epoch, scored by ``default_val_metric``. A non-finite
+    training loss or validation score raises DivergenceError."""
     cfg = cfgs[0]
     for c in cfgs:
         c.validate()
@@ -281,10 +287,7 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
             for i, row in enumerate(sums):
                 for k, vals in parts.items():
                     row[k] = row.get(k, 0.0) + vals[i]
-        if val_metric is None:
-            scores = default_val_metric(stack, val_data, live_ablations).tolist()
-        else:
-            scores = [val_metric(models[m], val_data) for m in live]
+        scores = default_val_metric(stack, val_data, live_ablations)
         keep = []
         for i, m in enumerate(live):
             history = histories[m]
@@ -328,9 +331,6 @@ class GradCheckResult:
     resampled: int
     skipped: int
     resampled_by_kind: dict[str, int] = field(default_factory=dict)
-
-    def worst_group(self) -> str:
-        return max(self.per_group, key=self.per_group.get)
 
     def passed(self, threshold: float) -> bool:
         """True only when something was certified: every wanted coordinate

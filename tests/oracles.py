@@ -13,9 +13,9 @@ the JS divergence, the normalized entropy, cross-entropy, the
 orthogonality penalty and CMD) from primitive Tensor ops, whose
 gradients are checked on their own, with the same numpy work in the same
 order and the same kink records. The fused ops must match them: values
-bit for bit, gradients to rounding. The primitives only they use (exp,
-log, safe_log, sqrt, clamp_min, transpose, where_const) are test-local
-nodes built with ``tensor.node()``.
+bit for bit, gradients to rounding. The primitives only they use
+(mean, truediv, neg, exp, log, safe_log, sqrt, clamp_min, transpose,
+where_const) are test-local nodes built with ``tensor.node()``.
 
 ``adamw_reference`` is the optimizer step as a loop over parameter
 groups; the whole-buffer ``AdamW`` must match it bit for bit.
@@ -182,6 +182,36 @@ def trace_forward(model, text, video, audio):
 
 # -- primitive nodes used only by the composite references --------------------
 
+def mean(x, axis=None, keepdims=False):
+    data = x.data.mean(axis=axis, keepdims=keepdims)
+    # an empty result gets an empty gradient; the max() only avoids 0 // 0
+    count = x.data.size // max(data.size, 1)
+
+    def back(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accum(np.broadcast_to(g, x.data.shape) / count)
+
+    return node(data, (x,), back)
+
+
+def truediv(a, b):
+    def back(g):
+        if not a.const:
+            a._accum(g / b.data)
+        if not b.const:
+            b._accum(-g * a.data / (b.data * b.data))
+
+    return node(a.data / b.data, (a, b), back)
+
+
+def neg(x):
+    def back(g):
+        x._accum(-g)
+
+    return node(-x.data, (x,), back)
+
+
 def exp(x):
     y = np.exp(x.data)
 
@@ -266,10 +296,10 @@ def affine_tanh_composite(x, weight, bias):
 
 
 def layer_norm_composite(x, gain, bias, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = mean(x, axis=-1, keepdims=True)
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / sqrt(var + eps) * gain + bias
+    var = mean(centered * centered, axis=-1, keepdims=True)
+    return truediv(centered, sqrt(var + eps)) * gain + bias
 
 
 def cosine_rows_composite(a, b):
@@ -279,7 +309,7 @@ def cosine_rows_composite(a, b):
     denom = l2_norm_composite(a, -1) * l2_norm_composite(b, -1)
     ok = denom.data > 0
     guarded = where_const(ok, denom, Tensor(np.ones_like(denom.data)))
-    return where_const(ok, dots / guarded, Tensor(np.zeros_like(dots.data)))
+    return where_const(ok, truediv(dots, guarded), Tensor(np.zeros_like(dots.data)))
 
 
 def js_divergence_composite(probs):
@@ -294,14 +324,14 @@ def js_divergence_composite(probs):
 
 
 def normalized_entropy_composite(p, num_classes):
-    h = -(p * safe_log(p)).sum(axis=-1, keepdims=True)
+    h = neg((p * safe_log(p)).sum(axis=-1, keepdims=True))
     return h * (1.0 / np.log(num_classes))
 
 
 def softmax_composite(x, axis=-1):
     shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
     e = exp(x - shift)
-    return e / e.sum(axis=axis, keepdims=True)
+    return truediv(e, e.sum(axis=axis, keepdims=True))
 
 
 def l2_norm_composite(x, axis):
@@ -316,11 +346,11 @@ def cross_entropy_composite(probs, labels):
     n, c = probs.data.shape
     mask = Tensor(np.eye(c)[np.asarray(labels)])
     picked = (probs * mask).sum(axis=-1, keepdims=True)
-    return -(log(clamp_min(picked, PROB_FLOOR))).mean()
+    return neg(mean(log(clamp_min(picked, PROB_FLOOR))))
 
 
 def _center_composite(x):
-    return x - x.mean(axis=0, keepdims=True)
+    return x - mean(x, axis=0, keepdims=True)
 
 
 def diff_loss_composite(feats):
@@ -343,8 +373,8 @@ def diff_loss_composite(feats):
 
 
 def cmd_composite(a, b, order):
-    mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
+    mu_a = mean(a, axis=0)
+    mu_b = mean(b, axis=0)
     total = l2_norm_composite(mu_a - mu_b, axis=None)
     ca = a - mu_a.reshape(1, -1)
     cb = b - mu_b.reshape(1, -1)
@@ -352,7 +382,7 @@ def cmd_composite(a, b, order):
     for _ in range(2, order + 1):
         pow_a = pow_a * ca
         pow_b = pow_b * cb
-        total = total + l2_norm_composite(pow_a.mean(axis=0) - pow_b.mean(axis=0),
+        total = total + l2_norm_composite(mean(pow_a, axis=0) - mean(pow_b, axis=0),
                                           axis=None)
     return total
 

@@ -18,7 +18,7 @@ from dualpath.experiments import (ABLATION_FLAGS, ExperimentConfig,
                                   load_experiment_config, render_csv,
                                   run_ablation, run_main, run_robustness,
                                   train_single, write_json)
-from dualpath.fusion import ModelOutput
+from dualpath.fusion import ModelOutput, load_checkpoint, save_checkpoint
 from dualpath.losses import LossConfig
 from dualpath.metrics import Metrics
 from dualpath.synthdata import DatasetConfig, dataset_digest, generate
@@ -86,6 +86,20 @@ class TestConfig:
         from dataclasses import replace
         with pytest.raises(ValueError):
             replace(ExperimentConfig(), no_int=True, no_rea=True).validate()
+
+
+    @pytest.mark.parametrize("raw,field", [
+        ({"sigmas": [float("nan")]}, "sigmas"),
+        ({"sigmas": [float("inf")]}, "sigmas"),
+        ({"sigmas": [-0.1]}, "sigmas"),
+        ({"sigmas": "0.5"}, "sigmas"),
+        ({"seeds": [1.5]}, "seeds"),
+        ({"seeds": ["1"]}, "seeds"),
+        ({"seeds": []}, "seed"),
+    ])
+    def test_rejects_bad_sigmas_and_seeds(self, raw, field):
+        with pytest.raises(ValueError, match=field):
+            load_experiment_config(raw)
 
 
 class TestLoadConfig:
@@ -378,6 +392,26 @@ class TestCli:
         assert code == 1
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValueError"
+
+    def test_eval_rejects_nonfinite_checkpoint(self, tmp_path, capsys):
+        cfg = tiny_config_json(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = out / "model_seed0.ckpt"
+        model = load_checkpoint(ckpt)
+        bias = model.params()["head.bias"]
+        bias.data = bias.data.copy()
+        bias.data[0] = np.nan
+        save_checkpoint(ckpt, model)
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg), "--out", str(out),
+                     "--checkpoint", str(ckpt)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError"
+        assert "'head.bias' holds a non-finite" in record["message"]
 
     def test_errors_are_json_records(self, tmp_path, capsys):
         cfg = tiny_config_json(tmp_path)

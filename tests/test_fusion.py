@@ -238,6 +238,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="3 bytes after the last parameter"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_parameter(self, tmp_path, bad):
+        model = Model(CFG)
+        params = model.params()
+        # two bad parameters: the error names the first in file order
+        for name in ("rea_head.weight", "head.bias"):
+            params[name].data = params[name].data.copy()
+            params[name].data.flat[1] = bad
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(ValueError, match="'head.bias' holds a non-finite"):
+            load_checkpoint(path)
+
     def test_set_params_validates(self):
         model = Model(CFG)
         with pytest.raises(KeyError):

@@ -37,6 +37,13 @@ def test_config_rejects_bad_values():
         DatasetConfig(noise_std=-0.1).validate()
 
 
+@pytest.mark.parametrize("field", ["n_train", "n_val", "n_test"])
+def test_config_rejects_negative_split_sizes(field):
+    with pytest.raises(ValueError, match=field):
+        generate(DatasetConfig(**{field: -3}))
+    DatasetConfig(**{field: 0}).validate()
+
+
 def test_too_many_classes_for_dim_is_config_error():
     with pytest.raises(ValueError):
         DatasetConfig(num_classes=17, feature_dim=4).validate()

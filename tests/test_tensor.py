@@ -58,8 +58,8 @@ def test_arithmetic_values():
     assert np.array_equal((a + b).data, [4.0, 7.0])
     assert np.array_equal((a - b).data, [-2.0, -3.0])
     assert np.array_equal((a * b).data, [3.0, 10.0])
-    assert np.allclose((a / b).data, [1 / 3, 2 / 5])
-    assert np.array_equal((-a).data, [-1.0, -2.0])
+    assert np.allclose(oracles.truediv(a, b).data, [1 / 3, 2 / 5])
+    assert np.array_equal(oracles.neg(a).data, [-1.0, -2.0])
     assert np.array_equal((2.0 - a).data, [1.0, 0.0])
     assert np.array_equal((2.0 * a).data, [2.0, 4.0])
 
@@ -126,7 +126,7 @@ def test_recorded_forward_is_freed_by_refcount(default_batch):
 def test_constants_take_no_gradient():
     x = Tensor(np.array([1.0, -2.0]))
     c = constant(np.array([3.0, 4.0]))
-    (x * c + c / x - c + 2.0 * x).sum().backward()
+    (x * c + oracles.truediv(c, x) - c + 2.0 * x).sum().backward()
     assert c.grad is None
     assert np.allclose(x.grad, [3.0 - 3.0 + 2.0, 4.0 - 1.0 + 2.0])
 
@@ -161,7 +161,7 @@ def test_arithmetic_grads():
     b = rng.normal(size=(3, 4)) + 3.0
 
     def build(ts):
-        u = ts[0] * ts[1] + ts[0] / ts[1] - ts[1]
+        u = ts[0] * ts[1] + oracles.truediv(ts[0], ts[1]) - ts[1]
         return (u * u * u).sum()
 
     check_op(build, [a, b])
@@ -199,8 +199,8 @@ def test_reductions_and_shape_ops():
     rng = Rng(3, "t_red")
     x = rng.normal(size=(4, 6))
     check_op(lambda ts: ts[0].sum(axis=0).sum(), [x])
-    check_op(lambda ts: ts[0].mean(axis=1, keepdims=True).sum(), [x])
-    check_op(lambda ts: (ts[0].mean() * 3.0), [x])
+    check_op(lambda ts: oracles.mean(ts[0], axis=1, keepdims=True).sum(), [x])
+    check_op(lambda ts: (oracles.mean(ts[0]) * 3.0), [x])
     check_op(lambda ts: ts[0].reshape(-1)[3:10].sum(), [x])
     check_op(lambda ts: oracles.transpose(ts[0])[1:3, :].sum(), [x])
     assert oracles.transpose(Tensor(x)).data.shape == (6, 4)
@@ -210,7 +210,7 @@ def test_reductions_and_shape_ops():
 
 def test_mean_of_empty_rows_has_empty_gradient():
     t = Tensor(np.zeros((0, 3)))
-    t.mean(axis=-1, keepdims=True).sum().backward()
+    oracles.mean(t, axis=-1, keepdims=True).sum().backward()
     assert t.grad.shape == (0, 3)
 
 
@@ -374,19 +374,71 @@ def test_training_step_leaves_no_cyclic_garbage(default_batch):
         gc.enable()
 
 
-def test_no_grad_records_no_tape():
+# (op, build from the operands a, b and the positive c, the parents the
+# node must have: an operand's name, or "*" for a plain value the op wraps
+# as a constant)
+RECORDING_CASES = [
+    ("add", lambda a, b, c: a + b, "ab"),
+    ("add_scalar", lambda a, b, c: a + 1.0, "a*"),
+    ("sub", lambda a, b, c: a - b, "ab"),
+    ("rsub", lambda a, b, c: 2.0 - a, "*a"),
+    ("mul", lambda a, b, c: a * b, "ab"),
+    ("rmul", lambda a, b, c: 2.0 * a, "*a"),
+    ("matmul", lambda a, b, c: a @ b, "ab"),
+    ("sum", lambda a, b, c: a.sum(axis=0), "a"),
+    ("reshape", lambda a, b, c: a.reshape(-1), "a"),
+    ("getitem", lambda a, b, c: a[0], "a"),
+    ("tanh", lambda a, b, c: a.tanh(), "a"),
+    ("sigmoid", lambda a, b, c: a.sigmoid(), "a"),
+    ("abs", lambda a, b, c: a.abs(), "a"),
+    ("concat", lambda a, b, c: concat([a, b], axis=0), "ab"),
+    ("concat_array", lambda a, b, c: concat([a, np.ones((1, 2))], axis=0), "a*"),
+    ("mean", lambda a, b, c: oracles.mean(a), "a"),
+    ("truediv", lambda a, b, c: oracles.truediv(a, b), "ab"),
+    ("neg", lambda a, b, c: oracles.neg(a), "a"),
+    ("transpose", lambda a, b, c: oracles.transpose(a), "a"),
+    ("exp", lambda a, b, c: oracles.exp(b), "b"),
+    ("log", lambda a, b, c: oracles.log(c), "c"),
+    ("safe_log", lambda a, b, c: oracles.safe_log(a), "a"),
+    ("sqrt", lambda a, b, c: oracles.sqrt(c), "c"),
+    ("clamp_min", lambda a, b, c: oracles.clamp_min(a, 0.0), "a"),
+    ("where_const", lambda a, b, c: oracles.where_const(a.data > 0, a, b), "ab"),
+]
+
+
+@pytest.mark.parametrize("build,parents", [case[1:] for case in RECORDING_CASES],
+                         ids=[case[0] for case in RECORDING_CASES])
+def test_no_grad_records_no_tape(build, parents):
+    """Every op records exactly one node, its operands as parents, while
+    recording, and none inside no_grad(); its value and kink records are
+    the same either way."""
     a = Tensor(np.array([[1.0, -2.0], [3.0, 0.5]]))
     b = Tensor(np.array([[0.5, 1.0], [-1.0, 2.0]]))
-    with no_grad():
-        nodes = [a + b, a - b, a * b, a / b, -a, 2.0 - a, 2.0 * a, a @ b,
-                 a.sum(axis=0), a.mean(), a.reshape(-1), oracles.transpose(a), a[0],
-                 oracles.exp(b), oracles.log(b.abs()), oracles.safe_log(a),
-                 oracles.sqrt(b.abs()),
-                 a.tanh(), a.sigmoid(), a.abs(), oracles.clamp_min(a, 0.0),
-                 concat([a, b], axis=0), oracles.where_const(a.data > 0, a, b)]
-    for node in nodes:
-        assert node._parents == () and node._back is None
-    assert (a + b)._back is not None
+    c = Tensor(np.abs(b.data))
+    operands = {"a": a, "b": b, "c": c}
+    with watch_kinks() as kinks:
+        out = build(a, b, c)
+    assert out._back is not None
+    assert len(out._parents) == len(parents)
+    for parent, name in zip(out._parents, parents):
+        if name == "*":
+            assert parent.const and parent._back is None
+        else:
+            assert parent is operands[name]
+    with no_grad(), watch_kinks() as quiet_kinks:
+        quiet = build(a, b, c)
+    assert quiet._parents == () and quiet._back is None
+    assert np.array_equal(quiet.data, out.data)
+    assert [k for k, _ in quiet_kinks] == [k for k, _ in kinks]
+    for (_, p), (_, q) in zip(kinks, quiet_kinks):
+        assert np.array_equal(p, q)
+
+
+def test_abs_reports_its_kink_inside_no_grad():
+    with no_grad(), watch_kinks() as kinks:
+        Tensor(np.array([-2.0, 0.0, 3.0])).abs()
+    assert [k for k, _ in kinks] == ["abs_signs"]
+    assert np.array_equal(kinks[0][1], [-1, 0, 1])
 
 
 def test_no_grad_restores_mode_when_nested_and_on_error():
