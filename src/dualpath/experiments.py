@@ -26,7 +26,7 @@ from dualpath.metrics import (Metrics, eval_forward, evaluate, gate_stats,
 from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
-                                inject_noise_dataset)
+                                inject_noise_dataset, require_integers)
 from dualpath.trainer import TrainConfig, TrainHistory, train_models
 
 ABLATION_FLAGS = ("no_int", "no_rea", "no_sim", "no_diff", "no_uni", "no_rea_loss")
@@ -56,13 +56,15 @@ class ExperimentConfig:
         self.dataset.validate()
         self.train.validate()
         self.loss.validate()
+        if self.hidden_dim is not None:
+            require_integers(self, "hidden_dim")
         if self.no_int and self.no_rea:
             raise ValueError("no_int and no_rea cannot both be set")
         if not all(isinstance(s, Real) and np.isfinite(s) and s >= 0 for s in self.sigmas):
             raise ValueError(f"sigmas must be finite numbers >= 0, got {self.sigmas!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if not all(isinstance(s, Integral) for s in self.seeds):
+        if not all(isinstance(s, Integral) and not isinstance(s, bool) for s in self.seeds):
             raise ValueError(f"seeds must be integers, got {self.seeds!r}")
 
     def model_config(self, seed: int) -> ModelConfig:

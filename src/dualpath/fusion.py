@@ -25,7 +25,7 @@ from dualpath.intuition import IntuitionPath
 from dualpath.layers import Affine
 from dualpath.perception import ConflictReport, Perception
 from dualpath.rng import Rng
-from dualpath.synthdata import MODALITIES
+from dualpath.synthdata import MODALITIES, require_integers
 from dualpath.tensor import Tensor, constant, node
 
 CHECKPOINT_MAGIC = b"DPCK"
@@ -43,6 +43,7 @@ class ModelConfig:
     init_seed: int = 0
 
     def validate(self) -> None:
+        require_integers(self, "feature_dim", "num_classes", "hidden_dim", "init_seed")
         if self.feature_dim < 1 or self.hidden_dim < 1:
             raise ValueError("dims must be positive")
         if self.num_classes < 2:

@@ -5,7 +5,9 @@ the checkpoint writer and the gradient checker all see one flat namespace
 of named arrays. An affine map, squashed or not, records one tape node.
 In a stack of models (``fusion.Model.stack``) a weight is (M, d_in,
 d_out) and a bias (M, 1, d_out); inputs are (M, N, d_in), or one
-(N, d_in) batch that every model takes.
+(N, d_in) batch that every model takes. Any of them may instead hold one
+(1, ...) slice that all M models share, as the groups a gradient-check
+round leaves alone do; the result then takes the largest model axis.
 """
 
 from __future__ import annotations
@@ -50,7 +52,11 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor, squash: bool) -> Tensor:
         raise ValueError(f"affine input must be at least 2-D (rows of features), "
                          f"got shape {xd.shape}")
     y = xd @ wd
-    y += bias.data
+    b = bias.data
+    if b.ndim == y.ndim > 2 and len(b) > len(y):
+        y = y + b  # an (M, 1, d) bias grows a product without the model axis
+    else:
+        y += b
     if squash:
         np.tanh(y, out=y)
 

@@ -10,8 +10,10 @@ modalities toward a common distribution.
 Every term counts axes from the end. On a stack's (M, N, ...) outputs
 each term is an (M,) vector, one value per model, and the loss weights
 may be (M,) vectors too, so ablation variants that zero a term train in
-one stack. Means are written as sums over the count: that is
-``ndarray.mean``'s own arithmetic, without its Python-level wrapper.
+one stack. A feature that every model shares may stay a (1, N, ...)
+slice beside (M, N, ...) ones; a term over such slices alone is (1,).
+Means are written as sums over the count: that is ``ndarray.mean``'s own
+arithmetic, without its Python-level wrapper.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from dualpath.decoupler import DecoupledFeatures
 from dualpath.functional import guarded_sqrt, one_hot
 from dualpath.fusion import ModelOutput
-from dualpath.synthdata import MODALITIES
+from dualpath.synthdata import MODALITIES, require_integers
 from dualpath.tensor import Tensor, _note_kink, is_recording, node
 
 log = logging.getLogger(__name__)
@@ -51,6 +53,7 @@ class LossConfig:
         for name in WEIGHTS:
             if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0")
+        require_integers(self, "moment_order")
         if self.moment_order < 1:
             raise ValueError("moment_order must be >= 1")
 
@@ -139,8 +142,10 @@ def diff_loss(feats: DecoupledFeatures) -> Tensor:
             prods.append(prod)
 
     def back(g):
+        # every input's gradient takes the output's leading axes, which a
+        # (1, ...) input beside (M, ...) ones lacks; _accum sums them away
+        grads = [np.zeros(g.shape + c.shape[-2:]) for c in centered]
         g = g[..., None, None]
-        grads = [np.zeros_like(c) for c in centered]
         for (i, j), prod in zip(pairs, prods):
             gp = (2.0 * scale) * g * prod
             grads[i] += centered[j] @ gp.swapaxes(-1, -2)
@@ -212,8 +217,12 @@ def _moment_match(inputs: tuple[Tensor, ...], pairs: tuple[tuple[int, int], ...]
         powers.append(pw)
         moments.append(ms)
     # per order: the pairs' moment differences, (..., P, 1, d), and norms, (..., P)
-    diffs = [np.stack([moments[i][k] - moments[j][k] for i, j in pairs], axis=-3)
-             for k in range(order)]
+    diffs = []
+    for k in range(order):
+        diff = [moments[i][k] - moments[j][k] for i, j in pairs]
+        if len({d.shape for d in diff}) > 1:  # (1, ...) pairs beside (M, ...) ones
+            diff = np.broadcast_arrays(*diff)
+        diffs.append(np.stack(diff, axis=-3))
     norms = [guarded_sqrt((d * d).sum(axis=(-2, -1))) for d in diffs]
     per_pair = sum(norms[1:], norms[0])
     value = per_pair[..., 0]
@@ -227,11 +236,12 @@ def _moment_match(inputs: tuple[Tensor, ...], pairs: tuple[tuple[int, int], ...]
         for d, norm in zip(diffs, norms):
             norm = norm[..., None, None]
             units.append(np.divide(g * d, norm, out=np.zeros_like(d), where=norm > 0))
+        lead = units[0].shape[:-3]  # the output's, which a (1, ...) input may lack
         for p in reversed(range(len(pairs))):
             for i, sign in zip(pairs[p], (1.0, -1.0)):
                 pw, n = powers[i], rows[i]
                 # d mean(c**k) / dc = k c**(k-1) / n, then through the centering
-                grad_c = np.zeros_like(pw[0])
+                grad_c = np.zeros(lead + pw[0].shape[-2:])
                 for k in range(2, order + 1):
                     grad_c += (k / n) * pw[k - 2] * units[k - 1][..., p, :, :]
                 inputs[i]._accum(sign * (units[0][..., p, :, :] / n + grad_c

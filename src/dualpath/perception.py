@@ -13,7 +13,9 @@ contributes downstream.
 All ops are batched: vectors per sample are rows, scalars per sample
 are (N, 1) columns. A stack of models (see ``fusion.Model.stack``) puts
 its model axis in front, (M, N, d) and (M, N, 1), and every op counts
-axes from the end.
+axes from the end. An intermediate that no member-specific parameter has
+reached yet holds one (1, ...) slice that every model shares; ops
+broadcast it against (M, ...) operands, ``concat`` included.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -37,6 +38,8 @@ class DatasetConfig:
     seed: int = 7
 
     def validate(self) -> None:
+        require_integers(self, "num_classes", "feature_dim", "n_train", "n_val",
+                         "n_test", "seed")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.feature_dim < 4:
@@ -53,6 +56,17 @@ class DatasetConfig:
                 "cannot separate %d anchors in %d dimensions"
                 % (self.num_classes, self.feature_dim)
             )
+
+
+def require_integers(config, *names: str) -> None:
+    """Raise ValueError naming the first field of ``names`` that is not an
+    integer. Floats fail even when whole, and so do bools; numpy integers
+    pass."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{type(config).__name__}.{name} must be an integer, "
+                             f"got {value!r}")
 
 
 @dataclass

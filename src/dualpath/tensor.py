@@ -72,8 +72,11 @@ def watch_kinks(members: int | None = None):
     holds one record per model, indexed by the leading model axis:
     ``norm_floor`` and ``clamp_margin`` become (M,) vectors of per-slice
     minima and ``abs_signs`` keeps its (M, ...) signs, so model m's
-    records are exactly those its own forward would make. A payload
-    without that axis raises ValueError."""
+    records are exactly those its own forward would make. A (1, ...)
+    payload, one slice every model shares, is reduced once and its record
+    broadcast read-only over the M models (a zero stride on the model
+    axis). A payload whose leading axis is neither M nor 1 raises
+    ValueError."""
     global _kink_watch, _kink_members
     prev = _kink_watch, _kink_members
     _kink_watch, _kink_members = [], members
@@ -110,19 +113,23 @@ def _note_kink(kind: str, raw: Array, floor: float = 0.0) -> None:
     if _kink_watch is None:
         return
     members = _kink_members
-    if members is not None and raw.shape[:1] != (members,):
-        raise ValueError(f"{kind} payload of shape {raw.shape} lacks the "
-                         f"leading axis of {members} models")
+    lead = raw.shape[:1]
+    if members is not None and lead != (members,) and lead != (1,):
+        raise ValueError(f"{kind} payload of shape {raw.shape} has a leading "
+                         f"axis of neither {members} models nor 1")
     if kind == "abs_signs":
         payload = np.sign(raw).astype(np.int8)
     else:
         if kind == "clamp_margin":
             raw = np.abs(raw - floor)
-        rows = raw.reshape(members or 1, -1)
+        rows = raw.reshape(len(raw) if members is not None else 1, -1)
         low = rows.min(axis=1) if raw.size else np.zeros(len(rows))
         if kind == "norm_floor":
             low = np.sqrt(low)
         payload = low if members is not None else float(low[0])
+    if members is not None and lead != (members,):
+        # one (1, ...) slice that every member shares: its record, fanned out
+        payload = np.broadcast_to(payload, (members,) + payload.shape[1:])
     _kink_watch.append((kind, payload))
 
 
@@ -317,11 +324,19 @@ def node(data, parents: tuple, back) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate along an axis; backward slices the gradient back apart."""
+    """Concatenate along an axis; backward slices the gradient back apart.
+    Parts that differ off that axis, such as a (1, ...) part beside a
+    stack's (M, ...) one, are broadcast there first; the (1, ...) part then
+    takes the gradient summed over the members."""
     parts = tuple(_operand(t) for t in tensors)
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    ndim = data.ndim
+    arrays = [p.data for p in parts]
+    ndim = arrays[0].ndim
     ax = axis if axis >= 0 else ndim + axis
+    if len({a.shape[:ax] + a.shape[ax + 1:] for a in arrays}) > 1:
+        out = np.broadcast_shapes(*(a.shape[:ax] + (1,) + a.shape[ax + 1:] for a in arrays))
+        arrays = [np.broadcast_to(a, out[:ax] + a.shape[ax:ax + 1] + out[ax + 1:])
+                  for a in arrays]
+    data = np.concatenate(arrays, axis=ax)
 
     def back(g):
         offset = 0

@@ -33,13 +33,17 @@ step, then at a hundredth, and the first step that crosses nothing is
 used; rounding in the quotient grows like 1e-16 |L| / step, so it stops
 there. The probes run in rounds: one no-grad forward of a stack of
 copies of the model evaluates up to twelve probes, member 2j at pair j's
-+step and member 2j + 1 at its -step, and a member watch of the kinks
-judges each probe from its own members' records. A stack slice is bit
-for bit its model's own forward, so the result is exactly that of
-probing one coordinate at a time, and the model itself is never
-written. A group takes a new coordinate only while its checked and
-in-flight probes fall short of its quota, so the coordinates probed are
-those a one-at-a-time loop would probe.
++step and member 2j + 1 at its -step. Only the groups a round perturbs
+get a per-member copy; the others keep their (1, ...) stack shape, which
+every member shares, so an op runs once until it meets a perturbed
+group and fans out there. A member watch of the kinks records such a
+shared slice's kinks once, fanned out over the members, and the round
+is judged in one pass, one array comparison per kink record across its
+pairs. A stack slice is bit for bit its model's own forward, so the
+result is exactly that of probing one coordinate at a time, and the
+model itself is never written. A group takes a new coordinate only
+while its checked and in-flight probes fall short of its quota, so the
+coordinates probed are those a one-at-a-time loop would probe.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dualpath.fusion import Ablation, Model, ModelOutput
 from dualpath.losses import LossConfig, stack_loss_configs, total_loss
 from dualpath.metrics import eval_forward
 from dualpath.rng import Rng, StackedRng
-from dualpath.synthdata import Dataset, MODALITIES
+from dualpath.synthdata import Dataset, MODALITIES, require_integers
 from dualpath.tensor import no_grad, watch_kinks
 
 
@@ -79,6 +83,7 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def validate(self) -> None:
+        require_integers(self, "max_epochs", "batch_size", "patience", "seed")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if not 0.0 <= self.warmup_proportion < 1.0:
@@ -341,7 +346,9 @@ class GradCheckResult:
 
 # Probe pairs one stacked forward of grad_check evaluates: member 2j holds
 # pair j's +step and member 2j + 1 its -step. More pairs run faster but
-# raise peak memory; see BENCH_stacked_probes.json.
+# raise peak memory; see BENCH_stacked_probes.json, and
+# BENCH_lean_probe_rounds.json for a re-sweep with only perturbed groups
+# per member.
 _PROBE_PAIRS = 12
 
 
@@ -370,6 +377,33 @@ def _only_abs_crossed(plus: list, minus: list, fd_eps: float) -> bool:
         return False
     rest = [[k for k in rec if k[0] != "abs_signs"] for rec in (plus, minus)]
     return _kink_crossed(*rest, fd_eps) is None
+
+
+def _judge_round(kinks: list, steps: np.ndarray) -> tuple[list, list]:
+    """``_kink_crossed`` and ``_only_abs_crossed`` for every pair of a
+    round at once, one array comparison per kink record of a member
+    watch: pair j's +step is member 2j, its -step member 2j + 1 and its
+    step ``steps[j]``. Returns each pair's first crossed kind, None when
+    it crossed nothing, and whether abs sign flips were all it crossed.
+    Every member makes the same sequence of records, so "length" cannot
+    arise."""
+    pairs = len(steps)
+    first: list[str | None] = [None] * pairs
+    other = np.zeros(pairs, dtype=bool)  # crossed a kink other than an abs
+    for kind, pay in kinks:
+        plus, minus = pay[0:2 * pairs:2], pay[1:2 * pairs:2]
+        if kind == "abs_signs":
+            if pay.strides[0] == 0:
+                continue  # one slice's signs fanned over the members: no pair moves them
+            hit = (plus != minus).reshape(pairs, -1).any(axis=1)
+        else:
+            # a fanned distance still counts: it is measured to the kink
+            hit = np.minimum(plus, minus) < 10.0 * steps
+            other |= hit
+        for j in np.flatnonzero(hit):
+            if first[j] is None:
+                first[j] = kind
+    return first, [kind == "abs_signs" and not o for kind, o in zip(first, other)]
 
 
 def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
@@ -408,16 +442,14 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     outcomes: list[list] = [[] for _ in names]
     steps = (epsilon, epsilon / 10.0, epsilon / 100.0)
     members = 2 * _PROBE_PAIRS
-    # A stack of `members` copies of the model that holds one array per
-    # group, broadcast read-only over the members; a round gives the
-    # groups it perturbs writable per-member copies and drops them after
-    # its forward.
+    # A stack of `members` copies of the model whose groups keep their
+    # (1, ...) stack shape, so each op runs once until it meets a group
+    # with the member axis; a round gives only the groups it perturbs
+    # (members, ...) copies and drops them after its forward.
     stack = Model.stack([model])
     stack.stack_size = members
     tensors = list(stack.params().values())
-    shared = [np.broadcast_to(t.data, (members,) + t.data.shape[1:]) for t in tensors]
-    for t, view in zip(tensors, shared):
-        t.data = view
+    shared = [t.data for t in tensors]
     retries: list[tuple[int, int, int, int]] = []
     while True:
         # (group, coordinate, outcome slot, step index) per pair of members
@@ -432,25 +464,25 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         rows = {}
         for j, (g, i, _, k) in enumerate(probes):
             if g not in rows:
-                tensors[g].data = np.array(shared[g])
+                tensors[g].data = np.repeat(shared[g], members, axis=0)
                 rows[g] = tensors[g].data.reshape(members, -1)
             rows[g][2 * j, i] = flats[g][i] + steps[k]
             rows[g][2 * j + 1, i] = flats[g][i] - steps[k]
         with no_grad(), watch_kinks(members) as kinks:
             out = stack.forward_batch(batch.text, batch.video, batch.audio, train=False)
             values = total_loss(out, labels, loss_cfg)[0].data
+        values = np.broadcast_to(values, (members,))
         for g in rows:
             tensors[g].data = shared[g]
+        crossed, only_abs = _judge_round(kinks, np.array([steps[p[3]] for p in probes]))
         for j, (g, i, slot, k) in enumerate(probes):
-            plus = [(kind, pay[2 * j]) for kind, pay in kinks]
-            minus = [(kind, pay[2 * j + 1]) for kind, pay in kinks]
-            kind = _kink_crossed(plus, minus, steps[k])
+            kind = crossed[j]
             if kind is None:
                 fd = (float(values[2 * j]) - float(values[2 * j + 1])) / (2.0 * steps[k])
                 g_i = gflats[g][i]
                 outcomes[g][slot] = abs(fd - g_i) / max(abs(fd), abs(g_i), 1e-8)
                 done[g] += 1
-            elif k + 1 < len(steps) and _only_abs_crossed(plus, minus, steps[k]):
+            elif k + 1 < len(steps) and only_abs[j]:
                 retries.append((g, i, slot, k + 1))
                 continue
             else:

@@ -101,6 +101,33 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             load_experiment_config(raw)
 
+    @pytest.mark.parametrize("raw,field", [
+        ({"dataset": {"seed": 1.5}}, "DatasetConfig.seed"),
+        ({"dataset": {"n_train": 5.5}}, "n_train"),
+        ({"dataset": {"n_val": True}}, "n_val"),
+        ({"dataset": {"num_classes": 4.0}}, "num_classes"),
+        ({"train": {"max_epochs": 1.5}}, "max_epochs"),
+        ({"train": {"batch_size": 2.5}}, "batch_size"),
+        ({"train": {"seed": 2.5}}, "TrainConfig.seed"),
+        ({"train": {"patience": 2.0}}, "patience"),
+        ({"loss": {"moment_order": 2.0}}, "moment_order"),
+        ({"model": {"hidden_dim": 3.5}}, "hidden_dim"),
+        ({"seeds": [True]}, "seeds"),
+    ])
+    def test_rejects_non_integer_counts_and_seeds(self, raw, field):
+        with pytest.raises(ValueError, match=field):
+            load_experiment_config(raw)
+
+    def test_integer_fields_fail_early_and_take_numpy_integers(self):
+        for bad in ({"seed": 1.5}, {"n_train": 5.5}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                generate(DatasetConfig(**bad))
+        with pytest.raises(ValueError, match="init_seed"):
+            ExperimentConfig().model_config(np.float64(1.0)).validate()
+        DatasetConfig(n_train=np.int64(4), seed=np.int32(2)).validate()
+        TrainConfig(max_epochs=np.int64(2), seed=np.uint8(3)).validate()
+        ExperimentConfig().model_config(np.int64(1)).validate()
+
 
 class TestLoadConfig:
     def test_round_trip_from_file(self, tmp_path):

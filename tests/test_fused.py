@@ -415,6 +415,71 @@ def test_stacked_matmul(n):
         Tensor(stacked("smm_a", (n, 4))) @ Tensor(normal("smm_c", (4, 1)))
 
 
+# -- members sharing a slice --------------------------------------------------
+#
+# grad_check keeps the parameter groups a probe round leaves alone at their
+# (1, ...) stack shape, so a kernel meets (1, ...) operands beside (M, ...)
+# ones. Its result must be that of the same operands repeated M times.
+
+def repeated(arrays):
+    """``arrays`` with each (1, ...) one repeated to the stack's M."""
+    return [np.repeat(a, STACK, axis=0) if len(a) == 1 else a for a in arrays]
+
+
+@pytest.mark.parametrize("squash", [False, True])
+def test_affine_bias_grows_a_one_member_product(squash):
+    """A (1, N, d_in) input and weight with an (M, 1, d_out) bias: each
+    slice is that member's plain affine map, and the (1, ...) weight takes
+    the members' gradients summed."""
+    x, w, b = normal("aff1_x", (1, 5, 6)), normal("aff1_w", (1, 6, 3)), stacked("aff1_b", (1, 3))
+    weights = normal("aff1_g", (STACK, 5, 3))
+    runs = [run_weighted(lambda x, w, b: affine_layer(w, b, squash)(x), arrays, lambda ts: ts,
+                         weights) for arrays in ([x, w, b], repeated([x, w, b]))]
+    (value, grads, _), (ref_value, ref_grads, _) = runs
+    for m in range(STACK):
+        plain = affine_layer(Tensor(w[0]), Tensor(b[m, 0]), squash)(Tensor(x[0])).data
+        assert np.array_equal(value[m], plain), m
+    assert np.array_equal(value, ref_value)
+    assert np.array_equal(grads[2], ref_grads[2])
+    for g, ref in zip(grads[:2], ref_grads[:2]):
+        assert np.array_equal(g, ref.sum(axis=0, keepdims=True))
+
+
+@pytest.mark.parametrize("ones", [(0,), (0, 1), (0, 1, 2), (1, 4)])
+@pytest.mark.parametrize("loss", ["sim", "diff"])
+def test_losses_with_one_member_inputs_equal_repeated_inputs(loss, ones):
+    """``sim_loss`` and ``diff_loss`` over features some of which are
+    (1, ...): values, kink records and the (M, ...) inputs' gradients bit
+    for bit those of the inputs repeated over the members. A (1, ...)
+    input's gradient is the members' gradients summed; ``sim_loss`` sums
+    each pair's share separately, so it matches to rounding."""
+    fn = (lambda f: sim_loss(f, 3)) if loss == "sim" else diff_loss
+    arrays = sim_features(f"ones{loss}", (STACK, 6, 4))
+    arrays = [a[:1] if i in ones else a for i, a in enumerate(arrays)]
+    weights = normal("ones_g", (STACK,))
+
+    def run(arrays):
+        tensors = [Tensor(a.copy()) for a in arrays]
+        with watch_kinks(STACK) as kinks:
+            out = fn(DecoupledFeatures(*tensors))
+        (out * Tensor(weights)).sum().backward()
+        return out.data, [t.grad for t in tensors], kinks
+
+    value, grads, kinks = run(arrays)
+    ref_value, ref_grads, ref_kinks = run(repeated(arrays))
+    assert np.array_equal(np.broadcast_to(value, ref_value.shape), ref_value)
+    assert [k for k, _ in kinks] == [k for k, _ in ref_kinks]
+    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(kinks, ref_kinks))
+    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+        if ref is None:  # sim_loss reads no private feature
+            assert g is None
+        elif i not in ones:
+            assert np.array_equal(g, ref), i
+        else:
+            ref = ref.sum(axis=0, keepdims=True)
+            assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref)), i
+
+
 # -- sim_loss: one node over the three modality pairs -----------------------
 
 def three_pair_sim(pair_fn, order):

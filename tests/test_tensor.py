@@ -272,6 +272,26 @@ def test_concat_round_trips_gradient():
     assert np.array_equal(cat.data, np.concatenate([a, b], axis=1))
 
 
+@pytest.mark.parametrize("axis,one,many", [(-1, (1, 3, 2), (4, 3, 5)),
+                                            (1, (1, 3, 2), (4, 5, 2))])
+def test_concat_broadcasts_a_one_member_part(axis, one, many):
+    """A (1, ...) part beside a stack's (M, ...) part is broadcast over the
+    members first; the (1, ...) part takes its slice of the gradient
+    summed over them."""
+    rng = Rng(6, "t_cat_members")
+    a, b = Tensor(rng.child("one").normal(size=one)), Tensor(rng.child("many").normal(size=many))
+    shape = list(many)
+    shape[axis] = one[axis]
+    cat = concat([a, b], axis=axis)
+    assert np.array_equal(cat.data, np.concatenate(
+        [np.broadcast_to(a.data, shape), b.data], axis=axis))
+    weights = rng.child("w").normal(size=cat.data.shape)
+    (cat * Tensor(weights)).sum().backward()
+    w_one, w_many = np.split(weights, [one[axis]], axis=axis)
+    assert np.array_equal(b.grad, w_many)
+    assert np.array_equal(a.grad, w_one.sum(axis=0, keepdims=True))
+
+
 def test_where_const_masks_gradient():
     cond = np.array([True, False, True])
     a = Tensor(np.array([1.0, 2.0, 3.0]))
@@ -342,6 +362,35 @@ def test_member_watch_keeps_each_models_records():
             assert kind == plain_kind
             assert payload.shape == (3,) and payload[m] == plain_payload
     assert stacked[1][1][1] == 0.0
+
+
+def test_member_watch_fans_out_a_one_member_payload():
+    """A (1, ...) payload, one slice every member shares, is recorded as
+    M copies of that slice's record."""
+    from dualpath.functional import l2_norm
+    from dualpath.losses import cross_entropy
+
+    rng = Rng(1, "member-watch")
+    x = rng.child("x").normal(size=(1, 5, 4))
+    probs = rng.child("p").uniform(size=(1, 5, 4))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    labels = np.array([0, 3, 1, 1, 2])
+
+    def record(x, probs):
+        Tensor(x).abs()
+        l2_norm(Tensor(x), axis=-1)
+        cross_entropy(Tensor(probs), labels)
+
+    with watch_kinks(members=3) as stacked:
+        record(x, probs)
+    with watch_kinks() as plain:
+        record(x[0], probs[0])
+    assert [k for k, _ in stacked] == [k for k, _ in plain]
+    assert stacked[0][1].shape == (3, 5, 4)
+    assert all(p.shape == (3,) for _, p in stacked[1:])
+    for (_, payload), (_, plain_payload) in zip(stacked, plain):
+        for m in range(3):
+            assert np.array_equal(payload[m], plain_payload)
 
 
 @pytest.mark.parametrize("shape", [(), (2,), (2, 3)])

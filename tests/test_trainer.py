@@ -629,6 +629,63 @@ class TestStackedProbes:
         assert len(calls) == 1 + 68
         assert calls == [None] + [2 * trainer._PROBE_PAIRS] * 68
 
+    def test_a_round_gives_the_member_axis_only_to_the_groups_it_perturbs(
+            self, monkeypatch):
+        """At every round's forward a group the round perturbs holds one
+        slice per member and every other group keeps its (1, ...) stack
+        shape; over the check every group is perturbed."""
+        model, batch, loss_cfg, kw = perfbench_setup(1)
+        members = 2 * trainer._PROBE_PAIRS
+        forward = Model.forward_batch
+        rounds = []
+
+        def recording(self, *args, **kwargs):
+            if self.stack_size is not None:
+                rounds.append({name: (len(p.data), any(not np.array_equal(p.data[0], q)
+                                                       for q in p.data[1:]))
+                               for name, p in self.params().items()})
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_batch", recording)
+        grad_check(model, batch, loss_cfg, **kw)
+        assert len(rounds) == 68
+        perturbed = set()
+        for groups in rounds:
+            assert all(lead == (members if moved else 1) for lead, moved in groups.values())
+            wide = {name for name, (lead, _) in groups.items() if lead == members}
+            assert wide
+            perturbed |= wide
+        assert perturbed == set(model.params())
+
+    def test_judges_a_round_as_pair_by_pair(self):
+        """One pass over a round's records gives each pair the kind and the
+        abs-only flag ``_kink_crossed`` and ``_only_abs_crossed`` give it,
+        a fanned-out (1, ...) record included."""
+        rng = Rng(3, "judge-round")
+        pairs, members = 5, 12
+        steps = np.array([1e-5, 1e-6, 1e-5, 1e-7, 1e-5])
+        signs = rng.child("s").integers(-1, 2, size=(members, 3, 4)).astype(np.int8)
+        signs[1::2] = signs[0::2]
+        signs[3, 1, 2] = -signs[2, 1, 2] or 1  # pair 1 flips one sign
+        signs[7, 0, 0] = -signs[6, 0, 0] or 1  # so does pair 3
+        norms = np.full(members, 1.0)
+        norms[6] = 5e-7  # pair 3 also sits near a guarded norm's kink
+        kinks = [
+            ("abs_signs", signs),
+            ("abs_signs", np.broadcast_to(rng.child("f").integers(-1, 2, size=(1, 4)),
+                                          (members, 4))),
+            ("norm_floor", norms),
+            ("clamp_margin", np.broadcast_to(np.array([2e-5]), (members,))),  # trips pair 0, 2, 4
+        ]
+        first, only_abs = trainer._judge_round(kinks, steps)
+        for j in range(pairs):
+            plus = [(kind, pay[2 * j]) for kind, pay in kinks]
+            minus = [(kind, pay[2 * j + 1]) for kind, pay in kinks]
+            assert first[j] == _kink_crossed(plus, minus, steps[j]), j
+            assert only_abs[j] == trainer._only_abs_crossed(plus, minus, steps[j]), j
+        assert first == ["clamp_margin", "abs_signs", "clamp_margin", "abs_signs", "clamp_margin"]
+        assert only_abs == [False, True, False, False, False]
+
     def test_never_writes_the_model(self, small_batch, monkeypatch):
         """The probes perturb a stack of copies: a member bound to an
         optimizer arena keeps its parameters and its arena bytes, also
