@@ -130,6 +130,10 @@ def _cmd_eval(cfg: ExperimentConfig, args) -> dict:
 def _cmd_gradcheck(cfg: ExperimentConfig) -> dict:
     from dualpath.fusion import Model
 
+    for flag in ("no_int", "no_rea"):
+        if getattr(cfg, flag):
+            raise ValueError(f"gradcheck certifies the full model; "
+                             f"--{flag.replace('_', '-')} ({flag}) does not apply")
     seed = cfg.seeds[0]
     model = Model(cfg.model_config(seed))
     batch_cfg = replace(cfg.dataset, n_train=8, n_val=2, n_test=2)

@@ -56,8 +56,22 @@ class ExperimentConfig:
         self.dataset.validate()
         self.train.validate()
         self.loss.validate()
+        for name in ("share_shared_encoder",) + ABLATION_FLAGS:
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"ExperimentConfig.{name} must be a bool, "
+                                 f"got {getattr(self, name)!r}")
         if self.hidden_dim is not None:
             require_integers(self, "hidden_dim")
+            if self.hidden_dim < 1:
+                raise ValueError(f"ExperimentConfig.hidden_dim must be None or >= 1, "
+                                 f"got {self.hidden_dim!r}")
+        t = self.temperature
+        if isinstance(t, bool) or not (isinstance(t, Real) and np.isfinite(t) and t > 0):
+            raise ValueError(f"ExperimentConfig.temperature must be a finite number > 0, "
+                             f"got {t!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"ExperimentConfig.out_dir must be a string, "
+                             f"got {self.out_dir!r}")
         if self.no_int and self.no_rea:
             raise ValueError("no_int and no_rea cannot both be set")
         if not all(isinstance(s, Real) and np.isfinite(s) and s >= 0 for s in self.sigmas):

@@ -32,11 +32,11 @@ probe crossed, the same coordinate is probed again at a tenth of the
 step, then at a hundredth, and the first step that crosses nothing is
 used; rounding in the quotient grows like 1e-16 |L| / step, so it stops
 there. The probes run in rounds: one no-grad forward of a stack of
-copies of the model evaluates up to twelve probes, member 2j at pair j's
-+step and member 2j + 1 at its -step. Only the groups a round perturbs
-get a per-member copy; the others keep their (1, ...) stack shape, which
-every member shares, so an op runs once until it meets a perturbed
-group and fans out there. A member watch of the kinks records such a
+copies of the model evaluates up to ``_PROBE_PAIRS`` probes, member 2j
+at pair j's +step and member 2j + 1 at its -step. Only the groups a
+round perturbs get a per-member copy; the others keep their (1, ...)
+stack shape, which every member shares, so an op runs once until it
+meets a perturbed group and fans out there. A member watch of the kinks records such a
 shared slice's kinks once, fanned out over the members, and the round
 is judged in one pass, one array comparison per kink record across its
 pairs. A stack slice is bit for bit its model's own forward, so the
@@ -339,17 +339,17 @@ class GradCheckResult:
 
     def passed(self, threshold: float) -> bool:
         """True only when something was certified: every wanted coordinate
-        was checked, at least one was, and all errors sit below threshold."""
+        was checked, at least one was, and all errors sit below threshold
+        (a non-finite error never does)."""
         return (self.max_rel_error < threshold and self.skipped == 0
                 and self.coords_checked > 0)
 
 
 # Probe pairs one stacked forward of grad_check evaluates: member 2j holds
-# pair j's +step and member 2j + 1 its -step. More pairs run faster but
-# raise peak memory; see BENCH_stacked_probes.json, and
-# BENCH_lean_probe_rounds.json for a re-sweep with only perturbed groups
-# per member.
-_PROBE_PAIRS = 12
+# pair j's +step and member 2j + 1 its -step. More pairs take fewer
+# rounds but raise peak memory; BENCH_wide_probe_rounds.json records the
+# sweep this width was picked from.
+_PROBE_PAIRS = 48
 
 
 def _kink_crossed(plus: list, minus: list, fd_eps: float) -> str | None:
@@ -433,7 +433,10 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     flats = [p.data.reshape(-1) for p in params.values()]
     gflats = [grads[name].reshape(-1) for name in names]
     rng = Rng(seed, "gradcheck")
-    pools = [list(rng.child(name).permutation(flat.size)) for name, flat in zip(names, flats)]
+    # each group pops its coordinates from the end of its permutation:
+    # pools[g][:left[g]] are still to come
+    pools = [rng.child(name).permutation(flat.size) for name, flat in zip(names, flats)]
+    left = [len(pool) for pool in pools]
     wants = [min(flat.size, coords_per_group) for flat in flats]
     done = [0] * len(names)
     in_flight = [0] * len(names)
@@ -455,10 +458,15 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         # (group, coordinate, outcome slot, step index) per pair of members
         probes, retries = retries, []
         for g, pool in enumerate(pools):
-            while len(probes) < _PROBE_PAIRS and pool and done[g] + in_flight[g] < wants[g]:
-                probes.append((g, int(pool.pop()), len(outcomes[g]), 0))
-                outcomes[g].append(None)
-                in_flight[g] += 1
+            take = min(_PROBE_PAIRS - len(probes), left[g], wants[g] - done[g] - in_flight[g])
+            if take <= 0:
+                continue
+            left[g] -= take
+            slot = len(outcomes[g])
+            probes.extend((g, i, slot + n, 0)
+                          for n, i in enumerate(pool[left[g]:left[g] + take][::-1].tolist()))
+            outcomes[g].extend([None] * take)
+            in_flight[g] += take
         if not probes:
             break
         rows = {}
@@ -471,16 +479,22 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         with no_grad(), watch_kinks(members) as kinks:
             out = stack.forward_batch(batch.text, batch.video, batch.audio, train=False)
             values = total_loss(out, labels, loss_cfg)[0].data
-        values = np.broadcast_to(values, (members,))
+        del out  # else it lives on through the next round's forward
         for g in rows:
             tensors[g].data = shared[g]
-        crossed, only_abs = _judge_round(kinks, np.array([steps[p[3]] for p in probes]))
+        pairs = len(probes)
+        step = np.array([steps[k] for *_, k in probes])
+        crossed, only_abs = _judge_round(kinks, step)
+        # every pair's central difference and relative error in one pass,
+        # the IEEE operations of a pair-at-a-time loop in the same order
+        values = np.broadcast_to(values, (members,))
+        fd = (values[0:2 * pairs:2] - values[1:2 * pairs:2]) / (2.0 * step)
+        g_i = np.array([gflats[g][i] for g, i, _, _ in probes])
+        errors = np.abs(fd - g_i) / np.maximum(np.maximum(np.abs(fd), np.abs(g_i)), 1e-8)
         for j, (g, i, slot, k) in enumerate(probes):
             kind = crossed[j]
             if kind is None:
-                fd = (float(values[2 * j]) - float(values[2 * j + 1])) / (2.0 * steps[k])
-                g_i = gflats[g][i]
-                outcomes[g][slot] = abs(fd - g_i) / max(abs(fd), abs(g_i), 1e-8)
+                outcomes[g][slot] = errors[j]
                 done[g] += 1
             elif k + 1 < len(steps) and only_abs[j]:
                 retries.append((g, i, slot, k + 1))
@@ -492,15 +506,15 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     per_group: dict[str, float] = {}
     by_kind: dict[str, int] = {}
     for name, results in zip(names, outcomes):
-        worst = 0.0
+        group_errors = [0.0]
         for res in results:
             if isinstance(res, str):
                 by_kind[res] = by_kind.get(res, 0) + 1
             else:
-                worst = max(worst, res)
-        per_group[name] = worst
+                group_errors.append(res)
+        per_group[name] = float(np.max(group_errors))  # a NaN error stays NaN
     checked = sum(done)
-    return GradCheckResult(max_rel_error=max(per_group.values()),
+    return GradCheckResult(max_rel_error=float(np.max(list(per_group.values()))),
                            per_group=per_group, coords_checked=checked,
                            resampled=sum(by_kind.values()),
                            skipped=sum(wants) - checked,

@@ -471,13 +471,13 @@ def grad_check_reference(model, batch, loss_cfg, epsilon=1e-5, coords_per_group=
                 by_kind[kind] = by_kind.get(kind, 0) + 1
                 continue
             rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
-            worst = max(worst, rel)
+            worst = float(np.maximum(worst, rel))  # a NaN error stays NaN
             done += 1
             checked += 1
         if done < want:
             skipped += want - done
         per_group[name] = worst
-    return GradCheckResult(max_rel_error=max(per_group.values()),
+    return GradCheckResult(max_rel_error=float(np.max(list(per_group.values()))),
                            per_group=per_group, coords_checked=checked,
                            resampled=resampled, skipped=skipped,
                            resampled_by_kind=by_kind)

@@ -118,6 +118,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             load_experiment_config(raw)
 
+    @pytest.mark.parametrize("raw,field", [
+        ({"no_sim": "false"}, "ExperimentConfig.no_sim"),
+        ({"no_int": 1}, "ExperimentConfig.no_int"),
+        ({"model": {"share_shared_encoder": "yes"}}, "ExperimentConfig.share_shared_encoder"),
+        ({"model": {"hidden_dim": 0}}, "ExperimentConfig.hidden_dim"),
+        ({"model": {"hidden_dim": -3}}, "ExperimentConfig.hidden_dim"),
+        ({"model": {"temperature": -1.0}}, "ExperimentConfig.temperature"),
+        ({"model": {"temperature": 0.0}}, "ExperimentConfig.temperature"),
+        ({"model": {"temperature": float("nan")}}, "ExperimentConfig.temperature"),
+        ({"model": {"temperature": float("inf")}}, "ExperimentConfig.temperature"),
+        ({"model": {"temperature": "1.0"}}, "ExperimentConfig.temperature"),
+        ({"out_dir": 5}, "ExperimentConfig.out_dir"),
+    ])
+    def test_rejects_bad_flags_and_model_fields(self, raw, field):
+        with pytest.raises(ValueError, match=field):
+            load_experiment_config(raw)
+
+    def test_accepted_flags_and_model_fields(self):
+        cfg = load_experiment_config({"no_sim": False, "no_uni": True, "out_dir": "x",
+                                      "model": {"hidden_dim": 1, "temperature": 2,
+                                                "share_shared_encoder": True}})
+        assert cfg.effective_loss().alignment_weight == LossConfig().alignment_weight
+        assert cfg.model_config(0).hidden_dim == 1
+
     def test_integer_fields_fail_early_and_take_numpy_integers(self):
         for bad in ({"seed": 1.5}, {"n_train": 5.5}):
             with pytest.raises(ValueError, match=next(iter(bad))):
@@ -474,6 +498,35 @@ class TestCli:
         assert printed["passed"] is False
         assert printed["coords_checked"] == checked
         assert printed["resampled_by_kind"] == {"norm_floor": 12}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gradcheck_fails_on_a_nonfinite_gradient(self, tmp_path, capsys,
+                                                     monkeypatch, bad):
+        import dualpath.cli as cli
+        from dualpath.trainer import grad_check
+
+        def corrupt(grads):
+            grads["head.weight"][...] = bad
+
+        monkeypatch.setattr(cli, "grad_check",
+                            lambda *a, **kw: grad_check(*a, corrupt_hook=corrupt, **kw))
+        assert main(["gradcheck", "--config", str(tiny_config_json(tmp_path))]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["passed"] is False and np.isnan(printed["max_rel_error"])
+
+    @pytest.mark.parametrize("flag", ["no_int", "no_rea"])
+    def test_gradcheck_rejects_pathway_flags(self, tmp_path, capsys, flag):
+        """The check certifies the full model, so a pathway switch, from
+        the command line or the config file, fails loudly."""
+        cli_flag = "--" + flag.replace("_", "-")
+        assert main(["gradcheck", "--config", str(tiny_config_json(tmp_path)), cli_flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError" and cli_flag in record["message"]
+        cfg = tiny_config_json(tmp_path, **{flag: True})
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        assert cli_flag in json.loads(capsys.readouterr().err)["message"]
 
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         cfg = tiny_config_json(tmp_path)

@@ -1,6 +1,7 @@
 """Optimizer mechanics, training loop control flow, gradient certification."""
 
 import json
+import math
 from dataclasses import asdict, replace
 from itertools import count
 
@@ -22,6 +23,7 @@ DATA_CFG = DatasetConfig(num_classes=3, feature_dim=8, n_train=120, n_val=40,
                          n_test=40, conflict_rate=0.3, seed=21)
 MODEL_CFG = ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6,
                         dropout=0.1, init_seed=0)
+PROBE_PAIRS = trainer._PROBE_PAIRS  # the module's round width
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +513,27 @@ class TestGradCheck:
                             coords_per_group=8, corrupt_hook=corrupt)
         assert result.per_group["head.weight"] >= 0.009
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gradient_fails_its_group(self, small_batch, bad):
+        """A NaN or inf analytic gradient gives a NaN relative error. It
+        fails its group and the check at any threshold instead of dropping
+        out of the maximum, here as in the one-probe-at-a-time reference."""
+        model = Model(ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6,
+                                  init_seed=5))
+
+        def corrupt(grads):
+            grads["head.weight"][...] = bad
+
+        kw = {"coords_per_group": 4, "corrupt_hook": corrupt}
+        result = grad_check(model, small_batch, LossConfig(), **kw)
+        assert np.isnan(result.per_group["head.weight"])
+        assert np.isnan(result.max_rel_error)
+        assert all(np.isfinite(err) for name, err in result.per_group.items()
+                   if name != "head.weight")
+        assert not result.passed(1e-4) and not result.passed(np.inf)
+        reference = oracles.grad_check_reference(model, small_batch, LossConfig(), **kw)
+        assert json.dumps(asdict(result)) == json.dumps(asdict(reference))
+
     def test_unused_head_reports_zero_error(self, small_batch):
         """With the auxiliary weight at zero its head gets no gradient; the
         checker must agree the true derivative is zero rather than flag it."""
@@ -531,6 +554,8 @@ class TestGradCheck:
         assert not result(1e-3, 10, 0).passed(1e-4)
         assert not result(0.0, 0, 0).passed(1e-4)
         assert not result(0.0, 10, 1).passed(1e-4)
+        assert not result(np.nan, 10, 0).passed(1e-4)
+        assert not result(np.inf, 10, 0).passed(np.inf)
 
 
     def test_abs_kink_near_a_deviation_is_probed_at_smaller_steps(self, small_batch):
@@ -610,11 +635,23 @@ class TestStackedProbes:
         else:
             assert result.passed(1e-4), max(result.per_group, key=result.per_group.get)
 
+    @pytest.mark.parametrize("name", [
+        "abs-retry", "eps-1e-2", "eps-1e-3", "shared-encoder", "perfbench-1"])
+    def test_result_does_not_depend_on_the_round_width(self, name, request, monkeypatch):
+        """The same result, bit for bit, at one pair a round, at twelve
+        and at the module's width, also on set-ups that retry or resample."""
+        model, batch, loss_cfg, kw = reference_setup(name, request)
+        dumps = set()
+        for pairs in (1, 12, PROBE_PAIRS):
+            monkeypatch.setattr(trainer, "_PROBE_PAIRS", pairs)
+            dumps.add(json.dumps(asdict(grad_check(model, batch, loss_cfg, **kw))))
+        assert len(dumps) == 1
+
     def test_default_check_makes_one_forward_per_round(self, monkeypatch):
         """A fresh default model certifies 811 coordinates without a
         resample. One probe at a time that took 1 + 2 x 811 = 1623
-        forwards; in rounds of twelve it takes the analytic forward and
-        one per round."""
+        forwards; in rounds of ``_PROBE_PAIRS`` pairs it takes the
+        analytic forward and one per round."""
         model, batch, loss_cfg, kw = perfbench_setup(1)
         forward = Model.forward_batch
         calls = []
@@ -626,8 +663,9 @@ class TestStackedProbes:
         monkeypatch.setattr(Model, "forward_batch", counting)
         result = grad_check(model, batch, loss_cfg, **kw)
         assert result.coords_checked == 811 and result.resampled == 0
-        assert len(calls) == 1 + 68
-        assert calls == [None] + [2 * trainer._PROBE_PAIRS] * 68
+        rounds = math.ceil(811 / trainer._PROBE_PAIRS)
+        assert len(calls) == 1 + rounds
+        assert calls == [None] + [2 * trainer._PROBE_PAIRS] * rounds
 
     def test_a_round_gives_the_member_axis_only_to_the_groups_it_perturbs(
             self, monkeypatch):
@@ -648,7 +686,7 @@ class TestStackedProbes:
 
         monkeypatch.setattr(Model, "forward_batch", recording)
         grad_check(model, batch, loss_cfg, **kw)
-        assert len(rounds) == 68
+        assert len(rounds) == math.ceil(811 / trainer._PROBE_PAIRS)
         perturbed = set()
         for groups in rounds:
             assert all(lead == (members if moved else 1) for lead, moved in groups.values())
