@@ -23,7 +23,6 @@ DATA_CFG = DatasetConfig(num_classes=3, feature_dim=8, n_train=120, n_val=40,
                          n_test=40, conflict_rate=0.3, seed=21)
 MODEL_CFG = ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6,
                         dropout=0.1, init_seed=0)
-PROBE_PAIRS = trainer._PROBE_PAIRS  # the module's round width
 
 
 @pytest.fixture(scope="module")
@@ -638,11 +637,11 @@ class TestStackedProbes:
     @pytest.mark.parametrize("name", [
         "abs-retry", "eps-1e-2", "eps-1e-3", "shared-encoder", "perfbench-1"])
     def test_result_does_not_depend_on_the_round_width(self, name, request, monkeypatch):
-        """The same result, bit for bit, at one pair a round, at twelve
+        """The same result, bit for bit, at one pair a round, at 12 pairs
         and at the module's width, also on set-ups that retry or resample."""
         model, batch, loss_cfg, kw = reference_setup(name, request)
         dumps = set()
-        for pairs in (1, 12, PROBE_PAIRS):
+        for pairs in (1, 12, trainer._PROBE_PAIRS):  # the tuple is built first
             monkeypatch.setattr(trainer, "_PROBE_PAIRS", pairs)
             dumps.add(json.dumps(asdict(grad_check(model, batch, loss_cfg, **kw))))
         assert len(dumps) == 1
