@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -139,7 +140,9 @@ def _cmd_gradcheck(cfg: ExperimentConfig) -> dict:
     batch_cfg = replace(cfg.dataset, n_train=8, n_val=2, n_test=2)
     batch = generate(batch_cfg)[0]
     res = grad_check(model, batch, cfg.effective_loss(), seed=seed)
-    return {"max_rel_error": res.max_rel_error,
+    # JSON has no NaN or inf: a non-finite error prints as null
+    error = res.max_rel_error if math.isfinite(res.max_rel_error) else None
+    return {"max_rel_error": error,
             "coords_checked": res.coords_checked,
             "resampled": res.resampled, "skipped": res.skipped,
             "resampled_by_kind": res.resampled_by_kind,

@@ -36,10 +36,10 @@ copies of the model evaluates up to ``_PROBE_PAIRS`` probes, member 2j
 at pair j's +step and member 2j + 1 at its -step. Only the groups a
 round perturbs get a per-member copy; the others keep their (1, ...)
 stack shape, which every member shares, so an op runs once until it
-meets a perturbed group and fans out there. A member watch of the kinks records such a
-shared slice's kinks once, fanned out over the members, and the round
-is judged in one pass, one array comparison per kink record across its
-pairs. A stack slice is bit for bit its model's own forward, so the
+meets a perturbed group and fans out there. A member watch of the kinks
+records such a shared slice's kinks once, fanned out over the members,
+and the round is judged in one pass, one array comparison per kink
+record across its pairs. A stack slice is bit for bit its model's own forward, so the
 result is exactly that of probing one coordinate at a time, and the
 model itself is never written. A group takes a new coordinate only
 while its checked and in-flight probes fall short of its quota, so the
@@ -347,9 +347,11 @@ class GradCheckResult:
 
 # Probe pairs one stacked forward of grad_check evaluates: member 2j holds
 # pair j's +step and member 2j + 1 its -step. More pairs take fewer
-# rounds but raise peak memory; BENCH_wide_probe_rounds.json records the
-# sweep this width was picked from.
-_PROBE_PAIRS = 48
+# rounds but raise peak memory: each perturbed group is copied to
+# 2 * _PROBE_PAIRS members. The width was sized on the default model
+# (feature and hidden dim 16) at batch 8; BENCH_wide_probe_rounds.json
+# records the sweep it was picked from and a reading at a wider model.
+_PROBE_PAIRS = 20
 
 
 def _kink_crossed(plus: list, minus: list, fd_eps: float) -> str | None:
@@ -433,10 +435,7 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     flats = [p.data.reshape(-1) for p in params.values()]
     gflats = [grads[name].reshape(-1) for name in names]
     rng = Rng(seed, "gradcheck")
-    # each group pops its coordinates from the end of its permutation:
-    # pools[g][:left[g]] are still to come
-    pools = [rng.child(name).permutation(flat.size) for name, flat in zip(names, flats)]
-    left = [len(pool) for pool in pools]
+    pools = [list(rng.child(name).permutation(flat.size)) for name, flat in zip(names, flats)]
     wants = [min(flat.size, coords_per_group) for flat in flats]
     done = [0] * len(names)
     in_flight = [0] * len(names)
@@ -458,15 +457,10 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         # (group, coordinate, outcome slot, step index) per pair of members
         probes, retries = retries, []
         for g, pool in enumerate(pools):
-            take = min(_PROBE_PAIRS - len(probes), left[g], wants[g] - done[g] - in_flight[g])
-            if take <= 0:
-                continue
-            left[g] -= take
-            slot = len(outcomes[g])
-            probes.extend((g, i, slot + n, 0)
-                          for n, i in enumerate(pool[left[g]:left[g] + take][::-1].tolist()))
-            outcomes[g].extend([None] * take)
-            in_flight[g] += take
+            while len(probes) < _PROBE_PAIRS and pool and done[g] + in_flight[g] < wants[g]:
+                probes.append((g, int(pool.pop()), len(outcomes[g]), 0))
+                outcomes[g].append(None)
+                in_flight[g] += 1
         if not probes:
             break
         rows = {}
@@ -506,13 +500,13 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     per_group: dict[str, float] = {}
     by_kind: dict[str, int] = {}
     for name, results in zip(names, outcomes):
-        group_errors = [0.0]
+        worst = 0.0
         for res in results:
             if isinstance(res, str):
                 by_kind[res] = by_kind.get(res, 0) + 1
             else:
-                group_errors.append(res)
-        per_group[name] = float(np.max(group_errors))  # a NaN error stays NaN
+                worst = np.maximum(worst, res)  # a NaN error stays NaN
+        per_group[name] = float(worst)
     checked = sum(done)
     return GradCheckResult(max_rel_error=float(np.max(list(per_group.values()))),
                            per_group=per_group, coords_checked=checked,
