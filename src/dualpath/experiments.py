@@ -21,8 +21,7 @@ import numpy as np
 
 from dualpath.fusion import Ablation, Model, ModelConfig, ModelOutput
 from dualpath.losses import LossConfig
-from dualpath.metrics import (Metrics, eval_forward, evaluate, gate_stats,
-                              output_metrics)
+from dualpath.metrics import Metrics, eval_forward, gate_stats, output_metrics
 from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
@@ -291,7 +290,13 @@ def run_main(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
-    """Full model plus each single-flag ablation on byte-identical data."""
+    """Full model plus each single-flag ablation on byte-identical data.
+    The grid sets every switch itself, so a config with any switch set is
+    rejected rather than silently overridden."""
+    for flag in ABLATION_FLAGS:
+        if getattr(cfg, flag):
+            raise ValueError(f"ablate sets every switch itself, one variant at a "
+                             f"time; --{flag.replace('_', '-')} ({flag}) does not apply")
     out, splits = _prepare(cfg, out_dir)
     digest = dataset_digest(splits[0], cfg.dataset)
     variant_rows = []
@@ -329,23 +334,32 @@ def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Train on clean data; evaluate with Gaussian noise injected into the
     text features at each sigma. Noise draws depend only on the dataset
     seed and sigma, so reports are reproducible. Sigma 0 adds no noise:
-    its row is the clean test forward ``train_runs`` already made."""
+    its row is the clean test forward ``train_runs`` already made. Every
+    other sigma tests all seeds' models in one stacked forward."""
     out, splits = _prepare(cfg, out_dir)
-    noisy_tests = {
-        sigma: inject_noise_dataset(splits[2], sigma, "text",
-                                    Rng(cfg.dataset.seed, "robust/noise", si))
-        for si, sigma in enumerate(cfg.sigmas) if sigma > 0}
     columns = ["acc", "macro_f1", "weighted_f1"]
     per_seed = []
     csv_rows = []
     results = train_runs([(cfg, seed) for seed in cfg.seeds], splits)
-    for seed, (model, _, clean, _, _) in zip(cfg.seeds, results):
+    stack = Model.stack([model for model, _, _, _, _ in results])
+    ablations = [cfg.ablation()] * len(results)
+    by_sigma = {}  # sigma -> the metrics of each seed's model
+    for si, sigma in enumerate(cfg.sigmas):
+        if sigma > 0:
+            noisy = inject_noise_dataset(splits[2], sigma, "text",
+                                         Rng(cfg.dataset.seed, "robust/noise", si))
+            outs = eval_forward(stack, noisy, ablations)
+            by_sigma[sigma] = [output_metrics(outs.member(m), noisy,
+                                              cfg.dataset.num_classes)
+                               for m in range(len(results))]
+        else:
+            by_sigma[sigma] = [clean for _, _, clean, _, _ in results]
+    for m, (seed, (_, _, clean, _, _)) in enumerate(zip(cfg.seeds, results)):
         sigma_rows = []
         for sigma in cfg.sigmas:
-            m = (evaluate(model, noisy_tests[sigma], cfg.ablation())
-                 if sigma > 0 else clean).as_dict()
-            sigma_rows.append({"sigma": sigma, **m})
-            csv_rows.append([seed, sigma] + [m[k] for k in columns])
+            row = by_sigma[sigma][m].as_dict()
+            sigma_rows.append({"sigma": sigma, **row})
+            csv_rows.append([seed, sigma] + [row[k] for k in columns])
         per_seed.append({"seed": seed, "clean": clean.as_dict(),
                          "by_sigma": sigma_rows})
     by_sigma_mean = [

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualpath.decoupler import DecoupledFeatures
-from dualpath.functional import cosine_rows, l2_norm, softmax
+from dualpath.functional import cosine_rows, l2_norm, row_sum, softmax
 from dualpath.layers import Affine
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES
@@ -102,7 +102,7 @@ def js_divergence(probs: dict[str, Tensor]) -> Tensor:
     for p in ps:
         log_p, positive = _safe_log(p.data)
         gap = log_p - log_avg
-        kl = (p.data * gap).sum(axis=-1, keepdims=True)
+        kl = row_sum(p.data * gap)
         total = kl if total is None else total + kl
         gaps.append(gap)
         masks.append(positive)
@@ -129,7 +129,7 @@ def normalized_entropy(p: Tensor, num_classes: int) -> Tensor:
     def back(g):
         p._accum(-(g * scale) * (log_p + positive))
 
-    return node(-(p.data * log_p).sum(axis=-1, keepdims=True) * scale, (p,), back)
+    return node(-row_sum(p.data * log_p) * scale, (p,), back)
 
 
 class Perception:

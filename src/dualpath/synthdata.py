@@ -195,8 +195,8 @@ def generate(config: DatasetConfig) -> tuple[Dataset, Dataset, Dataset]:
 def inject_noise_dataset(data: Dataset, sigma: float, modality: str, rng: Rng) -> Dataset:
     """Copy of the split with N(0, sigma^2 I) added to one modality; sample
     i draws from ``rng.child("inject", i)``, all samples in one pass."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
     if modality not in MODALITIES:
         raise ValueError(f"unknown modality {modality!r}")
     out = Dataset(data.text.copy(), data.video.copy(), data.audio.copy(),

@@ -367,17 +367,20 @@ class TestRunRobustness:
             assert zero_row["macro_f1"] == ps["clean"]["macro_f1"]
 
     def test_zero_sigma_runs_no_forward(self, tmp_path, monkeypatch):
+        """Sigma 0 reuses the clean test forward; every other sigma tests
+        all seeds' models in one stacked forward."""
+        cfg = replace(TINY, seeds=(0, 1), sigmas=(0.0, 0.5, 0.9))
         calls = []
-        real = experiments.evaluate
+        real = experiments.eval_forward
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(model, data, ablation=None):
+            calls.append(model.stack_size)
+            return real(model, data, ablation)
 
-        monkeypatch.setattr(experiments, "evaluate", counting)
-        run_robustness(TINY, str(tmp_path))
-        noisy = [s for s in TINY.sigmas if s > 0]
-        assert len(calls) == len(TINY.seeds) * len(noisy) == 1
+        monkeypatch.setattr(experiments, "eval_forward", counting)
+        run_robustness(cfg, str(tmp_path))
+        # the clean test forward of train_runs, then one per nonzero sigma
+        assert calls == [2, 2, 2]
 
     def test_by_sigma_mean_matches_recomputation(self, robustness_result):
         report, _ = robustness_result
@@ -531,6 +534,23 @@ class TestCli:
         cfg = tiny_config_json(tmp_path, **{flag: True})
         assert main(["gradcheck", "--config", str(cfg)]) == 1
         assert cli_flag in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("flag", ABLATION_FLAGS)
+    def test_ablate_rejects_every_switch(self, tmp_path, capsys, flag):
+        """The grid sets every switch itself, so a switch from the command
+        line or the config file fails loudly before anything runs."""
+        cli_flag = "--" + flag.replace("_", "-")
+        out = tmp_path / "grid"
+        assert main(["ablate", "--config", str(tiny_config_json(tmp_path)),
+                     "--out", str(out), cli_flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError" and cli_flag in record["message"]
+        cfg = tiny_config_json(tmp_path, **{flag: True})
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert cli_flag in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         cfg = tiny_config_json(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualpath.functional import (cosine_rows, l2_norm, layer_norm, one_hot,
-                                 softmax)
+                                 row_max, row_sum, softmax)
 from dualpath.rng import Rng
 from dualpath.tensor import Tensor, watch_kinks
 
@@ -31,6 +31,54 @@ def test_softmax_stable_for_large_logits():
     p = softmax(Tensor(np.array([[1000.0, 0.0]]))).data
     assert np.all(np.isfinite(p))
     assert p[0, 0] == pytest.approx(1.0)
+
+
+def _row_values(label: str, shape: tuple) -> np.ndarray:
+    """Signed magnitudes from 1e-8 to 1e8 with +0.0, -0.0 and NaN mixed in."""
+    rng = Rng(11, label)
+    x = 10.0 ** rng.uniform(-8.0, 8.0, size=shape) * np.where(
+        rng.uniform(size=shape) < 0.5, -1.0, 1.0)
+    pick = rng.uniform(size=shape)
+    x[pick < 0.1] = 0.0
+    x[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    x[(pick >= 0.2) & (pick < 0.23)] = np.nan
+    return x
+
+
+def _row_layouts(width: int, rows: int) -> dict[str, np.ndarray]:
+    label = f"rows/{width}/{rows}"
+    zeros = np.array(np.meshgrid(*[[0.0, -0.0]] * min(width, 4), indexing="ij"))
+    return {
+        "contiguous": _row_values(label + "/c", (rows, width)),
+        "fortran": np.asfortranarray(_row_values(label + "/f", (rows, width))),
+        "strided": _row_values(label + "/s", (2 * rows, 2 * width + 1))[::2, 1::2],
+        "3d": _row_values(label + "/3", (4, rows // 4, width)),
+        # every sign pattern of zeros over the first four columns
+        "zeros": np.resize(zeros.reshape(min(width, 4), -1).T, (rows, min(width, 4))),
+    }
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(np.signbit(got), np.signbit(want))
+            and np.array_equal(got, want, equal_nan=True))
+
+
+# a few rows stay with numpy; many narrow rows take the column chains
+@pytest.mark.parametrize("rows", [16, 300])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+def test_row_helpers_match_numpy_bit_for_bit(width, rows):
+    for layout, x in _row_layouts(width, rows).items():
+        assert _same_bits(row_max(x), np.max(x, axis=-1, keepdims=True)), layout
+        assert _same_bits(row_sum(x), np.sum(x, axis=-1, keepdims=True)), layout
+
+
+@pytest.mark.parametrize("rows", [16, 300])
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_row_helpers_never_return_a_view(width, rows):
+    for x in _row_layouts(width, rows).values():
+        for out in (row_max(x), row_sum(x)):
+            assert not np.shares_memory(out, x)
 
 
 def test_layer_norm_moments_and_reference():

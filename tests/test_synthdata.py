@@ -171,6 +171,14 @@ def test_inject_noise_rejects_bad_args(small_splits):
         inject_noise_dataset(test, 0.1, "smell", Rng(0, "n"))
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_inject_noise_rejects_nonfinite_sigma(small_splits, sigma):
+    """NaN used to pass as no noise (``sigma > 0`` is False) and inf gave
+    infinite features."""
+    with pytest.raises(ValueError, match="sigma"):
+        inject_noise_dataset(small_splits[2], sigma, "text", Rng(0, "n"))
+
+
 def test_inject_noise_dataset_matches_contract(small_splits):
     test = small_splits[2]
     noisy = inject_noise_dataset(test, 0.4, "text", Rng(4, "n"))
