@@ -124,7 +124,8 @@ def _cmd_eval(cfg: ExperimentConfig, args) -> dict:
             raise ValueError("dataset dims do not match the checkpoint")
     else:
         data = generate(cfg.dataset)[2]
-    metrics = evaluate(model, data, cfg.ablation())
+    model.gate_override = cfg.gate_override()  # checkpoints store no clamp
+    metrics = evaluate(model, data)
     return {"checkpoint": args.checkpoint, "metrics": metrics.as_dict()}
 
 

@@ -19,7 +19,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from dualpath.fusion import Ablation, Model, ModelConfig, ModelOutput
+from dualpath.fusion import Model, ModelConfig, ModelOutput
 from dualpath.losses import LossConfig
 from dualpath.metrics import Metrics, eval_forward, gate_stats, output_metrics
 from dualpath.perception import REPORT_COLUMNS
@@ -103,9 +103,13 @@ class ExperimentConfig:
             kw["alignment_weight"] = 0.0
         return LossConfig(**kw)
 
-    def ablation(self) -> Ablation | None:
-        if self.no_int or self.no_rea:
-            return Ablation(no_int=self.no_int, no_rea=self.no_rea)
+    def gate_override(self) -> float | None:
+        """The model's gate clamp: 1.0 (reasoning only) under ``no_int``,
+        0.0 (intuition only) under ``no_rea``, else None."""
+        if self.no_int:
+            return 1.0
+        if self.no_rea:
+            return 0.0
         return None
 
     def as_dict(self) -> dict:
@@ -205,14 +209,14 @@ def train_runs(runs: list[tuple[ExperimentConfig, int]],
     """Train one model per (config, seed) run, all in one stack, and test
     them in one stacked forward; returns, per run, the model with its
     history, its metrics, its gate statistics and its eval forward on the
-    test split. The configs may differ in their ablation flags only."""
+    test split. The configs may differ in their ``ABLATION_FLAGS`` only:
+    the loss weights and gate override those set."""
     train_data, val_data, test_data = splits
-    models = [Model(cfg.model_config(seed)) for cfg, seed in runs]
-    ablations = [cfg.ablation() for cfg, _ in runs]
+    models = [Model(cfg.model_config(seed), cfg.gate_override()) for cfg, seed in runs]
     histories = train_models(models, train_data, val_data,
                              [replace(cfg.train, seed=seed) for cfg, seed in runs],
-                             [cfg.effective_loss() for cfg, _ in runs], ablations)
-    test_out = eval_forward(Model.stack(models), test_data, ablations)
+                             [cfg.effective_loss() for cfg, _ in runs])
+    test_out = eval_forward(Model.stack(models), test_data)
     out = []
     for m, (model, history) in enumerate(zip(models, histories)):
         member = test_out.member(m)
@@ -342,13 +346,12 @@ def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     csv_rows = []
     results = train_runs([(cfg, seed) for seed in cfg.seeds], splits)
     stack = Model.stack([model for model, _, _, _, _ in results])
-    ablations = [cfg.ablation()] * len(results)
     by_sigma = {}  # sigma -> the metrics of each seed's model
     for si, sigma in enumerate(cfg.sigmas):
         if sigma > 0:
             noisy = inject_noise_dataset(splits[2], sigma, "text",
                                          Rng(cfg.dataset.seed, "robust/noise", si))
-            outs = eval_forward(stack, noisy, ablations)
+            outs = eval_forward(stack, noisy)
             by_sigma[sigma] = [output_metrics(outs.member(m), noisy,
                                               cfg.dataset.num_classes)
                                for m in range(len(results))]

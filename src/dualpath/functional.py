@@ -47,22 +47,18 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``, one tape node.
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis, one tape node.
 
     Rows land on the probability simplex to within accumulated float
     rounding; the max-shift is treated as a constant, which leaves the
     gradient unchanged.
     """
-    if axis in (-1, x.data.ndim - 1):
-        e = np.exp(x.data - row_max(x.data))
-        y = e / row_sum(e)
-    else:
-        e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
-        y = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x.data - row_max(x.data))
+    y = e / row_sum(e)
 
     def back(g):
-        x._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        x._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return node(y, (x,), back)
 
@@ -97,11 +93,10 @@ def guarded_sqrt(sq: np.ndarray) -> np.ndarray:
     return np.where(positive, np.sqrt(np.where(positive, sq, 1.0)), 0.0)
 
 
-def l2_norm(x: Tensor, axis: int | None) -> Tensor:
-    """Euclidean norm along ``axis``: a kept (..., N, 1) column of row norms
-    for ``axis=-1``, a scalar for ``axis=None``. A zero row or vector maps to
-    exactly 0 with zero gradient rather than NaN. One tape node."""
-    norm = guarded_sqrt((x.data * x.data).sum(axis=axis, keepdims=axis is not None))
+def l2_norm(x: Tensor) -> Tensor:
+    """Euclidean norm of each row: a kept (..., N, 1) column. A zero row
+    maps to exactly 0 with zero gradient rather than NaN. One tape node."""
+    norm = guarded_sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
 
     def back(g):
         x._accum(x.data * np.divide(g, norm, out=np.zeros_like(norm), where=norm > 0))

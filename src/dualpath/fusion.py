@@ -2,13 +2,15 @@
 
 The consensus pathway summarizes agreement; the reasoning pathway
 re-weights private features by trust. A per-sample gate in (0, 1) mixes
-the two, leaning on reasoning when perceived conflict is high. Ablations
-clamp the gate instead of deleting branches, so parameter counts stay
-comparable across variants.
+the two, leaning on reasoning when perceived conflict is high. A model
+may carry a gate override, the clamp of the "w/o intuition" and "w/o
+reasoning" variants: it fixes the gate instead of deleting branches, so
+parameter counts stay comparable across variants.
 
 ``Model.stack`` builds one model over M member models whose parameters
 carry a leading model axis; its forward runs all M at once, each slice
-bit-identical to that member's own forward, with a per-model gate clamp.
+bit-identical to that member's own forward, each under its own gate
+override.
 """
 
 from __future__ import annotations
@@ -48,31 +50,10 @@ class ModelConfig:
             raise ValueError("dims must be positive")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be finite and > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class Ablation:
-    """Variant switches. Gate clamping severs one pathway's influence on
-    the output while leaving the graph shape intact."""
-
-    no_int: bool = False   # clamp gate to 1: reasoning only
-    no_rea: bool = False   # clamp gate to 0: consensus only
-
-    def __post_init__(self):
-        if self.no_int and self.no_rea:
-            raise ValueError("cannot ablate both pathways")
-
-    @property
-    def gate_override(self) -> float | None:
-        if self.no_int:
-            return 1.0
-        if self.no_rea:
-            return 0.0
-        return None
 
 
 @dataclass
@@ -145,9 +126,15 @@ def _stacked_shape(name: str, shape: tuple) -> tuple:
 
 
 class Model:
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, gate_override: float | None = None):
         config.validate()
+        if gate_override is not None and not 0.0 <= gate_override <= 1.0:
+            raise ValueError(f"gate_override must be None or lie in [0, 1], "
+                             f"got {gate_override!r}")
         self.config = config
+        # None leaves the gate free; 1.0 keeps reasoning only, 0.0 intuition
+        # only. A stack holds its members' values, one per model.
+        self.gate_override: float | list[float | None] | None = gate_override
         self.stack_size: int | None = None  # M for a stack, None for a plain model
         rng = Rng(config.init_seed, "init")
         self.decoupler = Decoupler(rng.child("decoupler"), config.feature_dim,
@@ -163,8 +150,7 @@ class Model:
                                config.num_classes, "rea_head")
 
     def forward_batch(self, text, video, audio, train: bool = False,
-                      rng: Rng | None = None,
-                      ablation: Ablation | None = None) -> ModelOutput:
+                      rng: Rng | None = None) -> ModelOutput:
         text, video, audio = self._check_inputs(text, video, audio)
         feats = self.decoupler(text, video, audio, train=train, rng=rng)
         intuition_repr = self.intuition(text, video, audio, feats)
@@ -172,31 +158,23 @@ class Model:
         private = {m: feats.private(m) for m in MODALITIES}
         reasoning_repr = reasoning_aggregate(report.trust, private)
         gate = report.gate
-        clamp = self._gate_clamp(ablation)
+        clamp = self._gate_clamp()
         if clamp is not None:
             gate = report.gate = clamp_gate(gate, *clamp)
         fused = final_fuse(intuition_repr, reasoning_repr, gate)
         logits = self.head(fused)
-        probs = softmax(logits, axis=-1)
+        probs = softmax(logits)
         rea_logits = self.rea_head(reasoning_repr)
         return ModelOutput(intuition_repr=intuition_repr,
                            reasoning_repr=reasoning_repr, fused=fused,
                            logits=logits, probs=probs, rea_logits=rea_logits,
                            report=report, features=feats)
 
-    def _gate_clamp(self, ablation) -> tuple[np.ndarray, np.ndarray] | None:
+    def _gate_clamp(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The gate override as (mask, value) arrays, or None when no model
-        is clamped. A plain model takes one ``Ablation`` or None and gets
-        0-d arrays; a stack takes None or one entry per model and gets
-        (M, 1, 1) arrays."""
-        if self.stack_size is None:
-            ablations = [ablation]
-        else:
-            ablations = [None] * self.stack_size if ablation is None else list(ablation)
-            if len(ablations) != self.stack_size:
-                raise ValueError(f"{len(ablations)} ablations for a stack of "
-                                 f"{self.stack_size} models")
-        values = [a.gate_override if a is not None else None for a in ablations]
+        is clamped: 0-d arrays for a plain model, (M, 1, 1) arrays for a
+        stack, one entry per member."""
+        values = [self.gate_override] if self.stack_size is None else self.gate_override
         if all(v is None for v in values):
             return None
         mask = np.array([v is not None for v in values])
@@ -243,13 +221,14 @@ class Model:
         d_out); biases, gains and the prototype (M, 1, d); scalars
         (M, 1, 1); the stat weight (M, 4, 1). Its arrays are copies;
         ``bind`` makes the members' parameters views of them. Members must
-        share a config up to ``init_seed``."""
+        share a config up to ``init_seed``; each keeps its gate override."""
         config = members[0].config
         for member in members:
             if replace(member.config, init_seed=config.init_seed) != config:
                 raise ValueError("stacked models must share a config up to init_seed")
         out = cls(config)
         out.stack_size = len(members)
+        out.gate_override = [member.gate_override for member in members]
         member_params = [member.params() for member in members]
         for name, p in out.params().items():
             shape = _stacked_shape(name, p.data.shape)

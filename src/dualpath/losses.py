@@ -51,8 +51,9 @@ class LossConfig:
 
     def validate(self) -> None:
         for name in WEIGHTS:
-            if np.any(np.asarray(getattr(self, name)) < 0):
-                raise ValueError(f"{name} must be >= 0")
+            weight = np.asarray(getattr(self, name))
+            if not np.all(np.isfinite(weight) & (weight >= 0)):
+                raise ValueError(f"{name} must be finite and >= 0")
         require_integers(self, "moment_order")
         if self.moment_order < 1:
             raise ValueError("moment_order must be >= 1")
@@ -96,7 +97,7 @@ def task_loss(outputs: ModelOutput, labels: np.ndarray,
     from dualpath.functional import softmax
 
     cls = cross_entropy(outputs.probs, labels)
-    rea = cross_entropy(softmax(outputs.rea_logits, axis=-1), labels)
+    rea = cross_entropy(softmax(outputs.rea_logits), labels)
     uni = None
     for m in MODALITIES:
         term = cross_entropy(outputs.report.probs[m], labels)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from dualpath.fusion import Ablation, Model, ModelOutput
+from dualpath.fusion import Model, ModelOutput
 from dualpath.synthdata import Dataset
 from dualpath.tensor import no_grad
 
@@ -82,13 +82,11 @@ def compute_metrics(labels: np.ndarray, preds: np.ndarray, num_classes: int,
     )
 
 
-def eval_forward(model: Model, data: Dataset,
-                 ablation: Ablation | None = None) -> ModelOutput:
+def eval_forward(model: Model, data: Dataset) -> ModelOutput:
     """One eval-mode forward over a whole split, recording no tape; the
     reducers below read predictions and gate statistics from it."""
     with no_grad():
-        return model.forward_batch(data.text, data.video, data.audio,
-                                   train=False, ablation=ablation)
+        return model.forward_batch(data.text, data.video, data.audio, train=False)
 
 
 def output_metrics(out: ModelOutput, data: Dataset, num_classes: int) -> Metrics:
@@ -111,13 +109,11 @@ def gate_stats(out: ModelOutput, data: Dataset) -> dict:
     }
 
 
-def evaluate(model: Model, data: Dataset, ablation: Ablation | None = None) -> Metrics:
+def evaluate(model: Model, data: Dataset) -> Metrics:
     """Eval-mode metrics for a split, including conflict-subset accuracies."""
-    return output_metrics(eval_forward(model, data, ablation), data,
-                          model.config.num_classes)
+    return output_metrics(eval_forward(model, data), data, model.config.num_classes)
 
 
-def gating_summary(model: Model, data: Dataset,
-                   ablation: Ablation | None = None) -> dict:
+def gating_summary(model: Model, data: Dataset) -> dict:
     """Mean gate value on the conflicted and consistent subsets."""
-    return gate_stats(eval_forward(model, data, ablation), data)
+    return gate_stats(eval_forward(model, data), data)

@@ -174,7 +174,7 @@ class Perception:
         return cosine_rows(diff_vector, self.prototype) * self.temperature
 
     def unimodal_predict(self, private: Tensor, modality: str) -> Tensor:
-        return softmax(self.classifiers[modality](private), axis=-1)
+        return softmax(self.classifiers[modality](private))
 
     def statistical_bias(self, js_div: Tensor, entropies: dict[str, Tensor]) -> Tensor:
         stats = concat([js_div] + [entropies[m] for m in MODALITIES], axis=-1)
@@ -192,10 +192,10 @@ class Perception:
                             entropies: dict[str, Tensor]) -> Tensor:
         unc = concat([entropies[m] for m in MODALITIES], axis=-1)
         logits = self.trust_out(self.trust_in.tanh(gated_diff + self.unc_lift(unc)))
-        return softmax(logits, axis=-1)
+        return softmax(logits)
 
     def gating_factor(self, gated_diff: Tensor, js_div: Tensor) -> Tensor:
-        strength = l2_norm(gated_diff, axis=-1).tanh()
+        strength = l2_norm(gated_diff).tanh()
         return (strength + self.div_gate(js_div)).sigmoid()
 
     # -- full chain -------------------------------------------------------

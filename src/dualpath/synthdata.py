@@ -46,8 +46,8 @@ class DatasetConfig:
             raise ValueError("feature_dim must be >= 4")
         if not 0.0 <= self.conflict_rate <= 1.0:
             raise ValueError("conflict_rate must lie in [0, 1]")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError("noise_std must be finite and >= 0")
         for name in ("n_train", "n_val", "n_test"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

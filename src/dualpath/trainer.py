@@ -3,10 +3,10 @@
 ``train_models`` trains M models at once as one stack (``Model.stack``):
 one forward, one loss vector, one backward of its sum and one optimizer
 step a batch. Each model keeps everything a run of its own would have:
-its init, its shuffle and dropout streams, its loss weights and gate
-clamp, its history, its patience counter and its best snapshot, and its
-parameters come out bit for bit as if it had trained alone. ``train`` is
-the call for one model.
+its init, its shuffle and dropout streams, its loss weights, its gate
+override (``Model.gate_override``), its history, its patience counter and
+its best snapshot, and its parameters come out bit for bit as if it had
+trained alone. ``train`` is the call for one model.
 
 The optimizer is adaptive moment estimation with decoupled weight decay
 and bias-corrected moments; the learning rate ramps linearly over the
@@ -15,7 +15,7 @@ parameter group into one flat arena (each ``Tensor.data`` becomes a view
 into it) and updates the whole buffer at once, elementwise in the same
 expression order as a group-by-group loop, so the bits do not depend on
 the layout. A model's share of a group that received no gradient (the
-divergence gate under a gate clamp) is masked out: no update, no moment
+divergence gate under a gate override) is masked out: no update, no moment
 change, no decay. Validation accuracy drives early stopping; a model
 that stops leaves the stack, which is rebuilt from the others with
 their moments, and at the end each model's best-scoring epoch's
@@ -52,8 +52,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from dualpath.fusion import Ablation, Model, ModelOutput
-from dualpath.losses import LossConfig, stack_loss_configs, total_loss
+from dualpath.fusion import Model, ModelOutput
+from dualpath.losses import COMPONENT_ORDER, LossConfig, stack_loss_configs, total_loss
 from dualpath.metrics import eval_forward
 from dualpath.rng import Rng, StackedRng
 from dualpath.synthdata import Dataset, MODALITIES, require_integers
@@ -92,13 +92,13 @@ class TrainConfig:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
 
 
 @dataclass
@@ -211,33 +211,30 @@ def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
     for name, arr in stages:
         if not np.all(np.isfinite(arr)):
             return name
-    for name in ("cls", "rea", "uni", "diff", "sim", "total"):
+    for name in COMPONENT_ORDER:
         if name in parts and not np.isfinite(parts[name]):
             return f"loss_{name}"
     return "loss_total"
 
 
-def default_val_metric(model: Model, data: Dataset,
-                       ablation: Ablation | list[Ablation | None] | None = None):
+def default_val_metric(model: Model, data: Dataset):
     """Plain accuracy on a split, eval mode: a float for a plain model, an
-    (M,) array for a stack (``ablation`` then holds one entry per model)."""
-    preds = eval_forward(model, data, ablation).probs.data.argmax(axis=-1)
+    (M,) array for a stack."""
+    preds = eval_forward(model, data).probs.data.argmax(axis=-1)
     return (preds == data.labels).mean(axis=-1)
 
 
 def train(model: Model, train_data: Dataset, val_data: Dataset,
-          cfg: TrainConfig, loss_cfg: LossConfig,
-          ablation: Ablation | None = None) -> TrainHistory:
+          cfg: TrainConfig, loss_cfg: LossConfig) -> TrainHistory:
     """Optimize one model in place: ``train_models`` with M = 1."""
-    return train_models([model], train_data, val_data, [cfg], [loss_cfg],
-                        [ablation])[0]
+    return train_models([model], train_data, val_data, [cfg], [loss_cfg])[0]
 
 
 def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
-                 cfgs: list[TrainConfig], loss_cfgs: list[LossConfig],
-                 ablations: list[Ablation | None] | None = None) -> list[TrainHistory]:
+                 cfgs: list[TrainConfig], loss_cfgs: list[LossConfig]
+                 ) -> list[TrainHistory]:
     """Optimize ``models`` in place as one stack, model m under
-    ``cfgs[m]``, ``loss_cfgs[m]`` and ``ablations[m]``; returns their
+    ``cfgs[m]``, ``loss_cfgs[m]`` and its own gate override; returns their
     histories. The configs may differ in ``seed`` only. A model that
     stops early leaves the stack; each ends at the parameters of its best
     validation epoch, scored by ``default_val_metric``. A non-finite
@@ -250,11 +247,10 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
     stack_loss_configs(loss_cfgs).validate()
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and val splits must be nonempty")
-    ablations = list(ablations) if ablations is not None else [None] * len(models)
     stack = Model.stack(models)
     opt = AdamW(stack.params(), cfg)
     stack.bind(models)
-    clamped = np.array([a is not None and a.gate_override is not None for a in ablations])
+    clamped = np.array([model.gate_override is not None for model in models])
     gate_only = np.isin(list(stack.params()), stack.gate_params())
     n = len(train_data)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -269,7 +265,6 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
     for epoch in range(cfg.max_epochs):
         rng = StackedRng([cfgs[m].seed for m in live], "train")
         live_loss = stack_loss_configs([loss_cfgs[m] for m in live])
-        live_ablations = [ablations[m] for m in live]
         received = ~(clamped[live, None] & gate_only)
         order = rng.child("shuffle", epoch).permutation(n)
         sums: list[dict[str, float]] = [{} for _ in live]
@@ -280,8 +275,7 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
             stack.zero_grad()
             out = stack.forward_batch(train_data.text[idx], train_data.video[idx],
                                       train_data.audio[idx], train=True,
-                                      rng=rng.child("dropout", step),
-                                      ablation=live_ablations)
+                                      rng=rng.child("dropout", step))
             loss, parts = total_loss(out, train_data.labels[idx], live_loss)
             for i, total in enumerate(parts["total"]):
                 if not np.isfinite(total):
@@ -292,7 +286,7 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
             for i, row in enumerate(sums):
                 for k, vals in parts.items():
                     row[k] = row.get(k, 0.0) + vals[i]
-        scores = default_val_metric(stack, val_data, live_ablations)
+        scores = default_val_metric(stack, val_data)
         keep = []
         for i, m in enumerate(live):
             history = histories[m]
@@ -354,41 +348,16 @@ class GradCheckResult:
 _PROBE_PAIRS = 20
 
 
-def _kink_crossed(plus: list, minus: list, fd_eps: float) -> str | None:
-    """The kind of kink the two finite-difference evaluations crossed, or
-    None when both stayed on one smooth branch of every nonsmooth op.
-    "length" means the two recorded different kink sequences."""
-    if len(plus) != len(minus):
-        return "length"
-    for (kind_p, pay_p), (kind_m, pay_m) in zip(plus, minus):
-        if kind_p != kind_m:
-            return "length"
-        if kind_p == "abs_signs":
-            if not np.array_equal(pay_p, pay_m):
-                return kind_p
-        elif min(pay_p, pay_m) < 10.0 * fd_eps:
-            # norm_floor and clamp_margin: distance to the kink against the step
-            return kind_p
-    return None
-
-
-def _only_abs_crossed(plus: list, minus: list, fd_eps: float) -> bool:
-    """True when the two evaluations crossed an abs sign flip and no
-    kink of any other kind."""
-    if _kink_crossed(plus, minus, fd_eps) != "abs_signs":
-        return False
-    rest = [[k for k in rec if k[0] != "abs_signs"] for rec in (plus, minus)]
-    return _kink_crossed(*rest, fd_eps) is None
-
-
 def _judge_round(kinks: list, steps: np.ndarray) -> tuple[list, list]:
-    """``_kink_crossed`` and ``_only_abs_crossed`` for every pair of a
-    round at once, one array comparison per kink record of a member
-    watch: pair j's +step is member 2j, its -step member 2j + 1 and its
-    step ``steps[j]``. Returns each pair's first crossed kind, None when
-    it crossed nothing, and whether abs sign flips were all it crossed.
-    Every member makes the same sequence of records, so "length" cannot
-    arise."""
+    """Judge every pair of a round at once, one array comparison per kink
+    record of a member watch: pair j's +step is member 2j, its -step
+    member 2j + 1 and its step ``steps[j]``. A kink is crossed when an
+    abs's signs differ between the two evaluations, or when the smaller
+    distance to a guarded norm's or clamped probability's kink falls
+    below ten steps. Returns each pair's first crossed kind, None when it
+    crossed nothing, and whether abs sign flips were all it crossed.
+    Every member makes the same sequence of records, so no pair can
+    differ in the kinds or number of its records."""
     pairs = len(steps)
     first: list[str | None] = [None] * pairs
     other = np.zeros(pairs, dtype=bool)  # crossed a kink other than an abs

@@ -22,8 +22,9 @@ groups; the whole-buffer ``AdamW`` must match it bit for bit.
 
 ``grad_check_reference`` is the gradient certifier probing one
 coordinate at a time, two plain forwards a probe, perturbing the model's
-own parameters; the stacked ``grad_check`` must return exactly its
-result.
+own parameters, and judging each pair's kink records with
+``_kink_crossed`` and ``_only_abs_crossed``; the stacked ``grad_check``,
+which judges a whole round at once, must return exactly its result.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from dualpath.losses import total_loss
 from dualpath.rng import Rng
 from dualpath.tensor import Tensor, _note_kink, no_grad, node, watch_kinks
-from dualpath.trainer import GradCheckResult, _kink_crossed, _only_abs_crossed
+from dualpath.trainer import GradCheckResult
 
 MODS = ("text", "video", "audio")
 
@@ -411,6 +412,33 @@ def adamw_reference(params, ms, vs, t, lr, cfg):
 
 
 # -- certifier reference ------------------------------------------------------
+
+def _kink_crossed(plus: list, minus: list, fd_eps: float) -> str | None:
+    """The kind of kink the two finite-difference evaluations crossed, or
+    None when both stayed on one smooth branch of every nonsmooth op.
+    "length" means the two recorded different kink sequences."""
+    if len(plus) != len(minus):
+        return "length"
+    for (kind_p, pay_p), (kind_m, pay_m) in zip(plus, minus):
+        if kind_p != kind_m:
+            return "length"
+        if kind_p == "abs_signs":
+            if not np.array_equal(pay_p, pay_m):
+                return kind_p
+        elif min(pay_p, pay_m) < 10.0 * fd_eps:
+            # norm_floor and clamp_margin: distance to the kink against the step
+            return kind_p
+    return None
+
+
+def _only_abs_crossed(plus: list, minus: list, fd_eps: float) -> bool:
+    """True when the two evaluations crossed an abs sign flip and no
+    kink of any other kind."""
+    if _kink_crossed(plus, minus, fd_eps) != "abs_signs":
+        return False
+    rest = [[k for k in rec if k[0] != "abs_signs"] for rec in (plus, minus)]
+    return _kink_crossed(*rest, fd_eps) is None
+
 
 def grad_check_reference(model, batch, loss_cfg, epsilon=1e-5, coords_per_group=20,
                          seed=0, corrupt_hook=None):

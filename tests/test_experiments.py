@@ -77,10 +77,10 @@ class TestConfig:
 
     def test_ablation_only_for_pathway_flags(self):
         from dataclasses import replace
-        assert ExperimentConfig().ablation() is None
-        assert replace(ExperimentConfig(), no_sim=True).ablation() is None
-        assert replace(ExperimentConfig(), no_rea=True).ablation().no_rea
-        assert replace(ExperimentConfig(), no_int=True).ablation().no_int
+        assert ExperimentConfig().gate_override() is None
+        assert replace(ExperimentConfig(), no_sim=True).gate_override() is None
+        assert replace(ExperimentConfig(), no_rea=True).gate_override() == 0.0
+        assert replace(ExperimentConfig(), no_int=True).gate_override() == 1.0
 
     def test_conflicting_pathway_flags_rejected(self):
         from dataclasses import replace
@@ -373,9 +373,9 @@ class TestRunRobustness:
         calls = []
         real = experiments.eval_forward
 
-        def counting(model, data, ablation=None):
+        def counting(model, data):
             calls.append(model.stack_size)
-            return real(model, data, ablation)
+            return real(model, data)
 
         monkeypatch.setattr(experiments, "eval_forward", counting)
         run_robustness(cfg, str(tmp_path))
@@ -466,6 +466,17 @@ class TestCli:
         record = json.loads(captured.err)
         assert record["error"] == "ValueError"
         assert "'head.bias' holds a non-finite" in record["message"]
+
+    def test_gen_rejects_a_nan_noise_std(self, tmp_path, capsys):
+        cfg = tiny_config_json(tmp_path, dataset={"noise_std": float("nan")})
+        assert "NaN" in cfg.read_text()
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError" and "noise_std" in record["message"]
+        assert not out.exists() or not any(out.glob("*.bin"))
 
     def test_errors_are_json_records(self, tmp_path, capsys):
         cfg = tiny_config_json(tmp_path)

@@ -99,7 +99,7 @@ def test_layer_norm_moments_and_reference():
 def test_l2_norm_rows_values_and_zero_row():
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
     t = Tensor(x)
-    n = l2_norm(t, axis=-1)
+    n = l2_norm(t)
     assert n.data.shape == (2, 1)
     assert np.array_equal(n.data, [[5.0], [0.0]])
     n.sum().backward()
@@ -107,28 +107,10 @@ def test_l2_norm_rows_values_and_zero_row():
     assert np.array_equal(t.grad[1], [0.0, 0.0])
 
 
-def test_l2_norm_vec_zero_vector():
-    v = Tensor(np.array([3.0, 0.0, 4.0]))
-    n = l2_norm(v, axis=None)
-    assert n.data.shape == ()
-    assert float(n.data) == 5.0
-    n.backward()
-    assert np.allclose(v.grad, [0.6, 0.0, 0.8])
-    t = Tensor(np.zeros(4))
-    n = l2_norm(t, axis=None)
-    assert n.data.shape == ()
-    assert float(n.data) == 0.0
-    n.backward()
-    assert np.array_equal(t.grad, np.zeros(4))
-
-
 def test_l2_norm_records_smallest_norm_as_kink_payload():
     with watch_kinks() as rows_log:
-        l2_norm(Tensor(np.array([[3.0, 4.0], [0.6, 0.8]])), axis=-1)
-    with watch_kinks() as vec_log:
-        l2_norm(Tensor(np.array([0.0, 2.0])), axis=None)
+        l2_norm(Tensor(np.array([[3.0, 4.0], [0.6, 0.8]])))
     assert rows_log == [("norm_floor", pytest.approx(1.0))]
-    assert vec_log == [("norm_floor", 2.0)]
 
 
 def test_cosine_rows_conventions():

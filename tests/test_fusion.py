@@ -1,9 +1,9 @@
-"""Model assembly: pathway mixing, ablation clamps, checkpoint format."""
+"""Model assembly: pathway mixing, gate overrides, checkpoint format."""
 
 import numpy as np
 import pytest
 
-from dualpath.fusion import (Ablation, Model, ModelConfig, final_fuse,
+from dualpath.fusion import (Model, ModelConfig, final_fuse,
                              load_checkpoint, reasoning_aggregate,
                              save_checkpoint)
 from dualpath.rng import Rng
@@ -134,36 +134,43 @@ class TestModelForward:
             Model(CFG).forward_batch(text, video, audio[:4])
 
 
-class TestAblation:
-    def test_both_pathways_cannot_be_ablated(self):
-        with pytest.raises(ValueError):
-            Ablation(no_int=True, no_rea=True)
+class TestGateOverride:
+    def test_override_outside_unit_interval_is_rejected(self):
+        for value in (-0.1, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gate_override"):
+                Model(CFG, value)
 
-    def test_gate_override_values(self):
-        assert Ablation().gate_override is None
-        assert Ablation(no_int=True).gate_override == 1.0
-        assert Ablation(no_rea=True).gate_override == 0.0
+    def test_gate_override_values(self, batch):
+        """Any value in [0, 1] clamps the gate there, and a stack holds
+        each member's value."""
+        for value in (None, 0.0, 0.5, 1.0):
+            assert Model(CFG, value).gate_override == value
+        gate = Model(CFG, 0.5).forward_batch(*batch).report.gate.data
+        assert np.array_equal(gate, np.full_like(gate, 0.5))
+        members = [Model(CFG), Model(CFG, 1.0), Model(CFG, 0.0)]
+        assert Model.stack(members).gate_override == [None, 1.0, 0.0]
 
     def test_no_rea_uses_consensus_only(self, batch):
-        model = Model(CFG)
-        out = model.forward_batch(*batch, ablation=Ablation(no_rea=True))
+        model = Model(CFG, 0.0)
+        out = model.forward_batch(*batch)
         assert np.array_equal(out.report.gate.data,
                               np.zeros_like(out.report.gate.data))
         assert np.array_equal(out.fused.data, out.intuition_repr.data)
 
     def test_no_int_uses_reasoning_only(self, batch):
-        model = Model(CFG)
-        out = model.forward_batch(*batch, ablation=Ablation(no_int=True))
+        model = Model(CFG, 1.0)
+        out = model.forward_batch(*batch)
         assert np.array_equal(out.fused.data, out.reasoning_repr.data)
 
     def test_no_rea_severs_prototype_influence(self, batch):
         """With the gate clamped to 0 the conflict prototype cannot reach
         the prediction head, so perturbing it must not move the output."""
-        model = Model(CFG)
-        base = model.forward_batch(*batch, ablation=Ablation(no_rea=True))
+        model = Model(CFG, 0.0)
+        base = model.forward_batch(*batch)
         model.perception.prototype.data = model.perception.prototype.data + 5.0
-        moved = model.forward_batch(*batch, ablation=Ablation(no_rea=True))
+        moved = model.forward_batch(*batch)
         assert np.array_equal(base.probs.data, moved.probs.data)
+        model.gate_override = None
         unablated = model.forward_batch(*batch)
         model.perception.prototype.data = model.perception.prototype.data - 10.0
         assert not np.array_equal(
@@ -184,6 +191,11 @@ class TestConfigValidation:
             Model(ModelConfig(temperature=0.0))
         with pytest.raises(ValueError):
             Model(ModelConfig(dropout=1.0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_temperature(self, value):
+        with pytest.raises(ValueError, match="temperature"):
+            ModelConfig(temperature=value).validate()
 
 
 class TestCheckpoint:

@@ -9,7 +9,7 @@ import pytest
 from oracles import cmd_pair
 
 from dualpath.decoupler import DecoupledFeatures
-from dualpath.losses import (COMPONENT_ORDER, LossConfig, cmd, cross_entropy,
+from dualpath.losses import (COMPONENT_ORDER, WEIGHTS, LossConfig, cmd, cross_entropy,
                              diff_loss, sim_loss, task_loss, total_loss)
 from dualpath.fusion import Model, ModelConfig
 from dualpath.rng import Rng
@@ -273,3 +273,11 @@ class TestTotalLoss:
             LossConfig(reasoning_weight=-0.1).validate()
         with pytest.raises(ValueError):
             LossConfig(moment_order=0).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_config_rejects_non_finite_weights(self, name, value):
+        """A scalar weight, or one entry of a stack's (M,) weights."""
+        for weight in (value, np.array([0.1, value])):
+            with pytest.raises(ValueError, match=name):
+                LossConfig(**{name: weight}).validate()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dualpath.fusion import Ablation, Model, ModelConfig
+from dualpath.fusion import Model, ModelConfig
 from dualpath.metrics import (Metrics, compute_metrics, eval_forward, evaluate,
                               gate_stats, gating_summary, output_metrics)
 from dualpath.synthdata import DatasetConfig, generate
@@ -148,10 +148,12 @@ class TestModelFacing:
     def test_reducers_share_one_forward(self, model_and_split):
         """evaluate and gating_summary equal the reducers over one eval forward."""
         model, test = model_and_split
-        for ablation in (None, Ablation(no_rea=True)):
-            out = eval_forward(model, test, ablation)
-            assert output_metrics(out, test, 3) == evaluate(model, test, ablation)
-            assert gate_stats(out, test) == gating_summary(model, test, ablation)
+        # the fixture is an untrained model, so a fresh one of its config
+        # holds its parameters; the shared fixture keeps a free gate
+        for clamped in (model, Model(model.config, 0.0)):
+            out = eval_forward(clamped, test)
+            assert output_metrics(out, test, 3) == evaluate(clamped, test)
+            assert gate_stats(out, test) == gating_summary(clamped, test)
 
     def test_gating_summary_fields_and_ranges(self, model_and_split):
         model, test = model_and_split
@@ -163,7 +165,7 @@ class TestModelFacing:
 
     def test_gating_summary_respects_ablation(self, model_and_split):
         model, test = model_and_split
-        g = gating_summary(model, test, ablation=Ablation(no_rea=True))
+        g = gating_summary(Model(model.config, 0.0), test)
         assert g["gate_mean"] == 0.0
-        g2 = gating_summary(model, test, ablation=Ablation(no_int=True))
+        g2 = gating_summary(Model(model.config, 1.0), test)
         assert g2["gate_mean"] == 1.0

@@ -37,6 +37,12 @@ def test_config_rejects_bad_values():
         DatasetConfig(noise_std=-0.1).validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_noise_std(value):
+    with pytest.raises(ValueError, match="noise_std"):
+        DatasetConfig(noise_std=value).validate()
+
+
 @pytest.mark.parametrize("field", ["n_train", "n_val", "n_test"])
 def test_config_rejects_negative_split_sizes(field):
     with pytest.raises(ValueError, match=field):

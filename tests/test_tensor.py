@@ -347,7 +347,7 @@ def test_member_watch_keeps_each_models_records():
 
     def record(x, probs):
         Tensor(x).abs()
-        l2_norm(Tensor(x), axis=-1)
+        l2_norm(Tensor(x))
         cross_entropy(Tensor(probs), labels)
 
     with watch_kinks(members=3) as stacked:
@@ -378,7 +378,7 @@ def test_member_watch_fans_out_a_one_member_payload():
 
     def record(x, probs):
         Tensor(x).abs()
-        l2_norm(Tensor(x), axis=-1)
+        l2_norm(Tensor(x))
         cross_entropy(Tensor(probs), labels)
 
     with watch_kinks(members=3) as stacked:

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import _kink_crossed, _only_abs_crossed
 from dualpath import trainer
-from dualpath.fusion import Ablation, Model, ModelConfig, load_checkpoint, save_checkpoint
+from dualpath.fusion import Model, ModelConfig, load_checkpoint, save_checkpoint
 from dualpath.losses import LossConfig
 from dualpath.rng import Rng
 from dualpath.synthdata import Dataset, DatasetConfig, generate
 from dualpath.tensor import Tensor, no_grad
 from dualpath.trainer import (AdamW, DivergenceError, GradCheckResult,
-                              TrainConfig, _kink_crossed, default_val_metric,
+                              TrainConfig, default_val_metric,
                               grad_check, train, train_models)
 
 DATA_CFG = DatasetConfig(num_classes=3, feature_dim=8, n_train=120, n_val=40,
@@ -35,7 +36,7 @@ def script_val_scores(monkeypatch, scores):
     ``scores``."""
     scores = iter(scores)
     monkeypatch.setattr(trainer, "default_val_metric",
-                        lambda model, data, ablation=None: np.array([next(scores)]))
+                        lambda model, data: np.array([next(scores)]))
 
 
 def quick_train_cfg(**kw):
@@ -328,6 +329,9 @@ class TestTrainLoop:
         ({"beta2": float("nan")}, "beta2"),
         ({"epsilon": 0.0}, "epsilon"),
         ({"epsilon": -1e-8}, "epsilon"),
+        ({"weight_decay": float("inf")}, "weight_decay"),
+        ({"epsilon": float("nan")}, "epsilon"),
+        ({"epsilon": float("inf")}, "epsilon"),
     ])
     def test_config_rejects_bad_optimizer_values(self, kw, field):
         with pytest.raises(ValueError, match=field):
@@ -335,17 +339,15 @@ class TestTrainLoop:
         # the edges that stay legal
         TrainConfig(learning_rate=0.0, weight_decay=0.0, beta1=0.0, beta2=0.0).validate()
 
-    @pytest.mark.parametrize("ablation", [Ablation(no_int=True), Ablation(no_rea=True)],
-                             ids=["no_int", "no_rea"])
-    def test_clamped_gate_parameters_get_no_update_and_no_decay(self, splits, ablation):
+    @pytest.mark.parametrize("override", [1.0, 0.0], ids=["no_int", "no_rea"])
+    def test_clamped_gate_parameters_get_no_update_and_no_decay(self, splits, override):
         """Under a gate clamp the divergence gate receives no gradient, so
         it must stay at its init bit for bit; decay alone would shrink the
         weight off 1.0."""
         train_data, val_data, _ = splits
-        model = Model(MODEL_CFG)
+        model = Model(MODEL_CFG, override)
         before = model.snapshot()
-        train(model, train_data, val_data, quick_train_cfg(max_epochs=2),
-              LossConfig(), ablation=ablation)
+        train(model, train_data, val_data, quick_train_cfg(max_epochs=2), LossConfig())
         after = model.snapshot()
         for name in ("perception.div_gate.weight", "perception.div_gate.bias"):
             assert np.array_equal(after[name], before[name]), name
@@ -360,18 +362,17 @@ class TestTrainLoop:
         gates stay at init."""
         train_data, val_data, _ = splits
         seeds = (0, 1, 0)
-        ablations = [None, Ablation(no_int=True), Ablation(no_rea=True)]
+        overrides = [None, 1.0, 0.0]
         cfgs = [quick_train_cfg(seed=s, max_epochs=8, patience=2) for s in seeds]
         loss_cfgs = [LossConfig(), LossConfig(unimodal_weight=0.0),
                      LossConfig(reasoning_weight=0.0)]
-        models = [Model(replace(MODEL_CFG, init_seed=s)) for s in seeds]
+        models = [Model(replace(MODEL_CFG, init_seed=s), v) for s, v in zip(seeds, overrides)]
         init = [m.snapshot() for m in models]
-        histories = train_models(models, train_data, val_data, cfgs, loss_cfgs, ablations)
+        histories = train_models(models, train_data, val_data, cfgs, loss_cfgs)
         assert len({len(h.val_metrics) for h in histories}) > 1
         for m, model in enumerate(models):
-            alone = Model(replace(MODEL_CFG, init_seed=seeds[m]))
-            history = train(alone, train_data, val_data, cfgs[m], loss_cfgs[m],
-                            ablation=ablations[m])
+            alone = Model(replace(MODEL_CFG, init_seed=seeds[m]), overrides[m])
+            history = train(alone, train_data, val_data, cfgs[m], loss_cfgs[m])
             assert history == histories[m], m
             for name, arr in alone.snapshot().items():
                 assert np.array_equal(model.snapshot()[name], arr), (m, name)
@@ -484,6 +485,9 @@ def reference_setup(name: str, request):
     if name == "shared-encoder":
         return (Model(replace(SMALL_MODEL, init_seed=3, share_shared_encoder=True)),
                 small, LossConfig(), {"coords_per_group": 8})
+    if name == "gate-override":
+        # a reasoning-only model: its probe stack must clamp the gate too
+        return Model(replace(SMALL_MODEL, init_seed=4), 1.0), small, LossConfig(), {}
     assert name == "no-reasoning-loss", name
     return (Model(replace(SMALL_MODEL, init_seed=7)), small,
             LossConfig(reasoning_weight=0.0), {"coords_per_group": 4})
@@ -615,7 +619,7 @@ class TestStackedProbes:
         "perfbench-1", "perfbench-80", "perfbench-404", "perfbench-52",
         "criterion-1-0", "criterion-1-1", "criterion-1-2", "abs-retry",
         "corrupt-hook", "trained", "eps-1e-3", "eps-1e-2", "shared-encoder",
-        "no-reasoning-loss"])
+        "no-reasoning-loss", "gate-override"])
     def test_matches_one_probe_at_a_time(self, name, request):
         model, batch, loss_cfg, kw = reference_setup(name, request)
         result = grad_check(model, batch, loss_cfg, **kw)
@@ -633,6 +637,8 @@ class TestStackedProbes:
             assert kinds == {"clamp_margin", "abs_signs"} and result.skipped > 0
         else:
             assert result.passed(1e-4), max(result.per_group, key=result.per_group.get)
+        if name == "gate-override":  # the gate is a constant: no probe moves the loss
+            assert all(result.per_group[p] == 0.0 for p in model.gate_params())
 
     @pytest.mark.parametrize("name", [
         "abs-retry", "eps-1e-2", "eps-1e-3", "shared-encoder", "perfbench-1"])
@@ -719,7 +725,7 @@ class TestStackedProbes:
             plus = [(kind, pay[2 * j]) for kind, pay in kinks]
             minus = [(kind, pay[2 * j + 1]) for kind, pay in kinks]
             assert first[j] == _kink_crossed(plus, minus, steps[j]), j
-            assert only_abs[j] == trainer._only_abs_crossed(plus, minus, steps[j]), j
+            assert only_abs[j] == _only_abs_crossed(plus, minus, steps[j]), j
         assert first == ["clamp_margin", "abs_signs", "clamp_margin", "abs_signs", "clamp_margin"]
         assert only_abs == [False, True, False, False, False]
 
