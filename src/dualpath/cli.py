@@ -31,6 +31,11 @@ OUT_ENV_VAR = "DUALPATH_OUT"
 
 GRADCHECK_THRESHOLD = 1e-4
 
+# Command-line flags a subcommand would ignore: `gen` draws from dataset.seed and
+# `eval` trains nothing. A config file's values pass, as one file serves them all.
+INAPPLICABLE_FLAGS = {"gen": ("seed",) + ABLATION_FLAGS,
+                      "eval": ("seed", "no_sim", "no_diff", "no_uni", "no_rea_loss")}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -194,6 +199,9 @@ def main(argv=None) -> int:
             out_dir = os.environ.get(OUT_ENV_VAR) or args.out or ExperimentConfig.out_dir
             _cmd_report(out_dir)
             return 0
+        for flag in INAPPLICABLE_FLAGS.get(args.command, ()):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} does not apply to {args.command}")
         cfg = _resolve_config(args)
         if args.command == "gen":
             result = _cmd_gen(cfg)

@@ -3,13 +3,13 @@
 Each modality's feature vector is passed through two small MLPs: one
 producing its shared component (the part meant to align in distribution
 across modalities) and one producing its private component (the part
-carrying modality-unique cues). The alignment and orthogonality losses
-act on these outputs; the encoders themselves impose no constraint.
+carrying modality-unique cues). A call returns them as two dicts keyed by
+modality in ``MODALITIES`` order, (shared, private): the intuition pathway
+and the alignment loss read only the first, perception only the second,
+and the orthogonality loss both. The encoders impose no constraint.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,25 +17,6 @@ from dualpath.layers import TanhMlp
 from dualpath.rng import Rng, StackedRng
 from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor
-
-
-@dataclass
-class DecoupledFeatures:
-    """Batched shared and private projections, each (N, hidden_dim), or
-    (M, N, hidden_dim) from a stack of M models."""
-
-    shared_text: Tensor
-    shared_video: Tensor
-    shared_audio: Tensor
-    private_text: Tensor
-    private_video: Tensor
-    private_audio: Tensor
-
-    def shared(self, m: str) -> Tensor:
-        return getattr(self, f"shared_{m}")
-
-    def private(self, m: str) -> Tensor:
-        return getattr(self, f"private_{m}")
 
 
 class Decoupler:
@@ -65,15 +46,17 @@ class Decoupler:
 
     def __call__(self, text: Tensor, video: Tensor, audio: Tensor,
                  train: bool = False, rng: Rng | StackedRng | None = None
-                 ) -> DecoupledFeatures:
+                 ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
+        """(shared, private): modality -> (N, hidden_dim), or (M, N,
+        hidden_dim) from a stack of M models."""
         feats = {"text": text, "video": video, "audio": audio}
         masks = self._dropout_masks(text, rng) if train and self.dropout > 0.0 else None
-        out = {}
+        shared, private = {}, {}
         for i, m in enumerate(MODALITIES):
             shared_mask, private_mask = (None, None) if masks is None else masks[2 * i:2 * i + 2]
-            out[f"shared_{m}"] = self.shared_enc[m](feats[m], shared_mask)
-            out[f"private_{m}"] = self.private_enc[m](feats[m], private_mask)
-        return DecoupledFeatures(**out)
+            shared[m] = self.shared_enc[m](feats[m], shared_mask)
+            private[m] = self.private_enc[m](feats[m], private_mask)
+        return shared, private
 
     def _dropout_masks(self, x: Tensor, rng: Rng | StackedRng | None) -> np.ndarray:
         """Inverted-dropout masks of the six hidden layers, (6, ..., N,

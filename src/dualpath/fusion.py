@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from dualpath.decoupler import Decoupler, DecoupledFeatures
+from dualpath.decoupler import Decoupler
 from dualpath.functional import softmax
 from dualpath.intuition import IntuitionPath
 from dualpath.layers import Affine
@@ -59,7 +59,8 @@ class ModelConfig:
 @dataclass
 class ModelOutput:
     """A forward's tensors. Shapes are a plain model's; a stack's carry a
-    leading model axis, (M, N, ...), and ``member`` takes one model's."""
+    leading model axis, (M, N, ...), and ``member`` takes one model's.
+    ``shared`` and ``private`` are the decoupler's two dicts."""
 
     intuition_repr: Tensor   # (N, d_h)
     reasoning_repr: Tensor   # (N, d_h)
@@ -68,7 +69,8 @@ class ModelOutput:
     probs: Tensor            # (N, C)
     rea_logits: Tensor       # (N, C) auxiliary head on the reasoning repr
     report: ConflictReport
-    features: DecoupledFeatures
+    shared: dict             # modality -> (N, d_h), for intuition and both structural losses
+    private: dict            # modality -> (N, d_h), for perception, reasoning and diff_loss
 
     def member(self, m: int) -> "ModelOutput":
         """Model ``m``'s slice of a stacked forward, as constant tensors."""
@@ -152,10 +154,9 @@ class Model:
     def forward_batch(self, text, video, audio, train: bool = False,
                       rng: Rng | None = None) -> ModelOutput:
         text, video, audio = self._check_inputs(text, video, audio)
-        feats = self.decoupler(text, video, audio, train=train, rng=rng)
-        intuition_repr = self.intuition(text, video, audio, feats)
-        report = self.perception(feats)
-        private = {m: feats.private(m) for m in MODALITIES}
+        shared, private = self.decoupler(text, video, audio, train=train, rng=rng)
+        intuition_repr = self.intuition(text, video, audio, shared)
+        report = self.perception(private)
         reasoning_repr = reasoning_aggregate(report.trust, private)
         gate = report.gate
         clamp = self._gate_clamp()
@@ -168,7 +169,7 @@ class Model:
         return ModelOutput(intuition_repr=intuition_repr,
                            reasoning_repr=reasoning_repr, fused=fused,
                            logits=logits, probs=probs, rea_logits=rea_logits,
-                           report=report, features=feats)
+                           report=report, shared=shared, private=private)
 
     def _gate_clamp(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The gate override as (mask, value) arrays, or None when no model

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from dualpath.decoupler import DecoupledFeatures
 from dualpath.functional import layer_norm
 from dualpath.layers import Affine, LayerNormParams
 from dualpath.rng import Rng
+from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor, concat
 
 
@@ -32,15 +32,15 @@ class IntuitionPath:
         """Squashed projection of the concatenated raw features."""
         return self.context.tanh(concat([text, video, audio], axis=-1))
 
-    def synergy_vector(self, feats: DecoupledFeatures) -> Tensor:
+    def synergy_vector(self, shared: dict[str, Tensor]) -> Tensor:
         """Squashed projection of the pairwise shared-feature products."""
-        st, sv, sa = feats.shared_text, feats.shared_video, feats.shared_audio
+        st, sv, sa = (shared[m] for m in MODALITIES)
         prods = concat([st * sv, st * sa, sv * sa], axis=-1)
         return self.synergy.tanh(prods)
 
     def __call__(self, text: Tensor, video: Tensor, audio: Tensor,
-                 feats: DecoupledFeatures) -> Tensor:
-        z = self.fuse_raw(text, video, audio) + self.synergy_scale * self.synergy_vector(feats)
+                 shared: dict[str, Tensor]) -> Tensor:
+        z = self.fuse_raw(text, video, audio) + self.synergy_scale * self.synergy_vector(shared)
         return layer_norm(z, self.norm.gain, self.norm.bias)
 
     def params(self) -> dict[str, Tensor]:

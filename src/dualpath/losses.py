@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualpath.decoupler import DecoupledFeatures
 from dualpath.functional import guarded_sqrt, one_hot
 from dualpath.fusion import ModelOutput
 from dualpath.synthdata import MODALITIES, require_integers
@@ -112,19 +111,19 @@ def _value(t: Tensor):
     return t.data.tolist()
 
 
-def diff_loss(feats: DecoupledFeatures) -> Tensor:
+def diff_loss(shared: dict[str, Tensor], private: dict[str, Tensor]) -> Tensor:
     """Squared Frobenius norms of cross-covariance-like products between
     batch-centered private and shared matrices, plus between private
     matrices of different modalities (ordered pairs). Each term is
     normalized by (N * d_h)^2 so the scale is batch-size independent.
-    One tape node over the six (..., N, d_h) feature tensors."""
-    *lead, n, d_h = feats.private_text.data.shape
+    One tape node over the six (..., N, d_h) feature tensors, the
+    ``private`` ones then the ``shared`` ones, each in ``MODALITIES`` order."""
+    inputs = tuple(private[m] for m in MODALITIES) + tuple(shared[m] for m in MODALITIES)
+    *lead, n, d_h = inputs[0].data.shape
     if n < 2:
         log.warning("diff_loss skipped: batch of %d is too small", n)
         return Tensor(np.zeros(lead))
     scale = 1.0 / float(n * d_h) ** 2
-    inputs = tuple(feats.private(m) for m in MODALITIES) + tuple(
-        feats.shared(m) for m in MODALITIES)
     centered = [t.data - t.data.sum(axis=-2, keepdims=True) / n for t in inputs]
     k = len(MODALITIES)
     # (left, right) input positions: private-shared per modality, then
@@ -174,12 +173,13 @@ def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
 _SIM_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def sim_loss(feats: DecoupledFeatures, order: int) -> Tensor:
-    """Mean CMD over the three unordered modality pairs of shared features,
-    (text, video), (text, audio) and (video, audio): one tape node whose
-    value and gradients are those of three ``cmd`` calls summed in that
-    order and scaled by 1/3, bit for bit."""
-    return _moment_match(tuple(feats.shared(m) for m in MODALITIES), _SIM_PAIRS,
+def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
+    """Mean CMD over the three unordered modality pairs of the shared
+    features ``shared`` maps each modality to, (text, video), (text, audio)
+    and (video, audio): one tape node over the three, in ``MODALITIES``
+    order, whose value and gradients are those of three ``cmd`` calls
+    summed in that order and scaled by 1/3, bit for bit."""
+    return _moment_match(tuple(shared[m] for m in MODALITIES), _SIM_PAIRS,
                          order, 1.0 / 3.0)
 
 
@@ -258,8 +258,8 @@ def total_loss(outputs: ModelOutput, labels: np.ndarray,
     per model, and each component a list of M floats."""
     cfg.validate()
     task, parts = task_loss(outputs, labels, cfg)
-    diff = diff_loss(outputs.features)
-    sim = sim_loss(outputs.features, cfg.moment_order)
+    diff = diff_loss(outputs.shared, outputs.private)
+    sim = sim_loss(outputs.shared, cfg.moment_order)
     total = task + cfg.orthogonality_weight * diff + cfg.alignment_weight * sim
     parts["diff"] = _value(diff)
     parts["sim"] = _value(sim)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualpath.decoupler import DecoupledFeatures
 from dualpath.functional import cosine_rows, l2_norm, row_sum, softmax
 from dualpath.layers import Affine
 from dualpath.rng import Rng
@@ -32,10 +31,8 @@ from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor, concat, node
 
 REPORT_COLUMNS = (
-    "semantic_energy", "js_div",
-    "entropy_text", "entropy_video", "entropy_audio",
-    "stat_bias", "conflict_energy",
-    "trust_text", "trust_video", "trust_audio", "gate",
+    "semantic_energy", "js_div", *(f"entropy_{m}" for m in MODALITIES),
+    "stat_bias", "conflict_energy", *(f"trust_{m}" for m in MODALITIES), "gate",
 )
 
 
@@ -62,8 +59,7 @@ class ConflictReport:
         REPORT_COLUMNS."""
         cols = [
             self.semantic_energy.data, self.js_div.data,
-            self.entropies["text"].data, self.entropies["video"].data,
-            self.entropies["audio"].data,
+            *(self.entropies[m].data for m in MODALITIES),
             self.stat_bias.data, self.conflict_energy.data,
             self.trust.data, self.gate.data,
         ]
@@ -200,8 +196,7 @@ class Perception:
 
     # -- full chain -------------------------------------------------------
 
-    def __call__(self, feats: DecoupledFeatures) -> ConflictReport:
-        private = {m: feats.private(m) for m in MODALITIES}
+    def __call__(self, private: dict[str, Tensor]) -> ConflictReport:
         centroid, devs = deviations(private)
         diff_vector = self.difference_vector(devs)
         sem = self.semantic_energy(diff_vector)

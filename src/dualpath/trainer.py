@@ -94,7 +94,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and >= 0")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be finite and >= 0")
-        for name in ("beta1", "beta2"):
+        for name in ("dropout", "beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
@@ -185,31 +185,17 @@ class AdamW:
 
 def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
     """Walk the pipeline in execution order; name the first bad stage."""
-    stages: list[tuple[str, np.ndarray]] = []
-    for m in MODALITIES:
-        stages.append((f"shared_{m}", out.features.shared(m).data))
-        stages.append((f"private_{m}", out.features.private(m).data))
-    stages.append(("intuition_repr", out.intuition_repr.data))
     rep = out.report
-    stages.extend([
-        ("diff_vector", rep.diff_vector.data),
-        ("semantic_energy", rep.semantic_energy.data),
-    ])
-    for m in MODALITIES:
-        stages.append((f"unimodal_probs_{m}", rep.probs[m].data))
-    stages.extend([
-        ("js_div", rep.js_div.data),
-        ("stat_bias", rep.stat_bias.data),
-        ("conflict_energy", rep.conflict_energy.data),
-        ("gated_diff", rep.gated_diff.data),
-        ("trust", rep.trust.data),
-        ("gate", rep.gate.data),
-        ("reasoning_repr", out.reasoning_repr.data),
-        ("fused", out.fused.data),
-        ("probs", out.probs.data),
-    ])
-    for name, arr in stages:
-        if not np.all(np.isfinite(arr)):
+    stages = [(f"{kind}_{m}", feats[m]) for m in MODALITIES
+              for kind, feats in (("shared", out.shared), ("private", out.private))]
+    stages += [("intuition_repr", out.intuition_repr), ("diff_vector", rep.diff_vector),
+               ("semantic_energy", rep.semantic_energy)]
+    stages += [(f"unimodal_probs_{m}", rep.probs[m]) for m in MODALITIES]
+    stages += [(name, getattr(rep, name)) for name in (
+        "js_div", "stat_bias", "conflict_energy", "gated_diff", "trust", "gate")]
+    stages += [(name, getattr(out, name)) for name in ("reasoning_repr", "fused", "probs")]
+    for name, t in stages:
+        if not np.all(np.isfinite(t.data)):
             return name
     for name in COMPONENT_ORDER:
         if name in parts and not np.isfinite(parts[name]):
@@ -245,6 +231,10 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
         if replace(c, seed=cfg.seed) != cfg:
             raise ValueError("stacked runs must share every train setting but the seed")
     stack_loss_configs(loss_cfgs).validate()
+    for model in models:
+        if model.config.dropout != cfg.dropout:  # the model's rate is the one used
+            raise ValueError(f"model dropout {model.config.dropout!r} differs from "
+                             f"TrainConfig.dropout {cfg.dropout!r}")
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and val splits must be nonempty")
     stack = Model.stack(models)
@@ -418,7 +408,6 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     # with the member axis; a round gives only the groups it perturbs
     # (members, ...) copies and drops them after its forward.
     stack = Model.stack([model])
-    stack.stack_size = members
     tensors = list(stack.params().values())
     shared = [t.data for t in tensors]
     retries: list[tuple[int, int, int, int]] = []
@@ -453,7 +442,9 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         values = np.broadcast_to(values, (members,))
         fd = (values[0:2 * pairs:2] - values[1:2 * pairs:2]) / (2.0 * step)
         g_i = np.array([gflats[g][i] for g, i, _, _ in probes])
-        errors = np.abs(fd - g_i) / np.maximum(np.maximum(np.abs(fd), np.abs(g_i)), 1e-8)
+        # an infinite analytic gradient's inf / inf is its intended NaN error
+        with np.errstate(invalid="ignore"):
+            errors = np.abs(fd - g_i) / np.maximum(np.maximum(np.abs(fd), np.abs(g_i)), 1e-8)
         for j, (g, i, slot, k) in enumerate(probes):
             kind = crossed[j]
             if kind is None:

@@ -212,8 +212,8 @@ def test_criterion_4_forward_pass_matches_independent_trace():
             "rea_logits": out.rea_logits.data[0],
         }
         for m in MODS:
-            got[f"shared_{m}"] = out.features.shared(m).data[0]
-            got[f"private_{m}"] = out.features.private(m).data[0]
+            got[f"shared_{m}"] = out.shared[m].data[0]
+            got[f"private_{m}"] = out.private[m].data[0]
             got[f"dev_{m}"] = out.report.deviations[m].data[0]
             got[f"probs_{m}"] = out.report.probs[m].data[0]
         for key in scalar_keys:

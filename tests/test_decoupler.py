@@ -23,22 +23,23 @@ def test_zero_weights_give_bias_image():
         enc.lin2.weight.data[:] = 0.0
         enc.lin2.bias.data[:] = 1.5
     text, video, audio = make_inputs(Rng(1, "x"), 4, 6)
-    feats = dec(text, video, audio)
+    shared, private = dec(text, video, audio)
     for m in MODALITIES:
-        assert np.array_equal(feats.shared(m).data, np.full((4, 5), 1.5))
-        assert np.array_equal(feats.private(m).data, np.full((4, 5), 1.5))
+        assert np.array_equal(shared[m].data, np.full((4, 5), 1.5))
+        assert np.array_equal(private[m].data, np.full((4, 5), 1.5))
 
 
 def test_matches_straight_line_oracle():
     dec = Decoupler(Rng(3, "dec"), feature_dim=7, hidden_dim=5)
     x = Rng(4, "x").normal(size=(6, 7))
-    feats = dec(Tensor(x), Tensor(x), Tensor(x))
+    shared, private = dec(Tensor(x), Tensor(x), Tensor(x))
+    assert list(shared) == list(private) == list(MODALITIES)
     for m in MODALITIES:
         for i in range(6):
             want_s = mlp_vec(x[i], dec.shared_enc[m])
             want_p = mlp_vec(x[i], dec.private_enc[m])
-            assert np.abs(feats.shared(m).data[i] - want_s).max() < 1e-12
-            assert np.abs(feats.private(m).data[i] - want_p).max() < 1e-12
+            assert np.abs(shared[m].data[i] - want_s).max() < 1e-12
+            assert np.abs(private[m].data[i] - want_p).max() < 1e-12
 
 
 def test_output_respects_lipschitz_bound():
@@ -60,9 +61,9 @@ def test_share_weights_reuses_one_shared_encoder():
     assert dec.shared_enc["text"] is dec.shared_enc["video"]
     assert dec.shared_enc["video"] is dec.shared_enc["audio"]
     x = Tensor(Rng(8, "x").normal(size=(2, 6)))
-    feats = dec(x, x, x)
-    assert np.array_equal(feats.shared_text.data, feats.shared_video.data)
-    assert np.array_equal(feats.shared_text.data, feats.shared_audio.data)
+    shared, _ = dec(x, x, x)
+    assert np.array_equal(shared["text"].data, shared["video"].data)
+    assert np.array_equal(shared["text"].data, shared["audio"].data)
     # one shared MLP (4 tensors) plus three private MLPs (12 tensors)
     assert len(dec.params()) == 16
 
@@ -71,8 +72,8 @@ def test_separate_encoders_have_full_param_set():
     dec = Decoupler(Rng(9, "dec"), feature_dim=6, hidden_dim=5)
     assert len(dec.params()) == 24
     x = Tensor(Rng(10, "x").normal(size=(2, 6)))
-    feats = dec(x, x, x)
-    assert not np.array_equal(feats.shared_text.data, feats.shared_video.data)
+    shared, _ = dec(x, x, x)
+    assert not np.array_equal(shared["text"].data, shared["video"].data)
 
 
 def test_dropout_train_mode_requires_rng():
@@ -87,19 +88,19 @@ def test_dropout_off_in_eval_mode_is_deterministic():
     text, video, audio = make_inputs(Rng(14, "x"), 3, 6)
     a = dec(text, video, audio, train=False)
     b = dec(text, video, audio, train=False)
-    for m in MODALITIES:
-        assert np.array_equal(a.shared(m).data, b.shared(m).data)
-        assert np.array_equal(a.private(m).data, b.private(m).data)
+    for fa, fb in zip(a, b):
+        for m in MODALITIES:
+            assert np.array_equal(fa[m].data, fb[m].data)
 
 
 def test_dropout_train_mode_is_seeded():
     dec = Decoupler(Rng(15, "dec"), feature_dim=6, hidden_dim=5, dropout=0.5)
     text, video, audio = make_inputs(Rng(16, "x"), 3, 6)
-    a = dec(text, video, audio, train=True, rng=Rng(17, "drop"))
-    b = dec(text, video, audio, train=True, rng=Rng(17, "drop"))
-    c = dec(text, video, audio, train=True, rng=Rng(18, "drop"))
-    assert np.array_equal(a.shared_text.data, b.shared_text.data)
-    assert not np.array_equal(a.shared_text.data, c.shared_text.data)
+    a, _ = dec(text, video, audio, train=True, rng=Rng(17, "drop"))
+    b, _ = dec(text, video, audio, train=True, rng=Rng(17, "drop"))
+    c, _ = dec(text, video, audio, train=True, rng=Rng(18, "drop"))
+    assert np.array_equal(a["text"].data, b["text"].data)
+    assert not np.array_equal(a["text"].data, c["text"].data)
 
 
 class NoDraws:
@@ -114,9 +115,9 @@ def test_zero_dropout_draws_nothing_in_train_mode():
     text, video, audio = make_inputs(Rng(20, "x"), 3, 6)
     a = dec(text, video, audio, train=True, rng=NoDraws())
     b = dec(text, video, audio, train=False)
-    for m in MODALITIES:
-        assert np.array_equal(a.shared(m).data, b.shared(m).data)
-        assert np.array_equal(a.private(m).data, b.private(m).data)
+    for fa, fb in zip(a, b):
+        for m in MODALITIES:
+            assert np.array_equal(fa[m].data, fb[m].data)
 
 
 def masked_features(dec, inputs, drop):
@@ -128,7 +129,7 @@ def masked_features(dec, inputs, drop):
         for kind, enc in (("shared", dec.shared_enc[m]), ("private", dec.private_enc[m])):
             h = enc.lin1.tanh(x)
             mask = (drop(f"drop/{kind}/{m}", h.data.shape) < keep) / keep
-            out[f"{kind}_{m}"] = enc.lin2(h * Tensor(mask)).data
+            out[kind, m] = enc.lin2(h * Tensor(mask)).data
     return out
 
 
@@ -139,11 +140,11 @@ def test_one_draw_of_six_masks_equals_per_label_streams(step, share):
                     share_weights=share)
     inputs = make_inputs(Rng(22, "x"), 4, 6)
     rng = Rng(23, "train").child("dropout", step)
-    feats = dec(*inputs, train=True, rng=rng)
+    feats = dict(zip(("shared", "private"), dec(*inputs, train=True, rng=rng)))
     want = masked_features(dec, inputs,
                            lambda label, shape: rng.child(label).uniform(size=shape))
-    for name, value in want.items():
-        assert np.array_equal(getattr(feats, name).data, value), name
+    for (kind, m), value in want.items():
+        assert np.array_equal(feats[kind][m].data, value), (kind, m)
 
 
 def test_stacked_masks_equal_each_models_streams():
@@ -151,11 +152,11 @@ def test_stacked_masks_equal_each_models_streams():
     stack = Model.stack(models)
     seeds = [4, 9, 4]
     inputs = [Tensor(Rng(24, m).normal(size=(3, 2, 6))) for m in MODALITIES]
-    feats = stack.decoupler(*inputs, train=True,
-                            rng=StackedRng(seeds, "train").child("dropout", 12))
+    feats = dict(zip(("shared", "private"), stack.decoupler(
+        *inputs, train=True, rng=StackedRng(seeds, "train").child("dropout", 12))))
     for i, (model, seed) in enumerate(zip(models, seeds)):
         rng = Rng(seed, "train").child("dropout", 12)
         want = masked_features(model.decoupler, [Tensor(x.data[i]) for x in inputs],
                                lambda label, shape: rng.child(label).uniform(size=shape))
-        for name, value in want.items():
-            assert np.array_equal(getattr(feats, name).data[i], value), (i, name)
+        for (kind, m), value in want.items():
+            assert np.array_equal(feats[kind][m].data[i], value), (i, kind, m)

@@ -563,6 +563,39 @@ class TestCli:
         assert cli_flag in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag", [("gen", "seed")] + [
+        ("gen", flag) for flag in ABLATION_FLAGS] + [
+        ("eval", flag) for flag in ("seed", "no_sim", "no_diff", "no_uni", "no_rea_loss")])
+    def test_gen_and_eval_reject_flags_they_would_ignore(self, tmp_path, capsys,
+                                                         command, flag):
+        """`gen` draws its splits from dataset.seed and `eval` trains
+        nothing, so such a flag fails before anything is read or written."""
+        cli_flag = "--" + flag.replace("_", "-")
+        out = tmp_path / "run"
+        argv = [command, "--config", str(tiny_config_json(tmp_path)), "--out", str(out),
+                cli_flag] + (["5"] if flag == "seed" else [])
+        if command == "eval":
+            argv += ["--checkpoint", str(tmp_path / "missing.ckpt")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError" and cli_flag in record["message"]
+        assert not out.exists()
+
+    def test_gen_and_eval_take_switches_from_the_config_file(self, tmp_path, capsys):
+        """One config file serves every subcommand, so its switches pass;
+        `eval` also takes a pathway switch as a flag."""
+        cfg = tiny_config_json(tmp_path, no_sim=True, no_uni=True)
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "train.bin").exists()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(out / "model_seed0.ckpt"), "--no-int"]) == 0
+        assert "metrics" in json.loads(capsys.readouterr().out)
+
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         cfg = tiny_config_json(tmp_path)
         env_dir = tmp_path / "from_env"

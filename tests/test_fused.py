@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import oracles
-from dualpath.decoupler import DecoupledFeatures
 from dualpath.functional import cosine_rows, l2_norm, layer_norm, softmax
 from dualpath.fusion import Model, ModelConfig
 from dualpath.layers import Affine
@@ -85,7 +84,8 @@ def normal(label, shape, scale=1.0):
 
 
 def feats_of(ts):
-    return (DecoupledFeatures(*ts),)
+    """(shared, private) dicts of six tensors, three shared then three private."""
+    return dict(zip(MODALITIES, ts[:3])), dict(zip(MODALITIES, ts[3:]))
 
 
 BATCHES = [2, 16]
@@ -227,7 +227,7 @@ def test_diff_loss_with_one_tensor_in_several_slots():
     s, p = normal("ds", (4, 3)), normal("dp", (4, 3))
 
     def same(ts):
-        return (DecoupledFeatures(ts[0], ts[0], ts[0], ts[1], ts[1], ts[1]),)
+        return feats_of([ts[0]] * 3 + [ts[1]] * 3)
 
     assert_matches_reference(diff_loss, oracles.diff_loss_composite, [s, p], wrap=same)
 
@@ -444,7 +444,7 @@ def test_losses_with_one_member_inputs_equal_repeated_inputs(loss, ones):
     for bit those of the inputs repeated over the members. A (1, ...)
     input's gradient is the members' gradients summed; ``sim_loss`` sums
     each pair's share separately, so it matches to rounding."""
-    fn = (lambda f: sim_loss(f, 3)) if loss == "sim" else diff_loss
+    fn = (lambda shared, _: sim_loss(shared, 3)) if loss == "sim" else diff_loss
     arrays = sim_features(f"ones{loss}", (STACK, 6, 4))
     arrays = [a[:1] if i in ones else a for i, a in enumerate(arrays)]
     weights = normal("ones_g", (STACK,))
@@ -452,7 +452,7 @@ def test_losses_with_one_member_inputs_equal_repeated_inputs(loss, ones):
     def run(arrays):
         tensors = [Tensor(a.copy()) for a in arrays]
         with watch_kinks(STACK) as kinks:
-            out = fn(DecoupledFeatures(*tensors))
+            out = fn(*feats_of(tensors))
         (out * Tensor(weights)).sum().backward()
         return out.data, [t.grad for t in tensors], kinks
 
@@ -475,8 +475,8 @@ def test_losses_with_one_member_inputs_equal_repeated_inputs(loss, ones):
 
 def three_pair_sim(pair_fn, order):
     """sim_loss as three CMD terms, (t, v) + (t, a) + (v, a), then / 3."""
-    def sim(feats):
-        t, v, a = (feats.shared(m) for m in MODALITIES)
+    def sim(shared):
+        t, v, a = (shared[m] for m in MODALITIES)
         return (pair_fn(t, v, order) + pair_fn(t, a, order)
                 + pair_fn(v, a, order)) * (1.0 / 3.0)
     return sim
@@ -494,7 +494,7 @@ def run_sim(fn, arrays, members=None):
     """Value, the three shared inputs' gradients and the kink records."""
     tensors = [Tensor(a.copy()) for a in arrays]
     with watch_kinks(members) as kinks:
-        out = fn(DecoupledFeatures(*tensors[:3], *tensors[3:]))
+        out = fn(feats_of(tensors)[0])
     weights = Rng(99, "fused/sim").normal(size=out.data.shape)
     (out * Tensor(weights)).sum().backward()
     return out, [t.grad for t in tensors[:3]], kinks

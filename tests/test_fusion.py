@@ -100,6 +100,24 @@ class TestModelForward:
         out = Model(CFG).forward_batch(*batch)
         assert np.abs(out.probs.data.sum(axis=1) - 1.0).max() < 1e-12
 
+    def test_decoupled_features_are_dicts_that_member_slices(self, batch):
+        """A forward's shared and private features are the decoupler's two
+        dicts in MODALITIES order; a stacked forward's ``member`` slices
+        both to that member's own forward."""
+        models = [Model(CFG), Model(ModelConfig(feature_dim=8, num_classes=3, hidden_dim=6,
+                                                init_seed=2))]
+        stack = Model.stack(models)
+        out = stack.forward_batch(*batch)
+        for i, model in enumerate(models):
+            own = model.forward_batch(*batch)
+            part = out.member(i)
+            for kind in ("shared", "private"):
+                feats, mine = getattr(part, kind), getattr(own, kind)
+                assert list(feats) == list(mine) == list(MODALITIES)
+                for m in MODALITIES:
+                    assert feats[m].data.shape == (5, 6)
+                    assert np.array_equal(feats[m].data, mine[m].data), (i, kind, m)
+
     def test_rejects_flat_input(self):
         model = Model(CFG)
         v = np.zeros(8)

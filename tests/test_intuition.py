@@ -4,15 +4,16 @@ import numpy as np
 
 from oracles import affine_vec, layer_norm_vec
 
-from dualpath.decoupler import DecoupledFeatures
+from dualpath.fusion import Model, ModelConfig
 from dualpath.intuition import IntuitionPath
 from dualpath.rng import Rng
+from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor
 
 
-def make_feats(rng, n, d_h):
-    arrs = [Tensor(rng.child(str(i)).normal(size=(n, d_h))) for i in range(6)]
-    return DecoupledFeatures(*arrs)
+def make_shared(rng, n, d_h):
+    return {m: Tensor(rng.child(str(i)).normal(size=(n, d_h)))
+            for i, m in enumerate(MODALITIES)}
 
 
 def make_raw(rng, n, d):
@@ -48,8 +49,8 @@ def test_zero_scale_reduces_to_normalized_context():
     path = IntuitionPath(Rng(4, "int"), d, d_h)
     assert path.synergy_scale.data == 0.0
     text, video, audio = make_raw(Rng(5, "x"), 3, d)
-    feats = make_feats(Rng(6, "f"), 3, d_h)
-    out = path(text, video, audio, feats).data
+    shared = make_shared(Rng(6, "f"), 3, d_h)
+    out = path(text, video, audio, shared).data
     raw = path.fuse_raw(text, video, audio).data
     want = np.stack([layer_norm_vec(raw[i], path.norm.gain.data,
                                     path.norm.bias.data) for i in range(3)])
@@ -60,8 +61,8 @@ def test_zero_scale_ignores_shared_features():
     d, d_h = 5, 4
     path = IntuitionPath(Rng(7, "int"), d, d_h)
     text, video, audio = make_raw(Rng(8, "x"), 3, d)
-    a = path(text, video, audio, make_feats(Rng(9, "f"), 3, d_h)).data
-    b = path(text, video, audio, make_feats(Rng(10, "f"), 3, d_h)).data
+    a = path(text, video, audio, make_shared(Rng(9, "f"), 3, d_h)).data
+    b = path(text, video, audio, make_shared(Rng(10, "f"), 3, d_h)).data
     assert np.array_equal(a, b)
 
 
@@ -70,11 +71,11 @@ def test_synergy_products_wiring():
     path = IntuitionPath(Rng(11, "int"), 5, d_h)
     ones = Tensor(np.ones((2, d_h)))
     zeros = Tensor(np.zeros((2, d_h)))
-    feats = DecoupledFeatures(ones, zeros, ones, zeros, zeros, zeros)
+    shared = {"text": ones, "video": zeros, "audio": ones}
     # products: text*video = 0, text*audio = 1, video*audio = 0
     expected_prods = np.concatenate(
         [np.zeros((2, d_h)), np.ones((2, d_h)), np.zeros((2, d_h))], axis=1)
-    got = path.synergy_vector(feats).data
+    got = path.synergy_vector(shared).data
     want = np.tanh(expected_prods @ path.synergy.weight.data
                    + path.synergy.bias.data)
     assert np.abs(got - want).max() < 1e-15
@@ -85,9 +86,9 @@ def test_unit_scale_with_cancelling_synergy_gives_zero_before_norm():
     path = IntuitionPath(Rng(12, "int"), d, d_h)
     path.synergy_scale.data = np.asarray(1.0)
     text, video, audio = make_raw(Rng(13, "x"), 3, d)
-    feats = make_feats(Rng(14, "f"), 3, d_h)
+    shared = make_shared(Rng(14, "f"), 3, d_h)
     raw = path.fuse_raw(text, video, audio)
-    syn = path.synergy_vector(feats)
+    syn = path.synergy_vector(shared)
     resid = (raw + path.synergy_scale * syn).data
     cancelled = raw.data + syn.data
     assert np.array_equal(resid, cancelled)
@@ -99,18 +100,18 @@ def test_scale_gradient_is_live_at_zero():
     d, d_h = 5, 4
     path = IntuitionPath(Rng(15, "int"), d, d_h)
     text, video, audio = make_raw(Rng(16, "x"), 3, d)
-    feats = make_feats(Rng(17, "f"), 3, d_h)
+    shared = make_shared(Rng(17, "f"), 3, d_h)
     weights = Tensor(Rng(18, "w").normal(size=(3, d_h)))
 
     def scalar_out(scale):
         path.synergy_scale.data = np.asarray(scale)
-        out = path(text, video, audio, feats)
+        out = path(text, video, audio, shared)
         return float((out * weights).sum().data)
 
     eps = 1e-6
     fd = (scalar_out(eps) - scalar_out(-eps)) / (2 * eps)
     path.synergy_scale.data = np.asarray(0.0)
-    out = path(Tensor(text.data), Tensor(video.data), Tensor(audio.data), feats)
+    out = path(Tensor(text.data), Tensor(video.data), Tensor(audio.data), shared)
     (out * weights).sum().backward()
     assert path.synergy_scale.grad is not None
     assert abs(float(path.synergy_scale.grad) - fd) < 1e-6
@@ -118,19 +119,20 @@ def test_scale_gradient_is_live_at_zero():
 
 
 def test_private_features_do_not_enter():
-    d, d_h = 5, 4
-    path = IntuitionPath(Rng(18, "int"), d, d_h)
-    path.synergy_scale.data = np.asarray(0.7)
-    text, video, audio = make_raw(Rng(19, "x"), 3, d)
-    feats = make_feats(Rng(20, "f"), 3, d_h)
-    out_a = path(text, video, audio, feats).data
-    altered = DecoupledFeatures(
-        feats.shared_text, feats.shared_video, feats.shared_audio,
-        Tensor(feats.private_text.data * 100.0),
-        Tensor(feats.private_video.data + 3.0),
-        Tensor(-feats.private_audio.data))
-    out_b = path(text, video, audio, altered).data
-    assert np.array_equal(out_a, out_b)
+    """Perturbing the private encoders leaves the pathway's output bit for
+    bit; perturbing the shared ones moves it, so the probe is live."""
+    model = Model(ModelConfig(feature_dim=5, hidden_dim=4, init_seed=18))
+    model.intuition.synergy_scale.data = np.asarray(0.7)
+    text, video, audio = (x.data for x in make_raw(Rng(19, "x"), 3, 5))
+    base = model.forward_batch(text, video, audio).intuition_repr.data
+    for kind, moves in (("private", False), ("shared", True)):
+        saved = model.snapshot()
+        for name, p in model.params().items():
+            if name.startswith(f"decoupler.{kind}_"):
+                p.data = p.data * 3.0 + 0.5
+        got = model.forward_batch(text, video, audio).intuition_repr.data
+        model.set_params(saved)
+        assert np.array_equal(got, base) is not moves, kind
 
 
 def test_full_pathway_matches_oracle():
@@ -138,14 +140,14 @@ def test_full_pathway_matches_oracle():
     path = IntuitionPath(Rng(21, "int"), d, d_h)
     path.synergy_scale.data = np.asarray(0.3)
     text, video, audio = make_raw(Rng(22, "x"), 4, d)
-    feats = make_feats(Rng(23, "f"), 4, d_h)
-    out = path(text, video, audio, feats).data
+    shared = make_shared(Rng(23, "f"), 4, d_h)
+    out = path(text, video, audio, shared).data
     for i in range(4):
         raw_cat = np.concatenate([text.data[i], video.data[i], audio.data[i]])
         z_raw = np.tanh(affine_vec(raw_cat, path.context))
-        st = feats.shared_text.data[i]
-        sv = feats.shared_video.data[i]
-        sa = feats.shared_audio.data[i]
+        st = shared["text"].data[i]
+        sv = shared["video"].data[i]
+        sa = shared["audio"].data[i]
         prods = np.concatenate([st * sv, st * sa, sv * sa])
         z_syn = np.tanh(affine_vec(prods, path.synergy))
         want = layer_norm_vec(z_raw + 0.3 * z_syn, path.norm.gain.data,

@@ -8,7 +8,6 @@ import pytest
 
 from oracles import cmd_pair
 
-from dualpath.decoupler import DecoupledFeatures
 from dualpath.losses import (COMPONENT_ORDER, WEIGHTS, LossConfig, cmd, cross_entropy,
                              diff_loss, sim_loss, task_loss, total_loss)
 from dualpath.fusion import Model, ModelConfig
@@ -17,9 +16,14 @@ from dualpath.synthdata import DatasetConfig, MODALITIES, generate
 from dualpath.tensor import Tensor
 
 
+def by_modality(*tensors):
+    return dict(zip(MODALITIES, tensors))
+
+
 def make_feats(rng, n, d_h):
+    """(shared, private) dicts of random (n, d_h) features."""
     arrs = [Tensor(rng.child(str(i)).normal(size=(n, d_h))) for i in range(6)]
-    return DecoupledFeatures(*arrs)
+    return by_modality(*arrs[:3]), by_modality(*arrs[3:])
 
 
 def fake_outputs(fused_probs, rea_logits, unimodal):
@@ -103,35 +107,34 @@ class TestTaskLoss:
 
 class TestDiffLoss:
     def test_zero_privates_give_zero(self):
-        feats = make_feats(Rng(0, "f"), 6, 4)
+        shared, _ = make_feats(Rng(0, "f"), 6, 4)
         zero = Tensor(np.zeros((6, 4)))
-        z = DecoupledFeatures(feats.shared_text, feats.shared_video,
-                              feats.shared_audio, zero, zero, zero)
-        assert float(diff_loss(z).data) == pytest.approx(0.0, abs=1e-15)
+        z = by_modality(zero, zero, zero)
+        assert float(diff_loss(shared, z).data) == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_centered_columns_give_zero(self):
         col_a = np.array([[1.0], [-1.0]])
         col_b = np.array([[1.0], [1.0]])
         shared = Tensor(np.concatenate([col_a, np.zeros((2, 1))], axis=1))
         private = Tensor(np.concatenate([np.zeros((2, 1)), col_b], axis=1))
-        feats = DecoupledFeatures(shared, shared, shared,
-                                  private, private, private)
         # private columns are constant, so centering zeroes them entirely
-        assert float(diff_loss(feats).data) == pytest.approx(0.0, abs=1e-15)
+        loss = diff_loss(by_modality(shared, shared, shared),
+                         by_modality(private, private, private))
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value_small_matrices(self):
         # N=2, d_h=1: center([1, 3]) = [-1, 1]; center([2, 0]) = [1, -1]
         # private^T shared = -2, squared 4, scale 1/(2*1)^2 = 1/4 -> 1 per term
         s = Tensor(np.array([[1.0], [3.0]]))
         p = Tensor(np.array([[2.0], [0.0]]))
-        feats = DecoupledFeatures(s, s, s, p, p, p)
+        loss = diff_loss(by_modality(s, s, s), by_modality(p, p, p))
         # 3 private-shared terms of 1.0 plus 6 private-private terms of 1.0
-        assert float(diff_loss(feats).data) == pytest.approx(9.0, abs=1e-12)
+        assert float(loss.data) == pytest.approx(9.0, abs=1e-12)
 
     def test_batch_of_one_warns_and_returns_zero(self, caplog):
-        feats = make_feats(Rng(1, "f"), 1, 4)
+        shared, private = make_feats(Rng(1, "f"), 1, 4)
         with caplog.at_level(logging.WARNING, logger="dualpath.losses"):
-            out = diff_loss(feats)
+            out = diff_loss(shared, private)
         assert float(out.data) == 0.0
         assert any("too small" in r.message for r in caplog.records)
 
@@ -140,15 +143,16 @@ class TestDiffLoss:
         drive the penalty well below its starting value."""
         rng = Rng(2, "f")
         tensors = [Tensor(rng.child(str(i)).normal(size=(8, 4))) for i in range(6)]
-        start = float(diff_loss(DecoupledFeatures(*tensors)).data)
+        shared, private = by_modality(*tensors[:3]), by_modality(*tensors[3:])
+        start = float(diff_loss(shared, private).data)
         for _ in range(200):
             for t in tensors:
                 t.grad = None
-            loss = diff_loss(DecoupledFeatures(*tensors))
+            loss = diff_loss(shared, private)
             loss.backward()
             for t in tensors:
                 t.data = t.data - 2.0 * t.grad
-        end = float(diff_loss(DecoupledFeatures(*tensors)).data)
+        end = float(diff_loss(shared, private).data)
         assert end < 1e-3 * start
 
 
@@ -201,36 +205,29 @@ class TestCmd:
 class TestSimLoss:
     def test_identical_shared_batches_give_zero(self):
         x = Tensor(Rng(6, "x").normal(size=(8, 4)))
-        p = Tensor(Rng(6, "p").normal(size=(8, 4)))
-        feats = DecoupledFeatures(x, x, x, p, p, p)
-        assert float(sim_loss(feats, 5).data) == pytest.approx(0.0, abs=1e-15)
+        shared = by_modality(x, x, x)
+        assert float(sim_loss(shared, 5).data) == pytest.approx(0.0, abs=1e-15)
 
     def test_average_over_three_pairs(self):
         a = Tensor(Rng(7, "a").normal(size=(8, 4)))
         b = Tensor(Rng(7, "b").normal(size=(8, 4)))
         c = Tensor(Rng(7, "c").normal(size=(8, 4)))
-        p = Tensor(np.zeros((8, 4)))
-        feats = DecoupledFeatures(a, b, c, p, p, p)
         want = (float(cmd(a, b, 3).data) + float(cmd(a, c, 3).data)
                 + float(cmd(b, c, 3).data)) / 3.0
-        assert float(sim_loss(feats, 3).data) == pytest.approx(want, abs=1e-12)
+        assert float(sim_loss(by_modality(a, b, c), 3).data) == pytest.approx(want, abs=1e-12)
 
     def test_descends_under_gradient_steps(self):
         rng = Rng(8, "f")
-        shared = [Tensor(rng.child(str(i)).normal(size=(8, 4))) for i in range(3)]
-        p = Tensor(np.zeros((8, 4)))
-
-        def feats():
-            return DecoupledFeatures(shared[0], shared[1], shared[2], p, p, p)
-
-        start = float(sim_loss(feats(), 3).data)
+        shared = by_modality(*(Tensor(rng.child(str(i)).normal(size=(8, 4)))
+                               for i in range(3)))
+        start = float(sim_loss(shared, 3).data)
         for _ in range(200):
-            for t in shared:
+            for t in shared.values():
                 t.grad = None
-            sim_loss(feats(), 3).backward()
-            for t in shared:
+            sim_loss(shared, 3).backward()
+            for t in shared.values():
                 t.data = t.data - 0.05 * t.grad
-        assert float(sim_loss(feats(), 3).data) < 0.05 * start
+        assert float(sim_loss(shared, 3).data) < 0.05 * start
 
 
 @pytest.fixture(scope="module")
@@ -257,8 +254,8 @@ class TestTotalLoss:
         cfg = LossConfig()
         total, parts = total_loss(out, labels, cfg)
         task, _ = task_loss(out, labels, cfg)
-        want = (float(task.data) + 0.1 * float(diff_loss(out.features).data)
-                + 0.1 * float(sim_loss(out.features, cfg.moment_order).data))
+        want = (float(task.data) + 0.1 * float(diff_loss(out.shared, out.private).data)
+                + 0.1 * float(sim_loss(out.shared, cfg.moment_order).data))
         assert float(total.data) == pytest.approx(want, abs=1e-12)
         assert parts["total"] == pytest.approx(want, abs=1e-12)
 

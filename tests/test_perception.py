@@ -5,7 +5,7 @@ import pytest
 
 from oracles import cosine_vec, entropy_vec, js_vec, softmax_vec
 
-from dualpath.decoupler import DecoupledFeatures
+from dualpath.fusion import Model, ModelConfig
 from dualpath.perception import (REPORT_COLUMNS, Perception, deviations,
                                  js_divergence, normalized_entropy)
 from dualpath.rng import Rng
@@ -21,11 +21,6 @@ def make_private(rng, n, d_h):
 
 def make_perception(seed=0, d_h=6, num_classes=4, temperature=1.0):
     return Perception(Rng(seed, "perc"), d_h, num_classes, temperature)
-
-
-def make_feats(rng, n, d_h):
-    arrs = [Tensor(rng.child(str(i)).normal(size=(n, d_h))) for i in range(6)]
-    return DecoupledFeatures(*arrs)
 
 
 class TestDeviations:
@@ -333,8 +328,7 @@ class TestGatingFactor:
 class TestFullChain:
     def test_report_shapes_and_rows(self):
         perc = make_perception(seed=35)
-        feats = make_feats(Rng(36, "f"), 7, 6)
-        report = perc(feats)
+        report = perc(make_private(Rng(36, "f"), 7, 6))
         assert report.centroid.data.shape == (7, 6)
         assert report.diff_vector.data.shape == (7, 6)
         assert report.semantic_energy.data.shape == (7, 1)
@@ -347,22 +341,45 @@ class TestFullChain:
 
     def test_gated_diff_is_a_contraction(self):
         perc = make_perception(seed=37)
-        feats = make_feats(Rng(38, "f"), 20, 6)
-        report = perc(feats)
+        report = perc(make_private(Rng(38, "f"), 20, 6))
         gated = np.linalg.norm(report.gated_diff.data, axis=1)
         full = np.linalg.norm(report.diff_vector.data, axis=1)
         live = full > 0
         assert (gated[live] < full[live]).all()
 
+    def test_report_columns_are_the_gating_csv_header(self):
+        assert REPORT_COLUMNS == (
+            "semantic_energy", "js_div",
+            "entropy_text", "entropy_video", "entropy_audio",
+            "stat_bias", "conflict_energy",
+            "trust_text", "trust_video", "trust_audio", "gate",
+        )
+
     def test_shared_features_do_not_enter(self):
-        perc = make_perception(seed=39)
-        feats = make_feats(Rng(40, "f"), 4, 6)
-        base = perc(feats)
-        altered = DecoupledFeatures(
-            Tensor(feats.shared_text.data * -5.0),
-            Tensor(feats.shared_video.data + 1.0),
-            Tensor(feats.shared_audio.data * 0.0),
-            feats.private_text, feats.private_video, feats.private_audio)
-        again = perc(altered)
-        assert np.array_equal(base.gate.data, again.gate.data)
-        assert np.array_equal(base.trust.data, again.trust.data)
+        """Perturbing the shared encoders leaves every report tensor and the
+        reasoning representation bit for bit; perturbing the private ones
+        moves them, so the probe is live."""
+        model = Model(ModelConfig(feature_dim=5, hidden_dim=6, init_seed=39))
+        rng = Rng(40, "f")
+        text, video, audio = (rng.child(m).normal(size=(4, 5)) for m in MODALITIES)
+
+        def watched():
+            out = model.forward_batch(text, video, audio)
+            rep = out.report
+            arrays = [rep.centroid, rep.diff_vector, rep.semantic_energy, rep.js_div,
+                      rep.stat_bias, rep.conflict_energy, rep.gated_diff, rep.trust,
+                      rep.gate, out.reasoning_repr]
+            for m in MODALITIES:
+                arrays += [rep.deviations[m], rep.probs[m], rep.entropies[m]]
+            return [a.data for a in arrays]
+
+        base = watched()
+        for kind, moves in (("shared", False), ("private", True)):
+            saved = model.snapshot()
+            for name, p in model.params().items():
+                if name.startswith(f"decoupler.{kind}_"):
+                    p.data = p.data * 3.0 + 0.5
+            got = watched()
+            model.set_params(saved)
+            same = [np.array_equal(a, b) for a, b in zip(got, base)]
+            assert all(same) if not moves else not any(same), kind

@@ -116,7 +116,7 @@ def test_recorded_forward_is_freed_by_refcount(default_batch):
         loss, _ = total_loss(out, default_batch.labels, LossConfig())
         assert loss._back is not None
         watched = [weakref.ref(out.report.diff_vector.data),
-                   weakref.ref(out.features.shared_text.data)]
+                   weakref.ref(out.shared["text"].data)]
         del out, loss
         assert all(ref() is None for ref in watched)
     finally:

@@ -12,7 +12,7 @@ import oracles
 from oracles import _kink_crossed, _only_abs_crossed
 from dualpath import trainer
 from dualpath.fusion import Model, ModelConfig, load_checkpoint, save_checkpoint
-from dualpath.losses import LossConfig
+from dualpath.losses import LossConfig, total_loss
 from dualpath.rng import Rng
 from dualpath.synthdata import Dataset, DatasetConfig, generate
 from dualpath.tensor import Tensor, no_grad
@@ -291,6 +291,28 @@ class TestTrainLoop:
                   LossConfig())
         assert err.value.component == "shared_text"
 
+    @pytest.mark.parametrize("group,stage", [
+        ("decoupler.shared_video.lin2.bias", "shared_video"),
+        ("decoupler.private_audio.lin2.bias", "private_audio"),
+        ("intuition.norm.gain", "intuition_repr"),
+        ("perception.diff_proj.bias", "diff_vector"),
+        ("perception.classifier_video.bias", "unimodal_probs_video"),
+        ("perception.stat_bias", "stat_bias"),
+        ("perception.trust_out.bias", "trust"),
+        ("perception.div_gate.bias", "gate"),
+        ("head.bias", "probs"),
+    ])
+    def test_first_nonfinite_names_the_first_stage_a_nan_reaches(self, splits, group,
+                                                                 stage):
+        train_data = splits[0]
+        model = Model(MODEL_CFG)
+        model.params()[group].data.flat[0] = np.nan
+        with no_grad():
+            out = model.forward_batch(train_data.text[:16], train_data.video[:16],
+                                      train_data.audio[:16])
+            _, parts = total_loss(out, train_data.labels[:16], LossConfig())
+        assert trainer._first_nonfinite(out, parts) == stage
+
     def test_nonfinite_val_metric_is_divergence(self, splits, monkeypatch):
         train_data, val_data, _ = splits
         script_val_scores(monkeypatch, [float("nan")] * 3)
@@ -307,6 +329,22 @@ class TestTrainLoop:
         model = Model(MODEL_CFG)
         with pytest.raises(ValueError):
             train(model, empty, train_data, quick_train_cfg(), LossConfig())
+
+    @pytest.mark.parametrize("value", [5.0, 1.0, -0.1, float("nan")])
+    def test_config_rejects_a_dropout_outside_the_unit_interval(self, value):
+        with pytest.raises(ValueError, match="dropout"):
+            TrainConfig(dropout=value).validate()
+        TrainConfig(dropout=0.0).validate()
+
+    def test_rejects_a_model_whose_dropout_differs(self, splits):
+        """The model's own rate drives its dropout masks, so a train config
+        naming another rate would be ignored: it fails instead."""
+        train_data, val_data, _ = splits
+        model = Model(replace(MODEL_CFG, dropout=0.0))
+        before = model.snapshot()
+        with pytest.raises(ValueError, match=r"0\.0.*0\.5"):
+            train(model, train_data, val_data, quick_train_cfg(dropout=0.5), LossConfig())
+        assert all(np.array_equal(before[k], v) for k, v in model.snapshot().items())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -413,7 +451,7 @@ def abs_kink_model(batch: Dataset) -> Model:
     model = Model(replace(SMALL_MODEL, init_seed=5))
     with no_grad():
         out = model.forward_batch(batch.text, batch.video, batch.audio)
-    signed = out.features.private_text.data - out.report.centroid.data
+    signed = out.private["text"].data - out.report.centroid.data
     row, col = 2, 3
     # a text bias shift b moves private_text - centroid by 2b/3
     bias = model.decoupler.private_enc["text"].lin2.bias
@@ -656,13 +694,13 @@ class TestStackedProbes:
         """A fresh default model certifies 811 coordinates without a
         resample. One probe at a time that took 1 + 2 x 811 = 1623
         forwards; in rounds of ``_PROBE_PAIRS`` pairs it takes the
-        analytic forward and one per round."""
+        analytic forward on the model itself and one per round on a stack."""
         model, batch, loss_cfg, kw = perfbench_setup(1)
         forward = Model.forward_batch
         calls = []
 
         def counting(self, *args, **kwargs):
-            calls.append(self.stack_size)
+            calls.append(self is model)
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(Model, "forward_batch", counting)
@@ -670,7 +708,7 @@ class TestStackedProbes:
         assert result.coords_checked == 811 and result.resampled == 0
         rounds = math.ceil(811 / trainer._PROBE_PAIRS)
         assert len(calls) == 1 + rounds
-        assert calls == [None] + [2 * trainer._PROBE_PAIRS] * rounds
+        assert calls == [True] + [False] * rounds
 
     def test_a_round_gives_the_member_axis_only_to_the_groups_it_perturbs(
             self, monkeypatch):
