@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from dualpath.layers import TanhMlp
+from dualpath.layers import Module, TanhMlp
 from dualpath.rng import Rng, StackedRng
 from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor
 
 
-class Decoupler:
+class Decoupler(Module):
     """Six encoders (three modalities x shared/private), or four when
     ``share_weights`` reuses one shared encoder across modalities."""
 
@@ -70,13 +70,3 @@ class Decoupler:
         labels = [f"drop/{kind}/{m}" for m in MODALITIES for kind in ("shared", "private")]
         keep = 1.0 - self.dropout
         return (rng.child_uniforms(labels, shape) < keep) / keep
-
-    def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        seen = set()
-        for enc in list(self.shared_enc.values()) + list(self.private_enc.values()):
-            if id(enc) in seen:
-                continue
-            seen.add(id(enc))
-            out.update(enc.params())
-        return out

@@ -346,21 +346,21 @@ def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     csv_rows = []
     results = train_runs([(cfg, seed) for seed in cfg.seeds], splits)
     stack = Model.stack([model for model, _, _, _, _ in results])
-    by_sigma = {}  # sigma -> the metrics of each seed's model
+    by_sigma = []  # per position in cfg.sigmas: the metrics of each seed's model
     for si, sigma in enumerate(cfg.sigmas):
         if sigma > 0:
             noisy = inject_noise_dataset(splits[2], sigma, "text",
                                          Rng(cfg.dataset.seed, "robust/noise", si))
             outs = eval_forward(stack, noisy)
-            by_sigma[sigma] = [output_metrics(outs.member(m), noisy,
-                                              cfg.dataset.num_classes)
-                               for m in range(len(results))]
+            by_sigma.append([output_metrics(outs.member(m), noisy,
+                                            cfg.dataset.num_classes)
+                             for m in range(len(results))])
         else:
-            by_sigma[sigma] = [clean for _, _, clean, _, _ in results]
+            by_sigma.append([clean for _, _, clean, _, _ in results])
     for m, (seed, (_, _, clean, _, _)) in enumerate(zip(cfg.seeds, results)):
         sigma_rows = []
-        for sigma in cfg.sigmas:
-            row = by_sigma[sigma][m].as_dict()
+        for si, sigma in enumerate(cfg.sigmas):
+            row = by_sigma[si][m].as_dict()
             sigma_rows.append({"sigma": sigma, **row})
             csv_rows.append([seed, sigma] + [row[k] for k in columns])
         per_seed.append({"seed": seed, "clean": clean.as_dict(),

@@ -16,6 +16,8 @@ from dualpath.tensor import Tensor, _note_kink, node
 _NARROW = 8
 _MANY_ROWS = 128
 
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
 
 def _chained(x: np.ndarray) -> bool:
     width = x.shape[-1]
@@ -63,14 +65,14 @@ def softmax(x: Tensor) -> Tensor:
     return node(y, (x,), back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean and unit variance, then scale and
     shift. One tape node."""
     xd = x.data
     d = xd.shape[-1]
     # sum / d is ndarray.mean's own arithmetic without its Python-level wrapper
     centered = xd - xd.sum(axis=-1, keepdims=True) / d
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + eps)
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
     normed = centered / std
 
     def back(g):
@@ -87,10 +89,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def guarded_sqrt(sq: np.ndarray) -> np.ndarray:
     """Square roots of the squared norms ``sq``, exactly 0 where ``sq`` is
-    0, with the smallest norm recorded as a ``norm_floor`` kink."""
+    0 and NaN where it is NaN, with the smallest norm recorded as a
+    ``norm_floor`` kink."""
     _note_kink("norm_floor", sq)
-    positive = sq > 0
-    return np.where(positive, np.sqrt(np.where(positive, sq, 1.0)), 0.0)
+    nonzero = sq != 0
+    return np.where(nonzero, np.sqrt(np.where(nonzero, sq, 1.0)), 0.0)
 
 
 def l2_norm(x: Tensor) -> Tensor:
@@ -110,15 +113,15 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     one (d,) vector. A kept (..., N, 1) column. One tape node; both norms
     are recorded as ``norm_floor`` kinks, ``a``'s first.
 
-    Rows whose norm is zero yield similarity 0 with zero gradient.
+    Rows whose norm is zero yield similarity 0 with zero gradient; a NaN
+    norm yields NaN.
     """
-    ad = a.data
-    bd = b.data.reshape(1, -1) if b.data.ndim == 1 else b.data
+    ad, bd = a.data, b.data
     dots = (ad * bd).sum(axis=-1, keepdims=True)
     na = guarded_sqrt((ad * ad).sum(axis=-1, keepdims=True))
     nb = guarded_sqrt((bd * bd).sum(axis=-1, keepdims=True))
     denom = na * nb
-    ok = denom > 0
+    ok = denom != 0
     guarded = np.where(ok, denom, 1.0)
 
     def back(g):

@@ -24,7 +24,7 @@ import numpy as np
 from dualpath.decoupler import Decoupler
 from dualpath.functional import softmax
 from dualpath.intuition import IntuitionPath
-from dualpath.layers import Affine
+from dualpath.layers import Affine, Module
 from dualpath.perception import ConflictReport, Perception
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES, require_integers
@@ -117,17 +117,14 @@ def clamp_gate(gate: Tensor, mask: np.ndarray, value: np.ndarray) -> Tensor:
     return node(data, (gate,), back)
 
 
-def _stacked_shape(name: str, shape: tuple) -> tuple:
+def _stacked_shape(shape: tuple) -> tuple:
     """A parameter's shape within a stack, less the model axis: matrices
-    keep theirs, the stat weight becomes the (4, 1) column its matmul
-    takes, and vectors and scalars become (1, d) and (1, 1) rows that
-    broadcast over samples."""
-    if name == "perception.stat_weight":
-        return shape + (1,)
+    keep theirs, and vectors and scalars become (1, d) and (1, 1) rows
+    that broadcast over samples."""
     return (1,) * (2 - len(shape)) + shape
 
 
-class Model:
+class Model(Module):
     def __init__(self, config: ModelConfig, gate_override: float | None = None):
         config.validate()
         if gate_override is not None and not 0.0 <= gate_override <= 1.0:
@@ -201,15 +198,6 @@ class Model:
                 raise ValueError(f"{m} input holds non-finite values")
         return out
 
-    def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.decoupler.params())
-        out.update(self.intuition.params())
-        out.update(self.perception.params())
-        out.update(self.head.params())
-        out.update(self.rea_head.params())
-        return out
-
     def gate_params(self) -> list[str]:
         """The parameters that reach the loss only through the gate: a
         clamped model's share of them gets no gradient."""
@@ -219,8 +207,8 @@ class Model:
     def stack(cls, members: list["Model"]) -> "Model":
         """One model over ``members`` (M of them) that runs them together.
         Every parameter gains a leading model axis: weights (M, d_in,
-        d_out); biases, gains and the prototype (M, 1, d); scalars
-        (M, 1, 1); the stat weight (M, 4, 1). Its arrays are copies;
+        d_out); biases, gains, the prototype and the stat weight (M, 1, d);
+        scalars (M, 1, 1). Its arrays are copies;
         ``bind`` makes the members' parameters views of them. Members must
         share a config up to ``init_seed``; each keeps its gate override."""
         config = members[0].config
@@ -232,7 +220,7 @@ class Model:
         out.gate_override = [member.gate_override for member in members]
         member_params = [member.params() for member in members]
         for name, p in out.params().items():
-            shape = _stacked_shape(name, p.data.shape)
+            shape = _stacked_shape(p.data.shape)
             p.data = np.stack([mp[name].data.reshape(shape) for mp in member_params])
         return out
 

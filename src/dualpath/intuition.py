@@ -13,14 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from dualpath.functional import layer_norm
-from dualpath.layers import Affine, LayerNormParams
+from dualpath.layers import Affine, LayerNormParams, Module
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor, concat
 
 
-class IntuitionPath:
+class IntuitionPath(Module):
     def __init__(self, rng: Rng, feature_dim: int, hidden_dim: int):
+        self.name = "intuition"
         self.context = Affine(rng.child("context"), 3 * feature_dim, hidden_dim,
                               "intuition.context")
         self.synergy = Affine(rng.child("synergy"), 3 * hidden_dim, hidden_dim,
@@ -42,11 +43,3 @@ class IntuitionPath:
                  shared: dict[str, Tensor]) -> Tensor:
         z = self.fuse_raw(text, video, audio) + self.synergy_scale * self.synergy_vector(shared)
         return layer_norm(z, self.norm.gain, self.norm.bias)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.context.params())
-        out.update(self.synergy.params())
-        out["intuition.synergy_scale"] = self.synergy_scale
-        out.update(self.norm.params())
-        return out

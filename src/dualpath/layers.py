@@ -1,8 +1,10 @@
-"""Small trainable modules: affine maps and two-layer tanh MLPs.
+"""Small trainable modules: the ``Module`` base, affine maps and two-layer
+tanh MLPs.
 
-Parameters are plain Tensors collected into ordered dicts so the trainer,
-the checkpoint writer and the gradient checker all see one flat namespace
-of named arrays. An affine map, squashed or not, records one tape node.
+Parameters are plain Tensors held as module attributes. ``Module.params``
+collects them into one ordered dict, so the trainer, the checkpoint
+writer and the gradient checker all see one flat namespace of named
+arrays. An affine map, squashed or not, records one tape node.
 In a stack of models (``fusion.Model.stack``) a weight is (M, d_in,
 d_out) and a bias (M, 1, d_out); inputs are (M, N, d_in), or one
 (N, d_in) batch that every model takes. Any of them may instead hold one
@@ -24,7 +26,35 @@ def glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class Affine:
+class Module:
+    """Base of every trainable module. ``params`` walks the instance's
+    attributes in assignment order: it names each Tensor attribute
+    ``{name}.{attribute}`` and takes in the parameters of each Module held
+    directly or as a dict value. A module that holds a Tensor sets
+    ``name``, the prefix of its parameters' names. A module reached twice
+    keeps its first place; two different tensors under one name raise
+    ValueError."""
+
+    def params(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        self._register(out)
+        return out
+
+    def _register(self, out: dict[str, Tensor]) -> None:
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                key = f"{self.name}.{attr}"
+                if out.setdefault(key, value) is not value:
+                    raise ValueError(f"two parameters are named {key!r}")
+            elif isinstance(value, Module):
+                value._register(out)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    if isinstance(item, Module):
+                        item._register(out)
+
+
+class Affine(Module):
     """y = x @ W + b with W of shape (d_in, d_out)."""
 
     def __init__(self, rng: Rng, d_in: int, d_out: int, name: str):
@@ -38,9 +68,6 @@ class Affine:
     def tanh(self, x: Tensor) -> Tensor:
         """tanh(x @ W + b)."""
         return _affine(x, self.weight, self.bias, squash=True)
-
-    def params(self) -> dict[str, Tensor]:
-        return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
 
 
 def _affine(x: Tensor, weight: Tensor, bias: Tensor, squash: bool) -> Tensor:
@@ -71,7 +98,7 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor, squash: bool) -> Tensor:
     return node(y, (x, weight, bias), back)
 
 
-class TanhMlp:
+class TanhMlp(Module):
     """affine -> tanh -> (times a dropout mask, when given) -> affine."""
 
     def __init__(self, rng: Rng, d_in: int, d_hidden: int, d_out: int, name: str):
@@ -85,20 +112,11 @@ class TanhMlp:
             h = h * constant(mask)
         return self.lin2(h)
 
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.lin1.params())
-        out.update(self.lin2.params())
-        return out
 
-
-class LayerNormParams:
+class LayerNormParams(Module):
     """Gain and bias for a layer_norm over the last axis."""
 
     def __init__(self, dim: int, name: str):
         self.name = name
         self.gain = Tensor(np.ones(dim))
         self.bias = Tensor(np.zeros(dim))
-
-    def params(self) -> dict[str, Tensor]:
-        return {f"{self.name}.gain": self.gain, f"{self.name}.bias": self.bias}

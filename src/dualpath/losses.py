@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualpath.functional import guarded_sqrt, one_hot
+from dualpath.functional import guarded_sqrt, one_hot, softmax
 from dualpath.fusion import ModelOutput
 from dualpath.synthdata import MODALITIES, require_integers
 from dualpath.tensor import Tensor, _note_kink, is_recording, node
@@ -75,13 +75,14 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
 
     Probabilities are floored at 1e-12 before the log so a confidently
     wrong prediction yields a large finite loss, never an infinity; a
-    floored probability gets no gradient.
+    floored probability gets no gradient. A NaN probability is not
+    floored: it makes the loss NaN.
     """
     n, c = probs.data.shape[-2:]
     mask = one_hot(np.asarray(labels), c)
     picked = (probs.data * mask).sum(axis=-1, keepdims=True)
     _note_kink("clamp_margin", picked, PROB_FLOOR)
-    above = picked > PROB_FLOOR
+    above = ~(picked <= PROB_FLOOR)
     clamped = np.where(above, picked, PROB_FLOOR)
 
     def back(g):
@@ -93,8 +94,6 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
 def task_loss(outputs: ModelOutput, labels: np.ndarray,
               cfg: LossConfig) -> tuple[Tensor, dict[str, float]]:
     """Fused CE + weighted reasoning-head CE + weighted unimodal CEs."""
-    from dualpath.functional import softmax
-
     cls = cross_entropy(outputs.probs, labels)
     rea = cross_entropy(softmax(outputs.rea_logits), labels)
     uni = None

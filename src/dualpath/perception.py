@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualpath.functional import cosine_rows, l2_norm, row_sum, softmax
-from dualpath.layers import Affine
+from dualpath.layers import Affine, Module
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES
 from dualpath.tensor import Tensor, concat, node
@@ -128,11 +128,12 @@ def normalized_entropy(p: Tensor, num_classes: int) -> Tensor:
     return node(-row_sum(p.data * log_p) * scale, (p,), back)
 
 
-class Perception:
+class Perception(Module):
     def __init__(self, rng: Rng, hidden_dim: int, num_classes: int,
                  temperature: float = 1.0):
         if temperature <= 0:
             raise ValueError("temperature must be > 0")
+        self.name = "perception"
         self.hidden_dim = hidden_dim
         self.num_classes = num_classes
         self.temperature = float(temperature)
@@ -174,9 +175,8 @@ class Perception:
 
     def statistical_bias(self, js_div: Tensor, entropies: dict[str, Tensor]) -> Tensor:
         stats = concat([js_div] + [entropies[m] for m in MODALITIES], axis=-1)
-        weight = self.stat_weight  # a stack holds it as (M, 4, 1) columns already
-        if weight.data.ndim == 1:
-            weight = weight.reshape(4, 1)
+        # the (4,) weight, or a stack's (M, 1, 4) rows, as (..., 4, 1) columns
+        weight = self.stat_weight.reshape(*self.stat_weight.data.shape[:-2], 4, 1)
         return stats @ weight + self.stat_bias
 
     def conflict_vector(self, semantic_energy: Tensor, stat_bias: Tensor,
@@ -213,17 +213,3 @@ class Perception:
             stat_bias=bias, conflict_energy=energy, gated_diff=gated,
             trust=trust, gate=gate,
         )
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.diff_proj.params())
-        out["perception.prototype"] = self.prototype
-        for m in MODALITIES:
-            out.update(self.classifiers[m].params())
-        out["perception.stat_weight"] = self.stat_weight
-        out["perception.stat_bias"] = self.stat_bias
-        out.update(self.unc_lift.params())
-        out.update(self.trust_in.params())
-        out.update(self.trust_out.params())
-        out.update(self.div_gate.params())
-        return out

@@ -337,6 +337,8 @@ class GradCheckResult:
 # records the sweep it was picked from and a reading at a wider model.
 _PROBE_PAIRS = 20
 
+PROBE_STEP = 1e-5  # grad_check's first central-difference step
+
 
 def _judge_round(kinks: list, steps: np.ndarray) -> tuple[list, list]:
     """Judge every pair of a round at once, one array comparison per kink
@@ -368,7 +370,7 @@ def _judge_round(kinks: list, steps: np.ndarray) -> tuple[list, list]:
 
 
 def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
-               epsilon: float = 1e-5, coords_per_group: int = 20,
+               coords_per_group: int = 20,
                seed: int = 0, corrupt_hook=None) -> GradCheckResult:
     """Certify analytic gradients of the full objective against central
     differences, >= coords_per_group coordinates per parameter group
@@ -401,7 +403,7 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     # per group, in pop order: a probe's relative error, or the kink kind
     # that resampled it
     outcomes: list[list] = [[] for _ in names]
-    steps = (epsilon, epsilon / 10.0, epsilon / 100.0)
+    steps = (PROBE_STEP, PROBE_STEP / 10.0, PROBE_STEP / 100.0)
     members = 2 * _PROBE_PAIRS
     # A stack of `members` copies of the model whose groups keep their
     # (1, ...) stack shape, so each op runs once until it meets a group

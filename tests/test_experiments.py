@@ -388,6 +388,18 @@ class TestRunRobustness:
         accs = [ps["by_sigma"][1]["acc"] for ps in report["per_seed"]]
         assert row["acc"]["mean"] == pytest.approx(float(np.mean(accs)), abs=1e-15)
 
+    def test_a_repeated_sigma_keeps_each_of_its_draws(self, tmp_path):
+        """Each sigma's noise is drawn for its position in the list, so a
+        repeated sigma's rows are those of its two positions."""
+        def rows(sigmas):
+            report = run_robustness(replace(TINY, sigmas=sigmas), str(tmp_path))
+            return report["per_seed"][0]["by_sigma"]
+
+        repeated = rows((1.0, 0.3, 1.0))
+        assert repeated[0] == rows((1.0,))[0]
+        assert repeated[2] == rows((0.0, 0.0, 1.0))[2]
+        assert repeated[0] != repeated[2]
+
     def test_notes_the_noisy_modality(self, robustness_result):
         report, _ = robustness_result
         assert report["noise_modality"] == "text"

@@ -1,11 +1,14 @@
 """Model assembly: pathway mixing, gate overrides, checkpoint format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dualpath.fusion import (Model, ModelConfig, final_fuse,
                              load_checkpoint, reasoning_aggregate,
                              save_checkpoint)
+from dualpath.layers import Affine
 from dualpath.rng import Rng
 from dualpath.synthdata import DatasetConfig, MODALITIES, generate
 from dualpath.tensor import Tensor
@@ -19,6 +22,32 @@ DATA_CFG = DatasetConfig(num_classes=3, feature_dim=8, n_train=20, n_val=10,
 def batch():
     train = generate(DATA_CFG)[0]
     return train.text[:5], train.video[:5], train.audio[:5]
+
+
+# Checkpoint names and grad_check's per-group order: they must not change.
+PARAM_NAMES = [
+    f"decoupler.{kind}_{m}.{lin}.{p}" for kind in ("shared", "private")
+    for m in ("text", "video", "audio") for lin in ("lin1", "lin2") for p in ("weight", "bias")
+] + [
+    "intuition.context.weight", "intuition.context.bias", "intuition.synergy.weight",
+    "intuition.synergy.bias", "intuition.synergy_scale", "intuition.norm.gain",
+    "intuition.norm.bias",
+    "perception.diff_proj.weight", "perception.diff_proj.bias", "perception.prototype",
+    "perception.classifier_text.weight", "perception.classifier_text.bias",
+    "perception.classifier_video.weight", "perception.classifier_video.bias",
+    "perception.classifier_audio.weight", "perception.classifier_audio.bias",
+    "perception.stat_weight", "perception.stat_bias",
+    "perception.unc_lift.weight", "perception.unc_lift.bias",
+    "perception.trust_in.weight", "perception.trust_in.bias",
+    "perception.trust_out.weight", "perception.trust_out.bias",
+    "perception.div_gate.weight", "perception.div_gate.bias",
+    "head.weight", "head.bias", "rea_head.weight", "rea_head.bias",
+]
+# one shared encoder in the first shared one's place
+SHARED_ENCODER_PARAM_NAMES = [
+    "decoupler.shared.lin1.weight", "decoupler.shared.lin1.bias",
+    "decoupler.shared.lin2.weight", "decoupler.shared.lin2.bias",
+] + PARAM_NAMES[12:]
 
 
 def make_private(rng, n, d_h):
@@ -214,6 +243,41 @@ class TestConfigValidation:
     def test_rejects_non_finite_temperature(self, value):
         with pytest.raises(ValueError, match="temperature"):
             ModelConfig(temperature=value).validate()
+
+
+class TestParams:
+    def test_names_and_order_are_fixed(self):
+        assert len(PARAM_NAMES) == 54 and len(SHARED_ENCODER_PARAM_NAMES) == 46
+        assert list(Model(ModelConfig()).params()) == PARAM_NAMES
+        shared = Model(ModelConfig(share_shared_encoder=True))
+        assert list(shared.params()) == SHARED_ENCODER_PARAM_NAMES
+
+    def test_a_new_tensor_attribute_registers_itself(self):
+        model = Model(CFG)
+        extra = model.perception.extra = Tensor(np.zeros(3))
+        params = model.params()
+        names = list(params)
+        assert names[names.index("perception.div_gate.bias") + 1] == "perception.extra"
+        assert params["perception.extra"] is extra
+        assert len(params) == 55
+
+    def test_two_tensors_under_one_name_raise(self):
+        model = Model(CFG)
+        model.rea_head = Affine(Rng(0, "twin"), 6, 3, "head")
+        with pytest.raises(ValueError, match="'head.weight'"):
+            model.params()
+
+    def test_stack_puts_a_model_axis_in_front_of_every_parameter(self):
+        members = [Model(replace(CFG, init_seed=s)) for s in (1, 2, 3)]
+        stack = Model.stack(members)
+        assert list(stack.params()) == list(members[0].params())
+        assert stack.perception.stat_weight.data.shape == (3, 1, 4)
+        for name, p in stack.params().items():
+            shape = members[0].params()[name].data.shape
+            assert p.data.shape == (3,) + (1,) * (2 - len(shape)) + shape, name
+            for m, member in enumerate(members):
+                assert np.array_equal(p.data[m].reshape(shape),
+                                      member.params()[name].data), (name, m)
 
 
 class TestCheckpoint:

@@ -39,6 +39,21 @@ def script_val_scores(monkeypatch, scores):
                         lambda model, data: np.array([next(scores)]))
 
 
+def first_bad_stage(group: str) -> str:
+    """The first stage of ``_first_nonfinite`` that a NaN in ``group``
+    reaches."""
+    owner, part = group.split(".")[:2]
+    if owner == "decoupler":
+        return part  # the encoder's own output, e.g. "shared_text"
+    if part.startswith("classifier_"):
+        return "unimodal_probs_" + part.removeprefix("classifier_")
+    key = part if owner == "perception" else owner
+    return {"intuition": "intuition_repr", "head": "probs", "rea_head": "loss_rea",
+            "diff_proj": "diff_vector", "prototype": "semantic_energy",
+            "stat_weight": "stat_bias", "stat_bias": "stat_bias", "unc_lift": "trust",
+            "trust_in": "trust", "trust_out": "trust", "div_gate": "gate"}[key]
+
+
 def quick_train_cfg(**kw):
     base = dict(learning_rate=3e-3, max_epochs=6, batch_size=16, patience=5,
                 dropout=0.1, seed=0)
@@ -292,26 +307,34 @@ class TestTrainLoop:
         assert err.value.component == "shared_text"
 
     @pytest.mark.parametrize("group,stage", [
-        ("decoupler.shared_video.lin2.bias", "shared_video"),
-        ("decoupler.private_audio.lin2.bias", "private_audio"),
-        ("intuition.norm.gain", "intuition_repr"),
-        ("perception.diff_proj.bias", "diff_vector"),
-        ("perception.classifier_video.bias", "unimodal_probs_video"),
-        ("perception.stat_bias", "stat_bias"),
-        ("perception.trust_out.bias", "trust"),
-        ("perception.div_gate.bias", "gate"),
-        ("head.bias", "probs"),
-    ])
+        (group, first_bad_stage(group)) for group in Model(MODEL_CFG).params()])
     def test_first_nonfinite_names_the_first_stage_a_nan_reaches(self, splits, group,
                                                                  stage):
+        """A NaN in any parameter group makes the loss NaN: no norm guard
+        or probability floor turns it back into a number."""
         train_data = splits[0]
         model = Model(MODEL_CFG)
         model.params()[group].data.flat[0] = np.nan
         with no_grad():
             out = model.forward_batch(train_data.text[:16], train_data.video[:16],
                                       train_data.audio[:16])
-            _, parts = total_loss(out, train_data.labels[:16], LossConfig())
+            loss, parts = total_loss(out, train_data.labels[:16], LossConfig())
+        assert not np.isfinite(loss.data)
         assert trainer._first_nonfinite(out, parts) == stage
+
+    def test_a_nan_parameter_stops_training_before_any_update(self, splits):
+        """The first step's loss is already NaN, so training stops there,
+        naming the first bad stage, before an update spreads the NaN."""
+        train_data, val_data, _ = splits
+        model = Model(MODEL_CFG)
+        model.head.bias.data[0] = np.nan
+        before = model.snapshot()
+        with pytest.raises(DivergenceError) as err:
+            train(model, train_data, val_data, quick_train_cfg(max_epochs=1),
+                  LossConfig())
+        assert err.value.component == "probs"
+        for name, value in model.snapshot().items():
+            assert np.array_equal(value, before[name], equal_nan=True), name
 
     def test_nonfinite_val_metric_is_divergence(self, splits, monkeypatch):
         train_data, val_data, _ = splits
@@ -492,7 +515,9 @@ CRITERION_1_SHAPES = [
 
 
 def reference_setup(name: str, request):
-    """(model, batch, loss config, grad_check keywords) of a named set-up."""
+    """(model, batch, loss config, grad_check keywords) of a named set-up.
+    The ``eps-*`` set-ups set ``trainer.PROBE_STEP`` through the test's
+    monkeypatch."""
     if name.startswith("perfbench-"):
         return perfbench_setup(int(name.split("-")[1]))
     if name.startswith("criterion-1-"):
@@ -507,7 +532,8 @@ def reference_setup(name: str, request):
         batch = generate(DatasetConfig(num_classes=6, feature_dim=8, n_train=8,
                                        n_val=2, n_test=2, seed=31))[0]
         model = Model(replace(SMALL_MODEL, num_classes=6, init_seed=0))
-        return model, batch, LossConfig(), {"epsilon": 1e-2, "coords_per_group": 5}
+        request.getfixturevalue("monkeypatch").setattr(trainer, "PROBE_STEP", 1e-2)
+        return model, batch, LossConfig(), {"coords_per_group": 5}
     small = request.getfixturevalue("small_batch")
     if name == "abs-retry":
         return abs_kink_model(small), small, LossConfig(), {}
@@ -518,8 +544,8 @@ def reference_setup(name: str, request):
         return (Model(replace(SMALL_MODEL, init_seed=6)), small, LossConfig(),
                 {"coords_per_group": 8, "corrupt_hook": corrupt})
     if name == "eps-1e-3":
-        return (Model(replace(SMALL_MODEL, init_seed=0)), small, LossConfig(),
-                {"epsilon": 1e-3})
+        request.getfixturevalue("monkeypatch").setattr(trainer, "PROBE_STEP", 1e-3)
+        return Model(replace(SMALL_MODEL, init_seed=0)), small, LossConfig(), {}
     if name == "shared-encoder":
         return (Model(replace(SMALL_MODEL, init_seed=3, share_shared_encoder=True)),
                 small, LossConfig(), {"coords_per_group": 8})
@@ -661,7 +687,8 @@ class TestStackedProbes:
     def test_matches_one_probe_at_a_time(self, name, request):
         model, batch, loss_cfg, kw = reference_setup(name, request)
         result = grad_check(model, batch, loss_cfg, **kw)
-        reference = oracles.grad_check_reference(model, batch, loss_cfg, **kw)
+        reference = oracles.grad_check_reference(model, batch, loss_cfg,
+                                                 epsilon=trainer.PROBE_STEP, **kw)
         assert json.dumps(asdict(result)) == json.dumps(asdict(reference))
         # each set-up exercises what it is here for
         kinds = set(result.resampled_by_kind)
