@@ -1,6 +1,7 @@
 """Differentiable building blocks shared across the model modules, one
 tape node each with a hand-written backward. Kernels count axes from the
-end, so they hold for any number of leading batch axes."""
+end, so they hold for any number of leading batch axes. The ops that run
+the three modalities at once stack them on one axis (``stack_slices``)."""
 
 from __future__ import annotations
 
@@ -47,6 +48,15 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     for j in range(1, x.shape[-1]):
         out += x[..., j:j + 1]
     return out
+
+
+def stack_slices(arrays: list[np.ndarray], axis: int = -3) -> np.ndarray:
+    """K arrays stacked on a new axis, by default -3, after a stack's model
+    axis: (K, N, d) from (N, d) ones, (M, K, N, d) from (M, N, d) ones; a
+    (1, ...) array beside (M, ...) ones is broadcast first."""
+    if len({a.shape for a in arrays}) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+    return np.stack(arrays, axis=axis)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -28,7 +28,7 @@ from dualpath.layers import Affine, Module
 from dualpath.perception import ConflictReport, Perception
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES, require_integers
-from dualpath.tensor import Tensor, constant, node
+from dualpath.tensor import Tensor, _unbroadcast, constant, node
 
 CHECKPOINT_MAGIC = b"DPCK"
 CHECKPOINT_VERSION = 1
@@ -88,12 +88,22 @@ def _take(x, m: int):
 
 
 def reasoning_aggregate(trust: Tensor, private: dict[str, Tensor]) -> Tensor:
-    """Trust-weighted sum of the private features, (..., N, d_h)."""
-    out = None
-    for i, m in enumerate(MODALITIES):
-        term = trust[..., i:i + 1] * private[m]
-        out = term if out is None else out + term
-    return out
+    """Trust-weighted sum of the private features, (..., N, d_h), added
+    (text + video) + audio: one tape node over ``trust`` and the three
+    features, whose backward runs as the per-modality products' and sums'
+    own nodes would."""
+    ps = tuple(private[m] for m in MODALITIES)
+    w = [trust.data[..., i:i + 1] for i in range(3)]
+    out = w[0] * ps[0].data + w[1] * ps[1].data + w[2] * ps[2].data
+
+    def back(g):
+        gt = np.zeros_like(trust.data)
+        for i in reversed(range(3)):
+            gt[..., i:i + 1] += _unbroadcast(g * ps[i].data, w[i].shape)
+            ps[i]._accum(g * w[i])
+        trust._accum(gt)
+
+    return node(out, (trust, *ps), back)
 
 
 def final_fuse(intuition_repr: Tensor, reasoning_repr: Tensor, gate: Tensor) -> Tensor:
@@ -233,10 +243,6 @@ class Model(Module):
             for m, mp in enumerate(member_params):
                 q = mp[name]
                 q.data = p.data[m].reshape(q.data.shape)
-
-    def zero_grad(self) -> None:
-        for p in self.params().values():
-            p.grad = None
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
         params = self.params()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dualpath.functional import stack_slices
 from dualpath.rng import Rng
 from dualpath.tensor import Tensor, constant, node
 
@@ -96,6 +97,26 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor, squash: bool) -> Tensor:
         bias._accum(g)
 
     return node(y, (x, weight, bias), back)
+
+
+def affine_block(xs: list[Tensor], layers: list[Affine]) -> Tensor:
+    """``layers[k](xs[k])`` for every k as one node: a (..., K, N, d_out)
+    block whose slice k is that map's output bit for bit. The inputs and
+    parameters stay its parents; their arrays are stacked at call time
+    (``stack_slices``) and the backward runs the maps last first."""
+    weights, biases = [lin.weight for lin in layers], [lin.bias for lin in layers]
+    x = stack_slices([t.data for t in xs])
+    w = stack_slices([t.data for t in weights])
+    y = x @ w + stack_slices([np.atleast_2d(t.data) for t in biases])
+
+    def back(g):
+        gx, gw = g @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
+        for k in reversed(range(len(xs))):
+            xs[k]._accum(gx[..., k, :, :])
+            weights[k]._accum(gw[..., k, :, :])
+            biases[k]._accum(g[..., k, :, :])
+
+    return node(y, (*xs, *weights, *biases), back)
 
 
 class TanhMlp(Module):

@@ -14,6 +14,12 @@ one stack. A feature that every model shares may stay a (1, N, ...)
 slice beside (M, N, ...) ones; a term over such slices alone is (1,).
 Means are written as sums over the count: that is ``ndarray.mean``'s own
 arithmetic, without its Python-level wrapper.
+
+Repeated terms are one tape node each: the three unimodal CEs over the
+unimodal block, diff_loss's nine products over a pair axis, sim_loss's
+moments over the (3, ..., N, d) shared block, and the five weighted terms
+of the objective. Each adds its parts in the order separate nodes would,
+so values and gradients are theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualpath.functional import guarded_sqrt, one_hot, softmax
+from dualpath.functional import guarded_sqrt, one_hot, softmax, stack_slices
 from dualpath.fusion import ModelOutput
 from dualpath.synthdata import MODALITIES, require_integers
 from dualpath.tensor import Tensor, _note_kink, is_recording, node
@@ -78,29 +84,62 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
     floored probability gets no gradient. A NaN probability is not
     floored: it makes the loss NaN.
     """
-    n, c = probs.data.shape[-2:]
-    mask = one_hot(np.asarray(labels), c)
+    return _nll(probs, one_hot(np.asarray(labels), probs.data.shape[-1]))
+
+
+def _nll(probs: Tensor, mask: np.ndarray, block: bool = False) -> Tensor:
+    """``cross_entropy`` against (..., N, C) one-hot rows. With ``block``,
+    ``probs`` holds K predictions of the same rows, (..., K, N, C), and
+    the result is their K cross-entropies added in order, each floor
+    recorded as its own ``clamp_margin`` kink."""
+    n = probs.data.shape[-2]
+    if block:
+        mask = mask[..., None, :, :]
     picked = (probs.data * mask).sum(axis=-1, keepdims=True)
-    _note_kink("clamp_margin", picked, PROB_FLOOR)
+    for slot in (picked[..., k, :, :] for k in range(picked.shape[-3])) if block else (picked,):
+        _note_kink("clamp_margin", slot, PROB_FLOOR)
     above = ~(picked <= PROB_FLOOR)
     clamped = np.where(above, picked, PROB_FLOOR)
+    value = -(np.log(clamped).sum(axis=(-2, -1)) / n)
+    if block:
+        value = _add_in_order(value)
 
     def back(g):
+        if block:
+            g = g[..., None]
         probs._accum(mask * (-g[..., None, None] / n / clamped * above))
 
-    return node(-(np.log(clamped).sum(axis=(-2, -1)) / n), (probs,), back)
+    return node(value, (probs,), back)
+
+
+def _weighted_sum(base: Tensor, terms: tuple, weights: tuple) -> Tensor:
+    """``base + weights[0] * terms[0] + ...``, added left to right, as one
+    node: each term takes the gradient times its weight and ``base`` the
+    gradient itself. A ``base`` made here is replaced by its own base and
+    terms, so a sum grown in two calls is one node over all of them."""
+    value = sum((w * t.data for t, w in zip(terms, weights)), base.data)
+    base, inner, inner_weights = getattr(base._back, "sum_of", (base, (), ()))
+    terms, weights = (*inner, *terms), (*inner_weights, *weights)
+
+    def back(g):
+        for t, w in zip(reversed(terms), reversed(weights)):
+            t._accum(g * w)
+        base._accum(g)
+
+    back.sum_of = (base, terms, weights)
+    return node(value, (base, *terms), back)
 
 
 def task_loss(outputs: ModelOutput, labels: np.ndarray,
               cfg: LossConfig) -> tuple[Tensor, dict[str, float]]:
-    """Fused CE + weighted reasoning-head CE + weighted unimodal CEs."""
-    cls = cross_entropy(outputs.probs, labels)
-    rea = cross_entropy(softmax(outputs.rea_logits), labels)
-    uni = None
-    for m in MODALITIES:
-        term = cross_entropy(outputs.report.probs[m], labels)
-        uni = term if uni is None else uni + term
-    total = cls + cfg.reasoning_weight * rea + cfg.unimodal_weight * uni
+    """Fused CE + weighted reasoning-head CE + weighted sum of the three
+    unimodal CEs, one node over the three terms. The labels are one-hot
+    encoded once for all of them."""
+    mask = one_hot(np.asarray(labels), outputs.probs.data.shape[-1])
+    cls = _nll(outputs.probs, mask)
+    rea = _nll(softmax(outputs.rea_logits), mask)
+    uni = _nll(outputs.report.unimodal, mask, block=True)
+    total = _weighted_sum(cls, (rea, uni), (cfg.reasoning_weight, cfg.unimodal_weight))
     parts = {"cls": _value(cls), "rea": _value(rea), "uni": _value(uni)}
     return total, parts
 
@@ -110,142 +149,121 @@ def _value(t: Tensor):
     return t.data.tolist()
 
 
+def _add_in_order(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The slices of ``x`` along ``axis`` added first to last, as a chain
+    of sums over them adds them."""
+    slices = np.moveaxis(x, axis, 0)
+    return sum(slices[1:], slices[0])
+
+
+# diff_loss's nine products as (left, right) positions among its six inputs,
+# private then shared: private-shared per modality, then private-private
+# over ordered pairs of different modalities
+_DIFF_PAIRS = ((0, 3), (1, 4), (2, 5), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+_DIFF_LEFT, _DIFF_RIGHT = (list(side) for side in zip(*_DIFF_PAIRS))
+
+
 def diff_loss(shared: dict[str, Tensor], private: dict[str, Tensor]) -> Tensor:
     """Squared Frobenius norms of cross-covariance-like products between
     batch-centered private and shared matrices, plus between private
     matrices of different modalities (ordered pairs). Each term is
     normalized by (N * d_h)^2 so the scale is batch-size independent.
     One tape node over the six (..., N, d_h) feature tensors, the
-    ``private`` ones then the ``shared`` ones, each in ``MODALITIES`` order."""
+    ``private`` ones then the ``shared`` ones, each in ``MODALITIES`` order;
+    the nine products are one batched matmul over a pair axis."""
     inputs = tuple(private[m] for m in MODALITIES) + tuple(shared[m] for m in MODALITIES)
     *lead, n, d_h = inputs[0].data.shape
     if n < 2:
         log.warning("diff_loss skipped: batch of %d is too small", n)
         return Tensor(np.zeros(lead))
     scale = 1.0 / float(n * d_h) ** 2
-    centered = [t.data - t.data.sum(axis=-2, keepdims=True) / n for t in inputs]
-    k = len(MODALITIES)
-    # (left, right) input positions: private-shared per modality, then
-    # private-private over ordered pairs of different modalities
-    pairs = [(i, k + i) for i in range(k)] + [
-        (i, j) for i in range(k) for j in range(k) if i != j]
-    # Each product is reduced to its term as it is made; it is kept only
-    # for the backward, so under no_grad() at most one is alive.
-    keep = is_recording()
-    prods, value = [], None
-    for i, j in pairs:
-        prod = centered[i].swapaxes(-1, -2) @ centered[j]
-        term = (prod * prod).sum(axis=(-2, -1)) * scale
-        value = term if value is None else value + term
-        if keep:
-            prods.append(prod)
+    # (6, ..., N, d), the input axis in front, a new array: centered in place
+    centered = stack_slices([t.data for t in inputs], axis=0)
+    centered -= centered.sum(axis=-2, keepdims=True) / n
+    prods = centered[_DIFF_LEFT].swapaxes(-1, -2) @ centered[_DIFF_RIGHT]
+    # squared in place when no backward will read the products
+    squares = prods * prods if is_recording() else np.multiply(prods, prods, out=prods)
+    value = _add_in_order(squares.sum(axis=(-2, -1)) * scale, axis=0)
 
     def back(g):
-        # every input's gradient takes the output's leading axes, which a
-        # (1, ...) input beside (M, ...) ones lacks; _accum sums them away
-        grads = [np.zeros(g.shape + c.shape[-2:]) for c in centered]
-        g = g[..., None, None]
-        for (i, j), prod in zip(pairs, prods):
-            gp = (2.0 * scale) * g * prod
-            grads[i] += centered[j] @ gp.swapaxes(-1, -2)
-            grads[j] += centered[i] @ gp
-        for t, gt in zip(inputs, grads):
-            t._accum(gt - gt.sum(axis=-2, keepdims=True) / n)
+        left, right = centered[_DIFF_LEFT], centered[_DIFF_RIGHT]
+        gp = (2.0 * scale) * g[..., None, None] * prods
+        to_left, to_right = right @ gp.swapaxes(-1, -2), left @ gp
+        # each input's share, added in pair order, left before right
+        grads = np.zeros(centered.shape)
+        for p, (i, j) in enumerate(_DIFF_PAIRS):
+            grads[i] += to_left[p]
+            grads[j] += to_right[p]
+        grads -= grads.sum(axis=-2, keepdims=True) / n
+        for t, grad in zip(inputs, grads):
+            t._accum(grad)
 
     return node(value, inputs, back)
 
 
-def cmd(a: Tensor, b: Tensor, order: int) -> Tensor:
-    """Central moment discrepancy between two (..., N, d) batches (Zellinger
-    et al., ICLR 2017); the batches may differ in N.
-
-    Norm of the mean difference plus norms of the differences of
-    per-dimension central moments from 2 up to ``order``. Zero when the
-    batches share all those moments; symmetric in its arguments. One tape
-    node; a zero moment difference passes no gradient. A batch of fewer
-    than two rows makes it 0 with a warning.
-    """
-    return _moment_match((a, b), ((0, 1),), order, 1.0)
-
-
-# The unordered modality pairs of sim_loss, by position in MODALITIES.
-_SIM_PAIRS = ((0, 1), (0, 2), (1, 2))
+# sim_loss's modality pairs (text, video), (text, audio) and (video, audio),
+# and its backward's slots, last pair first and each pair's left input
+# before its right: the slot's input, its pair and the sign of its share
+_SIM_LEFT, _SIM_RIGHT = [0, 0, 1], [1, 2, 2]
+_SIM_INPUT, _SIM_PAIR, _SIM_SIGN = [1, 2, 0, 2, 0, 1], [2, 2, 1, 1, 0, 0], [1.0, -1.0] * 3
 
 
 def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
-    """Mean CMD over the three unordered modality pairs of the shared
-    features ``shared`` maps each modality to, (text, video), (text, audio)
-    and (video, audio): one tape node over the three, in ``MODALITIES``
-    order, whose value and gradients are those of three ``cmd`` calls
-    summed in that order and scaled by 1/3, bit for bit."""
-    return _moment_match(tuple(shared[m] for m in MODALITIES), _SIM_PAIRS,
-                         order, 1.0 / 3.0)
+    """Mean central moment discrepancy (CMD; Zellinger et al., ICLR 2017)
+    over the modality pairs (text, video), (text, audio) and (video, audio)
+    of the shared features: one tape node over the three (..., N, d)
+    inputs. A pair's CMD is the norm of its mean difference plus the norms
+    of the differences of its per-dimension central moments 2 .. ``order``;
+    a zero difference passes no gradient. A batch of fewer than two rows
+    makes it 0 with a warning.
 
-
-def _moment_match(inputs: tuple[Tensor, ...], pairs: tuple[tuple[int, int], ...],
-                  order: int, scale: float) -> Tensor:
-    """``scale`` times the sum of ``cmd(inputs[i], inputs[j], order)`` over
-    ``pairs`` (i, j), added in pair order, as one tape node.
-
-    Each input's centered powers and moments are formed once, however many
-    pairs it joins, and each order's norms are one ``guarded_sqrt`` over
-    the pairs, so a kink watch gets one ``norm_floor`` record per order:
-    the smallest norm of that order over the pairs. The backward runs the
-    pairs as separate nodes would, last pair first and each pair's left
-    input before its right, and reuses the forward's powers.
+    The centered powers and moments are formed once per order over the
+    inputs' (3, ..., N, d) block, and each order's norms are one
+    ``guarded_sqrt`` over the pairs: one ``norm_floor`` record per order.
+    The backward runs the pairs as separate nodes would, last pair first.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    rows = [x.data.shape[-2] for x in inputs]
-    if min(rows) < 2:
-        log.warning("cmd skipped: batches of %s are too small", "/".join(map(str, rows)))
+    inputs = tuple(shared[m] for m in MODALITIES)
+    n = inputs[0].data.shape[-2]
+    if n < 2:
+        log.warning("sim_loss skipped: batch of %d is too small", n)
         return Tensor(np.zeros(inputs[0].data.shape[:-2]))
-    # per input: the mean and central moments 2 .. order, each (..., 1, d)
-    # (a kept axis where the rows were), and the powers c**1 .. c**(order-1)
-    # of the centered rows c, kept for the backward only
+    x = stack_slices([t.data for t in inputs], axis=0)  # (3, ..., N, d)
+    # the mean and central moments 2 .. order, each (3, ..., 1, d), and the
+    # powers c**1 .. c**(order-1) of the centered rows c, for the backward only
     keep = is_recording()
-    powers, moments = [], []
-    for x, n in zip(inputs, rows):
-        mu = x.data.sum(axis=-2, keepdims=True) / n
-        c = power = x.data - mu
-        pw, ms = [c] if keep else [], [mu]
-        for k in range(2, order + 1):
-            power = power * c
-            ms.append(power.sum(axis=-2, keepdims=True) / n)
-            if keep and k < order:
-                pw.append(power)
-        powers.append(pw)
-        moments.append(ms)
-    # per order: the pairs' moment differences, (..., P, 1, d), and norms, (..., P)
-    diffs = []
-    for k in range(order):
-        diff = [moments[i][k] - moments[j][k] for i, j in pairs]
-        if len({d.shape for d in diff}) > 1:  # (1, ...) pairs beside (M, ...) ones
-            diff = np.broadcast_arrays(*diff)
-        diffs.append(np.stack(diff, axis=-3))
-    norms = [guarded_sqrt((d * d).sum(axis=(-2, -1))) for d in diffs]
-    per_pair = sum(norms[1:], norms[0])
-    value = per_pair[..., 0]
-    for p in range(1, len(pairs)):
-        value = value + per_pair[..., p]
+    mu = x.sum(axis=-2, keepdims=True) / n
+    c = power = x - mu
+    powers, moments = [c] if keep else [], [mu]
+    for k in range(2, order + 1):
+        power = power * c
+        moments.append(power.sum(axis=-2, keepdims=True) / n)
+        if keep and k < order:
+            powers.append(power)
+    # per order: the pairs' moment differences, (3, ..., 1, d), and norms,
+    # (..., 3), the pair axis last as the kink records take it
+    diffs = [m[_SIM_LEFT] - m[_SIM_RIGHT] for m in moments]
+    norms = [guarded_sqrt(np.moveaxis((d * d).sum(axis=(-2, -1)), 0, -1)) for d in diffs]
+    value = _add_in_order(sum(norms[1:], norms[0]))
+    scale = 1.0 / 3.0
 
     def back(g):
-        # unit moment differences scaled by each pair's g; order k sits at index k - 1
-        g = (g * scale)[..., None, None, None]
+        # unit moment differences scaled by each pair's g, order k at index
+        # k - 1, gathered per slot
+        g = (g * scale)[..., None, None]
         units = []
         for d, norm in zip(diffs, norms):
-            norm = norm[..., None, None]
-            units.append(np.divide(g * d, norm, out=np.zeros_like(d), where=norm > 0))
-        lead = units[0].shape[:-3]  # the output's, which a (1, ...) input may lack
-        for p in reversed(range(len(pairs))):
-            for i, sign in zip(pairs[p], (1.0, -1.0)):
-                pw, n = powers[i], rows[i]
-                # d mean(c**k) / dc = k c**(k-1) / n, then through the centering
-                grad_c = np.zeros(lead + pw[0].shape[-2:])
-                for k in range(2, order + 1):
-                    grad_c += (k / n) * pw[k - 2] * units[k - 1][..., p, :, :]
-                inputs[i]._accum(sign * (units[0][..., p, :, :] / n + grad_c
-                                         - grad_c.sum(axis=-2, keepdims=True) / n))
+            norm = np.moveaxis(norm, -1, 0)[..., None, None]
+            unit = np.divide(g * d, norm, out=np.zeros_like(d), where=norm > 0)
+            units.append(unit[_SIM_PAIR])
+        # d mean(c**k) / dc = k c**(k-1) / n, then through the centering
+        grad_c = np.zeros(units[0].shape[:-2] + c.shape[-2:])
+        for k in range(2, order + 1):
+            grad_c += ((k / n) * powers[k - 2])[_SIM_INPUT] * units[k - 1]
+        grads = units[0] / n + grad_c - grad_c.sum(axis=-2, keepdims=True) / n
+        for i, sign, grad in zip(_SIM_INPUT, _SIM_SIGN, grads):
+            inputs[i]._accum(sign * grad)
 
     return node(value * scale, inputs, back)
 
@@ -254,12 +272,13 @@ def total_loss(outputs: ModelOutput, labels: np.ndarray,
                cfg: LossConfig) -> tuple[Tensor, dict[str, float]]:
     """Full objective; returns it and a per-component breakdown. For a
     stack's outputs, with (M, N) labels, the objective is (M,), one value
-    per model, and each component a list of M floats."""
-    cfg.validate()
+    per model, and each component a list of M floats. The five weighted
+    terms are one node. ``cfg`` is taken as validated: the trainer and the
+    gradient checker validate it once, where it enters."""
     task, parts = task_loss(outputs, labels, cfg)
     diff = diff_loss(outputs.shared, outputs.private)
     sim = sim_loss(outputs.shared, cfg.moment_order)
-    total = task + cfg.orthogonality_weight * diff + cfg.alignment_weight * sim
+    total = _weighted_sum(task, (diff, sim), (cfg.orthogonality_weight, cfg.alignment_weight))
     parts["diff"] = _value(diff)
     parts["sim"] = _value(sim)
     parts["total"] = _value(total)

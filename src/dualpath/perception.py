@@ -16,6 +16,12 @@ its model axis in front, (M, N, d) and (M, N, 1), and every op counts
 axes from the end. An intermediate that no member-specific parameter has
 reached yet holds one (1, ...) slice that every model shares; ops
 broadcast it against (M, ...) operands, ``concat`` included.
+
+A stage that repeats per modality is one tape node over the three: the
+deviations come out concatenated, (N, 3 d_h), the classifiers' outputs as
+one (3, N, C) block (the modality axis third from the end, after a stack's
+model axis) and the entropies as (N, 3) columns. Every value and gradient
+is the per-modality nodes' bit for bit.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualpath.functional import cosine_rows, l2_norm, row_sum, softmax
-from dualpath.layers import Affine, Module
+from dualpath.layers import Affine, Module, affine_block
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES
-from dualpath.tensor import Tensor, concat, node
+from dualpath.tensor import Tensor, _note_kink, concat, constant, node
 
 REPORT_COLUMNS = (
     "semantic_energy", "js_div", *(f"entropy_{m}" for m in MODALITIES),
@@ -39,13 +45,16 @@ REPORT_COLUMNS = (
 @dataclass
 class ConflictReport:
     """Every intermediate of the perception chain for a batch. Shapes are
-    a plain model's; a stack's carry a leading model axis, (M, N, ...)."""
+    a plain model's; a stack's carry a leading model axis, (M, N, ...).
+    The per-modality dicts hold constant views; the tape runs through
+    ``unimodal``."""
 
     centroid: Tensor          # (N, d_h)
     deviations: dict          # modality -> (N, d_h), elementwise |private - centroid|
     diff_vector: Tensor       # (N, d_h)
     semantic_energy: Tensor   # (N, 1)
-    probs: dict               # modality -> (N, C) unimodal predictions
+    unimodal: Tensor          # (3, N, C) unimodal predictions, MODALITIES order
+    probs: dict               # modality -> (N, C), its slice of ``unimodal``
     js_div: Tensor            # (N, 1)
     entropies: dict           # modality -> (N, 1), normalized to [0, 1]
     stat_bias: Tensor         # (N, 1)
@@ -66,12 +75,29 @@ class ConflictReport:
         return np.concatenate(cols, axis=-1)
 
 
-def deviations(private: dict[str, Tensor]) -> tuple[Tensor, dict[str, Tensor]]:
-    """Centroid of the three private features and each one's elementwise
-    absolute deviation from it."""
-    c = (private["text"] + private["video"] + private["audio"]) * (1.0 / 3.0)
-    devs = {m: (private[m] - c).abs() for m in MODALITIES}
-    return c, devs
+def deviations(private: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """The centroid (text + video + audio) / 3 of the private features, as
+    a constant, and their elementwise absolute deviations from it
+    concatenated in MODALITIES order, (..., N, 3 d_h): one tape node over
+    the three, each abs recording its ``abs_signs`` kink."""
+    ps = tuple(private[m] for m in MODALITIES)
+    c = (ps[0].data + ps[1].data + ps[2].data) * (1.0 / 3.0)
+    diffs = [p.data - c for p in ps]
+    for diff in diffs:
+        _note_kink("abs_signs", diff)
+    diff = np.concatenate(diffs, axis=-1)
+
+    def back(g):
+        # as the abs-differences' nodes, audio's first, then the centroid's
+        # sums, (text + video) + audio, would run
+        gs = np.split(g * np.sign(diff), 3, axis=-1)
+        for i in (2, 1, 0):
+            ps[i]._accum(gs[i])
+        gc = (-gs[2] - gs[1] - gs[0]) * (1.0 / 3.0)
+        for i in (2, 0, 1):
+            ps[i]._accum(gc)
+
+    return constant(c), node(np.abs(diff), ps, back)
 
 
 def _safe_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,50 +108,47 @@ def _safe_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(np.where(positive, p, 1.0)), positive
 
 
-def js_divergence(probs: dict[str, Tensor]) -> Tensor:
-    """Mean KL of each distribution to their average, (N, 1) per sample,
-    one tape node.
+def js_divergence(probs: Tensor) -> Tensor:
+    """Mean KL of each of the three distributions in a (..., 3, N, C)
+    block to their average, (..., N, 1) per sample, one tape node.
 
     Zero probabilities follow the 0*log(0) = 0 convention; the average
     is zero only where all three inputs are, and those terms vanish.
     Bounded above by ln 3.
     """
-    ps = tuple(probs[m] for m in MODALITIES)
-    avg = (ps[0].data + ps[1].data + ps[2].data) * (1.0 / 3.0)
+    p = probs.data
+    avg = (p[..., 0, :, :] + p[..., 1, :, :] + p[..., 2, :, :]) * (1.0 / 3.0)
     log_avg, avg_positive = _safe_log(avg)
-    gaps, masks = [], []
-    total = None
-    for p in ps:
-        log_p, positive = _safe_log(p.data)
-        gap = log_p - log_avg
-        kl = row_sum(p.data * gap)
-        total = kl if total is None else total + kl
-        gaps.append(gap)
-        masks.append(positive)
+    log_p, positive = _safe_log(p)
+    gap = log_p - log_avg[..., None, :, :]
+    kl = row_sum(p * gap)
 
     def back(g):
         # d/dp_m: log p_m - log avg, plus 1 from p_m's own log and minus 1
         # from the average's log, each only where that log is taken
-        g = g * (1.0 / 3.0)
-        for p, gap, positive in zip(ps, gaps, masks):
-            p._accum(g * (gap - (avg_positive > positive)))
+        g = (g * (1.0 / 3.0))[..., None, :, :]
+        probs._accum(g * (gap - (avg_positive[..., None, :, :] > positive)))
 
-    return node(total * (1.0 / 3.0), ps, back)
+    total = kl[..., 0, :, :] + kl[..., 1, :, :] + kl[..., 2, :, :]
+    return node(total * (1.0 / 3.0), (probs,), back)
 
 
 def normalized_entropy(p: Tensor, num_classes: int) -> Tensor:
-    """Shannon entropy scaled to [0, 1] by ln C, (N, 1) per sample, one
-    tape node. Zero probabilities contribute 0 and take no gradient from
-    their log."""
+    """Shannon entropy of each row of each distribution in a (..., K, N, C)
+    block, scaled to [0, 1] by ln C: one (..., N, K) column per
+    distribution, one tape node. Zero probabilities contribute 0 and take
+    no gradient from their log."""
     if num_classes < 2:
         raise ValueError("normalized_entropy needs at least 2 classes")
     scale = 1.0 / np.log(num_classes)
     log_p, positive = _safe_log(p.data)
 
     def back(g):
+        g = g.swapaxes(-1, -2)[..., None]
         p._accum(-(g * scale) * (log_p + positive))
 
-    return node(-row_sum(p.data * log_p) * scale, (p,), back)
+    h = -row_sum(p.data * log_p) * scale
+    return node(np.ascontiguousarray(h[..., 0].swapaxes(-1, -2)), (p,), back)
 
 
 class Perception(Module):
@@ -163,18 +186,19 @@ class Perception(Module):
 
     # -- individual stages, exposed for tests ---------------------------
 
-    def difference_vector(self, devs: dict[str, Tensor]) -> Tensor:
-        cat = concat([devs[m] for m in MODALITIES], axis=-1)
-        return self.diff_proj.tanh(cat)
+    def difference_vector(self, devs: Tensor) -> Tensor:
+        return self.diff_proj.tanh(devs)
 
     def semantic_energy(self, diff_vector: Tensor) -> Tensor:
         return cosine_rows(diff_vector, self.prototype) * self.temperature
 
-    def unimodal_predict(self, private: Tensor, modality: str) -> Tensor:
-        return softmax(self.classifiers[modality](private))
+    def unimodal_predict(self, private: dict[str, Tensor]) -> Tensor:
+        """The three classifiers' predictions as one (..., 3, N, C) block."""
+        return softmax(affine_block([private[m] for m in MODALITIES],
+                                    [self.classifiers[m] for m in MODALITIES]))
 
-    def statistical_bias(self, js_div: Tensor, entropies: dict[str, Tensor]) -> Tensor:
-        stats = concat([js_div] + [entropies[m] for m in MODALITIES], axis=-1)
+    def statistical_bias(self, js_div: Tensor, entropies: Tensor) -> Tensor:
+        stats = concat([js_div, entropies], axis=-1)
         # the (4,) weight, or a stack's (M, 1, 4) rows, as (..., 4, 1) columns
         weight = self.stat_weight.reshape(*self.stat_weight.data.shape[:-2], 4, 1)
         return stats @ weight + self.stat_bias
@@ -184,10 +208,8 @@ class Perception(Module):
         energy = semantic_energy + stat_bias
         return energy, energy.sigmoid() * diff_vector
 
-    def reliability_weights(self, gated_diff: Tensor,
-                            entropies: dict[str, Tensor]) -> Tensor:
-        unc = concat([entropies[m] for m in MODALITIES], axis=-1)
-        logits = self.trust_out(self.trust_in.tanh(gated_diff + self.unc_lift(unc)))
+    def reliability_weights(self, gated_diff: Tensor, entropies: Tensor) -> Tensor:
+        logits = self.trust_out(self.trust_in.tanh(gated_diff + self.unc_lift(entropies)))
         return softmax(logits)
 
     def gating_factor(self, gated_diff: Tensor, js_div: Tensor) -> Tensor:
@@ -200,16 +222,20 @@ class Perception(Module):
         centroid, devs = deviations(private)
         diff_vector = self.difference_vector(devs)
         sem = self.semantic_energy(diff_vector)
-        probs = {m: self.unimodal_predict(private[m], m) for m in MODALITIES}
+        probs = self.unimodal_predict(private)
         js = js_divergence(probs)
-        ents = {m: normalized_entropy(probs[m], self.num_classes) for m in MODALITIES}
+        ents = normalized_entropy(probs, self.num_classes)  # (..., N, 3)
         bias = self.statistical_bias(js, ents)
         energy, gated = self.conflict_vector(sem, bias, diff_vector)
         trust = self.reliability_weights(gated, ents)
         gate = self.gating_factor(gated, js)
+        d, mods = self.hidden_dim, list(enumerate(MODALITIES))
         return ConflictReport(
-            centroid=centroid, deviations=devs, diff_vector=diff_vector,
-            semantic_energy=sem, probs=probs, js_div=js, entropies=ents,
+            centroid=centroid,
+            deviations={m: constant(devs.data[..., i * d:(i + 1) * d]) for i, m in mods},
+            diff_vector=diff_vector, semantic_energy=sem, unimodal=probs,
+            probs={m: constant(probs.data[..., i, :, :]) for i, m in mods}, js_div=js,
+            entropies={m: constant(ents.data[..., i:i + 1]) for i, m in mods},
             stat_bias=bias, conflict_energy=energy, gated_diff=gated,
             trust=trust, gate=gate,
         )

@@ -257,15 +257,6 @@ class Tensor:
 
         return node(self.data.reshape(shape), (self,), back)
 
-    def __getitem__(self, key) -> "Tensor":
-        # basic (slice/int/tuple) indexing only; backward scatters into zeros
-        def back(g):
-            buf = np.zeros_like(self.data)
-            buf[key] += g
-            self._accum(buf)
-
-        return node(self.data[key], (self,), back)
-
     # -- elementwise functions ------------------------------------------------
 
     def tanh(self) -> "Tensor":
@@ -285,15 +276,6 @@ class Tensor:
             self._accum(g * y * (1.0 - y))
 
         return node(y, (self,), back)
-
-    def abs(self) -> "Tensor":
-        # subgradient at 0 is defined as 0
-        _note_kink("abs_signs", self.data)
-
-        def back(g):
-            self._accum(g * np.sign(self.data))
-
-        return node(np.abs(self.data), (self,), back)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, data={self.data!r})"

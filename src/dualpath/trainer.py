@@ -134,6 +134,11 @@ class AdamW:
         self.v = np.zeros_like(self.arena)
         self.t = 0
 
+    def zero_grad(self) -> None:
+        """Drop the gradients of the parameters this optimizer updates."""
+        for p in self._tensors:
+            p.grad = None
+
     def take(self, params: dict, rows: list[int]) -> "AdamW":
         """An optimizer over ``params``, a stack of this one's models
         ``rows``, that carries their moments and the step count."""
@@ -262,7 +267,7 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
             idx = order[:, b * cfg.batch_size:(b + 1) * cfg.batch_size]
             step += 1
             lr = cfg.learning_rate * min(1.0, step / warmup_steps)
-            stack.zero_grad()
+            opt.zero_grad()
             out = stack.forward_batch(train_data.text[idx], train_data.video[idx],
                                       train_data.audio[idx], train=True,
                                       rng=rng.child("dropout", step))
@@ -381,12 +386,14 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     comparison; tests use it to verify the checker actually detects a
     broken gradient.
     """
+    loss_cfg.validate()
     labels = batch.labels
-    model.zero_grad()
+    params = model.params()
+    for p in params.values():
+        p.grad = None
     out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
     loss, _ = total_loss(out, labels, loss_cfg)
     loss.backward()
-    params = model.params()
     grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
              for name, p in params.items()}
     if corrupt_hook is not None:

@@ -14,8 +14,13 @@ orthogonality penalty and CMD) from primitive Tensor ops, whose
 gradients are checked on their own, with the same numpy work in the same
 order and the same kink records. The fused ops must match them: values
 bit for bit, gradients to rounding. The primitives only they use
-(mean, truediv, neg, exp, log, safe_log, sqrt, clamp_min, transpose,
-where_const) are test-local nodes built with ``tensor.node()``.
+(mean, truediv, neg, exp, log, safe_log, sqrt, abs_, getitem, clamp_min,
+transpose, where_const) are test-local nodes built with ``tensor.node()``.
+
+The per-modality references run each of the package's modality-block
+ops as one node per modality, pair, product or sum; the block ops must
+match them bit for bit, gradients included. ``cmd`` and ``moment_match``
+match moments one input at a time, batches of different sizes included.
 
 ``adamw_reference`` is the optimizer step as a loop over parameter
 groups; the whole-buffer ``AdamW`` must match it bit for bit.
@@ -29,9 +34,10 @@ which judges a whole round at once, must return exactly its result.
 
 import numpy as np
 
-from dualpath.losses import total_loss
+from dualpath.functional import guarded_sqrt, row_sum, stack_slices
+from dualpath.losses import cross_entropy, total_loss
 from dualpath.rng import Rng
-from dualpath.tensor import Tensor, _note_kink, no_grad, node, watch_kinks
+from dualpath.tensor import Tensor, _note_kink, concat, no_grad, node, watch_kinks
 from dualpath.trainer import GradCheckResult
 
 MODS = ("text", "video", "audio")
@@ -263,6 +269,26 @@ def where_const(cond, a, b):
     return node(np.where(cond, a.data, b.data), (a, b), back)
 
 
+def abs_(x):
+    """|x|, the subgradient at 0 taken as 0, recording ``abs_signs``."""
+    _note_kink("abs_signs", x.data)
+
+    def back(g):
+        x._accum(g * np.sign(x.data))
+
+    return node(np.abs(x.data), (x,), back)
+
+
+def getitem(x, key):
+    """Basic (slice/int/tuple) indexing; the backward scatters into zeros."""
+    def back(g):
+        buf = np.zeros_like(x.data)
+        buf[key] += g
+        x._accum(buf)
+
+    return node(x.data[key], (x,), back)
+
+
 def clamp_min(x, floor):
     _note_kink("clamp_margin", x.data, floor)
     mask = x.data > floor
@@ -388,6 +414,202 @@ def cmd_composite(a, b, order):
     return total
 
 
+# -- per-modality references for the modality-block ops -----------------------
+#
+# Each per-modality stage the package runs as one node over the three
+# modalities, here as one node per modality (or pair) and per product or
+# sum, from the same primitive and single-modality fused ops; the block
+# ops must match them bit for bit, gradients included, and make the same
+# kink records.
+
+def stack_node(tensors):
+    """The tensors, one per modality, as one (..., K, N, d) block node: a
+    test-local stand-in for a block op's block input. A (1, ...) tensor
+    beside (M, ...) ones is broadcast; its gradient is summed back."""
+    data = stack_slices([t.data for t in tensors])
+
+    def back(g):
+        for k, t in enumerate(tensors):
+            t._accum(g[..., k, :, :])
+
+    return node(data, tuple(tensors), back)
+
+
+def deviations_per_modality(private):
+    """(centroid, |private - centroid| concatenated in MODS order)."""
+    c = (private["text"] + private["video"] + private["audio"]) * (1.0 / 3.0)
+    return c, concat([abs_(private[m] - c) for m in MODS], axis=-1)
+
+
+def affine_per_modality(xs, layers):
+    """Each layer's own affine node, the outputs stacked on axis -3."""
+    outs = [lin(x) for x, lin in zip(xs, layers)]
+    return concat([y.reshape(*y.data.shape[:-2], 1, *y.data.shape[-2:]) for y in outs],
+                  axis=-3)
+
+
+def _safe_log_array(p):
+    positive = p > 0
+    return np.log(np.where(positive, p, 1.0)), positive
+
+
+def js_divergence_per_modality(probs):
+    """The one-node JS divergence over a dict of three distributions."""
+    ps = tuple(probs[m] for m in MODS)
+    avg = (ps[0].data + ps[1].data + ps[2].data) * (1.0 / 3.0)
+    log_avg, avg_positive = _safe_log_array(avg)
+    gaps, masks = [], []
+    total = None
+    for p in ps:
+        log_p, positive = _safe_log_array(p.data)
+        gap = log_p - log_avg
+        kl = row_sum(p.data * gap)
+        total = kl if total is None else total + kl
+        gaps.append(gap)
+        masks.append(positive)
+
+    def back(g):
+        g = g * (1.0 / 3.0)
+        for p, gap, positive in zip(ps, gaps, masks):
+            p._accum(g * (gap - (avg_positive > positive)))
+
+    return node(total * (1.0 / 3.0), ps, back)
+
+
+def entropy_per_modality(p, num_classes):
+    """The one-node normalized entropy of one (..., N, C) distribution."""
+    scale = 1.0 / np.log(num_classes)
+    log_p, positive = _safe_log_array(p.data)
+
+    def back(g):
+        p._accum(-(g * scale) * (log_p + positive))
+
+    return node(-row_sum(p.data * log_p) * scale, (p,), back)
+
+
+def entropy_columns_per_modality(probs, num_classes):
+    """Each modality's entropy node, concatenated as (..., N, 3) columns."""
+    return concat([entropy_per_modality(probs[m], num_classes) for m in MODS], axis=-1)
+
+
+def unimodal_ce_per_modality(probs, labels):
+    """The three unimodal cross-entropies, one node each, added in order."""
+    total = None
+    for m in MODS:
+        term = cross_entropy(probs[m], labels)
+        total = term if total is None else total + term
+    return total
+
+
+def weighted_sum_composite(terms, weights):
+    """terms[0] + weights[0] * terms[1] + ..., each weight a constant leaf."""
+    total = terms[0]
+    for t, w in zip(terms[1:], weights):
+        total = total + w * t
+    return total
+
+
+def reasoning_aggregate_per_modality(trust, private):
+    out = None
+    for i, m in enumerate(MODS):
+        term = getitem(trust, (..., slice(i, i + 1))) * private[m]
+        out = term if out is None else out + term
+    return out
+
+
+def diff_loss_pairwise(shared, private):
+    """The one-node diff_loss with its nine products made one at a time."""
+    inputs = tuple(private[m] for m in MODS) + tuple(shared[m] for m in MODS)
+    n, d_h = inputs[0].data.shape[-2:]
+    scale = 1.0 / float(n * d_h) ** 2
+    centered = [t.data - t.data.sum(axis=-2, keepdims=True) / n for t in inputs]
+    pairs = [(i, 3 + i) for i in range(3)] + [
+        (i, j) for i in range(3) for j in range(3) if i != j]
+    prods, value = [], None
+    for i, j in pairs:
+        prod = centered[i].swapaxes(-1, -2) @ centered[j]
+        term = (prod * prod).sum(axis=(-2, -1)) * scale
+        value = term if value is None else value + term
+        prods.append(prod)
+
+    def back(g):
+        grads = [np.zeros(g.shape + c.shape[-2:]) for c in centered]
+        g = g[..., None, None]
+        for (i, j), prod in zip(pairs, prods):
+            gp = (2.0 * scale) * g * prod
+            grads[i] += centered[j] @ gp.swapaxes(-1, -2)
+            grads[j] += centered[i] @ gp
+        for t, gt in zip(inputs, grads):
+            t._accum(gt - gt.sum(axis=-2, keepdims=True) / n)
+
+    return node(value, inputs, back)
+
+
+def cmd(a, b, order):
+    """Central moment discrepancy between two (..., N, d) batches, which
+    may differ in N: one node (``moment_match`` of one pair)."""
+    return moment_match((a, b), ((0, 1),), order, 1.0)
+
+
+def sim_loss_per_input(shared, order):
+    """sim_loss with each input's powers and moments formed on its own."""
+    return moment_match(tuple(shared[m] for m in MODS), ((0, 1), (0, 2), (1, 2)),
+                        order, 1.0 / 3.0)
+
+
+def moment_match(inputs, pairs, order, scale):
+    """``scale`` times the sum of ``cmd(inputs[i], inputs[j], order)`` over
+    ``pairs``, added in pair order, as one node with one ``norm_floor``
+    record per order; each input's centered powers and moments are formed
+    on its own, at its own N. A batch of fewer than two rows makes it 0."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    rows = [x.data.shape[-2] for x in inputs]
+    if min(rows) < 2:
+        return Tensor(np.zeros(inputs[0].data.shape[:-2]))
+    powers, moments = [], []
+    for x, n in zip(inputs, rows):
+        mu = x.data.sum(axis=-2, keepdims=True) / n
+        c = power = x.data - mu
+        pw, ms = [c], [mu]
+        for k in range(2, order + 1):
+            power = power * c
+            ms.append(power.sum(axis=-2, keepdims=True) / n)
+            if k < order:
+                pw.append(power)
+        powers.append(pw)
+        moments.append(ms)
+    diffs = []
+    for k in range(order):
+        diff = [moments[i][k] - moments[j][k] for i, j in pairs]
+        if len({d.shape for d in diff}) > 1:
+            diff = np.broadcast_arrays(*diff)
+        diffs.append(np.stack(diff, axis=-3))
+    norms = [guarded_sqrt((d * d).sum(axis=(-2, -1))) for d in diffs]
+    per_pair = sum(norms[1:], norms[0])
+    value = per_pair[..., 0]
+    for p in range(1, len(pairs)):
+        value = value + per_pair[..., p]
+
+    def back(g):
+        g = (g * scale)[..., None, None, None]
+        units = []
+        for d, norm in zip(diffs, norms):
+            norm = norm[..., None, None]
+            units.append(np.divide(g * d, norm, out=np.zeros_like(d), where=norm > 0))
+        lead = units[0].shape[:-3]
+        for p in reversed(range(len(pairs))):
+            for i, sign in zip(pairs[p], (1.0, -1.0)):
+                pw, n = powers[i], rows[i]
+                grad_c = np.zeros(lead + pw[0].shape[-2:])
+                for k in range(2, order + 1):
+                    grad_c += (k / n) * pw[k - 2] * units[k - 1][..., p, :, :]
+                inputs[i]._accum(sign * (units[0][..., p, :, :] / n + grad_c
+                                         - grad_c.sum(axis=-2, keepdims=True) / n))
+
+    return node(value * scale, inputs, back)
+
+
 # -- optimizer reference ------------------------------------------------------
 
 def adamw_reference(params, ms, vs, t, lr, cfg):
@@ -471,7 +693,8 @@ def grad_check_reference(model, batch, loss_cfg, epsilon=1e-5, coords_per_group=
                 break
         return kind, 0.0
 
-    model.zero_grad()
+    for p in model.params().values():
+        p.grad = None
     out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
     loss, _ = total_loss(out, labels, loss_cfg)
     loss.backward()

@@ -19,7 +19,7 @@ from dualpath.experiments import (DEFAULT_SIGMAS, ExperimentConfig, run_ablation
 from dualpath.functional import layer_norm
 from dualpath.fusion import (Model, ModelConfig, load_checkpoint,
                              save_checkpoint)
-from dualpath.losses import LossConfig, cmd, cross_entropy
+from dualpath.losses import LossConfig, cross_entropy, sim_loss
 from dualpath.metrics import compute_metrics
 from dualpath.perception import js_divergence, normalized_entropy
 from dualpath.rng import Rng
@@ -67,35 +67,36 @@ def test_criterion_1_gradients_certify_against_finite_differences():
 def test_criterion_2_analytic_values_match_closed_forms():
     tol = 1e-9
 
-    same = Tensor(np.array([[0.1, 0.2, 0.3, 0.4]]))
-    assert abs(js_divergence({m: same for m in MODS}).data.item()) < tol
+    def block(*rows):  # the three modalities' distributions as one block
+        return Tensor(np.stack([np.array(r) for r in rows]))
 
-    a = Tensor(np.array([[1.0, 0.0]]))
-    b = Tensor(np.array([[0.0, 1.0]]))
-    two_one = js_divergence({"text": a, "video": a, "audio": b})
+    same = [[0.1, 0.2, 0.3, 0.4]]
+    assert abs(js_divergence(block(same, same, same)).data.item()) < tol
+
+    a, b = [[1.0, 0.0]], [[0.0, 1.0]]
+    two_one = js_divergence(block(a, a, b))
     assert abs(two_one.data.item() - (2 * np.log(1.5) + np.log(3)) / 3) < tol
 
-    disjoint = {
-        "text": Tensor(np.array([[1.0, 0.0, 0.0]])),
-        "video": Tensor(np.array([[0.0, 1.0, 0.0]])),
-        "audio": Tensor(np.array([[0.0, 0.0, 1.0]])),
-    }
+    disjoint = block([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]])
     assert abs(js_divergence(disjoint).data.item() - np.log(3.0)) < tol
 
-    uniform = Tensor(np.full((1, 4), 0.25))
-    assert abs(normalized_entropy(uniform, 4).data.item() - 1.0) < tol
-    onehot = Tensor(np.array([[1.0, 0.0, 0.0, 0.0]]))
-    assert abs(normalized_entropy(onehot, 4).data.item()) < tol
-    half = Tensor(np.array([[0.5, 0.5, 0.0, 0.0]]))
+    assert abs(normalized_entropy(block([[0.25] * 4]), 4).data.item() - 1.0) < tol
+    assert abs(normalized_entropy(block([[1.0, 0.0, 0.0, 0.0]]), 4).data.item()) < tol
+    half = block([[0.5, 0.5, 0.0, 0.0]])
     assert abs(normalized_entropy(half, 4).data.item() - 0.5) < tol
 
+    # sim_loss over (x, y, y) is 2/3 of the CMD of x and y: two of its
+    # pairs are (x, y) and the third, (y, y), is zero
+    def cmd(x, y, order):
+        return 1.5 * float(sim_loss(dict(zip(MODS, (x, y, y))), order).data)
+
     x = Tensor(Rng(0, "cmd").normal(size=(10, 4)))
-    assert abs(float(cmd(x, x, 5).data)) < tol
+    assert abs(cmd(x, x, 5)) < tol
     y = Tensor(Rng(1, "cmd").normal(size=(10, 4)))
-    assert abs(float(cmd(x, y, 5).data) - float(cmd(y, x, 5).data)) < tol
+    assert abs(cmd(x, y, 5) - cmd(y, x, 5)) < tol
     pair_a = Tensor(np.array([[1.0], [2.0], [3.0]]))
     pair_b = Tensor(np.array([[2.0], [4.0], [6.0]]))
-    assert abs(float(cmd(pair_a, pair_b, 2).data) - 4.0) < tol
+    assert abs(cmd(pair_a, pair_b, 2) - 4.0) < tol
 
     probs = Tensor(np.full((6, 5), 0.2))
     ce = cross_entropy(probs, np.arange(6) % 5)

@@ -2,11 +2,14 @@
 
 Each fused op (the affine map with and without tanh, softmax, layer_norm,
 l2_norm, cosine_rows, js_divergence, normalized_entropy, cross_entropy,
-diff_loss, cmd, sim_loss) must give the composite's values bit for bit, its
-gradients to rounding and its kink records exactly, while recording one
-tape node per call and none under no_grad(). A test caps the tape of a
-whole training step. The stacked tests run each kernel once over a stack
-of models, (M, N, d), against its plain call on every model's slice.
+diff_loss, sim_loss, and the reference CMD of ``tests/oracles.py``) must
+give the composite's values bit for bit, its gradients to rounding and its
+kink records exactly, while recording one tape node per call and none
+under no_grad(). A test caps the tape of a whole training step. The
+stacked tests run each kernel once over a stack of models, (M, N, d),
+against its plain call on every model's slice. The modality-block ops
+(one node over the three modalities) are held to their per-modality
+references, gradients bit for bit too.
 """
 
 import logging
@@ -15,22 +18,23 @@ import numpy as np
 import pytest
 
 import oracles
-from dualpath.functional import cosine_rows, l2_norm, layer_norm, softmax
-from dualpath.fusion import Model, ModelConfig
-from dualpath.layers import Affine
-from dualpath.losses import (PROB_FLOOR, LossConfig, cmd, cross_entropy, diff_loss, sim_loss,
-                             total_loss)
-from dualpath.perception import js_divergence, normalized_entropy
+from dualpath.functional import cosine_rows, l2_norm, layer_norm, one_hot, softmax
+from dualpath.fusion import Model, ModelConfig, _stacked_shape, reasoning_aggregate
+from dualpath.layers import Affine, affine_block
+from dualpath.losses import (PROB_FLOOR, LossConfig, _nll, _weighted_sum, cross_entropy,
+                             diff_loss, sim_loss, total_loss)
+from dualpath.perception import deviations, js_divergence, normalized_entropy
 from dualpath.rng import Rng
 from dualpath.synthdata import MODALITIES, DatasetConfig, generate
-from dualpath.tensor import Tensor, constant, no_grad, watch_kinks
+from dualpath.tensor import Tensor, _unbroadcast, constant, no_grad, watch_kinks
 
 GRAD_RTOL = 1e-12
 # perfbench/census.py after the affine, layer-norm, cosine and divergence
-# fusions and the one-node sim_loss: nodes reachable from the loss of one
-# default batch-16 training step, and of one eval forward+loss.
-TRAIN_STEP_NODES = 172
-EVAL_NODES = 160
+# fusions, the one-node sim_loss and the modality-block ops: nodes
+# reachable from the loss of one default batch-16 training step, and of
+# one eval forward+loss.
+TRAIN_STEP_NODES = 133
+EVAL_NODES = 121
 
 
 def tape_nodes(root):
@@ -157,28 +161,28 @@ def probabilities(label, n, zeros):
     return p / p.sum(axis=1, keepdims=True)
 
 
-def as_probs(ts):
-    return (dict(zip(MODALITIES, ts)),)
+def slices(block):
+    """A (..., 3, N, C) block tensor as a modality dict of getitem nodes."""
+    return {m: oracles.getitem(block, (..., i, slice(None), slice(None)))
+            for i, m in enumerate(MODALITIES)}
 
 
 @pytest.mark.parametrize("n", BATCHES)
 def test_js_divergence_with_zero_probabilities(n):
     # column 0 of row 0 is zero in one input only, column 3 in all three
-    arrays = [probabilities("js_t", n, [(0, 0), (0, 3)]),
-              probabilities("js_v", n, [(0, 3)]),
-              probabilities("js_a", n, [(0, 3), (n - 1, 1)])]
-    assert_matches_reference(js_divergence, oracles.js_divergence_composite, arrays,
-                             wrap=as_probs)
+    block = np.stack([probabilities("js_t", n, [(0, 0), (0, 3)]),
+                      probabilities("js_v", n, [(0, 3)]),
+                      probabilities("js_a", n, [(0, 3), (n - 1, 1)])])
+    assert_matches_reference(js_divergence,
+                             lambda b: oracles.js_divergence_composite(slices(b)), [block])
 
 
 def test_js_divergence_with_one_tensor_in_two_slots():
     p, q = probabilities("js_p", 3, [(1, 2)]), probabilities("js_q", 3, [])
-
-    def two(ts):
-        return ({"text": ts[0], "video": ts[1], "audio": ts[0]},)
-
-    assert_matches_reference(js_divergence, oracles.js_divergence_composite, [p, q],
-                             wrap=two)
+    assert_block_matches_per_modality(
+        lambda p, q: js_divergence(oracles.stack_node([p, q, p])),
+        lambda p, q: oracles.js_divergence_per_modality(dict(zip(MODALITIES, (p, q, p)))),
+        [p, q])
 
 
 @pytest.mark.parametrize("n", BATCHES)
@@ -186,7 +190,8 @@ def test_normalized_entropy_with_zero_probabilities(n):
     p = probabilities("ent", n, [(0, 1), (n - 1, 0), (n - 1, 2)])
     p[n // 2] = [0.0, 1.0, 0.0, 0.0]
     assert_matches_reference(lambda t: normalized_entropy(t, 4),
-                             lambda t: oracles.normalized_entropy_composite(t, 4), [p])
+                             lambda t: oracles.normalized_entropy_composite(
+                                 oracles.getitem(t, 0), 4), [p[None]])
 
 
 @pytest.mark.parametrize("n", BATCHES)
@@ -237,20 +242,20 @@ def test_diff_loss_with_one_tensor_in_several_slots():
 def test_cmd(n, order):
     a = normal("cmd_a", (n, 5))
     b = normal("cmd_b", (n, 5)) + 0.3
-    assert_matches_reference(lambda x, y: cmd(x, y, order),
+    assert_matches_reference(lambda x, y: oracles.cmd(x, y, order),
                              lambda x, y: oracles.cmd_composite(x, y, order), [a, b])
 
 
 def test_cmd_of_a_batch_with_itself_is_zero_with_zero_gradient():
     x = normal("cmd_x", (16, 5))
     value, (grad,) = assert_matches_reference(
-        lambda t: cmd(t, t, 5), lambda t: oracles.cmd_composite(t, t, 5), [x])
+        lambda t: oracles.cmd(t, t, 5), lambda t: oracles.cmd_composite(t, t, 5), [x])
     assert value == 0.0
     assert np.array_equal(grad, np.zeros_like(x))
 
 
 def test_cmd_batches_of_different_sizes():
-    assert_matches_reference(lambda x, y: cmd(x, y, 3),
+    assert_matches_reference(lambda x, y: oracles.cmd(x, y, 3),
                              lambda x, y: oracles.cmd_composite(x, y, 3),
                              [normal("cmd_c", (5, 4)), normal("cmd_d", (9, 4))])
 
@@ -314,7 +319,10 @@ def assert_stack_matches_slices(fn, arrays, plain, wrap=lambda ts: ts, slice_fn=
     assert all(len(k) == len(kinks) for _, _, k in slices)
     for j, (kind, payload) in enumerate(kinks):
         assert all(k[j][0] == kind for _, _, k in slices)
-        assert payload == min(k[j][1] for _, _, k in slices)
+        if kind == "abs_signs":  # the stack's signs, one slice per model
+            assert all(np.array_equal(payload[m], k[j][1]) for m, (_, _, k) in enumerate(slices))
+        else:
+            assert payload == min(k[j][1] for _, _, k in slices)
     return value
 
 
@@ -356,9 +364,9 @@ def stacked_probabilities(label, n):
 
 @pytest.mark.parametrize("n", BATCHES)
 def test_stacked_divergence_and_entropy(n):
-    arrays = [stacked_probabilities(f"sjs{i}", n) for i in range(3)]
-    assert_stack_matches_slices(js_divergence, arrays, [(n, 4)] * 3, wrap=as_probs)
-    assert_stack_matches_slices(lambda t: normalized_entropy(t, 4), arrays[:1], [(n, 4)])
+    block = np.stack([stacked_probabilities(f"sjs{i}", n) for i in range(3)], axis=1)
+    assert_stack_matches_slices(js_divergence, [block], [(3, n, 4)])
+    assert_stack_matches_slices(lambda t: normalized_entropy(t, 4), [block], [(3, n, 4)])
 
 
 @pytest.mark.parametrize("n", BATCHES)
@@ -394,7 +402,7 @@ def test_stacked_cmd(n, order):
     a = stacked("scmd_a", (n, 5))
     b = stacked("scmd_b", (n, 5)) + 0.3
     b[1] = a[1]  # one model whose moments all agree: zero norms, zero gradient
-    assert_stack_matches_slices(lambda x, y: cmd(x, y, order), [a, b], [(n, 5)] * 2)
+    assert_stack_matches_slices(lambda x, y: oracles.cmd(x, y, order), [a, b], [(n, 5)] * 2)
 
 
 @pytest.mark.parametrize("n", [1, 16])
@@ -515,7 +523,8 @@ def test_sim_loss_is_three_cmd_terms_bit_for_bit(members, n, order):
     shape = (n, 5) if members is None else (members, n, 5)
     arrays = sim_features(f"sim{members}", shape)
     out, grads, kinks = run_sim(lambda f: sim_loss(f, order), arrays, members)
-    ref_out, ref_grads, ref_kinks = run_sim(three_pair_sim(cmd, order), arrays, members)
+    ref_out, ref_grads, ref_kinks = run_sim(three_pair_sim(oracles.cmd, order), arrays,
+                                            members)
     assert np.array_equal(out.data, ref_out.data)
     for g, ref in zip(grads, ref_grads):
         assert np.array_equal(g, ref)
@@ -539,7 +548,8 @@ def test_sim_loss_kink_verdicts_match_three_cmd_terms(members):
     shape = (8, 4) if members is None else (members, 8, 4)
     arrays = sim_features("simkink", shape)
     verdicts = {}
-    for name, fn in (("fused", lambda f: sim_loss(f, 3)), ("terms", three_pair_sim(cmd, 3))):
+    for name, fn in (("fused", lambda f: sim_loss(f, 3)),
+                     ("terms", three_pair_sim(oracles.cmd, 3))):
         for step in (1e-3, 1e-5, 1e-7, 1e-9):
             plus, minus = [a.copy() for a in arrays], [a.copy() for a in arrays]
             plus[2].reshape(-1)[5] += step
@@ -563,9 +573,240 @@ def test_sim_loss_of_a_batch_of_one_is_zero_without_gradient(members, caplog):
     arrays = [normal(f"sim1_{i}", shape) for i in range(6)]
     with caplog.at_level(logging.WARNING, logger="dualpath.losses"):
         out, grads, kinks = run_sim(lambda f: sim_loss(f, 5), arrays, members)
-    ref_out, ref_grads, _ = run_sim(three_pair_sim(cmd, 5), arrays, members)
+    ref_out, ref_grads, _ = run_sim(three_pair_sim(oracles.cmd, 5), arrays, members)
     assert np.array_equal(out.data, np.zeros(shape[:-2]))
     assert np.array_equal(out.data, ref_out.data)
     assert grads == ref_grads == [None] * 3
     assert kinks == []
     assert any("too small" in r.message for r in caplog.records)
+
+
+# -- modality-block ops -------------------------------------------------------
+#
+# Each op that runs the three modalities as one node is held to its
+# per-modality reference in tests/oracles.py, the same work done by one node
+# per modality, pair, product or sum, three ways: on plain inputs; on a
+# stack of models, where each model's slice must also be the op's plain
+# call; and with some inputs at (1, ...) beside (M, ...) ones, as a
+# grad_check probe round makes them. Values, gradients and kink records
+# match bit for bit. The (1, ...) set-ups run M = 4 models under a member
+# watch, so a kink payload led by the modality axis (3) would raise there.
+
+MIXED = 4
+
+
+def by_mod(*tensors):
+    return dict(zip(MODALITIES, tensors))
+
+
+def lifted(label, core, lead, scale=1.0):
+    """A normal array of one model's ``core`` shape, with a stack's
+    ``lead`` in front of the shape the stack holds it at."""
+    return normal("block/" + label, lead + _stacked_shape(core) if lead else core, scale)
+
+
+def stacked_probs(label, n, lead):
+    """(..., n, 4) rows on the simplex, one row of each near the CE floor."""
+    p = np.exp(lifted(label, (n, 4), lead, 2.0))
+    p[..., 0, :] = [PROB_FLOOR / 10.0, 1.0 - PROB_FLOOR / 10.0, 0.0, 0.0]
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def labels_of(n, lead):
+    return (np.arange(int(np.prod(lead, dtype=int)) * n).reshape(lead + (n,)) * 5) % 4
+
+
+def layers_of(tensors):
+    """Three affine layers holding (weight, bias) pairs of ``tensors``."""
+    out = []
+    for w, b in zip(tensors[0::2], tensors[1::2]):
+        lin = Affine(Rng(0, "fused/affine"), 1, 1, "lin")
+        lin.weight, lin.bias = w, b
+        out.append(lin)
+    return out
+
+
+def block_case(name, lead, labels=None):
+    """(block op, per-modality reference, input arrays, one model's input
+    shapes) of a named case; the first three inputs are the three
+    modalities' own."""
+    n = 6
+    if name == "deviations":
+        arrays = [lifted(f"dev{i}", (n, 5), lead) for i in range(3)]
+        arrays[1][..., 0, :] = arrays[0][..., 0, :]  # a row where two agree
+        arrays[2][..., 0, :2] = arrays[0][..., 0, :2]  # and entries where all three do
+        return (lambda *ts: deviations(by_mod(*ts))[1],
+                lambda *ts: oracles.deviations_per_modality(by_mod(*ts))[1],
+                arrays, [(n, 5)] * 3)
+    if name == "affine":
+        arrays = [lifted(f"affx{i}", (n, 6), lead) for i in range(3)]
+        for i in range(3):
+            arrays += [lifted(f"affw{i}", (6, 4), lead), lifted(f"affb{i}", (4,), lead)]
+        return (lambda *ts: affine_block(list(ts[:3]), layers_of(ts[3:])),
+                lambda *ts: oracles.affine_per_modality(list(ts[:3]), layers_of(ts[3:])),
+                arrays, [(n, 6)] * 3 + [(6, 4), (4,)] * 3)
+    if name in ("js", "entropy", "unimodal_ce"):
+        arrays = [stacked_probs(f"{name}{i}", n, lead) for i in range(3)]
+        arrays[1][..., 1, 2] = 0.0  # zero probabilities: in one input, then in all
+        arrays[2][..., 2, :] = arrays[0][..., 2, :] = arrays[1][..., 2, :] = [0.5, 0.5, 0, 0]
+        if name == "js":
+            block = lambda *ts: js_divergence(oracles.stack_node(ts))  # noqa: E731
+            ref = lambda *ts: oracles.js_divergence_per_modality(by_mod(*ts))  # noqa: E731
+        elif name == "entropy":
+            block = lambda *ts: normalized_entropy(oracles.stack_node(ts), 4)  # noqa: E731
+            ref = lambda *ts: oracles.entropy_columns_per_modality(by_mod(*ts), 4)  # noqa: E731
+        else:
+            labels = labels_of(n, lead) if labels is None else labels
+            block = lambda *ts: _nll(oracles.stack_node(ts), one_hot(labels, 4),  # noqa: E731
+                                     block=True)
+            ref = lambda *ts: oracles.unimodal_ce_per_modality(by_mod(*ts), labels)  # noqa: E731
+        return block, ref, arrays, [(n, 4)] * 3
+    if name == "reasoning":
+        arrays = [lifted(f"rea{i}", (n, 5), lead) for i in range(3)]
+        trust = np.exp(lifted("rea_trust", (n, 3), lead))
+        arrays.append(trust / trust.sum(axis=-1, keepdims=True))
+        return (lambda t, v, a, trust: reasoning_aggregate(trust, by_mod(t, v, a)),
+                lambda t, v, a, trust: oracles.reasoning_aggregate_per_modality(
+                    trust, by_mod(t, v, a)),
+                arrays, [(n, 5)] * 3 + [(n, 3)])
+    if name == "diff":
+        arrays = [lifted(f"diff{i}", (n, 5), lead) for i in range(6)]
+        return (lambda *ts: diff_loss(by_mod(*ts[3:]), by_mod(*ts[:3])),
+                lambda *ts: oracles.diff_loss_pairwise(by_mod(*ts[3:]), by_mod(*ts[:3])),
+                arrays, [(n, 5)] * 6)
+    assert name == "sim", name
+    arrays = [lifted(f"sim{i}", (n, 5), lead) for i in range(3)]
+    arrays[1] = arrays[0] + 1e-6 * lifted("simnear", (n, 5), lead)  # a near-kink mean gap
+    return (lambda *ts: sim_loss(by_mod(*ts), 4),
+            lambda *ts: oracles.sim_loss_per_input(by_mod(*ts), 4),
+            arrays, [(n, 5)] * 3)
+
+
+BLOCK_CASES = ["deviations", "affine", "js", "entropy", "unimodal_ce", "reasoning",
+               "diff", "sim"]
+# (1, ...) inputs per case, as probe rounds make them: the text input's
+# group perturbed, or the video's and audio's; for the affine block, a
+# classifier's weight or bias perturbed, or the text private encoder
+MIXED_ONES = {"affine": [(0, 1, 2, 4, 5, 6, 7, 8), (0, 1, 2, 3, 5, 6, 7, 8),
+                         (1, 2, 3, 4, 5, 6, 7, 8)],
+              "diff": [(0,), (1, 2), (0, 1, 2), (3, 4, 5)]}
+
+
+def run_block(fn, arrays, members=None):
+    """Output, gradients (None where none arrived) and kink records of
+    ``fn`` on fresh leaves, reduced against fixed weights."""
+    tensors = [Tensor(a.copy()) for a in arrays]
+    with watch_kinks(members) as kinks:
+        out = fn(*tensors)
+    weights = Rng(99, "fused/block").normal(size=out.data.shape)
+    (out * Tensor(weights)).sum().backward()
+    return out, [t.grad for t in tensors], kinks
+
+
+def assert_same_kinks(kinks, ref):
+    assert [k for k, _ in kinks] == [k for k, _ in ref]
+    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(kinks, ref))
+
+
+def assert_block_matches_per_modality(block, ref, arrays, members=None):
+    """Value, every gradient and every kink record of ``block`` those of
+    ``ref`` on the same inputs, bit for bit."""
+    out, grads, kinks = run_block(block, arrays, members)
+    ref_out, ref_grads, ref_kinks = run_block(ref, arrays, members)
+    assert np.array_equal(out.data, ref_out.data)
+    for i, (g, r) in enumerate(zip(grads, ref_grads)):
+        assert (g is None and r is None) or np.array_equal(g, r), i
+    assert_same_kinks(kinks, ref_kinks)
+    return out
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_op_matches_per_modality_nodes(name):
+    block, ref, arrays, _ = block_case(name, ())
+    out = assert_block_matches_per_modality(block, ref, arrays)
+    if name not in ("js", "entropy", "unimodal_ce"):  # those read a test-side stack node
+        assert out._back is not None and all(p._back is None for p in out._parents)
+        assert len(out._parents) == len(arrays)  # every input its own parent
+        with no_grad():
+            quiet = block(*[Tensor(a) for a in arrays])
+        assert quiet._back is None and np.array_equal(quiet.data, out.data)
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_stacked_block_op_matches_per_modality_nodes_and_slices(name):
+    block, ref, arrays, cores = block_case(name, (STACK,))
+    assert_block_matches_per_modality(block, ref, arrays)
+    labels = labels_of(6, (STACK,))
+    assert_stack_matches_slices(
+        block, arrays, cores,
+        slice_fn=lambda m: block_case(name, (), labels[m])[0])
+
+
+# The ops that stack a (1, ...) input's broadcast array and accumulate its
+# gradient once, where the per-modality nodes run it at (1, ...) after
+# summing the members' gradients; every other op sums where its reference
+# does.
+FANNED_OUT = {"affine", "js", "entropy", "unimodal_ce"}
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_op_with_one_member_inputs(name):
+    """Inputs at (1, ...) beside (M, ...) ones: the value and kink records
+    those of the per-modality reference on the same inputs. The gradients
+    are the reference's too, except where the op fans a (1, ...) input
+    out: there each is the reference's on the input repeated over the
+    members, summed back to its shape."""
+    labels = labels_of(6, ())  # every member's, as in a probe round
+    block, ref, arrays, _ = block_case(name, (MIXED,), labels)
+    for ones in MIXED_ONES.get(name, [(0,), (1, 2)]):
+        mixed = [a[:1] if i in ones else a for i, a in enumerate(arrays)]
+        out, grads, kinks = run_block(block, mixed, MIXED)
+        ref_out, ref_grads, ref_kinks = run_block(ref, mixed, MIXED)
+        assert out.data.shape == ref_out.data.shape
+        assert np.array_equal(out.data, ref_out.data)
+        assert_same_kinks(kinks, ref_kinks)
+        if name in FANNED_OUT:  # a bias's row axis fans out over the 6 rows too
+            fanned = [np.repeat(np.repeat(a, MIXED, axis=0), 6 if a.shape[-2] == 1 else 1,
+                                axis=-2) if i in ones else a for i, a in enumerate(mixed)]
+            _, fan_grads, _ = run_block(ref, fanned, MIXED)
+            ref_grads = [_unbroadcast(r, a.shape) for r, a in zip(fan_grads, mixed)]
+        for i, (g, r) in enumerate(zip(grads, ref_grads)):
+            assert (g is None and r is None) or np.array_equal(g, r), (ones, i)
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_op_with_one_tensor_in_two_modality_slots(name):
+    """The text input passed again in the audio slot: its gradient adds
+    both slots' shares in the reference's order."""
+    block, ref, arrays, _ = block_case(name, ())
+
+    def twice(fn):
+        return lambda *ts: fn(ts[0], ts[1], ts[0], *ts[2:])
+
+    assert_block_matches_per_modality(twice(block), twice(ref), arrays[:2] + arrays[3:])
+
+
+def test_weighted_sum_is_one_node_over_the_five_terms():
+    """total_loss's five weighted terms, grown in two calls as task_loss
+    and total_loss grow them, against the chain of constant-weighted sums:
+    values and gradients bit for bit, one node over the five terms with no
+    constant leaf, and (M,) weights for a stack."""
+    for lead, weights in (((), (0.1, 0.3, 0.05, 0.7)),
+                          ((STACK,), tuple(normal(f"ws{i}", (STACK,)) for i in range(4)))):
+        arrays = [normal(f"wterm{i}", lead) for i in range(5)]
+
+        def grown(cls, rea, uni, diff, sim):
+            task = _weighted_sum(cls, (rea, uni), weights[:2])
+            return _weighted_sum(task, (diff, sim), weights[2:])
+
+        out = assert_block_matches_per_modality(
+            grown, lambda *ts: oracles.weighted_sum_composite(ts, weights), arrays)
+        assert len(out._parents) == 5 and all(p._back is None for p in out._parents)
+        with no_grad():
+            quiet = grown(*[Tensor(a) for a in arrays])
+        assert quiet._back is None and np.array_equal(quiet.data, out.data)
+        # one tensor as three terms: its shares add in the chain's order
+        assert_block_matches_per_modality(
+            lambda cls, x, sim: grown(cls, x, x, x, sim),
+            lambda cls, x, sim: oracles.weighted_sum_composite((cls, x, x, x, sim), weights),
+            [arrays[0], arrays[1], arrays[4]])

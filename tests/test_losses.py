@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import cmd_pair
+from oracles import cmd, cmd_pair
 
-from dualpath.losses import (COMPONENT_ORDER, WEIGHTS, LossConfig, cmd, cross_entropy,
+from dualpath.losses import (COMPONENT_ORDER, WEIGHTS, LossConfig, cross_entropy,
                              diff_loss, sim_loss, task_loss, total_loss)
 from dualpath.fusion import Model, ModelConfig
 from dualpath.rng import Rng
@@ -27,7 +27,7 @@ def make_feats(rng, n, d_h):
 
 
 def fake_outputs(fused_probs, rea_logits, unimodal):
-    report = SimpleNamespace(probs={m: Tensor(unimodal[m]) for m in MODALITIES})
+    report = SimpleNamespace(unimodal=Tensor(np.stack([unimodal[m] for m in MODALITIES])))
     return SimpleNamespace(probs=Tensor(fused_probs),
                            rea_logits=Tensor(rea_logits), report=report)
 
@@ -157,6 +157,9 @@ class TestDiffLoss:
 
 
 class TestCmd:
+    """The per-input CMD reference of ``tests/oracles.py``, which the
+    ``sim_loss`` tests hold the one-node loss to."""
+
     def test_identical_batches_give_zero(self):
         x = Tensor(Rng(3, "x").normal(size=(10, 4)))
         assert float(cmd(x, x, 5).data) == pytest.approx(0.0, abs=1e-15)
@@ -193,16 +196,26 @@ class TestCmd:
         with pytest.raises(ValueError):
             cmd(x, x, 0)
 
-    def test_tiny_batch_warns_and_returns_zero(self, caplog):
-        a = Tensor(np.zeros((1, 2)))
-        b = Tensor(np.ones((4, 2)))
-        with caplog.at_level(logging.WARNING, logger="dualpath.losses"):
-            out = cmd(a, b, 3)
-        assert float(out.data) == 0.0
-        assert any("too small" in r.message for r in caplog.records)
+    def test_batches_of_different_sizes(self):
+        a = Tensor(np.array([[0.0], [2.0]]))
+        b = Tensor(np.array([[1.0], [1.0], [1.0], [1.0]]))
+        assert float(cmd(a, b, 2).data) == pytest.approx(0.0 + 1.0, abs=1e-12)
+        assert float(cmd(Tensor(np.zeros((1, 2))), b, 3).data) == 0.0
 
 
 class TestSimLoss:
+    def test_tiny_batch_warns_and_returns_zero(self, caplog):
+        shared = by_modality(*(Tensor(np.full((1, 2), float(i))) for i in range(3)))
+        with caplog.at_level(logging.WARNING, logger="dualpath.losses"):
+            out = sim_loss(shared, 3)
+        assert float(out.data) == 0.0
+        assert any("too small" in r.message for r in caplog.records)
+
+    def test_rejects_bad_order(self):
+        x = Tensor(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            sim_loss(by_modality(x, x, x), 0)
+
     def test_identical_shared_batches_give_zero(self):
         x = Tensor(Rng(6, "x").normal(size=(8, 4)))
         shared = by_modality(x, x, x)

@@ -23,13 +23,17 @@ def make_perception(seed=0, d_h=6, num_classes=4, temperature=1.0):
     return Perception(Rng(seed, "perc"), d_h, num_classes, temperature)
 
 
+def block(*arrays):
+    """Per-modality (N, C) arrays as one (K, N, C) block tensor."""
+    return Tensor(np.stack([np.asarray(a, dtype=float) for a in arrays]))
+
+
 class TestDeviations:
     def test_equal_privates_have_zero_deviation(self):
         x = Tensor(np.ones((3, 4)) * 2.0)
         centroid, devs = deviations({m: x for m in MODALITIES})
         assert np.array_equal(centroid.data, x.data)
-        for m in MODALITIES:
-            assert np.array_equal(devs[m].data, np.zeros((3, 4)))
+        assert np.array_equal(devs.data, np.zeros((3, 12)))
 
     def test_hand_case(self):
         private = {
@@ -39,33 +43,30 @@ class TestDeviations:
         }
         centroid, devs = deviations(private)
         assert centroid.data[0, 0] == pytest.approx(1.0)
-        assert devs["text"].data[0, 0] == pytest.approx(2.0)
-        assert devs["video"].data[0, 0] == pytest.approx(1.0)
-        assert devs["audio"].data[0, 0] == pytest.approx(1.0)
+        assert devs.data[0] == pytest.approx([2.0, 1.0, 1.0])
 
     def test_translation_invariance(self):
         private = make_private(Rng(1, "p"), 4, 5)
         _, devs = deviations(private)
         shifted = {m: private[m] + Tensor(np.full((4, 5), 7.0)) for m in MODALITIES}
         _, devs2 = deviations(shifted)
-        for m in MODALITIES:
-            assert np.abs(devs[m].data - devs2[m].data).max() < 1e-12
+        assert np.abs(devs.data - devs2.data).max() < 1e-12
 
 
 class TestDifferenceVector:
     def test_zero_deviations_and_bias_give_zero(self):
         perc = make_perception()
         perc.diff_proj.bias.data[:] = 0.0
-        devs = {m: Tensor(np.zeros((2, 6))) for m in MODALITIES}
-        out = perc.difference_vector(devs)
+        out = perc.difference_vector(Tensor(np.zeros((2, 18))))
         assert np.array_equal(out.data, np.zeros((2, 6)))
 
     def test_matches_oracle(self):
         perc = make_perception(seed=2)
-        devs = {m: Tensor(np.abs(Rng(3, m).normal(size=(3, 6)))) for m in MODALITIES}
-        out = perc.difference_vector(devs).data
+        devs = {m: np.abs(Rng(3, m).normal(size=(3, 6))) for m in MODALITIES}
+        out = perc.difference_vector(
+            Tensor(np.concatenate([devs[m] for m in MODALITIES], axis=1))).data
         for i in range(3):
-            cat = np.concatenate([devs[m].data[i] for m in MODALITIES])
+            cat = np.concatenate([devs[m][i] for m in MODALITIES])
             want = np.tanh(cat @ perc.diff_proj.weight.data + perc.diff_proj.bias.data)
             assert np.abs(out[i] - want).max() < 1e-12
 
@@ -109,53 +110,49 @@ class TestUnimodalPredict:
         perc = make_perception(seed=9)
         perc.classifiers["text"].weight.data[:] = 0.0
         perc.classifiers["text"].bias.data[:] = 0.0
-        p = perc.unimodal_predict(Tensor(np.ones((3, 6))), "text")
-        assert np.allclose(p.data, 0.25, atol=1e-15)
+        p = perc.unimodal_predict({m: Tensor(np.ones((3, 6))) for m in MODALITIES})
+        assert np.allclose(p.data[0], 0.25, atol=1e-15)
 
     def test_dominant_logit_wins(self):
         perc = make_perception(seed=10)
         perc.classifiers["video"].weight.data[:] = 0.0
         perc.classifiers["video"].bias.data[:] = np.array([10.0, 0.0, 0.0, 0.0])
-        p = perc.unimodal_predict(Tensor(np.zeros((1, 6))), "video").data
+        p = perc.unimodal_predict({m: Tensor(np.zeros((1, 6))) for m in MODALITIES}).data[1]
         assert p[0, 0] > 0.999
         assert np.abs(p[0] - np.array([1.0, 0, 0, 0])).max() < 1e-3
 
     def test_rows_sum_to_one(self):
         perc = make_perception(seed=11)
         x = Tensor(Rng(12, "x").normal(size=(8, 6)))
-        for m in MODALITIES:
-            p = perc.unimodal_predict(x, m).data
+        probs = perc.unimodal_predict({m: x for m in MODALITIES}).data
+        assert probs.shape == (3, 8, 4)
+        for p in probs:
             assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
             assert (p > 0).all()
 
 
 class TestJsDivergence:
     def test_identical_distributions_give_zero(self):
-        p = Tensor(np.array([[0.1, 0.2, 0.3, 0.4]]))
-        out = js_divergence({m: p for m in MODALITIES})
+        p = [[0.1, 0.2, 0.3, 0.4]]
+        out = js_divergence(block(p, p, p))
         assert abs(out.data[0, 0]) < 1e-15
 
     def test_hand_value_two_against_one(self):
-        a = Tensor(np.array([[1.0, 0.0]]))
-        b = Tensor(np.array([[0.0, 1.0]]))
-        out = js_divergence({"text": a, "video": a, "audio": b})
+        a, b = [[1.0, 0.0]], [[0.0, 1.0]]
+        out = js_divergence(block(a, a, b))
         want = (2.0 * np.log(1.5) + np.log(3.0)) / 3.0
         assert out.data[0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_disjoint_one_hots_hit_upper_bound(self):
-        probs = {
-            "text": Tensor(np.array([[1.0, 0.0, 0.0]])),
-            "video": Tensor(np.array([[0.0, 1.0, 0.0]])),
-            "audio": Tensor(np.array([[0.0, 0.0, 1.0]])),
-        }
+        probs = block([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]])
         assert js_divergence(probs).data[0, 0] == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_class_permutation_invariance(self):
         rng = Rng(13, "p")
         raw = {m: softmax_vec(rng.child(m).normal(size=4)) for m in MODALITIES}
-        base = js_divergence({m: Tensor(raw[m][None]) for m in MODALITIES})
+        base = js_divergence(block(*(raw[m][None] for m in MODALITIES)))
         perm = rng.permutation(4)
-        permuted = js_divergence({m: Tensor(raw[m][perm][None]) for m in MODALITIES})
+        permuted = js_divergence(block(*(raw[m][perm][None] for m in MODALITIES)))
         assert base.data[0, 0] == pytest.approx(permuted.data[0, 0], abs=1e-12)
 
     def test_bounded_and_matches_oracle_on_random_triples(self):
@@ -164,7 +161,7 @@ class TestJsDivergence:
         for m in MODALITIES:
             logits = rng.child(m).normal(size=(200, 5))
             rows.append(np.stack([softmax_vec(r) for r in logits]))
-        out = js_divergence({m: Tensor(rows[i]) for i, m in enumerate(MODALITIES)}).data
+        out = js_divergence(block(*rows)).data
         assert (out >= -1e-12).all()
         assert (out <= np.log(3.0) + 1e-12).all()
         for i in range(0, 200, 17):
@@ -174,28 +171,28 @@ class TestJsDivergence:
 
 class TestNormalizedEntropy:
     def test_uniform_is_one(self):
-        p = Tensor(np.full((2, 5), 0.2))
+        p = block(np.full((2, 5), 0.2))
         assert np.allclose(normalized_entropy(p, 5).data, 1.0, atol=1e-12)
 
     def test_one_hot_is_zero(self):
-        p = Tensor(np.array([[0.0, 1.0, 0.0, 0.0]]))
+        p = block([[0.0, 1.0, 0.0, 0.0]])
         assert normalized_entropy(p, 4).data[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_half_split_of_four_classes(self):
-        p = Tensor(np.array([[0.5, 0.5, 0.0, 0.0]]))
+        p = block([[0.5, 0.5, 0.0, 0.0]])
         assert normalized_entropy(p, 4).data[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_oracle(self):
         rng = Rng(15, "p")
         rows = np.stack([softmax_vec(rng.child("l", i).normal(size=6))
                          for i in range(20)])
-        out = normalized_entropy(Tensor(rows), 6).data
+        out = normalized_entropy(block(rows), 6).data
         for i in range(20):
             assert out[i, 0] == pytest.approx(entropy_vec(rows[i], 6), abs=1e-12)
 
     def test_rejects_degenerate_class_count(self):
         with pytest.raises(ValueError):
-            normalized_entropy(Tensor(np.ones((1, 1))), 1)
+            normalized_entropy(block(np.ones((1, 1))), 1)
 
 
 class TestStatisticalBias:
@@ -204,8 +201,7 @@ class TestStatisticalBias:
         perc.stat_weight.data[:] = 0.0
         perc.stat_bias.data = np.asarray(0.25)
         js = Tensor(np.ones((3, 1)))
-        ents = {m: Tensor(np.ones((3, 1))) for m in MODALITIES}
-        out = perc.statistical_bias(js, ents)
+        out = perc.statistical_bias(js, Tensor(np.ones((3, 3))))
         assert np.allclose(out.data, 0.25, atol=1e-15)
 
     def test_js_only_weight_passes_js_through(self):
@@ -213,7 +209,7 @@ class TestStatisticalBias:
         perc.stat_weight.data = np.array([1.0, 0.0, 0.0, 0.0])
         perc.stat_bias.data = np.asarray(0.0)
         js = Tensor(np.array([[0.5], [0.2]]))
-        ents = {m: Tensor(np.array([[0.9], [0.1]])) for m in MODALITIES}
+        ents = Tensor(np.array([[0.9] * 3, [0.1] * 3]))
         out = perc.statistical_bias(js, ents)
         assert np.array_equal(out.data, js.data)
 
@@ -222,7 +218,7 @@ class TestStatisticalBias:
         js = Rng(19, "j").uniform(size=(4, 1))
         ents = {m: Rng(19, f"e/{m}").uniform(size=(4, 1)) for m in MODALITIES}
         out = perc.statistical_bias(
-            Tensor(js), {m: Tensor(ents[m]) for m in MODALITIES}).data
+            Tensor(js), Tensor(np.concatenate([ents[m] for m in MODALITIES], axis=1))).data
         for i in range(4):
             stats = np.array([js[i, 0]] + [ents[m][i, 0] for m in MODALITIES])
             want = float(stats @ perc.stat_weight.data) + float(perc.stat_bias.data)
@@ -260,7 +256,7 @@ class TestReliabilityWeights:
         perc.trust_out.weight.data[:] = 0.0
         perc.trust_out.bias.data[:] = 0.0
         gated = Tensor(Rng(25, "g").normal(size=(3, 6)))
-        ents = {m: Tensor(Rng(25, m).uniform(size=(3, 1))) for m in MODALITIES}
+        ents = Tensor(np.concatenate([Rng(25, m).uniform(size=(3, 1)) for m in MODALITIES], 1))
         trust = perc.reliability_weights(gated, ents)
         assert np.allclose(trust.data, 1.0 / 3.0, atol=1e-15)
 
@@ -269,15 +265,14 @@ class TestReliabilityWeights:
         perc.trust_out.weight.data[:] = 0.0
         perc.trust_out.bias.data = np.array([2.0, 0.0, 0.0])
         gated = Tensor(np.zeros((2, 6)))
-        ents = {m: Tensor(np.zeros((2, 1))) for m in MODALITIES}
-        trust = perc.reliability_weights(gated, ents).data
+        trust = perc.reliability_weights(gated, Tensor(np.zeros((2, 3)))).data
         want = softmax_vec(np.array([2.0, 0.0, 0.0]))
         assert np.abs(trust - want).max() < 1e-12
 
     def test_rows_on_simplex(self):
         perc = make_perception(seed=27)
         gated = Tensor(Rng(28, "g").normal(size=(10, 6)))
-        ents = {m: Tensor(Rng(28, m).uniform(size=(10, 1))) for m in MODALITIES}
+        ents = Tensor(np.concatenate([Rng(28, m).uniform(size=(10, 1)) for m in MODALITIES], 1))
         trust = perc.reliability_weights(gated, ents).data
         assert np.abs(trust.sum(axis=1) - 1.0).max() < 1e-12
         assert (trust > 0).all()

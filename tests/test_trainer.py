@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from oracles import _kink_crossed, _only_abs_crossed
-from dualpath import trainer
+from dualpath import layers, trainer
 from dualpath.fusion import Model, ModelConfig, load_checkpoint, save_checkpoint
 from dualpath.losses import LossConfig, total_loss
 from dualpath.rng import Rng
@@ -336,6 +336,28 @@ class TestTrainLoop:
         for name, value in model.snapshot().items():
             assert np.array_equal(value, before[name], equal_nan=True), name
 
+    def test_parameter_walks_do_not_grow_with_the_step_count(self, splits, monkeypatch):
+        """The step loop clears gradients through the optimizer's own list
+        of parameters: a run's ``Module.params`` walks depend on its
+        epochs, not on its steps."""
+        train_data, val_data, _ = splits
+        walk = layers.Module.params
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return walk(self)
+
+        monkeypatch.setattr(layers.Module, "params", counting)
+        counts = []
+        for batch_size in (60, 8):  # 2 and 15 steps an epoch
+            script_val_scores(monkeypatch, [0.5, 0.6, 0.7])
+            calls.clear()
+            train(Model(MODEL_CFG), train_data, val_data,
+                  quick_train_cfg(batch_size=batch_size, max_epochs=3), LossConfig())
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_nonfinite_val_metric_is_divergence(self, splits, monkeypatch):
         train_data, val_data, _ = splits
         script_val_scores(monkeypatch, [float("nan")] * 3)
@@ -600,6 +622,15 @@ class TestGradCheck:
         assert not result.passed(1e-4) and not result.passed(np.inf)
         reference = oracles.grad_check_reference(model, small_batch, LossConfig(), **kw)
         assert json.dumps(asdict(result)) == json.dumps(asdict(reference))
+
+    def test_rejects_a_bad_loss_config_before_any_forward(self, small_batch, monkeypatch):
+        def forward(*args, **kwargs):
+            raise AssertionError("a forward ran before the config was checked")
+
+        monkeypatch.setattr(Model, "forward_batch", forward)
+        for cfg in (LossConfig(reasoning_weight=-0.1), LossConfig(moment_order=0)):
+            with pytest.raises(ValueError):
+                grad_check(Model(SMALL_MODEL), small_batch, cfg)
 
     def test_unused_head_reports_zero_error(self, small_batch):
         """With the auxiliary weight at zero its head gets no gradient; the
