@@ -17,8 +17,8 @@ arithmetic, without its Python-level wrapper.
 
 Repeated terms are one tape node each: the three unimodal CEs over the
 unimodal block, diff_loss's nine products over a pair axis, sim_loss's
-moments over the (3, ..., N, d) shared block, and the five weighted terms
-of the objective. Each adds its parts in the order separate nodes would,
+moments over the (3, ..., N, d) shared block, and the weighted terms of
+task_loss and of total_loss. Each adds its parts in the order separate nodes would,
 so values and gradients are theirs bit for bit.
 """
 
@@ -74,24 +74,19 @@ def stack_loss_configs(cfgs: list[LossConfig]) -> LossConfig:
                          for name in WEIGHTS}, moment_order=cfgs[0].moment_order)
 
 
-def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the true class over the rows of
-    (..., N, C) probabilities with (..., N) labels: a scalar for a plain
-    batch, (M,) for a stack's. One tape node.
-
-    Probabilities are floored at 1e-12 before the log so a confidently
-    wrong prediction yields a large finite loss, never an infinity; a
-    floored probability gets no gradient. A NaN probability is not
-    floored: it makes the loss NaN.
-    """
-    return _nll(probs, one_hot(np.asarray(labels), probs.data.shape[-1]))
-
-
 def _nll(probs: Tensor, mask: np.ndarray, block: bool = False) -> Tensor:
-    """``cross_entropy`` against (..., N, C) one-hot rows. With ``block``,
+    """Mean negative log-probability of the true class over the rows of
+    (..., N, C) probabilities, given (..., N, C) one-hot rows: a scalar for
+    a plain batch, (M,) for a stack's. One tape node. With ``block``,
     ``probs`` holds K predictions of the same rows, (..., K, N, C), and
-    the result is their K cross-entropies added in order, each floor
-    recorded as its own ``clamp_margin`` kink."""
+    the result is their K cross-entropies added in order.
+
+    Probabilities are floored at 1e-12 before the log, each floor recorded
+    as its own ``clamp_margin`` kink, so a confidently wrong prediction
+    yields a large finite loss, never an infinity; a floored probability
+    gets no gradient. A NaN probability is not floored: it makes the loss
+    NaN.
+    """
     n = probs.data.shape[-2]
     if block:
         mask = mask[..., None, :, :]
@@ -115,18 +110,14 @@ def _nll(probs: Tensor, mask: np.ndarray, block: bool = False) -> Tensor:
 def _weighted_sum(base: Tensor, terms: tuple, weights: tuple) -> Tensor:
     """``base + weights[0] * terms[0] + ...``, added left to right, as one
     node: each term takes the gradient times its weight and ``base`` the
-    gradient itself. A ``base`` made here is replaced by its own base and
-    terms, so a sum grown in two calls is one node over all of them."""
+    gradient itself."""
     value = sum((w * t.data for t, w in zip(terms, weights)), base.data)
-    base, inner, inner_weights = getattr(base._back, "sum_of", (base, (), ()))
-    terms, weights = (*inner, *terms), (*inner_weights, *weights)
 
     def back(g):
         for t, w in zip(reversed(terms), reversed(weights)):
             t._accum(g * w)
         base._accum(g)
 
-    back.sum_of = (base, terms, weights)
     return node(value, (base, *terms), back)
 
 
@@ -272,9 +263,10 @@ def total_loss(outputs: ModelOutput, labels: np.ndarray,
                cfg: LossConfig) -> tuple[Tensor, dict[str, float]]:
     """Full objective; returns it and a per-component breakdown. For a
     stack's outputs, with (M, N) labels, the objective is (M,), one value
-    per model, and each component a list of M floats. The five weighted
-    terms are one node. ``cfg`` is taken as validated: the trainer and the
-    gradient checker validate it once, where it enters."""
+    per model, and each component a list of M floats: the task loss plus
+    the weighted structural terms, one node. ``cfg`` is taken as validated:
+    the trainer and the gradient checker validate it once, where it
+    enters."""
     task, parts = task_loss(outputs, labels, cfg)
     diff = diff_loss(outputs.shared, outputs.private)
     sim = sim_loss(outputs.shared, cfg.moment_order)

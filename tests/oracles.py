@@ -21,6 +21,7 @@ The per-modality references run each of the package's modality-block
 ops as one node per modality, pair, product or sum; the block ops must
 match them bit for bit, gradients included. ``cmd`` and ``moment_match``
 match moments one input at a time, batches of different sizes included.
+``cross_entropy`` is task_loss's cross-entropy against one label vector.
 
 ``adamw_reference`` is the optimizer step as a loop over parameter
 groups; the whole-buffer ``AdamW`` must match it bit for bit.
@@ -34,8 +35,8 @@ which judges a whole round at once, must return exactly its result.
 
 import numpy as np
 
-from dualpath.functional import guarded_sqrt, row_sum, stack_slices
-from dualpath.losses import cross_entropy, total_loss
+from dualpath.functional import guarded_sqrt, one_hot, row_sum, stack_slices
+from dualpath.losses import _nll, total_loss
 from dualpath.rng import Rng
 from dualpath.tensor import Tensor, _note_kink, concat, no_grad, node, watch_kinks
 from dualpath.trainer import GradCheckResult
@@ -490,6 +491,12 @@ def entropy_per_modality(p, num_classes):
 def entropy_columns_per_modality(probs, num_classes):
     """Each modality's entropy node, concatenated as (..., N, 3) columns."""
     return concat([entropy_per_modality(probs[m], num_classes) for m in MODS], axis=-1)
+
+
+def cross_entropy(probs, labels):
+    """Mean negative log-probability of the true class over the rows of
+    (..., N, C) probabilities with (..., N) labels: one ``_nll`` node."""
+    return _nll(probs, one_hot(np.asarray(labels), probs.data.shape[-1]))
 
 
 def unimodal_ce_per_modality(probs, labels):

@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import trace_forward
+from oracles import cross_entropy, trace_forward
 
 from dualpath.experiments import (DEFAULT_SIGMAS, ExperimentConfig, run_ablation,
                                   run_main, run_robustness, train_runs, train_single)
 from dualpath.functional import layer_norm
 from dualpath.fusion import (Model, ModelConfig, load_checkpoint,
                              save_checkpoint)
-from dualpath.losses import LossConfig, cross_entropy, sim_loss
+from dualpath.losses import LossConfig, sim_loss
 from dualpath.metrics import compute_metrics
 from dualpath.perception import js_divergence, normalized_entropy
 from dualpath.rng import Rng

@@ -1,15 +1,15 @@
 """Fused single-node ops against their composite references.
 
 Each fused op (the affine map with and without tanh, softmax, layer_norm,
-l2_norm, cosine_rows, js_divergence, normalized_entropy, cross_entropy,
-diff_loss, sim_loss, and the reference CMD of ``tests/oracles.py``) must
-give the composite's values bit for bit, its gradients to rounding and its
-kink records exactly, while recording one tape node per call and none
-under no_grad(). A test caps the tape of a whole training step. The
-stacked tests run each kernel once over a stack of models, (M, N, d),
-against its plain call on every model's slice. The modality-block ops
-(one node over the three modalities) are held to their per-modality
-references, gradients bit for bit too.
+l2_norm, cosine_rows, js_divergence, normalized_entropy, the cross-entropy
+``_nll``, diff_loss, sim_loss, and the reference CMD of
+``tests/oracles.py``) must give the composite's values bit for bit, its
+gradients to rounding and its kink records exactly, while recording one
+tape node per call and none under no_grad(). A test caps the tape of a
+whole training step. The stacked tests run each kernel once over a stack
+of models, (M, N, d), against its plain call on every model's slice. The
+modality-block ops (one node over the three modalities) are held to their
+per-modality references, gradients bit for bit too.
 """
 
 import logging
@@ -21,7 +21,7 @@ import oracles
 from dualpath.functional import cosine_rows, l2_norm, layer_norm, one_hot, softmax
 from dualpath.fusion import Model, ModelConfig, _stacked_shape, reasoning_aggregate
 from dualpath.layers import Affine, affine_block
-from dualpath.losses import (PROB_FLOOR, LossConfig, _nll, _weighted_sum, cross_entropy,
+from dualpath.losses import (PROB_FLOOR, LossConfig, _nll, _weighted_sum,
                              diff_loss, sim_loss, total_loss)
 from dualpath.perception import deviations, js_divergence, normalized_entropy
 from dualpath.rng import Rng
@@ -33,8 +33,8 @@ GRAD_RTOL = 1e-12
 # fusions, the one-node sim_loss and the modality-block ops: nodes
 # reachable from the loss of one default batch-16 training step, and of
 # one eval forward+loss.
-TRAIN_STEP_NODES = 133
-EVAL_NODES = 121
+TRAIN_STEP_NODES = 134
+EVAL_NODES = 122
 
 
 def tape_nodes(root):
@@ -215,7 +215,7 @@ def test_cross_entropy_with_a_probability_below_the_floor(n):
     logits = normal("ce", (n, 4), scale=2.0)
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     probs[0] = [PROB_FLOOR / 10.0, 1.0 - PROB_FLOOR / 10.0, 0.0, 0.0]
-    _, (grad,) = assert_matches_reference(lambda p: cross_entropy(p, labels),
+    _, (grad,) = assert_matches_reference(lambda p: oracles.cross_entropy(p, labels),
                                           lambda p: oracles.cross_entropy_composite(p, labels),
                                           [probs])
     assert np.array_equal(grad[0], np.zeros(4))
@@ -383,8 +383,8 @@ def test_stacked_cross_entropy(n):
     probs[1, 0] = [PROB_FLOOR / 10.0, 1.0 - PROB_FLOOR / 10.0, 0.0, 0.0]
     labels = (np.arange(STACK * n).reshape(STACK, n) * 7) % 4
     value = assert_stack_matches_slices(
-        lambda p: cross_entropy(p, labels), [probs], [(n, 4)],
-        slice_fn=lambda m: lambda p: cross_entropy(p, labels[m]))
+        lambda p: oracles.cross_entropy(p, labels), [probs], [(n, 4)],
+        slice_fn=lambda m: lambda p: oracles.cross_entropy(p, labels[m]))
     assert value.shape == (STACK,)
 
 
@@ -786,10 +786,10 @@ def test_block_op_with_one_tensor_in_two_modality_slots(name):
     assert_block_matches_per_modality(twice(block), twice(ref), arrays[:2] + arrays[3:])
 
 
-def test_weighted_sum_is_one_node_over_the_five_terms():
-    """total_loss's five weighted terms, grown in two calls as task_loss
-    and total_loss grow them, against the chain of constant-weighted sums:
-    values and gradients bit for bit, one node over the five terms with no
+def test_weighted_sums_match_the_constant_weighted_chain():
+    """total_loss's five weighted terms, summed in two nodes as task_loss
+    and total_loss sum them, against the chain of constant-weighted sums:
+    values and gradients bit for bit, each node over its own terms with no
     constant leaf, and (M,) weights for a stack."""
     for lead, weights in (((), (0.1, 0.3, 0.05, 0.7)),
                           ((STACK,), tuple(normal(f"ws{i}", (STACK,)) for i in range(4)))):
@@ -801,7 +801,9 @@ def test_weighted_sum_is_one_node_over_the_five_terms():
 
         out = assert_block_matches_per_modality(
             grown, lambda *ts: oracles.weighted_sum_composite(ts, weights), arrays)
-        assert len(out._parents) == 5 and all(p._back is None for p in out._parents)
+        task, *structural = out._parents
+        assert len(structural) == 2 and len(task._parents) == 3
+        assert all(p._back is None for p in (*task._parents, *structural))
         with no_grad():
             quiet = grown(*[Tensor(a) for a in arrays])
         assert quiet._back is None and np.array_equal(quiet.data, out.data)

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import cmd, cmd_pair
+from oracles import cmd, cmd_pair, cross_entropy
 
-from dualpath.losses import (COMPONENT_ORDER, WEIGHTS, LossConfig, cross_entropy,
+from dualpath.losses import (COMPONENT_ORDER, WEIGHTS, LossConfig,
                              diff_loss, sim_loss, task_loss, total_loss)
 from dualpath.fusion import Model, ModelConfig
 from dualpath.rng import Rng
