@@ -20,6 +20,11 @@ unimodal block, diff_loss's nine products over a pair axis, sim_loss's
 moments over the (3, ..., N, d) shared block, and the weighted terms of
 task_loss and of total_loss. Each adds its parts in the order separate nodes would,
 so values and gradients are theirs bit for bit.
+
+Under no_grad(), as in grad_check's probe rounds, diff_loss forms each
+product at its pair's leading shape and sim_loss each input's moments at
+the input's own, so a round's (1, ...) features beside (M, ...) ones are
+not broadcast to the M members; the values are the block's bit for bit.
 """
 
 from __future__ import annotations
@@ -161,20 +166,30 @@ def diff_loss(shared: dict[str, Tensor], private: dict[str, Tensor]) -> Tensor:
     normalized by (N * d_h)^2 so the scale is batch-size independent.
     One tape node over the six (..., N, d_h) feature tensors, the
     ``private`` ones then the ``shared`` ones, each in ``MODALITIES`` order;
-    the nine products are one batched matmul over a pair axis."""
+    in a recorded graph the nine products are one batched matmul over a
+    pair axis, under no_grad() one matmul per pair."""
     inputs = tuple(private[m] for m in MODALITIES) + tuple(shared[m] for m in MODALITIES)
     *lead, n, d_h = inputs[0].data.shape
     if n < 2:
         log.warning("diff_loss skipped: batch of %d is too small", n)
         return Tensor(np.zeros(lead))
     scale = 1.0 / float(n * d_h) ** 2
+    arrays = [t.data for t in inputs]
+    if not is_recording():
+        # each input centered at its own shape and each product formed at
+        # its pair's, one pair at a time: a probe round's product of two
+        # (1, ...) inputs is formed once, not for each of its (M, ...) members
+        centered = [a - a.sum(axis=-2, keepdims=True) / n for a in arrays]
+        terms = []
+        for i, j in _DIFF_PAIRS:
+            prod = centered[i].swapaxes(-1, -2) @ centered[j]
+            terms.append(np.multiply(prod, prod, out=prod).sum(axis=(-2, -1)) * scale)
+        return Tensor(sum(terms[1:], terms[0]))
     # (6, ..., N, d), the input axis in front, a new array: centered in place
-    centered = stack_slices([t.data for t in inputs], axis=0)
+    centered = stack_slices(arrays, axis=0)
     centered -= centered.sum(axis=-2, keepdims=True) / n
     prods = centered[_DIFF_LEFT].swapaxes(-1, -2) @ centered[_DIFF_RIGHT]
-    # squared in place when no backward will read the products
-    squares = prods * prods if is_recording() else np.multiply(prods, prods, out=prods)
-    value = _add_in_order(squares.sum(axis=(-2, -1)) * scale, axis=0)
+    value = _add_in_order((prods * prods).sum(axis=(-2, -1)) * scale, axis=0)
 
     def back(g):
         left, right = centered[_DIFF_LEFT], centered[_DIFF_RIGHT]
@@ -199,6 +214,22 @@ _SIM_LEFT, _SIM_RIGHT = [0, 0, 1], [1, 2, 2]
 _SIM_INPUT, _SIM_PAIR, _SIM_SIGN = [1, 2, 0, 2, 0, 1], [2, 2, 1, 1, 0, 0], [1.0, -1.0] * 3
 
 
+def _moments(x: np.ndarray, order: int, keep: bool) -> tuple:
+    """(c, powers, moments) of the (..., N, d) rows ``x``: the centered rows
+    c, the mean and central moments 2 .. ``order``, each (..., 1, d), and,
+    with ``keep``, the powers c**1 .. c**(order-1) the backward reads."""
+    n = x.shape[-2]
+    mu = x.sum(axis=-2, keepdims=True) / n
+    c = power = x - mu
+    powers, moments = [c] if keep else [], [mu]
+    for k in range(2, order + 1):
+        power = power * c
+        moments.append(power.sum(axis=-2, keepdims=True) / n)
+        if keep and k < order:
+            powers.append(power)
+    return c, powers, moments
+
+
 def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
     """Mean central moment discrepancy (CMD; Zellinger et al., ICLR 2017)
     over the modality pairs (text, video), (text, audio) and (video, audio)
@@ -208,8 +239,9 @@ def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
     a zero difference passes no gradient. A batch of fewer than two rows
     makes it 0 with a warning.
 
-    The centered powers and moments are formed once per order over the
-    inputs' (3, ..., N, d) block, and each order's norms are one
+    In a recorded graph the centered powers and moments are formed once
+    per order over the inputs' (3, ..., N, d) block, under no_grad() per
+    input and only the moments stacked; each order's norms are one
     ``guarded_sqrt`` over the pairs: one ``norm_floor`` record per order.
     The backward runs the pairs as separate nodes would, last pair first.
     """
@@ -220,18 +252,14 @@ def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
     if n < 2:
         log.warning("sim_loss skipped: batch of %d is too small", n)
         return Tensor(np.zeros(inputs[0].data.shape[:-2]))
-    x = stack_slices([t.data for t in inputs], axis=0)  # (3, ..., N, d)
-    # the mean and central moments 2 .. order, each (3, ..., 1, d), and the
-    # powers c**1 .. c**(order-1) of the centered rows c, for the backward only
-    keep = is_recording()
-    mu = x.sum(axis=-2, keepdims=True) / n
-    c = power = x - mu
-    powers, moments = [c] if keep else [], [mu]
-    for k in range(2, order + 1):
-        power = power * c
-        moments.append(power.sum(axis=-2, keepdims=True) / n)
-        if keep and k < order:
-            powers.append(power)
+    arrays = [t.data for t in inputs]
+    if is_recording():
+        c, powers, moments = _moments(stack_slices(arrays, axis=0), order, keep=True)
+    else:
+        # each input's moments at its own shape, and only the (..., 1, d)
+        # moments broadcast to a probe round's (M, ...) members
+        per_input = [_moments(a, order, keep=False)[2] for a in arrays]
+        moments = [stack_slices(list(m), axis=0) for m in zip(*per_input)]
     # per order: the pairs' moment differences, (3, ..., 1, d), and norms,
     # (..., 3), the pair axis last as the kink records take it
     diffs = [m[_SIM_LEFT] - m[_SIM_RIGHT] for m in moments]

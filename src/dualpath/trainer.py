@@ -36,7 +36,10 @@ copies of the model evaluates up to ``_PROBE_PAIRS`` probes, member 2j
 at pair j's +step and member 2j + 1 at its -step. Only the groups a
 round perturbs get a per-member copy; the others keep their (1, ...)
 stack shape, which every member shares, so an op runs once until it
-meets a perturbed group and fans out there. A member watch of the kinks
+meets a perturbed group and fans out there. Two modality-block ops,
+``layers.affine_block`` and ``perception.deviations``, fan out all
+three modalities' slices when one is perturbed; ``diff_loss`` and
+``sim_loss`` fan out only the perturbed ones. A member watch of the kinks
 records such a shared slice's kinks once, fanned out over the members,
 and the round is judged in one pass, one array comparison per kink
 record across its pairs. A stack slice is bit for bit its model's own forward, so the
@@ -49,6 +52,7 @@ coordinates probed are those a one-at-a-time loop would probe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -337,10 +341,15 @@ class GradCheckResult:
 # Probe pairs one stacked forward of grad_check evaluates: member 2j holds
 # pair j's +step and member 2j + 1 its -step. More pairs take fewer
 # rounds but raise peak memory: each perturbed group is copied to
-# 2 * _PROBE_PAIRS members. The width was sized on the default model
-# (feature and hidden dim 16) at batch 8; BENCH_wide_probe_rounds.json
-# records the sweep it was picked from and a reading at a wider model.
-_PROBE_PAIRS = 20
+# 2 * _PROBE_PAIRS members, and so is every activation downstream of it,
+# though diff_loss and sim_loss fan out only the features a round widens.
+# The width was sized on the default model (feature and hidden dim 16) at
+# batch 8 as the widest whose peak RSS stays within 2% of the 20-pair
+# rounds before that loss change. A wider model pays more: at hidden 128 a
+# check's traced peak is 33 MiB at 20 pairs and 62 MiB at 48, about 1.9x
+# (75 MiB at 20 pairs before the change). BENCH_probe_fanout.json records
+# these readings and the sweep, BENCH_wide_probe_rounds.json the earlier one.
+_PROBE_PAIRS = 48
 
 PROBE_STEP = 1e-5  # grad_check's first central-difference step
 
@@ -386,6 +395,9 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     comparison; tests use it to verify the checker actually detects a
     broken gradient.
     """
+    if (isinstance(coords_per_group, bool) or not isinstance(coords_per_group, Integral)
+            or coords_per_group < 1):
+        raise ValueError(f"coords_per_group must be an integer >= 1, got {coords_per_group!r}")
     loss_cfg.validate()
     labels = batch.labels
     params = model.params()

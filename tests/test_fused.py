@@ -13,6 +13,7 @@ per-modality references, gradients bit for bit too.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,6 +478,58 @@ def test_losses_with_one_member_inputs_equal_repeated_inputs(loss, ones):
         else:
             ref = ref.sum(axis=0, keepdims=True)
             assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref)), i
+
+
+# A probe round perturbs one group, so the losses meet one or two (M, ...)
+# features beside (1, ...) ones under no_grad(), where each product or
+# moment is formed at its own inputs' shape; a round that perturbs a group
+# downstream of the features meets only (1, ...) ones. Values and records
+# must be those of the recorded (9, ...) and (3, ...) blocks over the
+# features repeated to the members.
+
+@pytest.mark.parametrize("n", BATCHES)
+@pytest.mark.parametrize("loss, wide", [
+    *[("diff", (i,)) for i in range(6)], ("diff", (0, 3)), ("diff", (2, 4)),
+    ("diff", ()), ("diff", tuple(range(6))),
+    *[("sim", (i,)) for i in range(3)], ("sim", (0, 2)), ("sim", (1, 2)),
+    ("sim", ()), ("sim", (0, 1, 2))])
+def test_no_grad_losses_equal_the_recorded_block(loss, wide, n):
+    fn = (lambda shared, _: sim_loss(shared, 5)) if loss == "sim" else diff_loss
+    arrays = sim_features(f"wide{loss}", (STACK, n, 4))
+    arrays = [a if i in wide else a[:1] for i, a in enumerate(arrays)]
+
+    def run(arrays):
+        with watch_kinks(STACK) as kinks:
+            out = fn(*feats_of([Tensor(a) for a in arrays]))
+        return out.data, kinks
+
+    with no_grad():
+        value, kinks = run(arrays)
+    ref_value, ref_kinks = run(repeated(arrays))
+    assert value.shape == ((STACK,) if wide else (1,))
+    assert np.array_equal(np.broadcast_to(value, ref_value.shape), ref_value)
+    assert [k for k, _ in kinks] == [k for k, _ in ref_kinks]
+    assert all(np.array_equal(np.broadcast_to(p, q.shape), q)
+               for (_, p), (_, q) in zip(kinks, ref_kinks))
+    if loss == "sim":
+        assert [k for k, _ in kinks] == ["norm_floor"] * 5
+
+
+def test_no_grad_diff_loss_of_a_probe_round_allocates_no_pair_block():
+    """A round-shaped call, one (96, 8, 16) slot among (1, 8, 16) ones,
+    allocates less than the (9, 96, 16, 16) products of the broadcast block."""
+    arrays = [normal(f"round{i}", (96 if i == 2 else 1, 8, 16)) for i in range(6)]
+    tensors = feats_of([Tensor(a) for a in arrays])
+    with no_grad():
+        diff_loss(*tensors)  # warm-up
+        tracemalloc.start()
+        try:
+            value = diff_loss(*tensors).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert value.shape == (96,)
+    assert peak < 9 * 96 * 16 * 16 * np.dtype(np.float64).itemsize, peak
 
 
 # -- sim_loss: one node over the three modality pairs -----------------------

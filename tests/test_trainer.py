@@ -632,6 +632,16 @@ class TestGradCheck:
             with pytest.raises(ValueError):
                 grad_check(Model(SMALL_MODEL), small_batch, cfg)
 
+    @pytest.mark.parametrize("coords", [0, -1, 2.5, 20.0, True, "20", None])
+    def test_rejects_a_bad_coordinate_count_before_any_forward(self, small_batch,
+                                                               monkeypatch, coords):
+        def forward(*args, **kwargs):
+            raise AssertionError("a forward ran before coords_per_group was checked")
+
+        monkeypatch.setattr(Model, "forward_batch", forward)
+        with pytest.raises(ValueError, match="coords_per_group"):
+            grad_check(Model(SMALL_MODEL), small_batch, LossConfig(), coords_per_group=coords)
+
     def test_unused_head_reports_zero_error(self, small_batch):
         """With the auxiliary weight at zero its head gets no gradient; the
         checker must agree the true derivative is zero rather than flag it."""
@@ -739,11 +749,12 @@ class TestStackedProbes:
     @pytest.mark.parametrize("name", [
         "abs-retry", "eps-1e-2", "eps-1e-3", "shared-encoder", "perfbench-1"])
     def test_result_does_not_depend_on_the_round_width(self, name, request, monkeypatch):
-        """The same result, bit for bit, at one pair a round, at 12 pairs
-        and at the module's width, also on set-ups that retry or resample."""
+        """The same result, bit for bit, at one pair a round, at 12 pairs,
+        at the earlier width of 20 and at the module's width, also on
+        set-ups that retry or resample."""
         model, batch, loss_cfg, kw = reference_setup(name, request)
         dumps = set()
-        for pairs in (1, 12, trainer._PROBE_PAIRS):  # the tuple is built first
+        for pairs in (1, 12, 20, trainer._PROBE_PAIRS):  # the tuple is built first
             monkeypatch.setattr(trainer, "_PROBE_PAIRS", pairs)
             dumps.add(json.dumps(asdict(grad_check(model, batch, loss_cfg, **kw))))
         assert len(dumps) == 1
