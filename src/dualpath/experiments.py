@@ -122,23 +122,23 @@ class ExperimentConfig:
 def load_experiment_config(source) -> ExperimentConfig:
     """Build a config from a JSON file path or an already-parsed dict.
 
-    Unknown keys are rejected so typos fail loudly.
+    Unknown keys are rejected so typos fail loudly, and a value of the
+    wrong JSON type raises ValueError naming its key.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
-            raw = json.load(fh)
-    else:
-        raw = dict(source)
+            source = json.load(fh)
+    raw = dict(_typed("the experiment config", source, dict))
     kwargs: dict = {}
     for section, cls in (("dataset", DatasetConfig), ("train", TrainConfig),
                          ("loss", LossConfig)):
-        block = raw.pop(section, {})
+        block = _typed(f"config key {section!r}", raw.pop(section, {}), dict)
         known = cls.__dataclass_fields__
         bad = set(block) - set(known)
         if bad:
             raise ValueError(f"unknown {section} config keys: {sorted(bad)}")
         kwargs[section] = cls(**block)
-    model_block = raw.pop("model", {})
+    model_block = _typed("config key 'model'", raw.pop("model", {}), dict)
     allowed_model = {"hidden_dim", "temperature", "share_shared_encoder"}
     bad = set(model_block) - allowed_model
     if bad:
@@ -146,7 +146,7 @@ def load_experiment_config(source) -> ExperimentConfig:
     kwargs.update(model_block)
     for key in ("sigmas", "seeds"):
         if key in raw:
-            kwargs[key] = tuple(raw.pop(key))
+            kwargs[key] = tuple(_typed(f"config key {key!r}", raw.pop(key), (list, tuple)))
     for key in ABLATION_FLAGS + ("out_dir",):
         if key in raw:
             kwargs[key] = raw.pop(key)
@@ -155,6 +155,14 @@ def load_experiment_config(source) -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
+
+
+def _typed(what: str, value, kind):
+    """``value`` if it is a ``kind``, else a ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, "
+                         f"got {value!r}")
+    return value
 
 
 # -- deterministic report writing ------------------------------------------
@@ -210,8 +218,11 @@ def train_runs(runs: list[tuple[ExperimentConfig, int]],
     them in one stacked forward; returns, per run, the model with its
     history, its metrics, its gate statistics and its eval forward on the
     test split. The configs may differ in their ``ABLATION_FLAGS`` only:
-    the loss weights and gate override those set."""
+    the loss weights and gate override those set. An empty test split is
+    rejected before any model is built."""
     train_data, val_data, test_data = splits
+    if len(test_data) == 0:
+        raise ValueError("the test split is empty: no metrics to compute")
     models = [Model(cfg.model_config(seed), cfg.gate_override()) for cfg, seed in runs]
     histories = train_models(models, train_data, val_data,
                              [replace(cfg.train, seed=seed) for cfg, seed in runs],

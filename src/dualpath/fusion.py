@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -45,15 +46,22 @@ class ModelConfig:
     init_seed: int = 0
 
     def validate(self) -> None:
+        """Raise ValueError naming the first bad field; a checkpoint's
+        config gets no other check."""
         require_integers(self, "feature_dim", "num_classes", "hidden_dim", "init_seed")
-        if self.feature_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("dims must be positive")
+        for name in ("feature_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"ModelConfig.{name} must be >= 1, got {getattr(self, name)!r}")
         if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if not (np.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError("temperature must be finite and > 0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ValueError("ModelConfig.num_classes must be >= 2")
+        t, p = self.temperature, self.dropout
+        if isinstance(t, bool) or not (isinstance(t, Real) and np.isfinite(t) and t > 0):
+            raise ValueError(f"ModelConfig.temperature must be a finite number > 0, got {t!r}")
+        if isinstance(p, bool) or not (isinstance(p, Real) and 0.0 <= p < 1.0):
+            raise ValueError(f"ModelConfig.dropout must be a number in [0, 1), got {p!r}")
+        if not isinstance(self.share_shared_encoder, (bool, np.bool_)):
+            raise ValueError(f"ModelConfig.share_shared_encoder must be a bool, "
+                             f"got {self.share_shared_encoder!r}")
 
 
 @dataclass
@@ -323,6 +331,8 @@ def load_checkpoint(path) -> Model:
         arr = np.frombuffer(take(8 * n, f"{name} data"), dtype="<f8").reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")
+        if name in values:
+            raise ValueError(f"checkpoint names parameter {name!r} twice")
         values[name] = arr.astype(np.float64)
     if pos != len(blob):
         raise ValueError(f"checkpoint has {len(blob) - pos} bytes after the last "

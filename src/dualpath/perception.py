@@ -44,19 +44,18 @@ REPORT_COLUMNS = (
 
 @dataclass
 class ConflictReport:
-    """Every intermediate of the perception chain for a batch. Shapes are
-    a plain model's; a stack's carry a leading model axis, (M, N, ...).
-    The per-modality dicts hold constant views; the tape runs through
-    ``unimodal``."""
+    """Every intermediate of the perception chain for a batch, each stage
+    once. Shapes are a plain model's; a stack's carry a leading model
+    axis, (M, N, ...). The per-modality blocks hold the modalities in
+    MODALITIES order."""
 
     centroid: Tensor          # (N, d_h)
-    deviations: dict          # modality -> (N, d_h), elementwise |private - centroid|
+    deviations: Tensor        # (N, 3 d_h), elementwise |private - centroid|
     diff_vector: Tensor       # (N, d_h)
     semantic_energy: Tensor   # (N, 1)
-    unimodal: Tensor          # (3, N, C) unimodal predictions, MODALITIES order
-    probs: dict               # modality -> (N, C), its slice of ``unimodal``
+    unimodal: Tensor          # (3, N, C) unimodal predictions
     js_div: Tensor            # (N, 1)
-    entropies: dict           # modality -> (N, 1), normalized to [0, 1]
+    entropies: Tensor         # (N, 3), normalized to [0, 1]
     stat_bias: Tensor         # (N, 1)
     conflict_energy: Tensor   # (N, 1)
     gated_diff: Tensor        # (N, d_h)
@@ -67,8 +66,7 @@ class ConflictReport:
         """Diagnostic record per sample, (..., N, 11), columns as in
         REPORT_COLUMNS."""
         cols = [
-            self.semantic_energy.data, self.js_div.data,
-            *(self.entropies[m].data for m in MODALITIES),
+            self.semantic_energy.data, self.js_div.data, self.entropies.data,
             self.stat_bias.data, self.conflict_energy.data,
             self.trust.data, self.gate.data,
         ]
@@ -157,7 +155,6 @@ class Perception(Module):
         if temperature <= 0:
             raise ValueError("temperature must be > 0")
         self.name = "perception"
-        self.hidden_dim = hidden_dim
         self.num_classes = num_classes
         self.temperature = float(temperature)
         self.diff_proj = Affine(rng.child("diff_proj"), 3 * hidden_dim, hidden_dim,
@@ -229,13 +226,9 @@ class Perception(Module):
         energy, gated = self.conflict_vector(sem, bias, diff_vector)
         trust = self.reliability_weights(gated, ents)
         gate = self.gating_factor(gated, js)
-        d, mods = self.hidden_dim, list(enumerate(MODALITIES))
         return ConflictReport(
-            centroid=centroid,
-            deviations={m: constant(devs.data[..., i * d:(i + 1) * d]) for i, m in mods},
-            diff_vector=diff_vector, semantic_energy=sem, unimodal=probs,
-            probs={m: constant(probs.data[..., i, :, :]) for i, m in mods}, js_div=js,
-            entropies={m: constant(ents.data[..., i:i + 1]) for i, m in mods},
+            centroid=centroid, deviations=devs, diff_vector=diff_vector,
+            semantic_energy=sem, unimodal=probs, js_div=js, entropies=ents,
             stat_bias=bias, conflict_energy=energy, gated_diff=gated,
             trust=trust, gate=gate,
         )

@@ -42,11 +42,13 @@ three modalities' slices when one is perturbed; ``diff_loss`` and
 ``sim_loss`` fan out only the perturbed ones. A member watch of the kinks
 records such a shared slice's kinks once, fanned out over the members,
 and the round is judged in one pass, one array comparison per kink
-record across its pairs. A stack slice is bit for bit its model's own forward, so the
-result is exactly that of probing one coordinate at a time, and the
-model itself is never written. A group takes a new coordinate only
-while its checked and in-flight probes fall short of its quota, so the
-coordinates probed are those a one-at-a-time loop would probe.
+record across its pairs. The analytic pass runs on the same stack, so
+the model is only read: neither its parameters nor its gradients are
+written. A stack slice is bit for bit its model's own forward, so the
+result is exactly that of probing one coordinate at a time. A group
+takes a new coordinate only while its checked and in-flight probes fall
+short of its quota, so the coordinates probed are those a one-at-a-time
+loop would probe.
 """
 
 from __future__ import annotations
@@ -195,16 +197,16 @@ class AdamW:
 def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
     """Walk the pipeline in execution order; name the first bad stage."""
     rep = out.report
-    stages = [(f"{kind}_{m}", feats[m]) for m in MODALITIES
+    stages = [(f"{kind}_{m}", feats[m].data) for m in MODALITIES
               for kind, feats in (("shared", out.shared), ("private", out.private))]
-    stages += [("intuition_repr", out.intuition_repr), ("diff_vector", rep.diff_vector),
-               ("semantic_energy", rep.semantic_energy)]
-    stages += [(f"unimodal_probs_{m}", rep.probs[m]) for m in MODALITIES]
-    stages += [(name, getattr(rep, name)) for name in (
+    stages += [("intuition_repr", out.intuition_repr.data),
+               ("diff_vector", rep.diff_vector.data), ("semantic_energy", rep.semantic_energy.data)]
+    stages += zip([f"unimodal_probs_{m}" for m in MODALITIES], rep.unimodal.data)
+    stages += [(name, getattr(rep, name).data) for name in (
         "js_div", "stat_bias", "conflict_energy", "gated_diff", "trust", "gate")]
-    stages += [(name, getattr(out, name)) for name in ("reasoning_repr", "fused", "probs")]
-    for name, t in stages:
-        if not np.all(np.isfinite(t.data)):
+    stages += [(name, getattr(out, name).data) for name in ("reasoning_repr", "fused", "probs")]
+    for name, data in stages:
+        if not np.all(np.isfinite(data)):
             return name
     for name in COMPONENT_ORDER:
         if name in parts and not np.isfinite(parts[name]):
@@ -388,8 +390,8 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
                seed: int = 0, corrupt_hook=None) -> GradCheckResult:
     """Certify analytic gradients of the full objective against central
     differences, >= coords_per_group coordinates per parameter group
-    (capped at group size). ``model`` is never written: the probes
-    perturb a stack of copies of it.
+    (capped at group size). ``model`` is only read: the analytic pass and
+    the probes run on a stack of copies of it.
 
     ``corrupt_hook`` receives the analytic gradient dict before the
     comparison; tests use it to verify the checker actually detects a
@@ -400,50 +402,45 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         raise ValueError(f"coords_per_group must be an integer >= 1, got {coords_per_group!r}")
     loss_cfg.validate()
     labels = batch.labels
-    params = model.params()
-    for p in params.values():
-        p.grad = None
-    out = model.forward_batch(batch.text, batch.video, batch.audio, train=False)
-    loss, _ = total_loss(out, labels, loss_cfg)
-    loss.backward()
-    grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+    # A stack of copies of the model whose groups keep their (1, ...) stack
+    # shape, so in a probe round each op runs once until it meets a group
+    # with the member axis; a round gives only the groups it perturbs
+    # (members, ...) copies and drops them after its forward.
+    stack = Model.stack([model])
+    params = stack.params()
+    out = stack.forward_batch(batch.text, batch.video, batch.audio, train=False)
+    total_loss(out, labels, loss_cfg)[0].backward()
+    del out  # the graph goes before the first round
+    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
              for name, p in params.items()}
     if corrupt_hook is not None:
         corrupt_hook(grads)
 
-    names = list(params)
-    flats = [p.data.reshape(-1) for p in params.values()]
+    names, tensors = list(params), list(params.values())
+    shared = [t.data for t in tensors]
+    flats = [a.reshape(-1) for a in shared]
     gflats = [grads[name].reshape(-1) for name in names]
     rng = Rng(seed, "gradcheck")
     pools = [list(rng.child(name).permutation(flat.size)) for name, flat in zip(names, flats)]
     wants = [min(flat.size, coords_per_group) for flat in flats]
     done = [0] * len(names)
     in_flight = [0] * len(names)
-    # per group, in pop order: a probe's relative error, or the kink kind
-    # that resampled it
-    outcomes: list[list] = [[] for _ in names]
+    worst = [0.0] * len(names)  # per group, the largest relative error so far
+    by_kind: dict[str, int] = {}
     steps = (PROBE_STEP, PROBE_STEP / 10.0, PROBE_STEP / 100.0)
     members = 2 * _PROBE_PAIRS
-    # A stack of `members` copies of the model whose groups keep their
-    # (1, ...) stack shape, so each op runs once until it meets a group
-    # with the member axis; a round gives only the groups it perturbs
-    # (members, ...) copies and drops them after its forward.
-    stack = Model.stack([model])
-    tensors = list(stack.params().values())
-    shared = [t.data for t in tensors]
-    retries: list[tuple[int, int, int, int]] = []
+    retries: list[tuple[int, int, int]] = []
     while True:
-        # (group, coordinate, outcome slot, step index) per pair of members
+        # (group, coordinate, step index) per pair of members
         probes, retries = retries, []
         for g, pool in enumerate(pools):
             while len(probes) < _PROBE_PAIRS and pool and done[g] + in_flight[g] < wants[g]:
-                probes.append((g, int(pool.pop()), len(outcomes[g]), 0))
-                outcomes[g].append(None)
+                probes.append((g, int(pool.pop()), 0))
                 in_flight[g] += 1
         if not probes:
             break
         rows = {}
-        for j, (g, i, _, k) in enumerate(probes):
+        for j, (g, i, k) in enumerate(probes):
             if g not in rows:
                 tensors[g].data = np.repeat(shared[g], members, axis=0)
                 rows[g] = tensors[g].data.reshape(members, -1)
@@ -462,34 +459,25 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         # the IEEE operations of a pair-at-a-time loop in the same order
         values = np.broadcast_to(values, (members,))
         fd = (values[0:2 * pairs:2] - values[1:2 * pairs:2]) / (2.0 * step)
-        g_i = np.array([gflats[g][i] for g, i, _, _ in probes])
+        g_i = np.array([gflats[g][i] for g, i, _ in probes])
         # an infinite analytic gradient's inf / inf is its intended NaN error
         with np.errstate(invalid="ignore"):
             errors = np.abs(fd - g_i) / np.maximum(np.maximum(np.abs(fd), np.abs(g_i)), 1e-8)
-        for j, (g, i, slot, k) in enumerate(probes):
+        for j, (g, i, k) in enumerate(probes):
             kind = crossed[j]
             if kind is None:
-                outcomes[g][slot] = errors[j]
+                worst[g] = np.maximum(worst[g], errors[j])  # a NaN error stays NaN
                 done[g] += 1
             elif k + 1 < len(steps) and only_abs[j]:
-                retries.append((g, i, slot, k + 1))
+                retries.append((g, i, k + 1))
                 continue
             else:
-                outcomes[g][slot] = kind
+                by_kind[kind] = by_kind.get(kind, 0) + 1
             in_flight[g] -= 1
 
-    per_group: dict[str, float] = {}
-    by_kind: dict[str, int] = {}
-    for name, results in zip(names, outcomes):
-        worst = 0.0
-        for res in results:
-            if isinstance(res, str):
-                by_kind[res] = by_kind.get(res, 0) + 1
-            else:
-                worst = np.maximum(worst, res)  # a NaN error stays NaN
-        per_group[name] = float(worst)
+    per_group = {name: float(w) for name, w in zip(names, worst)}
     checked = sum(done)
-    return GradCheckResult(max_rel_error=float(np.max(list(per_group.values()))),
+    return GradCheckResult(max_rel_error=float(np.max(worst)),
                            per_group=per_group, coords_checked=checked,
                            resampled=sum(by_kind.values()),
                            skipped=sum(wants) - checked,

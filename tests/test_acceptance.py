@@ -131,10 +131,10 @@ def test_criterion_3_runtime_invariants_hold_under_random_probes():
     probs = out.probs.data
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
     assert (probs > 0).all()
-    for m in MODS:
-        uni = report.probs[m].data
+    for i in range(len(MODS)):
+        uni = report.unimodal.data[i]
         assert np.abs(uni.sum(axis=1) - 1.0).max() < 1e-12
-        ent = report.entropies[m].data
+        ent = report.entropies.data[:, i:i + 1]
         assert (ent >= -1e-12).all() and (ent <= 1.0 + 1e-12).all()
 
     trust = report.trust.data
@@ -212,11 +212,12 @@ def test_criterion_4_forward_pass_matches_independent_trace():
             "probs": out.probs.data[0],
             "rea_logits": out.rea_logits.data[0],
         }
-        for m in MODS:
+        d = model.config.hidden_dim
+        for i, m in enumerate(MODS):
             got[f"shared_{m}"] = out.shared[m].data[0]
             got[f"private_{m}"] = out.private[m].data[0]
-            got[f"dev_{m}"] = out.report.deviations[m].data[0]
-            got[f"probs_{m}"] = out.report.probs[m].data[0]
+            got[f"dev_{m}"] = out.report.deviations.data[0, i * d:(i + 1) * d]
+            got[f"probs_{m}"] = out.report.unimodal.data[i, 0]
         for key in scalar_keys:
             assert abs(got[key] - trace[key]) <= tol, (k, key)
             checked += 1

@@ -93,6 +93,9 @@ class TestConfig:
         ({"sigmas": [float("inf")]}, "sigmas"),
         ({"sigmas": [-0.1]}, "sigmas"),
         ({"sigmas": "0.5"}, "sigmas"),
+        ({"sigmas": 0.5}, "'sigmas'"),
+        ({"seeds": 5}, "'seeds'"),
+        ({"seeds": {"0": 1}}, "'seeds'"),
         ({"seeds": [1.5]}, "seeds"),
         ({"seeds": ["1"]}, "seeds"),
         ({"seeds": []}, "seed"),
@@ -189,6 +192,23 @@ class TestLoadConfig:
     def test_flag_conflict_rejected(self):
         with pytest.raises(ValueError):
             load_experiment_config({"no_int": True, "no_rea": True})
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"dataset": None}, "'dataset'"),
+        ({"train": [2]}, "'train'"),
+        ({"loss": "default"}, "'loss'"),
+        ({"model": 6}, "'model'"),
+        ([1, 2], "experiment config"),
+        (None, "experiment config"),
+    ])
+    def test_a_value_of_the_wrong_json_type_names_its_key(self, tmp_path, raw, key):
+        """From a file or as parsed: a ValueError naming the key, not a
+        TypeError from deep inside the loader."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        for source in (path, raw):
+            with pytest.raises(ValueError, match=key):
+                load_experiment_config(source)
 
 
 class TestReportWriting:
@@ -307,6 +327,18 @@ STOPPING = replace(TINY, dataset=replace(TINY.dataset, n_train=120, n_val=40, se
                    train=replace(TINY.train, max_epochs=8, patience=2,
                                  learning_rate=3e-3),
                    seeds=(0, 1))
+
+
+@pytest.mark.parametrize("runner", [
+    run_main, run_ablation, run_robustness, lambda cfg, out: train_single(cfg, 0)])
+def test_an_empty_test_split_fails_before_training(tmp_path, monkeypatch, runner):
+    def train_models(*args, **kwargs):
+        raise AssertionError("trained before the test split was checked")
+
+    monkeypatch.setattr(experiments, "train_models", train_models)
+    cfg = replace(TINY, dataset=replace(TINY.dataset, n_test=0))
+    with pytest.raises(ValueError, match="test split is empty"):
+        runner(cfg, str(tmp_path))
 
 
 @pytest.mark.parametrize("runner", [run_main, run_ablation, run_robustness])

@@ -1,6 +1,8 @@
 """Model assembly: pathway mixing, gate overrides, checkpoint format."""
 
-from dataclasses import replace
+import json
+import struct
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -224,6 +226,39 @@ class TestGateOverride:
             unablated.probs.data, model.forward_batch(*batch).probs.data)
 
 
+BAD_CONFIG_FIELDS = [
+    ("feature_dim", 0), ("hidden_dim", 0), ("hidden_dim", -2),
+    ("temperature", True), ("temperature", "1.0"), ("temperature", None),
+    ("dropout", "0.1"), ("dropout", None), ("dropout", False),
+    ("share_shared_encoder", "yes"), ("share_shared_encoder", 1),
+]
+
+
+def checkpoint_blob(blob: bytes, config: dict | None = None, repeat: str | None = None
+                    ) -> bytes:
+    """A saved checkpoint's bytes with the config block replaced by
+    ``config`` and, for ``repeat``, that parameter's section appended
+    once more and the section count bumped."""
+    (cfg_len,) = struct.unpack_from("<I", blob, 6)
+    head, rest = blob[:6], blob[10 + cfg_len:]
+    cfg_blob = blob[10:10 + cfg_len] if config is None else json.dumps(config).encode()
+    (count,) = struct.unpack_from("<I", rest)
+    pos = 4
+    for _ in range(count):
+        start = pos
+        (name_len,) = struct.unpack_from("<H", rest, pos)
+        name = rest[pos + 2:pos + 2 + name_len].decode()
+        pos += 2 + name_len
+        ndim = rest[pos]
+        shape = struct.unpack_from(f"<{ndim}I", rest, pos + 1)
+        pos += 1 + 4 * ndim + 8 * int(np.prod(shape))
+        if name == repeat:
+            rest += rest[start:pos]
+            count += 1
+    return (head + struct.pack("<I", len(cfg_blob)) + cfg_blob
+            + struct.pack("<I", count) + rest[4:])
+
+
 class TestConfigValidation:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -243,6 +278,13 @@ class TestConfigValidation:
     def test_rejects_non_finite_temperature(self, value):
         with pytest.raises(ValueError, match="temperature"):
             ModelConfig(temperature=value).validate()
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
+    def test_names_the_bad_field(self, field, value):
+        """Each bad value, a wrongly typed one included, is a ValueError
+        that names its field."""
+        with pytest.raises(ValueError, match=f"ModelConfig.{field} "):
+            ModelConfig(**{field: value}).validate()
 
 
 class TestParams:
@@ -343,6 +385,27 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         with pytest.raises(ValueError, match="'head.bias' holds a non-finite"):
+            load_checkpoint(path)
+
+    def test_rejects_a_repeated_parameter(self, tmp_path):
+        """A file that names a parameter twice, the count bumped to match,
+        raises instead of letting the later copy win."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Model(CFG))
+        name = "decoupler.private_audio.lin1.bias"
+        path.write_bytes(checkpoint_blob(path.read_bytes(), repeat=name))
+        with pytest.raises(ValueError, match=f"'{name}' twice"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
+    def test_rejects_a_bad_config_block(self, tmp_path, field, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Model(CFG))
+        blob = path.read_bytes()
+        path.write_bytes(checkpoint_blob(blob, config=asdict(CFG)))
+        assert load_checkpoint(path).config == CFG  # the rewrite alone is harmless
+        path.write_bytes(checkpoint_blob(blob, config={**asdict(CFG), field: value}))
+        with pytest.raises(ValueError, match=f"ModelConfig.{field} "):
             load_checkpoint(path)
 
     def test_set_params_validates(self):

@@ -364,9 +364,11 @@ class TestFullChain:
             arrays = [rep.centroid, rep.diff_vector, rep.semantic_energy, rep.js_div,
                       rep.stat_bias, rep.conflict_energy, rep.gated_diff, rep.trust,
                       rep.gate, out.reasoning_repr]
-            for m in MODALITIES:
-                arrays += [rep.deviations[m], rep.probs[m], rep.entropies[m]]
-            return [a.data for a in arrays]
+            d = model.config.hidden_dim
+            return [a.data for a in arrays] + [
+                block for i in range(3) for block in (
+                    rep.deviations.data[:, i * d:(i + 1) * d], rep.unimodal.data[i],
+                    rep.entropies.data[:, i:i + 1])]
 
         base = watched()
         for kind, moves in (("shared", False), ("private", True)):

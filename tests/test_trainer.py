@@ -15,7 +15,7 @@ from dualpath.fusion import Model, ModelConfig, load_checkpoint, save_checkpoint
 from dualpath.losses import LossConfig, total_loss
 from dualpath.rng import Rng
 from dualpath.synthdata import Dataset, DatasetConfig, generate
-from dualpath.tensor import Tensor, no_grad
+from dualpath.tensor import Tensor, is_recording, no_grad
 from dualpath.trainer import (AdamW, DivergenceError, GradCheckResult,
                               TrainConfig, default_val_metric,
                               grad_check, train, train_models)
@@ -762,22 +762,22 @@ class TestStackedProbes:
     def test_default_check_makes_one_forward_per_round(self, monkeypatch):
         """A fresh default model certifies 811 coordinates without a
         resample. One probe at a time that took 1 + 2 x 811 = 1623
-        forwards; in rounds of ``_PROBE_PAIRS`` pairs it takes the
-        analytic forward on the model itself and one per round on a stack."""
+        forwards; in rounds of ``_PROBE_PAIRS`` pairs it takes one recorded
+        analytic forward and one unrecorded forward per round, all on a
+        stack and none on the model itself."""
         model, batch, loss_cfg, kw = perfbench_setup(1)
         forward = Model.forward_batch
         calls = []
 
         def counting(self, *args, **kwargs):
-            calls.append(self is model)
+            calls.append((self is model, is_recording()))
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(Model, "forward_batch", counting)
         result = grad_check(model, batch, loss_cfg, **kw)
         assert result.coords_checked == 811 and result.resampled == 0
         rounds = math.ceil(811 / trainer._PROBE_PAIRS)
-        assert len(calls) == 1 + rounds
-        assert calls == [True] + [False] * rounds
+        assert calls == [(False, True)] + [(False, False)] * rounds
 
     def test_a_round_gives_the_member_axis_only_to_the_groups_it_perturbs(
             self, monkeypatch):
@@ -790,7 +790,7 @@ class TestStackedProbes:
         rounds = []
 
         def recording(self, *args, **kwargs):
-            if self.stack_size is not None:
+            if not is_recording():  # a probe round, not the analytic pass
                 rounds.append({name: (len(p.data), any(not np.array_equal(p.data[0], q)
                                                        for q in p.data[1:]))
                                for name, p in self.params().items()})
@@ -837,9 +837,10 @@ class TestStackedProbes:
         assert only_abs == [False, True, False, False, False]
 
     def test_never_writes_the_model(self, small_batch, monkeypatch):
-        """The probes perturb a stack of copies: a member bound to an
-        optimizer arena keeps its parameters and its arena bytes, also
-        when the loss raises in the middle of a probe."""
+        """The analytic pass and the probes run on a stack of copies: a
+        member bound to an optimizer arena keeps its parameters, its arena
+        bytes and the gradients it holds, also when the loss raises in the
+        middle of a probe."""
         members = [Model(replace(SMALL_MODEL, init_seed=s)) for s in (5, 6)]
         stack = Model.stack(members)
         opt = AdamW(stack.params(), TrainConfig())
@@ -847,12 +848,16 @@ class TestStackedProbes:
         model = members[1]
         arena = opt.arena.tobytes()
         before = {k: a.tobytes() for k, a in model.snapshot().items()}
+        sentinels = {}
+        for name, p in model.params().items():
+            p.grad = sentinels[name] = np.full(p.data.shape, 7.0)
 
         def assert_untouched():
             assert opt.arena.tobytes() == arena
             for name, p in model.params().items():
                 assert p.data.tobytes() == before[name], name
                 assert np.shares_memory(p.data, opt.arena), name
+                assert p.grad is sentinels[name] and (p.grad == 7.0).all(), name
 
         grad_check(model, small_batch, LossConfig(), coords_per_group=4)
         assert_untouched()
