@@ -75,12 +75,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    elif getattr(args, "seed", None) is not None:
+    for flag, kind in (("seeds", int), ("sigmas", float)):
+        text = getattr(args, flag, None)
+        if text is not None:
+            try:
+                overrides[flag] = tuple(kind(s) for s in text.split(","))
+            except ValueError:
+                raise ValueError(f"--{flag} takes a comma-separated list, "
+                                 f"got {text!r}") from None
+    if args.seed is not None:
+        if "seeds" in overrides:
+            raise ValueError("--seed and --seeds both set the run seeds; give one")
         overrides["seeds"] = (args.seed,)
-    if getattr(args, "sigmas", None):
-        overrides["sigmas"] = tuple(float(s) for s in args.sigmas.split(","))
     for flag in ABLATION_FLAGS:
         if getattr(args, flag, None):
             overrides[flag] = True

@@ -15,7 +15,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from dualpath.metrics import Metrics, eval_forward, gate_stats, output_metrics
 from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
-                                inject_noise_dataset, require_integers)
+                                inject_noise_dataset, is_number, json_object,
+                                require_bools, require_integers, require_numbers)
 from dualpath.trainer import TrainConfig, TrainHistory, train_models
 
 ABLATION_FLAGS = ("no_int", "no_rea", "no_sim", "no_diff", "no_uni", "no_rea_loss")
@@ -55,25 +56,16 @@ class ExperimentConfig:
         self.dataset.validate()
         self.train.validate()
         self.loss.validate()
-        for name in ("share_shared_encoder",) + ABLATION_FLAGS:
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"ExperimentConfig.{name} must be a bool, "
-                                 f"got {getattr(self, name)!r}")
+        require_bools(self, "share_shared_encoder", *ABLATION_FLAGS)
         if self.hidden_dim is not None:
-            require_integers(self, "hidden_dim")
-            if self.hidden_dim < 1:
-                raise ValueError(f"ExperimentConfig.hidden_dim must be None or >= 1, "
-                                 f"got {self.hidden_dim!r}")
-        t = self.temperature
-        if isinstance(t, bool) or not (isinstance(t, Real) and np.isfinite(t) and t > 0):
-            raise ValueError(f"ExperimentConfig.temperature must be a finite number > 0, "
-                             f"got {t!r}")
+            require_integers(self, "hidden_dim", low=1)
+        require_numbers(self, "(0, inf)", "temperature")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"ExperimentConfig.out_dir must be a string, "
                              f"got {self.out_dir!r}")
         if self.no_int and self.no_rea:
             raise ValueError("no_int and no_rea cannot both be set")
-        if not all(isinstance(s, Real) and np.isfinite(s) and s >= 0 for s in self.sigmas):
+        if not all(is_number(s, "[0, inf)") for s in self.sigmas):
             raise ValueError(f"sigmas must be finite numbers >= 0, got {self.sigmas!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
@@ -128,41 +120,22 @@ def load_experiment_config(source) -> ExperimentConfig:
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             source = json.load(fh)
-    raw = dict(_typed("the experiment config", source, dict))
-    kwargs: dict = {}
-    for section, cls in (("dataset", DatasetConfig), ("train", TrainConfig),
-                         ("loss", LossConfig)):
-        block = _typed(f"config key {section!r}", raw.pop(section, {}), dict)
-        known = cls.__dataclass_fields__
-        bad = set(block) - set(known)
-        if bad:
-            raise ValueError(f"unknown {section} config keys: {sorted(bad)}")
-        kwargs[section] = cls(**block)
-    model_block = _typed("config key 'model'", raw.pop("model", {}), dict)
-    allowed_model = {"hidden_dim", "temperature", "share_shared_encoder"}
-    bad = set(model_block) - allowed_model
-    if bad:
-        raise ValueError(f"unknown model config keys: {sorted(bad)}")
-    kwargs.update(model_block)
+    sections = {"dataset": DatasetConfig, "train": TrainConfig, "loss": LossConfig}
+    raw = json_object(source, (*sections, "model", "sigmas", "seeds", "out_dir",
+                               *ABLATION_FLAGS), "")
+    kwargs = {key: cls(**json_object(raw.get(key, {}), cls.__dataclass_fields__, key))
+              for key, cls in sections.items()}
+    kwargs.update(json_object(raw.get("model", {}), ("hidden_dim", "temperature",
+                                                     "share_shared_encoder"), "model"))
     for key in ("sigmas", "seeds"):
         if key in raw:
-            kwargs[key] = tuple(_typed(f"config key {key!r}", raw.pop(key), (list, tuple)))
-    for key in ABLATION_FLAGS + ("out_dir",):
-        if key in raw:
-            kwargs[key] = raw.pop(key)
-    if raw:
-        raise ValueError(f"unknown config keys: {sorted(raw)}")
+            if not isinstance(raw[key], (list, tuple)):
+                raise ValueError(f"config key {key!r} must be a JSON list, got {raw[key]!r}")
+            kwargs[key] = tuple(raw[key])
+    kwargs.update((key, raw[key]) for key in ABLATION_FLAGS + ("out_dir",) if key in raw)
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
-
-
-def _typed(what: str, value, kind):
-    """``value`` if it is a ``kind``, else a ValueError naming ``what``."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, "
-                         f"got {value!r}")
-    return value
 
 
 # -- deterministic report writing ------------------------------------------

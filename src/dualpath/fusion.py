@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from numbers import Real
 
 import numpy as np
 
@@ -28,7 +27,8 @@ from dualpath.intuition import IntuitionPath
 from dualpath.layers import Affine, Module
 from dualpath.perception import ConflictReport, Perception
 from dualpath.rng import Rng
-from dualpath.synthdata import MODALITIES, require_integers
+from dualpath.synthdata import (MODALITIES, json_object, require_bools, require_integers,
+                                require_numbers)
 from dualpath.tensor import Tensor, _unbroadcast, constant, node
 
 CHECKPOINT_MAGIC = b"DPCK"
@@ -46,22 +46,14 @@ class ModelConfig:
     init_seed: int = 0
 
     def validate(self) -> None:
-        """Raise ValueError naming the first bad field; a checkpoint's
-        config gets no other check."""
-        require_integers(self, "feature_dim", "num_classes", "hidden_dim", "init_seed")
-        for name in ("feature_dim", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.num_classes < 2:
-            raise ValueError("ModelConfig.num_classes must be >= 2")
-        t, p = self.temperature, self.dropout
-        if isinstance(t, bool) or not (isinstance(t, Real) and np.isfinite(t) and t > 0):
-            raise ValueError(f"ModelConfig.temperature must be a finite number > 0, got {t!r}")
-        if isinstance(p, bool) or not (isinstance(p, Real) and 0.0 <= p < 1.0):
-            raise ValueError(f"ModelConfig.dropout must be a number in [0, 1), got {p!r}")
-        if not isinstance(self.share_shared_encoder, (bool, np.bool_)):
-            raise ValueError(f"ModelConfig.share_shared_encoder must be a bool, "
-                             f"got {self.share_shared_encoder!r}")
+        """Raise ValueError naming the first bad field. ``Model`` runs it on
+        every config it is built from, a checkpoint's included."""
+        require_integers(self, "init_seed")
+        require_integers(self, "feature_dim", "hidden_dim", low=1)
+        require_integers(self, "num_classes", low=2)
+        require_numbers(self, "(0, inf)", "temperature")
+        require_numbers(self, "[0, 1)", "dropout")
+        require_bools(self, "share_shared_encoder")
 
 
 @dataclass
@@ -300,7 +292,8 @@ def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint. A file shorter than its contents
     say, or longer, raises ValueError naming what was being read; a NaN or
     infinite parameter value raises ValueError naming the first such
-    parameter."""
+    parameter. A config block that is not a JSON object naming every
+    ``ModelConfig`` field and no other, each valid, raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = 0
@@ -319,7 +312,11 @@ def load_checkpoint(path) -> Model:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    config = ModelConfig(**json.loads(take(cfg_len, "config").decode("utf-8")))
+    names = ModelConfig.__dataclass_fields__
+    block = json_object(json.loads(take(cfg_len, "config").decode("utf-8")), names, "checkpoint")
+    if len(block) < len(names):
+        raise ValueError(f"checkpoint config lacks {sorted(set(names) - set(block))}")
+    config = ModelConfig(**block)
     (count,) = struct.unpack("<I", take(4, "parameter count"))
     values: dict[str, np.ndarray] = {}
     for k in range(count):

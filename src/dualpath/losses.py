@@ -36,7 +36,7 @@ import numpy as np
 
 from dualpath.functional import guarded_sqrt, one_hot, softmax, stack_slices
 from dualpath.fusion import ModelOutput
-from dualpath.synthdata import MODALITIES, require_integers
+from dualpath.synthdata import MODALITIES, require_integers, require_numbers
 from dualpath.tensor import Tensor, _note_kink, is_recording, node
 
 log = logging.getLogger(__name__)
@@ -60,13 +60,8 @@ class LossConfig:
     moment_order: int = 5
 
     def validate(self) -> None:
-        for name in WEIGHTS:
-            weight = np.asarray(getattr(self, name))
-            if not np.all(np.isfinite(weight) & (weight >= 0)):
-                raise ValueError(f"{name} must be finite and >= 0")
-        require_integers(self, "moment_order")
-        if self.moment_order < 1:
-            raise ValueError("moment_order must be >= 1")
+        require_numbers(self, "[0, inf)", *WEIGHTS)
+        require_integers(self, "moment_order", low=1)
 
 
 def stack_loss_configs(cfgs: list[LossConfig]) -> LossConfig:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,19 +38,12 @@ class DatasetConfig:
     seed: int = 7
 
     def validate(self) -> None:
-        require_integers(self, "num_classes", "feature_dim", "n_train", "n_val",
-                         "n_test", "seed")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.feature_dim < 4:
-            raise ValueError("feature_dim must be >= 4")
-        if not 0.0 <= self.conflict_rate <= 1.0:
-            raise ValueError("conflict_rate must lie in [0, 1]")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError("noise_std must be finite and >= 0")
-        for name in ("n_train", "n_val", "n_test"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        require_integers(self, "seed")
+        require_integers(self, "n_train", "n_val", "n_test", low=0)
+        require_integers(self, "num_classes", low=2)
+        require_integers(self, "feature_dim", low=4)
+        require_numbers(self, "[0, 1]", "conflict_rate")
+        require_numbers(self, "[0, inf)", "noise_std")
         if self.num_classes > 2 ** self.feature_dim:
             raise ValueError(
                 "cannot separate %d anchors in %d dimensions"
@@ -58,15 +51,58 @@ class DatasetConfig:
             )
 
 
-def require_integers(config, *names: str) -> None:
+def require_integers(config, *names: str, low: int | None = None) -> None:
     """Raise ValueError naming the first field of ``names`` that is not an
-    integer. Floats fail even when whole, and so do bools; numpy integers
-    pass."""
+    integer >= ``low`` (if given). Floats fail even when whole, and so do
+    bools; numpy integers pass."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{type(config).__name__}.{name} must be an integer, "
+        if (isinstance(value, bool) or not isinstance(value, Integral)
+                or low is not None and value < low):
+            bound = "" if low is None else f" >= {low}"
+            raise ValueError(f"{type(config).__name__}.{name} must be an integer{bound}, "
                              f"got {value!r}")
+
+
+def is_number(value, interval: str) -> bool:
+    """Whether ``value`` is an int or float, numpy scalars included, in
+    ``interval``, written like "[0, 1)" or "(0, inf)": an infinite end is
+    open, so NaN and infinities fail. A bool, a string or None never passes."""
+    low, high = map(float, interval[1:-1].split(","))
+    return (not isinstance(value, bool) and isinstance(value, Real)
+            and (low < value or interval[0] == "[" and low == value)
+            and (value < high or interval[-1] == "]" and value == high))
+
+
+def require_numbers(config, interval: str, *names: str) -> None:
+    """Raise ValueError naming the first field of ``names`` that is neither a
+    number in ``interval`` nor a numpy array of them (a stack's weights)."""
+    for name in names:
+        value = getattr(config, name)
+        entries = value.ravel().tolist() if isinstance(value, np.ndarray) else (value,)
+        if not all(is_number(v, interval) for v in entries):
+            raise ValueError(f"{type(config).__name__}.{name} must be a finite number "
+                             f"in {interval}, got {value!r}")
+
+
+def require_bools(config, *names: str) -> None:
+    """Raise ValueError naming the first field of ``names`` that is not a bool."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{type(config).__name__}.{name} must be a bool, got {value!r}")
+
+
+def json_object(block, keys, section: str) -> dict:
+    """``block`` if it is a JSON object whose keys all lie in ``keys``; else a
+    ValueError naming ``section`` ("" for a whole experiment config)."""
+    if not isinstance(block, dict):
+        what = f"the {section!r} config" if section else "the experiment config"
+        raise ValueError(f"{what} must be a JSON object, got {block!r}")
+    unknown = sorted(set(block).difference(keys))
+    if unknown:
+        raise ValueError(f"unknown {section + ' ' if section else ''}config keys: {unknown}")
+    return block
 
 
 @dataclass

@@ -62,7 +62,7 @@ from dualpath.fusion import Model, ModelOutput
 from dualpath.losses import COMPONENT_ORDER, LossConfig, stack_loss_configs, total_loss
 from dualpath.metrics import eval_forward
 from dualpath.rng import Rng, StackedRng
-from dualpath.synthdata import Dataset, MODALITIES, require_integers
+from dualpath.synthdata import Dataset, MODALITIES, require_integers, require_numbers
 from dualpath.tensor import no_grad, watch_kinks
 
 
@@ -89,22 +89,11 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def validate(self) -> None:
-        require_integers(self, "max_epochs", "batch_size", "patience", "seed")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if not 0.0 <= self.warmup_proportion < 1.0:
-            raise ValueError("warmup_proportion must lie in [0, 1)")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be >= 1")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError("learning_rate must be finite and >= 0")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError("weight_decay must be finite and >= 0")
-        for name in ("dropout", "beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be finite and > 0")
+        require_integers(self, "seed")
+        require_integers(self, "max_epochs", "batch_size", "patience", low=1)
+        require_numbers(self, "[0, 1)", "warmup_proportion", "dropout", "beta1", "beta2")
+        require_numbers(self, "[0, inf)", "learning_rate", "weight_decay")
+        require_numbers(self, "(0, inf)", "epsilon")
 
 
 @dataclass
@@ -236,6 +225,10 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
     stops early leaves the stack; each ends at the parameters of its best
     validation epoch, scored by ``default_val_metric``. A non-finite
     training loss or validation score raises DivergenceError."""
+    if not models or len(cfgs) != len(models) or len(loss_cfgs) != len(models):
+        raise ValueError(f"need one TrainConfig and one LossConfig per model, got "
+                         f"{len(models)} models, {len(cfgs)} train configs and "
+                         f"{len(loss_cfgs)} loss configs")
     cfg = cfgs[0]
     for c in cfgs:
         c.validate()

@@ -92,6 +92,8 @@ class TestConfig:
         ({"sigmas": [float("nan")]}, "sigmas"),
         ({"sigmas": [float("inf")]}, "sigmas"),
         ({"sigmas": [-0.1]}, "sigmas"),
+        ({"sigmas": [True]}, "sigmas"),
+        ({"sigmas": [0.1, True]}, "sigmas"),
         ({"sigmas": "0.5"}, "sigmas"),
         ({"sigmas": 0.5}, "'sigmas'"),
         ({"seeds": 5}, "'seeds'"),
@@ -625,6 +627,24 @@ class TestCli:
         assert captured.out == ""
         record = json.loads(captured.err)
         assert record["error"] == "ValueError" and cli_flag in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,named", [
+        (command, flags, named) for command in ("main", "ablate", "robust")
+        for flags, named in ((["--seed", "3", "--seeds", "1,2"], "--seeds"),
+                             (["--seeds", ""], "--seeds"))] + [
+        ("robust", ["--sigmas", ""], "--sigmas")])
+    def test_sweeps_reject_seed_and_sigma_flags_they_would_drop(self, tmp_path, capsys,
+                                                                command, flags, named):
+        """`--seed` with `--seeds`, or an empty list, fails before anything
+        runs instead of falling back to other seeds or noise levels."""
+        out = tmp_path / "run"
+        assert main([command, "--config", str(tiny_config_json(tmp_path)),
+                     "--out", str(out)] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError" and named in record["message"]
         assert not out.exists()
 
     def test_gen_and_eval_take_switches_from_the_config_file(self, tmp_path, capsys):

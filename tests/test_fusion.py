@@ -408,6 +408,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"ModelConfig.{field} "):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("config, match", [
+        ({**asdict(CFG), "depth": 3}, r"unknown checkpoint config keys: \['depth'\]"),
+        ([1, 2], "'checkpoint' config must be a JSON object"),
+        ({k: v for k, v in asdict(CFG).items() if k != "dropout"}, r"lacks \['dropout'\]"),
+    ], ids=["unknown_key", "not_an_object", "missing_dropout"])
+    def test_rejects_a_config_block_of_another_shape(self, tmp_path, config, match):
+        """The block names every ModelConfig field and no other; a missing
+        field does not fall back to its default."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Model(CFG))
+        path.write_bytes(checkpoint_blob(path.read_bytes(), config=config))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
     def test_set_params_validates(self):
         model = Model(CFG)
         with pytest.raises(KeyError):

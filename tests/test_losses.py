@@ -284,10 +284,11 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossConfig(moment_order=0).validate()
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1", None, True])
     @pytest.mark.parametrize("name", WEIGHTS)
     def test_config_rejects_non_finite_weights(self, name, value):
-        """A scalar weight, or one entry of a stack's (M,) weights."""
-        for weight in (value, np.array([0.1, value])):
+        """A scalar weight, or one entry of a stack's (M,) weights. A bool
+        only as a scalar: numpy stores [0.1, True] as floats."""
+        for weight in (value,) if isinstance(value, bool) else (value, np.array([0.1, value])):
             with pytest.raises(ValueError, match=name):
                 LossConfig(**{name: weight}).validate()

@@ -35,9 +35,12 @@ def test_config_rejects_bad_values():
         DatasetConfig(conflict_rate=1.5).validate()
     with pytest.raises(ValueError):
         DatasetConfig(noise_std=-0.1).validate()
+    for value in ("x", None, True):
+        with pytest.raises(ValueError, match="DatasetConfig.conflict_rate "):
+            DatasetConfig(conflict_rate=value).validate()
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "x", None, True])
 def test_config_rejects_non_finite_noise_std(value):
     with pytest.raises(ValueError, match="noise_std"):
         DatasetConfig(noise_std=value).validate()

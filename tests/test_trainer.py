@@ -415,6 +415,13 @@ class TestTrainLoop:
         ({"weight_decay": float("inf")}, "weight_decay"),
         ({"epsilon": float("nan")}, "epsilon"),
         ({"epsilon": float("inf")}, "epsilon"),
+        ({"dropout": "0.1"}, "TrainConfig.dropout"),
+        ({"beta1": None}, "TrainConfig.beta1"),
+        ({"warmup_proportion": True}, "TrainConfig.warmup_proportion"),
+        ({"learning_rate": "0.1"}, "TrainConfig.learning_rate"),
+        ({"learning_rate": None}, "TrainConfig.learning_rate"),
+        ({"weight_decay": True}, "TrainConfig.weight_decay"),
+        ({"epsilon": True}, "TrainConfig.epsilon"),
     ])
     def test_config_rejects_bad_optimizer_values(self, kw, field):
         with pytest.raises(ValueError, match=field):
@@ -469,6 +476,22 @@ class TestTrainLoop:
             train_models([Model(MODEL_CFG), Model(MODEL_CFG)], train_data, val_data,
                          [quick_train_cfg(), quick_train_cfg(batch_size=8)],
                          [LossConfig(), LossConfig()])
+
+    @pytest.mark.parametrize("n_models, n_cfgs, n_loss_cfgs",
+                             [(2, 1, 2), (2, 2, 1), (2, 3, 2), (2, 2, 3), (0, 0, 0)])
+    def test_rejects_a_config_list_of_another_length(self, splits, n_models, n_cfgs,
+                                                     n_loss_cfgs):
+        """One TrainConfig and one LossConfig per model, and at least one
+        model: a ValueError giving the three lengths, before any step."""
+        train_data, val_data, _ = splits
+        models = [Model(MODEL_CFG) for _ in range(n_models)]
+        before = [model.snapshot() for model in models]
+        with pytest.raises(ValueError, match=f"{n_models} models, {n_cfgs} train configs "
+                                             f"and {n_loss_cfgs} loss configs"):
+            train_models(models, train_data, val_data, [quick_train_cfg()] * n_cfgs,
+                         [LossConfig()] * n_loss_cfgs)
+        for model, snap in zip(models, before):
+            assert all(np.array_equal(snap[k], v) for k, v in model.snapshot().items())
 
     def test_default_val_metric_is_accuracy(self, splits):
         _, val_data, _ = splits
