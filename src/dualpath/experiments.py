@@ -15,7 +15,6 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from dualpath.metrics import Metrics, eval_forward, gate_stats, output_metrics
 from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
-                                inject_noise_dataset, is_number, json_object,
+                                inject_noise_dataset, is_integer, is_number, json_object,
                                 require_bools, require_integers, require_numbers)
 from dualpath.trainer import TrainConfig, TrainHistory, train_models
 
@@ -69,7 +68,7 @@ class ExperimentConfig:
             raise ValueError(f"sigmas must be finite numbers >= 0, got {self.sigmas!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if not all(isinstance(s, Integral) and not isinstance(s, bool) for s in self.seeds):
+        if not all(is_integer(s) for s in self.seeds):
             raise ValueError(f"seeds must be integers, got {self.seeds!r}")
 
     def model_config(self, seed: int) -> ModelConfig:

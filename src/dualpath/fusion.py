@@ -27,8 +27,8 @@ from dualpath.intuition import IntuitionPath
 from dualpath.layers import Affine, Module
 from dualpath.perception import ConflictReport, Perception
 from dualpath.rng import Rng
-from dualpath.synthdata import (MODALITIES, json_object, require_bools, require_integers,
-                                require_numbers)
+from dualpath.synthdata import (MODALITIES, is_number, json_object, require_bools,
+                                require_integers, require_numbers)
 from dualpath.tensor import Tensor, _unbroadcast, constant, node
 
 CHECKPOINT_MAGIC = b"DPCK"
@@ -113,13 +113,9 @@ def final_fuse(intuition_repr: Tensor, reasoning_repr: Tensor, gate: Tensor) -> 
 
 def clamp_gate(gate: Tensor, mask: np.ndarray, value: np.ndarray) -> Tensor:
     """``value`` where ``mask`` is set and ``gate`` elsewhere, the masks
-    broadcasting over rows. A fully clamped gate is a constant, as the
-    gate of a plain ablated model is; a stack that clamps only some of
-    its models records one node that passes no gradient back through the
-    clamped entries."""
+    broadcasting over rows: one node that passes no gradient back through
+    the clamped entries, so a fully clamped gate's parameters get zeros."""
     data = np.where(mask, value, gate.data)
-    if mask.all():
-        return constant(data)
 
     def back(g):
         gate._accum(np.where(mask, 0.0, g))
@@ -137,7 +133,7 @@ def _stacked_shape(shape: tuple) -> tuple:
 class Model(Module):
     def __init__(self, config: ModelConfig, gate_override: float | None = None):
         config.validate()
-        if gate_override is not None and not 0.0 <= gate_override <= 1.0:
+        if gate_override is not None and not is_number(gate_override, "[0, 1]"):
             raise ValueError(f"gate_override must be None or lie in [0, 1], "
                              f"got {gate_override!r}")
         self.config = config
@@ -210,7 +206,8 @@ class Model(Module):
 
     def gate_params(self) -> list[str]:
         """The parameters that reach the loss only through the gate: a
-        clamped model's share of them gets no gradient."""
+        clamped model's share of their gradient is zero, and ``train_models``
+        leaves that share where it is."""
         return list(self.perception.div_gate.params())
 
     @classmethod

@@ -36,7 +36,7 @@ import numpy as np
 
 from dualpath.functional import guarded_sqrt, one_hot, softmax, stack_slices
 from dualpath.fusion import ModelOutput
-from dualpath.synthdata import MODALITIES, require_integers, require_numbers
+from dualpath.synthdata import MODALITIES, is_integer, require_integers, require_numbers
 from dualpath.tensor import Tensor, _note_kink, is_recording, node
 
 log = logging.getLogger(__name__)
@@ -240,8 +240,8 @@ def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
     ``guarded_sqrt`` over the pairs: one ``norm_floor`` record per order.
     The backward runs the pairs as separate nodes would, last pair first.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not is_integer(order, low=1):
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
     inputs = tuple(shared[m] for m in MODALITIES)
     n = inputs[0].data.shape[-2]
     if n < 2:

@@ -33,7 +33,7 @@ import numpy as np
 from dualpath.functional import cosine_rows, l2_norm, row_sum, softmax
 from dualpath.layers import Affine, Module, affine_block
 from dualpath.rng import Rng
-from dualpath.synthdata import MODALITIES
+from dualpath.synthdata import MODALITIES, is_integer, is_number
 from dualpath.tensor import Tensor, _note_kink, concat, constant, node
 
 REPORT_COLUMNS = (
@@ -136,8 +136,9 @@ def normalized_entropy(p: Tensor, num_classes: int) -> Tensor:
     block, scaled to [0, 1] by ln C: one (..., N, K) column per
     distribution, one tape node. Zero probabilities contribute 0 and take
     no gradient from their log."""
-    if num_classes < 2:
-        raise ValueError("normalized_entropy needs at least 2 classes")
+    if not is_integer(num_classes, low=2):
+        raise ValueError(f"normalized_entropy needs num_classes an integer >= 2, "
+                         f"got {num_classes!r}")
     scale = 1.0 / np.log(num_classes)
     log_p, positive = _safe_log(p.data)
 
@@ -152,8 +153,8 @@ def normalized_entropy(p: Tensor, num_classes: int) -> Tensor:
 class Perception(Module):
     def __init__(self, rng: Rng, hidden_dim: int, num_classes: int,
                  temperature: float = 1.0):
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not is_number(temperature, "(0, inf)"):
+            raise ValueError(f"temperature must be a finite number > 0, got {temperature!r}")
         self.name = "perception"
         self.num_classes = num_classes
         self.temperature = float(temperature)

@@ -264,6 +264,10 @@ class Rng:
     """
 
     def __init__(self, seed: int, label: str = "root", index: int = 0):
+        from dualpath.synthdata import is_integer  # synthdata imports this module
+        for name, value in (("seed", seed), ("index", index)):
+            if not is_integer(value):
+                raise ValueError(f"Rng {name} must be an integer, got {value!r}")
         self._keyed(int(seed), label, _label_hash(label), int(index))
 
     def _keyed(self, seed: int, label: str, label_hash: int, index: int) -> "Rng":
@@ -337,6 +341,9 @@ class StackedRng:
     """
 
     def __init__(self, seeds, label: str = "root", index: int = 0):
+        from dualpath.synthdata import is_integer  # synthdata imports this module
+        if not all(is_integer(s) for s in seeds):
+            raise ValueError(f"StackedRng seeds must be integers, got {seeds!r}")
         distinct = list(dict.fromkeys(int(s) for s in seeds))
         self._rngs = [Rng(s, label, index) for s in distinct]
         self._rows = np.array([distinct.index(int(s)) for s in seeds])

@@ -51,14 +51,19 @@ class DatasetConfig:
             )
 
 
+def is_integer(value, low: int | None = None) -> bool:
+    """Whether ``value`` is an integer >= ``low`` (if given). Floats fail
+    even when whole, and so do bools; numpy integers pass."""
+    return (not isinstance(value, bool) and isinstance(value, Integral)
+            and (low is None or value >= low))
+
+
 def require_integers(config, *names: str, low: int | None = None) -> None:
     """Raise ValueError naming the first field of ``names`` that is not an
-    integer >= ``low`` (if given). Floats fail even when whole, and so do
-    bools; numpy integers pass."""
+    integer >= ``low`` (if given), by ``is_integer``."""
     for name in names:
         value = getattr(config, name)
-        if (isinstance(value, bool) or not isinstance(value, Integral)
-                or low is not None and value < low):
+        if not is_integer(value, low):
             bound = "" if low is None else f" >= {low}"
             raise ValueError(f"{type(config).__name__}.{name} must be an integer{bound}, "
                              f"got {value!r}")
@@ -231,7 +236,7 @@ def generate(config: DatasetConfig) -> tuple[Dataset, Dataset, Dataset]:
 def inject_noise_dataset(data: Dataset, sigma: float, modality: str, rng: Rng) -> Dataset:
     """Copy of the split with N(0, sigma^2 I) added to one modality; sample
     i draws from ``rng.child("inject", i)``, all samples in one pass."""
-    if not (np.isfinite(sigma) and sigma >= 0):
+    if not is_number(sigma, "[0, inf)"):
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
     if modality not in MODALITIES:
         raise ValueError(f"unknown modality {modality!r}")

@@ -14,8 +14,9 @@ first fraction of total steps, then stays constant. It packs every
 parameter group into one flat arena (each ``Tensor.data`` becomes a view
 into it) and updates the whole buffer at once, elementwise in the same
 expression order as a group-by-group loop, so the bits do not depend on
-the layout. A model's share of a group that received no gradient (the
-divergence gate under a gate override) is masked out: no update, no moment
+the layout. Every parameter receives a gradient, a clamped gate's a zero
+one; the optimizer is built with a mask of the model shares that take no
+step (the divergence gate under a gate override): no update, no moment
 change, no decay. Validation accuracy drives early stopping; a model
 that stops leaves the stack, which is rebuilt from the others with
 their moments, and at the end each model's best-scoring epoch's
@@ -54,7 +55,6 @@ loop would probe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -62,7 +62,8 @@ from dualpath.fusion import Model, ModelOutput
 from dualpath.losses import COMPONENT_ORDER, LossConfig, stack_loss_configs, total_loss
 from dualpath.metrics import eval_forward
 from dualpath.rng import Rng, StackedRng
-from dualpath.synthdata import Dataset, MODALITIES, require_integers, require_numbers
+from dualpath.synthdata import (Dataset, MODALITIES, is_integer, require_integers,
+                                require_numbers)
 from dualpath.tensor import no_grad, watch_kinks
 
 
@@ -109,11 +110,14 @@ class AdamW:
     directly to the parameter, never through the gradient. ``arena``
     (the parameters), ``m`` and ``v`` are flat buffers holding the groups
     in ``params`` order, each group's M model slices in model order for
-    a stack; every in-place write to them takes a per-element "received
-    a gradient" mask."""
+    a stack. ``received``, an (M, groups) bool array, says which model
+    shares of a group take a step; the others keep their values and
+    moments, and every in-place write to the buffers is masked by it.
+    None steps every share."""
 
-    def __init__(self, params: dict, cfg: TrainConfig):
+    def __init__(self, params: dict, cfg: TrainConfig, received: np.ndarray | None = None):
         self.cfg = cfg
+        self.received = received
         self._tensors = list(params.values())
         sizes = [p.data.size for p in self._tensors]
         self._sizes = np.array(sizes)
@@ -121,8 +125,9 @@ class AdamW:
         offsets = self._offsets = np.cumsum([0] + sizes)
         for p, lo, hi in zip(self._tensors, offsets, offsets[1:]):
             p.data = self.arena[lo:hi].reshape(p.data.shape)
-        self._zeros = [np.zeros(n) for n in sizes]  # gathered for a None grad
-        self._masks: dict[bytes, np.ndarray | bool] = {}  # received flags -> mask
+        # group-major, then model-major: each model's share of a group
+        self._mask = True if received is None or received.all() else np.repeat(
+            received.T.ravel(), np.repeat(self._sizes // len(received), len(received)))
         self._grad = np.empty_like(self.arena)
         self._tmp = (np.empty_like(self.arena), np.empty_like(self.arena))
         self.m = np.zeros_like(self.arena)
@@ -137,7 +142,8 @@ class AdamW:
     def take(self, params: dict, rows: list[int]) -> "AdamW":
         """An optimizer over ``params``, a stack of this one's models
         ``rows``, that carries their moments and the step count."""
-        out = AdamW(params, self.cfg)
+        received = None if self.received is None else self.received[rows]
+        out = AdamW(params, self.cfg, received)
         out.t = self.t
         spans = zip(self._tensors, self._offsets, self._offsets[1:],
                     out._offsets, out._offsets[1:])
@@ -146,27 +152,14 @@ class AdamW:
                 theirs[out_lo:out_hi] = mine[lo:hi].reshape(p.data.shape)[rows].ravel()
         return out
 
-    def step(self, lr: float, received: np.ndarray | None = None) -> None:
-        """One update. A group whose grad is None received nothing; for a
-        stack, ``received`` is an (M, groups) bool array that also masks
-        out single models' shares of a group."""
+    def step(self, lr: float) -> None:
+        """One update from every parameter's ``grad``."""
         self.t += 1
         b1, b2 = self.cfg.beta1, self.cfg.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        grads = [p.grad for p in self._tensors]
-        has_grad = [gr is not None for gr in grads]
-        flags = np.array([has_grad]) if received is None else received & has_grad
-        key = flags.tobytes()
-        mask = self._masks.get(key)
-        if mask is None:
-            # group-major, then model-major: each model's share of a group
-            models = len(flags)
-            mask = self._masks[key] = True if flags.all() else np.repeat(
-                flags.T.ravel(), np.repeat(self._sizes // models, models))
-        g = np.concatenate([gr if ok else z for gr, ok, z in zip(grads, has_grad, self._zeros)],
-                           axis=None, out=self._grad)
-        m, v, w = self.m, self.v, self.arena
+        g = np.concatenate([p.grad for p in self._tensors], axis=None, out=self._grad)
+        m, v, w, mask = self.m, self.v, self.arena, self._mask
         # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
         # w -= lr (m / bc1) / (sqrt(v / bc2) + eps) + lr wd w,
         # evaluated in place, op for op, in two scratch buffers
@@ -242,10 +235,10 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and val splits must be nonempty")
     stack = Model.stack(models)
-    opt = AdamW(stack.params(), cfg)
-    stack.bind(models)
     clamped = np.array([model.gate_override is not None for model in models])
     gate_only = np.isin(list(stack.params()), stack.gate_params())
+    opt = AdamW(stack.params(), cfg, received=~(clamped[:, None] & gate_only))
+    stack.bind(models)
     n = len(train_data)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.max_epochs * steps_per_epoch
@@ -259,7 +252,6 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
     for epoch in range(cfg.max_epochs):
         rng = StackedRng([cfgs[m].seed for m in live], "train")
         live_loss = stack_loss_configs([loss_cfgs[m] for m in live])
-        received = ~(clamped[live, None] & gate_only)
         order = rng.child("shuffle", epoch).permutation(n)
         sums: list[dict[str, float]] = [{} for _ in live]
         for b in range(steps_per_epoch):
@@ -276,7 +268,7 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
                     raise DivergenceError(_first_nonfinite(
                         out.member(i), {k: vals[i] for k, vals in parts.items()}))
             loss.sum().backward()
-            opt.step(lr, received)
+            opt.step(lr)
             for i, row in enumerate(sums):
                 for k, vals in parts.items():
                     row[k] = row.get(k, 0.0) + vals[i]
@@ -390,9 +382,10 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     comparison; tests use it to verify the checker actually detects a
     broken gradient.
     """
-    if (isinstance(coords_per_group, bool) or not isinstance(coords_per_group, Integral)
-            or coords_per_group < 1):
+    if not is_integer(coords_per_group, low=1):
         raise ValueError(f"coords_per_group must be an integer >= 1, got {coords_per_group!r}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     loss_cfg.validate()
     labels = batch.labels
     # A stack of copies of the model whose groups keep their (1, ...) stack
@@ -404,8 +397,7 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     out = stack.forward_batch(batch.text, batch.video, batch.audio, train=False)
     total_loss(out, labels, loss_cfg)[0].backward()
     del out  # the graph goes before the first round
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for name, p in params.items()}
+    grads = {name: p.grad for name, p in params.items()}
     if corrupt_hook is not None:
         corrupt_hook(grads)
 

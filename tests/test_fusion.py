@@ -11,6 +11,7 @@ from dualpath.fusion import (Model, ModelConfig, final_fuse,
                              load_checkpoint, reasoning_aggregate,
                              save_checkpoint)
 from dualpath.layers import Affine
+from dualpath.losses import LossConfig, stack_loss_configs, total_loss
 from dualpath.rng import Rng
 from dualpath.synthdata import DatasetConfig, MODALITIES, generate
 from dualpath.tensor import Tensor
@@ -185,7 +186,7 @@ class TestModelForward:
 
 class TestGateOverride:
     def test_override_outside_unit_interval_is_rejected(self):
-        for value in (-0.1, 1.5, float("nan"), float("inf")):
+        for value in (-0.1, 1.5, float("nan"), float("inf"), True, "0.5"):
             with pytest.raises(ValueError, match="gate_override"):
                 Model(CFG, value)
 
@@ -198,6 +199,27 @@ class TestGateOverride:
         assert np.array_equal(gate, np.full_like(gate, 0.5))
         members = [Model(CFG), Model(CFG, 1.0), Model(CFG, 0.0)]
         assert Model.stack(members).gate_override == [None, 1.0, 0.0]
+
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("override", [0.0, 0.5, 1.0])
+    def test_a_clamped_gate_passes_its_parameters_zeros(self, batch, override, share):
+        """The clamp records its node even when it clamps every row: after
+        a backward, a clamped model's gate parameters hold a zero gradient,
+        plain or in a stack, and no parameter's gradient is None."""
+        cfg = replace(CFG, share_shared_encoder=share)
+        labels = np.arange(len(batch[0])) % CFG.num_classes
+        plain = Model(cfg, override)
+        total_loss(plain.forward_batch(*batch), labels, LossConfig())[0].backward()
+        stack = Model.stack([Model(cfg, override), Model(cfg)])
+        stack_cfg = stack_loss_configs([LossConfig()] * 2)
+        total_loss(stack.forward_batch(*batch), labels, stack_cfg)[0].sum().backward()
+        for model, shares in ((plain, slice(None)), (stack, 0)):
+            params = model.params()
+            assert all(p.grad is not None for p in params.values())
+            for name in model.gate_params():
+                assert np.array_equal(params[name].grad[shares],
+                                      np.zeros_like(params[name].data[shares])), name
+        assert np.any(stack.params()["perception.div_gate.weight"].grad[1] != 0.0)
 
     def test_no_rea_uses_consensus_only(self, batch):
         model = Model(CFG, 0.0)

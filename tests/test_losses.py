@@ -216,6 +216,13 @@ class TestSimLoss:
         with pytest.raises(ValueError):
             sim_loss(by_modality(x, x, x), 0)
 
+    @pytest.mark.parametrize("order", [True, 2.0, "3"])
+    def test_rejects_an_order_that_is_no_integer(self, order):
+        """True used to run as order 1."""
+        x = Tensor(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="order"):
+            sim_loss(by_modality(x, x, x), order)
+
     def test_identical_shared_batches_give_zero(self):
         x = Tensor(Rng(6, "x").normal(size=(8, 4)))
         shared = by_modality(x, x, x)

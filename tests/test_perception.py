@@ -98,6 +98,12 @@ class TestSemanticEnergy:
             assert out[i, 0] == pytest.approx(
                 cosine_vec(diff[i], perc.prototype.data), abs=1e-12)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), "1", True])
+    def test_temperature_must_be_a_finite_number(self, temperature):
+        """NaN used to pass and make every semantic energy NaN."""
+        with pytest.raises(ValueError, match="temperature"):
+            make_perception(temperature=temperature)
+
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
             make_perception(temperature=0.0)
@@ -189,6 +195,11 @@ class TestNormalizedEntropy:
         out = normalized_entropy(block(rows), 6).data
         for i in range(20):
             assert out[i, 0] == pytest.approx(entropy_vec(rows[i], 6), abs=1e-12)
+
+    @pytest.mark.parametrize("num_classes", [2.0, "3", True])
+    def test_rejects_a_class_count_that_is_no_integer(self, num_classes):
+        with pytest.raises(ValueError, match="num_classes"):
+            normalized_entropy(block(np.full((1, 3), 1.0 / 3.0)), num_classes)
 
     def test_rejects_degenerate_class_count(self):
         with pytest.raises(ValueError):

@@ -206,3 +206,16 @@ def test_generator_is_built_on_the_first_draw_only():
     r.uniform(size=3)
     assert r._generator is gen
     assert np.array_equal(first, Rng(5, "lazy").uniform(size=3))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Rng(1.5), "seed"),
+    (lambda: Rng(True), "seed"),
+    (lambda: Rng(0, "a", 2.7), "index"),
+    (lambda: StackedRng([1.5, 1]), "seeds"),
+])
+def test_a_seed_or_index_that_is_no_integer_is_rejected(make, name):
+    """A float or bool used to truncate to an integer's stream; StackedRng
+    merged 1.5 into seed 1."""
+    with pytest.raises(ValueError, match=name):
+        make()

@@ -180,10 +180,11 @@ def test_inject_noise_rejects_bad_args(small_splits):
         inject_noise_dataset(test, 0.1, "smell", Rng(0, "n"))
 
 
-@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, True, "0.1"])
 def test_inject_noise_rejects_nonfinite_sigma(small_splits, sigma):
-    """NaN used to pass as no noise (``sigma > 0`` is False) and inf gave
-    infinite features."""
+    """NaN used to pass as no noise (``sigma > 0`` is False), inf gave
+    infinite features, True injected noise at 1.0 and a string raised
+    TypeError."""
     with pytest.raises(ValueError, match="sigma"):
         inject_noise_dataset(small_splits[2], sigma, "text", Rng(0, "n"))
 

@@ -70,12 +70,15 @@ class TestAdamW:
         opt.step(cfg.learning_rate)
         assert np.abs(p.data - np.array([2.0, -4.0]) * (1 - 0.1 * 0.5)).max() < 1e-15
 
-    def test_skips_params_without_grad(self):
-        p = Tensor(np.array([1.0]))
-        p.grad = None
-        opt = AdamW({"p": p}, TrainConfig(weight_decay=0.5))
-        opt.step(1.0)
-        assert p.data[0] == 1.0
+    def test_a_param_without_grad_fails_the_step(self):
+        """Every parameter holds a gradient when a step runs; a None one
+        fails the gather, before any parameter moves."""
+        p, q = Tensor(np.array([1.0])), Tensor(np.array([2.0, 3.0]))
+        p.grad, q.grad = None, np.ones(2)
+        opt = AdamW({"p": p, "q": q}, TrainConfig(weight_decay=0.5))
+        with pytest.raises(TypeError):
+            opt.step(1.0)
+        assert p.data[0] == 1.0 and np.array_equal(q.data, [2.0, 3.0])
 
     def test_first_step_moves_by_lr_against_gradient_sign(self):
         # with bias correction the first update is g / (|g| + eps) = sign(g)
@@ -97,13 +100,15 @@ class TestAdamW:
 
     def test_matches_per_group_reference_bit_for_bit(self):
         """The whole-buffer step against the group-by-group loop on a
-        default model's groups, with the gated groups' grads None on some
-        steps: moments and parameters agree exactly after every step."""
+        default model's groups, with the gated groups masked out at
+        construction (the reference sees their grads None): moments and
+        parameters agree exactly after every step."""
         cfg = TrainConfig()
         ref = Model(ModelConfig()).params()
         params = Model(ModelConfig()).params()
         assert len(params) == 54
-        opt = AdamW(params, cfg)
+        gated = {name: name.startswith("perception.div_gate.") for name in params}
+        opt = AdamW(params, cfg, received=np.array([[not gated[name] for name in params]]))
         ms = {k: np.zeros_like(p.data) for k, p in ref.items()}
         vs = {k: np.zeros_like(p.data) for k, p in ref.items()}
         rng = Rng(0, "adamw_reference")
@@ -111,9 +116,8 @@ class TestAdamW:
             for i, (name, p) in enumerate(params.items()):
                 g = rng.child(f"grad{i}", t).normal(scale=10.0 ** (i % 5 - 3),
                                                     size=p.data.shape)
-                gated = name.startswith("perception.div_gate.") and t % 3 != 1
-                p.grad = None if gated else g
-                ref[name].grad = None if gated else g.copy()
+                p.grad = g
+                ref[name].grad = None if gated[name] else g.copy()
             lr = cfg.learning_rate * min(1.0, t / 5)
             opt.step(lr)
             oracles.adamw_reference(ref, ms, vs, t, lr, cfg)
@@ -128,11 +132,12 @@ class TestAdamW:
         their values and moments, the rest update."""
         p = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         q = Tensor(np.array([[[5.0]], [[6.0]]]))
-        opt = AdamW({"p": p, "q": q}, TrainConfig(learning_rate=0.1, weight_decay=0.5))
         received = np.array([[False, False], [False, True]])
+        opt = AdamW({"p": p, "q": q}, TrainConfig(learning_rate=0.1, weight_decay=0.5),
+                    received)
         for _ in range(3):
             p.grad, q.grad = np.ones((2, 2)), np.ones((2, 1, 1))
-            opt.step(0.1, received)
+            opt.step(0.1)
         assert np.array_equal(p.data, [[1.0, 2.0], [3.0, 4.0]])
         assert q.data[0, 0, 0] == 5.0 and q.data[1, 0, 0] < 6.0
         assert np.array_equal(opt.m[:5], np.zeros(5)) and opt.m[5] > 0.0
@@ -160,6 +165,22 @@ class TestAdamW:
         taken.step(0.01)
         for k, p in params.items():
             assert np.array_equal(kept[k].data, p.data[[0, 2]]), k
+
+    def test_take_keeps_the_kept_models_rows_of_the_mask(self):
+        """Of three models, the last takes no step on "p" (a clamped gate):
+        after dropping the middle one it is row 1 of the new mask and its
+        share still does not move, while the rest do."""
+        p, q = Tensor(np.zeros((3, 1, 2))), Tensor(np.zeros((3, 1, 1)))
+        received = np.array([[True, True], [True, True], [False, True]])
+        opt = AdamW({"p": p, "q": q}, TrainConfig(learning_rate=0.1), received)
+        kept = {"p": Tensor(p.data[[0, 2]]), "q": Tensor(q.data[[0, 2]])}
+        taken = opt.take(kept, [0, 2])
+        assert np.array_equal(taken.received, received[[0, 2]])
+        for t in kept.values():
+            t.grad = np.ones(t.data.shape)
+        taken.step(0.1)
+        assert np.all(kept["p"].data[0] < 0.0) and np.array_equal(kept["p"].data[1], [[0.0, 0.0]])
+        assert np.all(kept["q"].data < 0.0)
 
     def test_restored_values_land_in_the_arena(self, tmp_path):
         model = Model(MODEL_CFG)
@@ -664,6 +685,17 @@ class TestGradCheck:
         monkeypatch.setattr(Model, "forward_batch", forward)
         with pytest.raises(ValueError, match="coords_per_group"):
             grad_check(Model(SMALL_MODEL), small_batch, LossConfig(), coords_per_group=coords)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "0", None])
+    def test_rejects_a_seed_that_is_no_integer_before_any_forward(self, small_batch,
+                                                                  monkeypatch, seed):
+        """1.5 and True used to probe the coordinates of seed 1."""
+        def forward(*args, **kwargs):
+            raise AssertionError("a forward ran before the seed was checked")
+
+        monkeypatch.setattr(Model, "forward_batch", forward)
+        with pytest.raises(ValueError, match="seed"):
+            grad_check(Model(SMALL_MODEL), small_batch, LossConfig(), seed=seed)
 
     def test_unused_head_reports_zero_error(self, small_batch):
         """With the auxiliary weight at zero its head gets no gradient; the
