@@ -25,7 +25,6 @@ class Decoupler(Module):
 
     def __init__(self, rng: Rng, feature_dim: int, hidden_dim: int,
                  dropout: float = 0.0, share_weights: bool = False):
-        self.share_weights = share_weights
         self.dropout = float(dropout)
         self.shared_enc: dict[str, TanhMlp] = {}
         self.private_enc: dict[str, TanhMlp] = {}

@@ -54,6 +54,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.dataset.validate()
         self.train.validate()
+        if self.train.seed != TrainConfig.seed:  # each run trains at its own seed
+            raise ValueError(f"train.seed must be {TrainConfig.seed}, got "
+                             f"{self.train.seed!r}: list the run seeds in 'seeds'")
         self.loss.validate()
         require_bools(self, "share_shared_encoder", *ABLATION_FLAGS)
         if self.hidden_dim is not None:

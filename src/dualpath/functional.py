@@ -150,10 +150,17 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """(..., num_classes) indicator rows for labels of any shape, such as a
     stack's (M, N); a label outside [0, num_classes) raises ValueError
     rather than wrapping around."""
-    labels = np.asarray(labels)
-    bad = (labels < 0) | (labels >= num_classes)
+    labels = require_classes(labels, num_classes)
+    return (labels[..., None] == np.arange(num_classes)).astype(np.float64)
+
+
+def require_classes(values, num_classes: int, what: str = "label") -> np.ndarray:
+    """``values`` as an array; a ValueError naming ``what`` and the first
+    flat position of a value outside [0, num_classes)."""
+    values = np.asarray(values)
+    bad = (values < 0) | (values >= num_classes)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"label {labels.flat[i]} at position {i} is outside "
+        raise ValueError(f"{what} {values.flat[i]} at position {i} is outside "
                          f"[0, {num_classes})")
-    return (labels[..., None] == np.arange(num_classes)).astype(np.float64)
+    return values

@@ -16,6 +16,7 @@ override.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
@@ -321,7 +322,7 @@ def load_checkpoint(path) -> Model:
         name = take(name_len, f"parameter {k} name").decode("utf-8")
         (ndim,) = struct.unpack("<B", take(1, f"{name} ndim"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name} shape"))
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         arr = np.frombuffer(take(8 * n, f"{name} data"), dtype="<f8").reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")

@@ -51,7 +51,8 @@ WEIGHTS = ("reasoning_weight", "unimodal_weight", "orthogonality_weight",
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Term weights (floats, or (M,) arrays for a stack) and the CMD order."""
+    """Term weights (numbers) and the CMD order. ``stack_loss_configs``
+    builds a stack's (M,) weight arrays from validated members."""
 
     reasoning_weight: float = 0.1     # on the auxiliary reasoning-head CE
     unimodal_weight: float = 0.1      # on the summed unimodal CEs

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from dualpath.functional import require_classes
 from dualpath.fusion import Model, ModelOutput
 from dualpath.synthdata import Dataset
 from dualpath.tensor import no_grad
@@ -42,8 +43,12 @@ def _safe_div(num: float, den: float) -> float:
 
 def compute_metrics(labels: np.ndarray, preds: np.ndarray, num_classes: int,
                     conflict_mask: np.ndarray | None = None) -> Metrics:
-    labels = np.asarray(labels)
-    preds = np.asarray(preds)
+    """Accuracy, F1 and precision of ``preds`` against ``labels``, overall
+    and on the conflicted and consistent subsets ``conflict_mask`` marks.
+    A label or prediction outside [0, num_classes), or a mask of another
+    length than the labels, raises ValueError."""
+    labels = require_classes(labels, num_classes)
+    preds = require_classes(preds, num_classes, "prediction")
     if len(labels) == 0:
         raise ValueError("cannot compute metrics on an empty sample list")
     if len(labels) != len(preds):
@@ -65,6 +70,9 @@ def compute_metrics(labels: np.ndarray, preds: np.ndarray, num_classes: int,
     conflict_acc = consistent_acc = None
     if conflict_mask is not None:
         conflict_mask = np.asarray(conflict_mask, dtype=bool)
+        if len(conflict_mask) != len(labels):
+            raise ValueError(f"conflict_mask has {len(conflict_mask)} entries, "
+                             f"labels {len(labels)}")
         if conflict_mask.any():
             conflict_acc = float((labels[conflict_mask] == preds[conflict_mask]).mean())
         if (~conflict_mask).any():

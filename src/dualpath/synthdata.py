@@ -80,12 +80,11 @@ def is_number(value, interval: str) -> bool:
 
 
 def require_numbers(config, interval: str, *names: str) -> None:
-    """Raise ValueError naming the first field of ``names`` that is neither a
-    number in ``interval`` nor a numpy array of them (a stack's weights)."""
+    """Raise ValueError naming the first field of ``names`` that is not a
+    number in ``interval``, by ``is_number``."""
     for name in names:
         value = getattr(config, name)
-        entries = value.ravel().tolist() if isinstance(value, np.ndarray) else (value,)
-        if not all(is_number(v, interval) for v in entries):
+        if not is_number(value, interval):
             raise ValueError(f"{type(config).__name__}.{name} must be a finite number "
                              f"in {interval}, got {value!r}")
 

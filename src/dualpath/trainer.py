@@ -223,11 +223,12 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
                          f"{len(models)} models, {len(cfgs)} train configs and "
                          f"{len(loss_cfgs)} loss configs")
     cfg = cfgs[0]
-    for c in cfgs:
+    for c, loss_cfg in zip(cfgs, loss_cfgs):
         c.validate()
+        loss_cfg.validate()
         if replace(c, seed=cfg.seed) != cfg:
             raise ValueError("stacked runs must share every train setting but the seed")
-    stack_loss_configs(loss_cfgs).validate()
+    live_loss = stack_loss_configs(loss_cfgs)
     for model in models:
         if model.config.dropout != cfg.dropout:  # the model's rate is the one used
             raise ValueError(f"model dropout {model.config.dropout!r} differs from "
@@ -244,14 +245,11 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
     total_steps = cfg.max_epochs * steps_per_epoch
     warmup_steps = max(1, int(round(cfg.warmup_proportion * total_steps)))
     histories = [TrainHistory() for _ in models]
-    best_val = [-np.inf] * len(models)
     best_snapshot = [model.snapshot() for model in models]
-    bad_epochs = [0] * len(models)
     live = list(range(len(models)))  # the models in the stack, in stack order
     step = 0
     for epoch in range(cfg.max_epochs):
         rng = StackedRng([cfgs[m].seed for m in live], "train")
-        live_loss = stack_loss_configs([loss_cfgs[m] for m in live])
         order = rng.child("shuffle", epoch).permutation(n)
         sums: list[dict[str, float]] = [{} for _ in live]
         for b in range(steps_per_epoch):
@@ -282,22 +280,19 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
             if not np.isfinite(score):
                 raise DivergenceError("val_metric")
             history.val_metrics.append(score)
-            if score > best_val[m]:
-                best_val[m] = score
+            if history.best_epoch < 0 or score > history.val_metrics[history.best_epoch]:
                 best_snapshot[m] = models[m].snapshot()
                 history.best_epoch = epoch
-                bad_epochs[m] = 0
-            else:
-                bad_epochs[m] += 1
-                if bad_epochs[m] >= cfg.patience:
-                    history.stopped_early = True
-                    continue
+            elif epoch - history.best_epoch >= cfg.patience:
+                history.stopped_early = True
+                continue
             keep.append(i)
         if not keep:
             break
         if len(keep) < len(live):
             # a stopped model leaves the stack, its parameters where they are
             live = [live[i] for i in keep]
+            live_loss = stack_loss_configs([loss_cfgs[m] for m in live])
             stack = Model.stack([models[m] for m in live])
             opt = opt.take(stack.params(), keep)
             stack.bind([models[m] for m in live])

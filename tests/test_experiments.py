@@ -191,6 +191,13 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="unknown model config keys"):
             load_experiment_config({"model": {"depth": 3}})
 
+    def test_train_seed_other_than_the_default_rejected(self):
+        """Each run trains at its own seed from ``seeds``: any other
+        train.seed would be ignored, yet recorded in every report."""
+        with pytest.raises(ValueError, match=r"train\.seed must be 0, got 99.*'seeds'"):
+            load_experiment_config({"train": {"seed": 99}})
+        assert load_experiment_config({"train": {"seed": 0}}).train.seed == 0
+
     def test_flag_conflict_rejected(self):
         with pytest.raises(ValueError):
             load_experiment_config({"no_int": True, "no_rea": True})

@@ -389,6 +389,20 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=f"truncated in .*{section}"):
                 load_checkpoint(path)
 
+    def test_rejects_a_section_too_large_for_int64(self, tmp_path):
+        """A shape whose element count is 2**64 needs that many values, not
+        the 0 a wrapped int64 product would ask for."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Model(CFG))
+        blob = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", blob, 6)
+        name = b"head.bias"
+        section = (struct.pack("<H", len(name)) + name + struct.pack("<B", 4)
+                   + struct.pack("<4I", *(65536,) * 4))
+        path.write_bytes(blob[:10 + cfg_len] + struct.pack("<I", 1) + section)
+        with pytest.raises(ValueError, match="checkpoint truncated in head.bias data"):
+            load_checkpoint(path)
+
     def test_rejects_padded_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, Model(CFG))

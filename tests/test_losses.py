@@ -291,11 +291,16 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossConfig(moment_order=0).validate()
 
+    def test_config_rejects_an_array_weight(self):
+        """Weights are numbers; only stack_loss_configs builds (M,) arrays."""
+        with pytest.raises(ValueError, match="LossConfig.reasoning_weight"):
+            LossConfig(reasoning_weight=np.array([0.1, 0.2])).validate()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1", None, True])
     @pytest.mark.parametrize("name", WEIGHTS)
     def test_config_rejects_non_finite_weights(self, name, value):
-        """A scalar weight, or one entry of a stack's (M,) weights. A bool
-        only as a scalar: numpy stores [0.1, True] as floats."""
+        """A scalar weight, or an array holding one (a weight is a plain
+        number). A bool only as a scalar: numpy stores [0.1, True] as floats."""
         for weight in (value,) if isinstance(value, bool) else (value, np.array([0.1, value])):
             with pytest.raises(ValueError, match=name):
                 LossConfig(**{name: weight}).validate()

@@ -77,6 +77,24 @@ def test_length_mismatch_rejected():
         compute_metrics(np.array([0, 1]), np.array([0]), 2)
 
 
+@pytest.mark.parametrize("labels, preds, num_classes, message", [
+    ([0, 5], [0, 1], 2, r"label 5 at position 1 is outside \[0, 2\)"),
+    ([-1, 1], [0, 1], 2, r"label -1 at position 0 is outside \[0, 2\)"),
+    ([0, 1], [0, 0], 1, r"label 1 at position 1 is outside \[0, 1\)"),
+    ([0, 1], [2, 1], 2, r"prediction 2 at position 0 is outside \[0, 2\)"),
+])
+def test_out_of_range_class_rejected(labels, preds, num_classes, message):
+    """A class index outside [0, num_classes) is named, never counted."""
+    with pytest.raises(ValueError, match=message):
+        compute_metrics(np.array(labels), np.array(preds), num_classes)
+
+
+def test_conflict_mask_length_mismatch_rejected():
+    with pytest.raises(ValueError, match="conflict_mask has 2 entries, labels 3"):
+        compute_metrics(np.array([0, 1, 1]), np.array([0, 1, 0]), 2,
+                        conflict_mask=np.array([True, False]))
+
+
 def test_subset_accuracies_follow_the_mask():
     labels = np.array([0, 0, 1, 1])
     preds = np.array([0, 1, 1, 0])

@@ -498,6 +498,19 @@ class TestTrainLoop:
                          [quick_train_cfg(), quick_train_cfg(batch_size=8)],
                          [LossConfig(), LossConfig()])
 
+    def test_rejects_an_array_loss_weight_before_stacking(self, splits, monkeypatch):
+        """Each member's LossConfig is validated as given: its weights are
+        numbers, and only the stack's own config holds (M,) arrays."""
+        train_data, val_data, _ = splits
+
+        def stack(cls, members):
+            raise AssertionError("Model.stack called")
+        monkeypatch.setattr(Model, "stack", classmethod(stack))
+        with pytest.raises(ValueError, match="LossConfig.reasoning_weight"):
+            train_models([Model(MODEL_CFG), Model(MODEL_CFG)], train_data, val_data,
+                         [quick_train_cfg(), quick_train_cfg(seed=1)],
+                         [LossConfig(), LossConfig(reasoning_weight=np.array([0.1, 0.2]))])
+
     @pytest.mark.parametrize("n_models, n_cfgs, n_loss_cfgs",
                              [(2, 1, 2), (2, 2, 1), (2, 3, 2), (2, 2, 3), (0, 0, 0)])
     def test_rejects_a_config_list_of_another_length(self, splits, n_models, n_cfgs,
