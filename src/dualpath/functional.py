@@ -112,7 +112,7 @@ def l2_norm(x: Tensor) -> Tensor:
     norm = guarded_sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
 
     def back(g):
-        x._accum(x.data * np.divide(g, norm, out=np.zeros_like(norm), where=norm > 0))
+        x._accum(x.data * np.divide(g, norm, out=np.zeros(norm.shape), where=norm > 0))
 
     return node(norm, (x,), back)
 
@@ -138,8 +138,8 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
         g_dots = np.where(ok, g, 0.0) / guarded
         g_denom = -g_dots * dots / guarded
         # d|a|/da = a / |a|, zero for a zero row (where g_denom is zero too)
-        ga = np.divide(g_denom * nb, na, out=np.zeros_like(g_denom), where=na > 0)
-        gb = np.divide(g_denom * na, nb, out=np.zeros_like(g_denom), where=nb > 0)
+        ga = np.divide(g_denom * nb, na, out=np.zeros(g_denom.shape), where=na > 0)
+        gb = np.divide(g_denom * na, nb, out=np.zeros(g_denom.shape), where=nb > 0)
         a._accum(g_dots * bd + ad * ga)
         b._accum(g_dots * ad + bd * gb)
 

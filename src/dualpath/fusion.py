@@ -98,7 +98,7 @@ def reasoning_aggregate(trust: Tensor, private: dict[str, Tensor]) -> Tensor:
     out = w[0] * ps[0].data + w[1] * ps[1].data + w[2] * ps[2].data
 
     def back(g):
-        gt = np.zeros_like(trust.data)
+        gt = np.zeros(trust.data.shape)
         for i in reversed(range(3)):
             gt[..., i:i + 1] += _unbroadcast(g * ps[i].data, w[i].shape)
             ps[i]._accum(g * w[i])

@@ -142,17 +142,16 @@ def _value(t: Tensor):
 
 
 def _add_in_order(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The slices of ``x`` along ``axis`` added first to last, as a chain
-    of sums over them adds them."""
-    slices = np.moveaxis(x, axis, 0)
-    return sum(slices[1:], slices[0])
+    """The slices of ``x`` along ``axis``, 0 or -1, added first to last, as
+    a chain of sums over them adds them (those along -1 are x.T's along 0)."""
+    return sum(x[1:], x[0]) if axis == 0 else _add_in_order(x.T, 0).T
 
 
 # diff_loss's nine products as (left, right) positions among its six inputs,
 # private then shared: private-shared per modality, then private-private
 # over ordered pairs of different modalities
 _DIFF_PAIRS = ((0, 3), (1, 4), (2, 5), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-_DIFF_LEFT, _DIFF_RIGHT = (list(side) for side in zip(*_DIFF_PAIRS))
+_DIFF_LEFT, _DIFF_RIGHT = (np.array(side) for side in zip(*_DIFF_PAIRS))
 
 
 def diff_loss(shared: dict[str, Tensor], private: dict[str, Tensor]) -> Tensor:
@@ -184,11 +183,11 @@ def diff_loss(shared: dict[str, Tensor], private: dict[str, Tensor]) -> Tensor:
     # (6, ..., N, d), the input axis in front, a new array: centered in place
     centered = stack_slices(arrays, axis=0)
     centered -= centered.sum(axis=-2, keepdims=True) / n
-    prods = centered[_DIFF_LEFT].swapaxes(-1, -2) @ centered[_DIFF_RIGHT]
+    prods = centered.take(_DIFF_LEFT, 0).swapaxes(-1, -2) @ centered.take(_DIFF_RIGHT, 0)
     value = _add_in_order((prods * prods).sum(axis=(-2, -1)) * scale, axis=0)
 
     def back(g):
-        left, right = centered[_DIFF_LEFT], centered[_DIFF_RIGHT]
+        left, right = centered.take(_DIFF_LEFT, 0), centered.take(_DIFF_RIGHT, 0)
         gp = (2.0 * scale) * g[..., None, None] * prods
         to_left, to_right = right @ gp.swapaxes(-1, -2), left @ gp
         # each input's share, added in pair order, left before right
@@ -206,8 +205,9 @@ def diff_loss(shared: dict[str, Tensor], private: dict[str, Tensor]) -> Tensor:
 # sim_loss's modality pairs (text, video), (text, audio) and (video, audio),
 # and its backward's slots, last pair first and each pair's left input
 # before its right: the slot's input, its pair and the sign of its share
-_SIM_LEFT, _SIM_RIGHT = [0, 0, 1], [1, 2, 2]
-_SIM_INPUT, _SIM_PAIR, _SIM_SIGN = [1, 2, 0, 2, 0, 1], [2, 2, 1, 1, 0, 0], [1.0, -1.0] * 3
+_SIM_LEFT, _SIM_RIGHT = np.array([[0, 0, 1], [1, 2, 2]])
+_SIM_INPUT, _SIM_PAIR = np.array([[1, 2, 0, 2, 0, 1], [2, 2, 1, 1, 0, 0]])
+_SIM_SIGN = [1.0, -1.0] * 3
 
 
 def _moments(x: np.ndarray, order: int, keep: bool) -> tuple:
@@ -258,8 +258,8 @@ def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
         moments = [stack_slices(list(m), axis=0) for m in zip(*per_input)]
     # per order: the pairs' moment differences, (3, ..., 1, d), and norms,
     # (..., 3), the pair axis last as the kink records take it
-    diffs = [m[_SIM_LEFT] - m[_SIM_RIGHT] for m in moments]
-    norms = [guarded_sqrt(np.moveaxis((d * d).sum(axis=(-2, -1)), 0, -1)) for d in diffs]
+    diffs = [m.take(_SIM_LEFT, 0) - m.take(_SIM_RIGHT, 0) for m in moments]
+    norms = [guarded_sqrt((d * d).sum(axis=(-2, -1)).T) for d in diffs]
     value = _add_in_order(sum(norms[1:], norms[0]))
     scale = 1.0 / 3.0
 
@@ -269,13 +269,13 @@ def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
         g = (g * scale)[..., None, None]
         units = []
         for d, norm in zip(diffs, norms):
-            norm = np.moveaxis(norm, -1, 0)[..., None, None]
-            unit = np.divide(g * d, norm, out=np.zeros_like(d), where=norm > 0)
-            units.append(unit[_SIM_PAIR])
+            norm = norm.T[..., None, None]
+            unit = np.divide(g * d, norm, out=np.zeros(d.shape), where=norm > 0)
+            units.append(unit.take(_SIM_PAIR, 0))
         # d mean(c**k) / dc = k c**(k-1) / n, then through the centering
         grad_c = np.zeros(units[0].shape[:-2] + c.shape[-2:])
         for k in range(2, order + 1):
-            grad_c += ((k / n) * powers[k - 2])[_SIM_INPUT] * units[k - 1]
+            grad_c += ((k / n) * powers[k - 2]).take(_SIM_INPUT, 0) * units[k - 1]
         grads = units[0] / n + grad_c - grad_c.sum(axis=-2, keepdims=True) / n
         for i, sign, grad in zip(_SIM_INPUT, _SIM_SIGN, grads):
             inputs[i]._accum(sign * grad)

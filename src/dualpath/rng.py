@@ -28,16 +28,15 @@ only names children (the training step's ``dropout`` stream) never
 builds one. ``Rng.child`` continues the parent's cached FNV-1a hash over
 ``#{index}/{label}`` rather than hashing the whole child label again:
 FNV-1a is streaming, so the key is the one the full label gives.
-``child_uniforms`` (on ``Rng`` and ``StackedRng`` alike) draws a few
-fresh child streams, such as the six dropout masks of a training step,
-in one call: one ``np.random.Philox`` serves every (label, distinct
-seed) stream of the call, its public state set to the stream's key at
-counter 0, so its raw words are the fresh stream's and ``unit_double``
-of them is ``Generator.uniform(0, 1)`` bit for bit. ``Substreams`` is
-not used for these draws: its numpy-level Philox pass costs more than
-per-stream bit generators until there are many rows. For 12 rows of 256
-words, on a shared 2-core machine, it took ~540 us, twelve fresh numpy
-generators ~200-280 us and the re-keyed one ~90-140 us.
+``child_uniforms`` (on ``Rng`` and ``StackedRng`` alike) draws a few fresh
+child streams, such as a training step's six dropout masks, in one call: it
+hashes the labels' shared ``#{index}/`` once, and one ``np.random.Philox``,
+built on first use, serves every (label, distinct seed) stream, its state
+set to the stream's key at counter 0, so its raw words are the fresh
+stream's and ``unit_double`` of them is ``Generator.uniform(0, 1)`` bit for
+bit. ``Substreams`` costs more below many rows: for 12 rows of 256 words on
+a shared 2-core machine a pass took ~350-630 us, twelve fresh generators
+~250-370 us and ``child_uniforms`` ~100-150 us.
 """
 
 from __future__ import annotations
@@ -57,6 +56,9 @@ _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> _S32
 
 # Rows per Philox pass in Substreams: bounds the size of the temporaries.
 _BLOCK_ROWS = 512
+
+# _fresh_uniforms' bit generator and fresh state; each stream resets it whole.
+_PHILOX = _FRESH_STATE = None
 
 
 def _splitmix64(x):
@@ -113,25 +115,27 @@ def unit_double(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _fresh_uniforms(seeds: list[int], label_hashes: list[int], size: tuple) -> np.ndarray:
-    """(len(label_hashes), len(seeds), *size): entry (i, s) is
+def _fresh_uniforms(seeds: list[int], prefix: int, labels: list[str], size: tuple) -> np.ndarray:
+    """(len(labels), len(seeds), *size): entry (i, s) is
     ``uniform(size=size)`` of a fresh ``Rng(seeds[s], label, 0)`` whose
-    label has FNV-1a hash ``label_hashes[i]``. One bit generator serves
-    every stream: setting its public state to a stream's key, at the
+    label hash continues ``prefix`` over ``labels[i]``. One bit generator
+    serves every stream: setting its state to a stream's key, at the
     counter and empty buffer of a fresh generator, gives that stream's raw
     words, and ``uniform(0, 1)`` is numpy's double of each word."""
-    words = int(np.prod(size))
-    raw = np.empty((len(label_hashes), len(seeds), words), dtype=np.uint64)
-    bitgen = np.random.Philox(0)
-    state = bitgen.state  # a copy: the fresh counter and buffer stay in it
-    key = state["state"]["key"]
+    global _PHILOX, _FRESH_STATE
+    if _PHILOX is None:  # on first use: importing numpy.random early raised peak RSS
+        _PHILOX = np.random.Philox(0)
+        _FRESH_STATE = _PHILOX.state
+    raw = np.empty((len(labels), len(seeds), *size), dtype=np.uint64)
+    key = _FRESH_STATE["state"]["key"]
     seed_keys = [_splitmix64(seed & _MASK64) for seed in seeds]
-    for label_hash, rows in zip(label_hashes, raw):
+    for label, rows in zip(labels, raw):
+        label_hash = _fnv1a(prefix, label.encode("utf-8"))
         for k0, row in zip(seed_keys, rows):
             key[0], key[1] = _key_of(k0, label_hash, 0)
-            bitgen.state = state
-            row[:] = bitgen.random_raw(words)
-    return unit_double(raw).reshape(raw.shape[:2] + tuple(size))
+            _PHILOX.state = _FRESH_STATE
+            row[...] = _PHILOX.random_raw(size)
+    return unit_double(raw)
 
 
 def philox4x64(ctr: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -304,8 +308,7 @@ class Rng:
     def child_uniforms(self, labels: list[str], size: tuple) -> np.ndarray:
         """(len(labels), *size): row i is ``child(labels[i]).uniform(size=size)``,
         drawn without building a child or a generator."""
-        return _fresh_uniforms([self.seed], [self._child_hash(label) for label in labels],
-                               size)[:, 0]
+        return _fresh_uniforms([self.seed], self._child_hash(""), labels, size)[:, 0]
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=size)
@@ -365,8 +368,8 @@ class StackedRng:
         if size[0] != len(self._rows):
             raise ValueError(f"draw of {size[0]} rows from a stack of {len(self._rows)}")
         # every model's Rng has the same label and index, so one hash per label
-        hashes = [self._rngs[0]._child_hash(label) for label in labels]
-        return _fresh_uniforms([r.seed for r in self._rngs], hashes, size[1:])[:, self._rows]
+        return _fresh_uniforms([r.seed for r in self._rngs], self._rngs[0]._child_hash(""),
+                               labels, size[1:]).take(self._rows, axis=1)
 
     def permutation(self, n: int) -> np.ndarray:
         """(M, n) where row m is model m's ``permutation(n)``."""

@@ -5,17 +5,20 @@ that receives the gradient of the operation's output and accumulates the
 matching gradients into the parents. A closure captures its parents and,
 where the derivative needs it, the output *array*, never the output
 tensor, so the tape holds no reference cycles and a graph is freed by
-reference counting as soon as its last tensor goes; no global list holds
-a node. Every tensor takes a sequence number when it is created, and a
-node's parents always exist before it, so decreasing sequence number is a
-reverse topological order. Calling ``backward()`` on a scalar result
-gathers the recorded nodes it can reach in one pass, clears their stale
-gradients and runs their closures in that order. Gradients accumulate
-into leaves, parameters and inputs alike, except constants: the
-operands ops wrap themselves and the arrays ``constant()`` wraps get no
-gradient product and are never accumulated into. Values are immutable
-once constructed; only the trainer mutates parameter ``data`` between
-steps.
+reference counting as soon as its last tensor goes. Every tensor takes a
+sequence number when it is created, and a node's parents always exist
+before it, so decreasing sequence number is a reverse topological order.
+``backward()`` of a scalar recorded in a ``tape()`` block walks the
+block's list of nodes (a Wengert list; Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008) last first, any other root the nodes it
+reaches, gathered and sorted; it clears their stale gradients first.
+Gradients accumulate into leaves, parameters and inputs alike, except
+constants: the operands ops wrap themselves and the arrays ``constant()``
+wraps get no gradient product and are never accumulated into. No closure
+writes into the gradient it is handed, so a node borrows its first and
+adds a later one into a new array; a leaf copies its first and adds later
+ones in place, so its ``grad`` is its own. Values are immutable once
+constructed; only the trainer mutates parameter ``data`` between steps.
 
 Matmul takes matrices or stacks of them (one leading axis, as a stack of
 models has), each slice the product of its own matrices.
@@ -54,6 +57,9 @@ _kink_members: int | None = None
 
 # False inside no_grad(): ops then build neither parents nor a closure.
 _recording = True
+
+# The nodes recorded inside the open tape(), in creation order; else None.
+_tape: list | None = None
 
 # Creation sequence numbers; backward() runs closures in decreasing order.
 # Only their order matters, so one counter serves every graph.
@@ -97,6 +103,18 @@ def no_grad():
         yield
     finally:
         _recording = prev
+
+
+@contextmanager
+def tape():
+    """Keep the nodes recorded in the block, in the outer block's list when
+    nested, for ``backward()``: a root recorded there must reach only them."""
+    global _tape
+    outer, _tape = _tape, [] if _tape is None else _tape
+    try:
+        yield
+    finally:
+        _tape = outer
 
 
 def is_recording() -> bool:
@@ -164,8 +182,10 @@ class Tensor:
             return
         if g.shape != self.data.shape:
             g = _unbroadcast(g, self.data.shape)
-        if self.grad is None:
-            self.grad = np.array(g)  # own the buffer; g may be a view
+        if self._back is not None:  # a node borrows g: no closure writes into it
+            self.grad = g if self.grad is None else self.grad + g
+        elif self.grad is None:
+            self.grad = np.array(g)  # a leaf owns its buffer; g may be a view
         else:
             self.grad += g
 
@@ -175,17 +195,21 @@ class Tensor:
         a graph can be differentiated again, from this root or another."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output, got shape %s" % (self.data.shape,))
-        found = {self._seq: self}
-        stack = [self]
-        while stack:
-            for p in stack.pop()._parents:
-                if p._back is not None and p._seq not in found:
-                    p.grad = None
-                    found[p._seq] = p
-                    stack.append(p)
+        if _tape and self._seq >= _tape[0]._seq:  # recorded in the open tape()
+            nodes = _tape
+        else:
+            found = {self._seq: self}
+            stack = [self]
+            while stack:
+                for p in stack.pop()._parents:
+                    if p._back is not None and p._seq not in found:
+                        found[p._seq] = p
+                        stack.append(p)
+            nodes = [found[seq] for seq in sorted(found)]
+        for node in nodes:
+            node.grad = None
         self.grad = np.ones_like(self.data)
-        for seq in sorted(found, reverse=True):
-            node = found[seq]
+        for node in reversed(nodes):
             if node._back is not None and node.grad is not None:
                 node._back(node.grad)
 
@@ -302,6 +326,8 @@ def node(data, parents: tuple, back) -> Tensor:
     out = Tensor(data)
     if _recording:
         out._parents, out._back = parents, back
+        if _tape is not None:
+            _tape.append(out)
     return out
 
 

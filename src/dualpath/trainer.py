@@ -1,12 +1,12 @@
 """Mini-batch training and finite-difference gradient certification.
 
 ``train_models`` trains M models at once as one stack (``Model.stack``):
-one forward, one loss vector, one backward of its sum and one optimizer
-step a batch. Each model keeps everything a run of its own would have:
-its init, its shuffle and dropout streams, its loss weights, its gate
-override (``Model.gate_override``), its history, its patience counter and
-its best snapshot, and its parameters come out bit for bit as if it had
-trained alone. ``train`` is the call for one model.
+one forward, loss vector and backward of its sum (on one ``tape()``) and
+one optimizer step a batch. Each model keeps everything a run of its own
+would have: its init, its shuffle and dropout streams, its loss weights,
+its gate override (``Model.gate_override``), its history, its patience
+counter and its best snapshot, and its parameters come out bit for bit
+as if it had trained alone. ``train`` is the call for one model.
 
 The optimizer is adaptive moment estimation with decoupled weight decay
 and bias-corrected moments; the learning rate ramps linearly over the
@@ -64,7 +64,7 @@ from dualpath.metrics import eval_forward
 from dualpath.rng import Rng, StackedRng
 from dualpath.synthdata import (Dataset, MODALITIES, is_integer, require_integers,
                                 require_numbers)
-from dualpath.tensor import no_grad, watch_kinks
+from dualpath.tensor import no_grad, tape, watch_kinks
 
 
 class DivergenceError(RuntimeError):
@@ -245,7 +245,7 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
     total_steps = cfg.max_epochs * steps_per_epoch
     warmup_steps = max(1, int(round(cfg.warmup_proportion * total_steps)))
     histories = [TrainHistory() for _ in models]
-    best_snapshot = [model.snapshot() for model in models]
+    best_snapshot = [None] * len(models)  # epoch 0 always improves
     live = list(range(len(models)))  # the models in the stack, in stack order
     step = 0
     for epoch in range(cfg.max_epochs):
@@ -257,15 +257,16 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
             step += 1
             lr = cfg.learning_rate * min(1.0, step / warmup_steps)
             opt.zero_grad()
-            out = stack.forward_batch(train_data.text[idx], train_data.video[idx],
-                                      train_data.audio[idx], train=True,
-                                      rng=rng.child("dropout", step))
-            loss, parts = total_loss(out, train_data.labels[idx], live_loss)
-            for i, total in enumerate(parts["total"]):
-                if not np.isfinite(total):
-                    raise DivergenceError(_first_nonfinite(
-                        out.member(i), {k: vals[i] for k, vals in parts.items()}))
-            loss.sum().backward()
+            with tape():
+                out = stack.forward_batch(train_data.text[idx], train_data.video[idx],
+                                          train_data.audio[idx], train=True,
+                                          rng=rng.child("dropout", step))
+                loss, parts = total_loss(out, train_data.labels[idx], live_loss)
+                for i, total in enumerate(parts["total"]):
+                    if not np.isfinite(total):
+                        raise DivergenceError(_first_nonfinite(
+                            out.member(i), {k: vals[i] for k, vals in parts.items()}))
+                loss.sum().backward()
             opt.step(lr)
             for i, row in enumerate(sums):
                 for k, vals in parts.items():

@@ -8,12 +8,13 @@ import pytest
 
 from oracles import cmd, cmd_pair, cross_entropy
 
-from dualpath.losses import (COMPONENT_ORDER, WEIGHTS, LossConfig,
+from dualpath import functional
+from dualpath.losses import (COMPONENT_ORDER, WEIGHTS, LossConfig, _add_in_order,
                              diff_loss, sim_loss, task_loss, total_loss)
 from dualpath.fusion import Model, ModelConfig
 from dualpath.rng import Rng
 from dualpath.synthdata import DatasetConfig, MODALITIES, generate
-from dualpath.tensor import Tensor
+from dualpath.tensor import Tensor, watch_kinks
 
 
 def by_modality(*tensors):
@@ -304,3 +305,68 @@ class TestTotalLoss:
         for weight in (value,) if isinstance(value, bool) else (value, np.array([0.1, value])):
             with pytest.raises(ValueError, match=name):
                 LossConfig(**{name: weight}).validate()
+
+
+# -- the order of additions ----------------------------------------------------
+
+def chain_sum(x: np.ndarray, axis: int):
+    """The slices of ``x`` along ``axis`` added one at a time, first to last."""
+    total = np.take(x, 0, axis=axis)
+    for i in range(1, x.shape[axis]):
+        total = total + np.take(x, i, axis=axis)
+    return total
+
+
+def awkward(shape) -> np.ndarray:
+    """Values from 1e-8 to 1e16 in size, whose sum depends on the order,
+    with a NaN and a last row and column of -0.0, whose chain keeps the
+    sign that a sum started at 0.0 would drop."""
+    rng = Rng(5, f"awkward{shape}")
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 17, size=shape)
+    x[(0,) * len(shape)] = np.nan
+    x[-1] = -0.0
+    x[..., -1] = -0.0
+    return x
+
+
+ADD_IN_ORDER_CASES = {
+    "K": awkward((5,)),
+    "K_cancel": np.array([1e16, 1.0, -1e16, 1.0]),
+    "K_zeros": np.full(4, -0.0),
+    "3xM": awkward((3, 2)),
+    "MxK": awkward((2, 5)),
+}
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("name", ADD_IN_ORDER_CASES)
+def test_add_in_order_is_the_left_to_right_chain(name, axis):
+    x = ADD_IN_ORDER_CASES[name]
+    got, want = np.asarray(_add_in_order(x, axis)), np.asarray(chain_sum(x, axis))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if x.ndim == 2:  # the inputs hold what they are meant to
+        assert np.isnan(got).any() and np.signbit(got[got == 0]).any()
+
+
+@pytest.mark.parametrize("members", [3, 4])
+def test_sim_loss_records_one_norm_floor_per_order_over_the_pairs(members, monkeypatch):
+    """In a member watch each moment order's norms are one (M, 3) payload,
+    pairs last, and member m's record is the one its own call makes."""
+    order, raw_shapes = 5, []
+    note = functional._note_kink
+
+    def spy(kind, raw, floor=0.0):
+        raw_shapes.append((kind, raw.shape))
+        note(kind, raw, floor)
+
+    monkeypatch.setattr(functional, "_note_kink", spy)
+    rng = Rng(8, "sim_records")
+    feats = [rng.child(m).normal(size=(members, 6, 4)) for m in MODALITIES]
+    with watch_kinks(members) as kinks:
+        sim_loss(by_modality(*map(Tensor, feats)), order)
+    assert raw_shapes == [("norm_floor", (members, 3))] * order
+    assert [k for k, _ in kinks] == ["norm_floor"] * order
+    for m in range(members):
+        with watch_kinks() as own:
+            sim_loss(by_modality(*(Tensor(f[m]) for f in feats)), order)
+        assert [p[m] for _, p in kinks] == [p for _, p in own]

@@ -4,16 +4,18 @@ bookkeeping."""
 
 import gc
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import oracles
+from dualpath import tensor
 from dualpath.fusion import Model, ModelConfig
-from dualpath.losses import LossConfig, total_loss
-from dualpath.rng import Rng
-from dualpath.synthdata import DatasetConfig, generate
-from dualpath.tensor import Tensor, concat, constant, no_grad, watch_kinks
+from dualpath.losses import LossConfig, stack_loss_configs, total_loss
+from dualpath.rng import Rng, StackedRng
+from dualpath.synthdata import MODALITIES, DatasetConfig, generate
+from dualpath.tensor import Tensor, concat, constant, no_grad, tape, watch_kinks
 
 
 def fd_grad(f, arrays, eps=1e-6):
@@ -104,6 +106,108 @@ def test_graph_reused_across_two_backward_calls():
     x.grad = None
     (h * 2.0 + h * h).sum().backward()
     assert np.allclose(g_first + g_second, x.grad, rtol=1e-14, atol=0.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: signed zeros and NaNs must match too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_taped_root_differentiates_twice_and_after_its_block():
+    """Inside tape() a second backward clears the nodes' gradients of the
+    first, so a leaf with one path to the root gets exactly twice the
+    gradient; a root built after the block takes the gather walk."""
+    x = Tensor(np.array([0.3, -1.2, 2.0]))
+    h = (x * np.array([1.5, 0.5, -0.25])).tanh()
+    (h * 2.0 + h * h).sum().backward()
+    untaped = x.grad
+    x.grad = None
+    with tape():
+        h = (x * np.array([1.5, 0.5, -0.25])).tanh()
+        root = (h * 2.0 + h * h).sum()
+        root.backward()
+        assert same_bits(x.grad, untaped)
+        root.backward()
+        assert same_bits(x.grad, 2.0 * untaped)
+    assert tensor._tape is None
+    x.grad = None
+    (h * 2.0 + h * h).sum().backward()
+    assert same_bits(x.grad, untaped)
+
+
+def test_nested_tape_shares_the_outer_list():
+    """A root recorded in an inner block may reach the outer block's nodes."""
+    x = Tensor(np.array([0.7, -0.4]))
+    (x * x).tanh().sum().backward()
+    untaped, x.grad = x.grad, None
+    with tape():
+        h = x * x
+        with tape():
+            h.tanh().sum().backward()
+        assert tensor._tape is not None
+    assert same_bits(x.grad, untaped)
+
+
+def test_tape_closes_when_its_block_raises():
+    with pytest.raises(RuntimeError):
+        with tape():
+            Tensor(np.ones(2)).tanh()
+            raise RuntimeError("inside the block")
+    assert tensor._tape is None
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["gather", "tape"])
+@pytest.mark.parametrize("build", [lambda a, b: (a + b).sum(),
+                                   lambda a, b: concat([a, b], axis=0).sum()],
+                         ids=["add", "concat"])
+def test_leaves_own_their_gradients(build, taped):
+    """Nodes borrow the gradients handed to them; leaves never do: two
+    leaves fed the same array, or slices of one, get writable arrays of
+    their own."""
+    a, b = Tensor(np.array([1.0, -2.0, 3.0])), Tensor(np.array([0.5, 4.0, -1.0]))
+    with tape() if taped else nullcontext():
+        build(a, b).backward()
+    assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+    assert a.grad.flags.writeable and b.grad.flags.writeable
+    before = b.grad.copy()
+    a.grad *= 2
+    assert same_bits(b.grad, before) and same_bits(a.grad, 2.0 * np.ones(3))
+
+
+def stacked_step(batch, taped: bool, **model_kw) -> dict:
+    """The parameters of a stack of two default models after one training
+    step's forward, loss and backward, dropout on, each member on its own
+    order of the batch's rows."""
+    models = [Model(ModelConfig(init_seed=s, **model_kw)) for s in (0, 1)]
+    stack = Model.stack(models)
+    idx = np.stack([np.arange(len(batch)), np.arange(len(batch))[::-1]])
+    inputs = [getattr(batch, m)[idx] for m in MODALITIES]
+    with tape() if taped else nullcontext():
+        out = stack.forward_batch(*inputs, train=True,
+                                  rng=StackedRng([0, 1], "train").child("dropout", 1))
+        loss, _ = total_loss(out, batch.labels[idx], stack_loss_configs([LossConfig()] * 2))
+        loss.sum().backward()
+    return stack.params()
+
+
+def test_tape_walk_matches_the_gather_walk(default_batch):
+    taped, gathered = (stacked_step(default_batch, t) for t in (True, False))
+    assert list(taped) == list(gathered)
+    for name, p in taped.items():
+        assert same_bits(p.grad, gathered[name].grad), name
+
+
+def test_training_step_parameters_own_their_gradients(default_batch):
+    """With one shared encoder serving three modalities, every parameter
+    still ends a step with a writable gradient array no other holds."""
+    params = list(stacked_step(default_batch, True, share_shared_encoder=True).values())
+    for i, p in enumerate(params):
+        assert p.grad.flags.writeable
+        assert not any(np.shares_memory(p.grad, q.grad) for q in params[i + 1:])
+    before = [q.grad.copy() for q in params[1:]]
+    params[0].grad *= 2
+    assert all(same_bits(q.grad, b) for q, b in zip(params[1:], before))
 
 
 def test_recorded_forward_is_freed_by_refcount(default_batch):
@@ -403,18 +507,21 @@ def default_batch():
     return generate(DatasetConfig(n_train=16, n_val=0, n_test=0, seed=0))[0]
 
 
-def test_training_step_leaves_no_cyclic_garbage(default_batch):
+@pytest.mark.parametrize("taped", [False, True], ids=["gather", "tape"])
+def test_training_step_leaves_no_cyclic_garbage(default_batch, taped):
     """The tape holds no reference cycles: a whole step is freed by
-    reference counting, with nothing left for the cyclic collector."""
+    reference counting, with nothing left for the cyclic collector, and
+    the tape()'s list goes with its block."""
     model = Model(ModelConfig(init_seed=0))
     gc.collect()
     gc.disable()
     try:
-        out = model.forward_batch(default_batch.text, default_batch.video,
-                                  default_batch.audio, train=True,
-                                  rng=Rng(0, "train").child("dropout", 1))
-        loss, _ = total_loss(out, default_batch.labels, LossConfig())
-        loss.backward()
+        with tape() if taped else nullcontext():
+            out = model.forward_batch(default_batch.text, default_batch.video,
+                                      default_batch.audio, train=True,
+                                      rng=Rng(0, "train").child("dropout", 1))
+            loss, _ = total_loss(out, default_batch.labels, LossConfig())
+            loss.backward()
         del out, loss
         assert gc.collect() == 0
     finally:

@@ -318,6 +318,23 @@ class TestTrainLoop:
         for name in snap_a:
             assert np.array_equal(snap_a[name], snap_b[name]), name
 
+    def test_snapshots_once_per_improving_epoch(self, splits, monkeypatch):
+        """A model's parameters are copied only when its val score
+        improves; epoch 0 always does, so no copy is made before it."""
+        train_data, val_data, _ = splits
+        scores = iter([[0.5, 0.5], [0.6, 0.4], [0.6, 0.7], [0.7, 0.7]])
+        monkeypatch.setattr(trainer, "default_val_metric",
+                            lambda model, data: np.array(next(scores)))
+        calls = count()
+        snapshot = Model.snapshot
+        monkeypatch.setattr(Model, "snapshot", lambda model: (next(calls), snapshot(model))[1])
+        models = [Model(replace(MODEL_CFG, init_seed=s)) for s in (0, 1)]
+        histories = train_models(models, train_data, val_data,
+                                 [quick_train_cfg(seed=s, max_epochs=4, patience=10)
+                                  for s in (0, 1)], [LossConfig()] * 2)
+        assert [h.best_epoch for h in histories] == [3, 2]
+        assert next(calls) == 3 + 2  # epochs 0, 1, 3 and 0, 2
+
     def test_divergence_names_first_bad_stage(self, splits):
         train_data, val_data, _ = splits
         model = Model(MODEL_CFG)
