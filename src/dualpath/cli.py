@@ -31,10 +31,10 @@ OUT_ENV_VAR = "DUALPATH_OUT"
 
 GRADCHECK_THRESHOLD = 1e-4
 
-# Command-line flags a subcommand would ignore: `gen` draws from dataset.seed and
-# `eval` trains nothing. A config file's values pass, as one file serves them all.
-INAPPLICABLE_FLAGS = {"gen": ("seed",) + ABLATION_FLAGS,
-                      "eval": ("seed", "no_sim", "no_diff", "no_uni", "no_rea_loss")}
+# Command-line flags a subcommand would ignore: `gen` draws from dataset.seed, and
+# `eval` trains nothing and scores the model its checkpoint holds, gate clamp and
+# all. A config file's values pass, as one file serves them all.
+INAPPLICABLE_FLAGS = {"gen": ("seed",) + ABLATION_FLAGS, "eval": ("seed",) + ABLATION_FLAGS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,13 +129,12 @@ def _cmd_train(cfg: ExperimentConfig) -> dict:
 
 def _cmd_eval(cfg: ExperimentConfig, args) -> dict:
     model = load_checkpoint(args.checkpoint)
-    if args.data:
-        data, num_classes, feature_dim = load_dataset(args.data)
-        if num_classes != model.config.num_classes or feature_dim != model.config.feature_dim:
-            raise ValueError("dataset dims do not match the checkpoint")
-    else:
-        data = generate(cfg.dataset)[2]
-    model.gate_override = cfg.gate_override()  # checkpoints store no clamp
+    data, *dims = load_dataset(args.data) if args.data else (
+        generate(cfg.dataset)[2], cfg.dataset.num_classes, cfg.dataset.feature_dim)
+    want = [model.config.num_classes, model.config.feature_dim]
+    if dims != want:
+        raise ValueError(f"dataset dims (num_classes, feature_dim) {dims} do not match "
+                         f"the checkpoint's {want}")
     metrics = evaluate(model, data)
     return {"checkpoint": args.checkpoint, "metrics": metrics.as_dict()}
 

@@ -25,7 +25,7 @@ from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
                                 inject_noise_dataset, is_integer, is_number, json_object,
-                                require_bools, require_integers, require_numbers)
+                                require_bools)
 from dualpath.trainer import TrainConfig, TrainHistory, train_models
 
 ABLATION_FLAGS = ("no_int", "no_rea", "no_sim", "no_diff", "no_uni", "no_rea_loss")
@@ -40,6 +40,7 @@ class ExperimentConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     hidden_dim: int | None = None       # None -> feature_dim
     temperature: float = 1.0
+    dropout: float = 0.2
     share_shared_encoder: bool = False
     no_int: bool = False
     no_rea: bool = False
@@ -58,10 +59,8 @@ class ExperimentConfig:
             raise ValueError(f"train.seed must be {TrainConfig.seed}, got "
                              f"{self.train.seed!r}: list the run seeds in 'seeds'")
         self.loss.validate()
-        require_bools(self, "share_shared_encoder", *ABLATION_FLAGS)
-        if self.hidden_dim is not None:
-            require_integers(self, "hidden_dim", low=1)
-        require_numbers(self, "(0, inf)", "temperature")
+        require_bools(self, *ABLATION_FLAGS)
+        self.model_config(0).validate()
         if not isinstance(self.out_dir, str):
             raise ValueError(f"ExperimentConfig.out_dir must be a string, "
                              f"got {self.out_dir!r}")
@@ -78,11 +77,13 @@ class ExperimentConfig:
         return ModelConfig(
             feature_dim=self.dataset.feature_dim,
             num_classes=self.dataset.num_classes,
-            hidden_dim=self.hidden_dim or self.dataset.feature_dim,
+            hidden_dim=self.dataset.feature_dim if self.hidden_dim is None else self.hidden_dim,
             temperature=self.temperature,
-            dropout=self.train.dropout,
+            dropout=self.dropout,
             share_shared_encoder=self.share_shared_encoder,
             init_seed=seed,
+            # 1.0 (reasoning only) under no_int, 0.0 (intuition only) under no_rea
+            gate_override=1.0 if self.no_int else 0.0 if self.no_rea else None,
         )
 
     def effective_loss(self) -> LossConfig:
@@ -96,15 +97,6 @@ class ExperimentConfig:
         if self.no_sim:
             kw["alignment_weight"] = 0.0
         return LossConfig(**kw)
-
-    def gate_override(self) -> float | None:
-        """The model's gate clamp: 1.0 (reasoning only) under ``no_int``,
-        0.0 (intuition only) under ``no_rea``, else None."""
-        if self.no_int:
-            return 1.0
-        if self.no_rea:
-            return 0.0
-        return None
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -127,7 +119,7 @@ def load_experiment_config(source) -> ExperimentConfig:
                                *ABLATION_FLAGS), "")
     kwargs = {key: cls(**json_object(raw.get(key, {}), cls.__dataclass_fields__, key))
               for key, cls in sections.items()}
-    kwargs.update(json_object(raw.get("model", {}), ("hidden_dim", "temperature",
+    kwargs.update(json_object(raw.get("model", {}), ("hidden_dim", "temperature", "dropout",
                                                      "share_shared_encoder"), "model"))
     for key in ("sigmas", "seeds"):
         if key in raw:
@@ -198,7 +190,7 @@ def train_runs(runs: list[tuple[ExperimentConfig, int]],
     train_data, val_data, test_data = splits
     if len(test_data) == 0:
         raise ValueError("the test split is empty: no metrics to compute")
-    models = [Model(cfg.model_config(seed), cfg.gate_override()) for cfg, seed in runs]
+    models = [Model(cfg.model_config(seed)) for cfg, seed in runs]
     histories = train_models(models, train_data, val_data,
                              [replace(cfg.train, seed=seed) for cfg, seed in runs],
                              [cfg.effective_loss() for cfg, _ in runs])
@@ -322,10 +314,13 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
 def run_robustness(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Train on clean data; evaluate with Gaussian noise injected into the
-    text features at each sigma. Noise draws depend only on the dataset
-    seed and sigma, so reports are reproducible. Sigma 0 adds no noise:
-    its row is the clean test forward ``train_runs`` already made. Every
-    other sigma tests all seeds' models in one stacked forward."""
+    text features at each sigma. Each sigma's noise stream is keyed by the
+    dataset seed and the sigma's position in ``sigmas``, not by its value:
+    reports are reproducible, but the same sigma at another position (0.5
+    in ``(0.5,)`` and in ``(0.0, 0.5)``) draws other noise. Sigma 0 adds
+    no noise: its row is the clean test forward ``train_runs`` already
+    made. Every other sigma tests all seeds' models in one stacked
+    forward."""
     out, splits = _prepare(cfg, out_dir)
     columns = ["acc", "macro_f1", "weighted_f1"]
     per_seed = []

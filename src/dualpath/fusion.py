@@ -2,10 +2,11 @@
 
 The consensus pathway summarizes agreement; the reasoning pathway
 re-weights private features by trust. A per-sample gate in (0, 1) mixes
-the two, leaning on reasoning when perceived conflict is high. A model
-may carry a gate override, the clamp of the "w/o intuition" and "w/o
-reasoning" variants: it fixes the gate instead of deleting branches, so
-parameter counts stay comparable across variants.
+the two, leaning on reasoning when perceived conflict is high. A model's
+config may carry a gate override, the clamp of the "w/o intuition" and
+"w/o reasoning" variants: it fixes the gate instead of deleting branches,
+so parameter counts stay comparable across variants, and a checkpoint
+keeps it with the rest of the config.
 
 ``Model.stack`` builds one model over M member models whose parameters
 carry a leading model axis; its forward runs all M at once, each slice
@@ -33,7 +34,7 @@ from dualpath.synthdata import (MODALITIES, is_number, json_object, require_bool
 from dualpath.tensor import Tensor, _unbroadcast, constant, node
 
 CHECKPOINT_MAGIC = b"DPCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ class ModelConfig:
     dropout: float = 0.2
     share_shared_encoder: bool = False
     init_seed: int = 0
+    # None leaves the gate free; 1.0 keeps reasoning only, 0.0 intuition only
+    gate_override: float | None = None
 
     def validate(self) -> None:
         """Raise ValueError naming the first bad field. ``Model`` runs it on
@@ -55,6 +58,9 @@ class ModelConfig:
         require_numbers(self, "(0, inf)", "temperature")
         require_numbers(self, "[0, 1)", "dropout")
         require_bools(self, "share_shared_encoder")
+        if self.gate_override is not None and not is_number(self.gate_override, "[0, 1]"):
+            raise ValueError(f"ModelConfig.gate_override must be None or lie in [0, 1], "
+                             f"got {self.gate_override!r}")
 
 
 @dataclass
@@ -132,15 +138,11 @@ def _stacked_shape(shape: tuple) -> tuple:
 
 
 class Model(Module):
-    def __init__(self, config: ModelConfig, gate_override: float | None = None):
+    def __init__(self, config: ModelConfig):
         config.validate()
-        if gate_override is not None and not is_number(gate_override, "[0, 1]"):
-            raise ValueError(f"gate_override must be None or lie in [0, 1], "
-                             f"got {gate_override!r}")
         self.config = config
-        # None leaves the gate free; 1.0 keeps reasoning only, 0.0 intuition
-        # only. A stack holds its members' values, one per model.
-        self.gate_override: float | list[float | None] | None = gate_override
+        # one per model: a stack holds its members' gate overrides
+        self.gate_overrides = (config.gate_override,)
         self.stack_size: int | None = None  # M for a stack, None for a plain model
         rng = Rng(config.init_seed, "init")
         self.decoupler = Decoupler(rng.child("decoupler"), config.feature_dim,
@@ -179,11 +181,10 @@ class Model(Module):
         """The gate override as (mask, value) arrays, or None when no model
         is clamped: 0-d arrays for a plain model, (M, 1, 1) arrays for a
         stack, one entry per member."""
-        values = [self.gate_override] if self.stack_size is None else self.gate_override
-        if all(v is None for v in values):
+        if all(v is None for v in self.gate_overrides):
             return None
-        mask = np.array([v is not None for v in values])
-        value = np.array([0.0 if v is None else v for v in values])
+        mask = np.array([v is not None for v in self.gate_overrides])
+        value = np.array([0.0 if v is None else v for v in self.gate_overrides])
         shape = () if self.stack_size is None else (-1, 1, 1)
         return mask.reshape(shape), value.reshape(shape)
 
@@ -218,14 +219,17 @@ class Model(Module):
         d_out); biases, gains, the prototype and the stat weight (M, 1, d);
         scalars (M, 1, 1). Its arrays are copies;
         ``bind`` makes the members' parameters views of them. Members must
-        share a config up to ``init_seed``; each keeps its gate override."""
+        share a config up to ``init_seed`` and ``gate_override``; each keeps
+        its gate override."""
         config = members[0].config
         for member in members:
-            if replace(member.config, init_seed=config.init_seed) != config:
-                raise ValueError("stacked models must share a config up to init_seed")
+            if replace(member.config, init_seed=config.init_seed,
+                       gate_override=config.gate_override) != config:
+                raise ValueError("stacked models must share a config up to "
+                                 "init_seed and gate_override")
         out = cls(config)
         out.stack_size = len(members)
-        out.gate_override = [member.gate_override for member in members]
+        out.gate_overrides = tuple(member.config.gate_override for member in members)
         member_params = [member.params() for member in members]
         for name, p in out.params().items():
             shape = _stacked_shape(p.data.shape)
@@ -308,7 +312,9 @@ def load_checkpoint(path) -> Model:
     if magic != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"unsupported checkpoint version {version}" + (
+            ": a version 1 file stores no gate clamp; re-run `dualpath train` to "
+            "rebuild it (training is deterministic)" if version == 1 else ""))
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
     names = ModelConfig.__dataclass_fields__
     block = json_object(json.loads(take(cfg_len, "config").decode("utf-8")), names, "checkpoint")

@@ -4,7 +4,7 @@
 one forward, loss vector and backward of its sum (on one ``tape()``) and
 one optimizer step a batch. Each model keeps everything a run of its own
 would have: its init, its shuffle and dropout streams, its loss weights,
-its gate override (``Model.gate_override``), its history, its patience
+its gate override (``ModelConfig.gate_override``), its history, its patience
 counter and its best snapshot, and its parameters come out bit for bit
 as if it had trained alone. ``train`` is the call for one model.
 
@@ -83,7 +83,6 @@ class TrainConfig:
     patience: int = 5
     warmup_proportion: float = 0.05
     weight_decay: float = 0.1
-    dropout: float = 0.2
     seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -92,7 +91,7 @@ class TrainConfig:
     def validate(self) -> None:
         require_integers(self, "seed")
         require_integers(self, "max_epochs", "batch_size", "patience", low=1)
-        require_numbers(self, "[0, 1)", "warmup_proportion", "dropout", "beta1", "beta2")
+        require_numbers(self, "[0, 1)", "warmup_proportion", "beta1", "beta2")
         require_numbers(self, "[0, inf)", "learning_rate", "weight_decay")
         require_numbers(self, "(0, inf)", "epsilon")
 
@@ -229,14 +228,10 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
         if replace(c, seed=cfg.seed) != cfg:
             raise ValueError("stacked runs must share every train setting but the seed")
     live_loss = stack_loss_configs(loss_cfgs)
-    for model in models:
-        if model.config.dropout != cfg.dropout:  # the model's rate is the one used
-            raise ValueError(f"model dropout {model.config.dropout!r} differs from "
-                             f"TrainConfig.dropout {cfg.dropout!r}")
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and val splits must be nonempty")
     stack = Model.stack(models)
-    clamped = np.array([model.gate_override is not None for model in models])
+    clamped = np.array([model.config.gate_override is not None for model in models])
     gate_only = np.isin(list(stack.params()), stack.gate_params())
     opt = AdamW(stack.params(), cfg, received=~(clamped[:, None] & gate_only))
     stack.bind(models)

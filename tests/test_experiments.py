@@ -8,6 +8,7 @@ rather than model quality. Quality bars live in the acceptance suite.
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from dualpath.trainer import TrainConfig, TrainHistory
 TINY = ExperimentConfig(
     dataset=DatasetConfig(num_classes=3, feature_dim=8, n_train=96, n_val=32,
                           n_test=32, conflict_rate=0.3, seed=13),
-    train=TrainConfig(max_epochs=2, batch_size=16, dropout=0.1, seed=0),
+    train=TrainConfig(max_epochs=2, batch_size=16, seed=0),
     hidden_dim=6,
+    dropout=0.1,
     seeds=(0,),
     sigmas=(0.0, 0.5),
 )
@@ -38,8 +40,8 @@ def tiny_config_json(tmp_path, **extra):
     raw = {
         "dataset": {"num_classes": 3, "feature_dim": 8, "n_train": 96,
                     "n_val": 32, "n_test": 32, "seed": 13},
-        "train": {"max_epochs": 2, "batch_size": 16, "dropout": 0.1},
-        "model": {"hidden_dim": 6},
+        "train": {"max_epochs": 2, "batch_size": 16},
+        "model": {"hidden_dim": 6, "dropout": 0.1},
         "seeds": [0],
         "sigmas": [0.0, 0.5],
     }
@@ -59,7 +61,7 @@ class TestConfig:
         assert mc.hidden_dim == 6
         assert mc.num_classes == 3
         assert mc.init_seed == 3
-        assert mc.dropout == TINY.train.dropout
+        assert mc.dropout == TINY.dropout
 
     def test_hidden_dim_defaults_to_feature_dim(self):
         cfg = ExperimentConfig()
@@ -77,10 +79,12 @@ class TestConfig:
 
     def test_ablation_only_for_pathway_flags(self):
         from dataclasses import replace
-        assert ExperimentConfig().gate_override() is None
-        assert replace(ExperimentConfig(), no_sim=True).gate_override() is None
-        assert replace(ExperimentConfig(), no_rea=True).gate_override() == 0.0
-        assert replace(ExperimentConfig(), no_int=True).gate_override() == 1.0
+        def clamp(**flags):
+            return replace(ExperimentConfig(), **flags).model_config(0).gate_override
+        assert clamp() is None
+        assert clamp(no_sim=True) is None
+        assert clamp(no_rea=True) == 0.0
+        assert clamp(no_int=True) == 1.0
 
     def test_conflicting_pathway_flags_rejected(self):
         from dataclasses import replace
@@ -126,14 +130,16 @@ class TestConfig:
     @pytest.mark.parametrize("raw,field", [
         ({"no_sim": "false"}, "ExperimentConfig.no_sim"),
         ({"no_int": 1}, "ExperimentConfig.no_int"),
-        ({"model": {"share_shared_encoder": "yes"}}, "ExperimentConfig.share_shared_encoder"),
-        ({"model": {"hidden_dim": 0}}, "ExperimentConfig.hidden_dim"),
-        ({"model": {"hidden_dim": -3}}, "ExperimentConfig.hidden_dim"),
-        ({"model": {"temperature": -1.0}}, "ExperimentConfig.temperature"),
-        ({"model": {"temperature": 0.0}}, "ExperimentConfig.temperature"),
-        ({"model": {"temperature": float("nan")}}, "ExperimentConfig.temperature"),
-        ({"model": {"temperature": float("inf")}}, "ExperimentConfig.temperature"),
-        ({"model": {"temperature": "1.0"}}, "ExperimentConfig.temperature"),
+        ({"model": {"share_shared_encoder": "yes"}}, "ModelConfig.share_shared_encoder"),
+        ({"model": {"hidden_dim": 0}}, "ModelConfig.hidden_dim"),
+        ({"model": {"hidden_dim": -3}}, "ModelConfig.hidden_dim"),
+        ({"model": {"temperature": -1.0}}, "ModelConfig.temperature"),
+        ({"model": {"temperature": 0.0}}, "ModelConfig.temperature"),
+        ({"model": {"temperature": float("nan")}}, "ModelConfig.temperature"),
+        ({"model": {"temperature": float("inf")}}, "ModelConfig.temperature"),
+        ({"model": {"temperature": "1.0"}}, "ModelConfig.temperature"),
+        ({"model": {"dropout": 1.0}}, "ModelConfig.dropout"),
+        ({"model": {"dropout": "0.1"}}, "ModelConfig.dropout"),
         ({"out_dir": 5}, "ExperimentConfig.out_dir"),
     ])
     def test_rejects_bad_flags_and_model_fields(self, raw, field):
@@ -168,6 +174,14 @@ class TestLoadConfig:
         assert cfg.seeds == (0,)
         assert cfg.sigmas == (0.0, 0.5)
 
+    def test_the_readme_example_is_the_default_config(self):
+        """The JSON block under README "JSON config" loads, and shows the
+        defaults it claims to show."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## JSON config\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert load_experiment_config(json.loads(block)) == ExperimentConfig()
+
     def test_accepts_dict_source(self):
         cfg = load_experiment_config({"seeds": [1, 2], "out_dir": "elsewhere"})
         assert cfg.seeds == (1, 2)
@@ -188,6 +202,8 @@ class TestLoadConfig:
             load_experiment_config({"dataset": {"classes": 3}})
         with pytest.raises(ValueError, match="unknown train config keys"):
             load_experiment_config({"train": {"lr": 0.1}})
+        with pytest.raises(ValueError, match=r"unknown train config keys: \['dropout'\]"):
+            load_experiment_config({"train": {"dropout": 0.1}})
         with pytest.raises(ValueError, match="unknown model config keys"):
             load_experiment_config({"model": {"depth": 3}})
 
@@ -500,6 +516,38 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValueError"
 
+    def test_eval_checks_the_dims_of_the_generated_split(self, tmp_path, capsys):
+        """Without --data, eval scores the config's test split, whose dims
+        come from the config's dataset: a class count other than the
+        checkpoint's fails instead of scoring the model's unused class."""
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config_json(tmp_path)),
+                     "--out", str(out)]) == 0
+        other = tmp_path / "other"
+        other.mkdir()
+        cfg = tiny_config_json(other, dataset={"num_classes": 2, "feature_dim": 8,
+                                               "n_train": 96, "n_val": 32, "n_test": 32,
+                                               "seed": 13})
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(out / "model_seed0.ckpt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError"
+        assert "[2, 8] do not match the checkpoint's [3, 8]" in record["message"]
+
+    def test_eval_scores_the_clamp_the_checkpoint_holds(self, tmp_path, capsys):
+        """A plain eval of a `train --no-int` checkpoint prints the test
+        metrics train reported for it: the clamp comes from the file."""
+        cfg = tiny_config_json(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--no-int"]) == 0
+        trained = json.loads(capsys.readouterr().out)
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     trained["checkpoint"]]) == 0
+        assert json.loads(capsys.readouterr().out)["metrics"] == trained["metrics"]
+
     def test_eval_rejects_nonfinite_checkpoint(self, tmp_path, capsys):
         cfg = tiny_config_json(tmp_path)
         out = tmp_path / "run"
@@ -618,11 +666,12 @@ class TestCli:
 
     @pytest.mark.parametrize("command,flag", [("gen", "seed")] + [
         ("gen", flag) for flag in ABLATION_FLAGS] + [
-        ("eval", flag) for flag in ("seed", "no_sim", "no_diff", "no_uni", "no_rea_loss")])
+        ("eval", flag) for flag in ("seed",) + ABLATION_FLAGS])
     def test_gen_and_eval_reject_flags_they_would_ignore(self, tmp_path, capsys,
                                                          command, flag):
-        """`gen` draws its splits from dataset.seed and `eval` trains
-        nothing, so such a flag fails before anything is read or written."""
+        """`gen` draws its splits from dataset.seed, and `eval` trains
+        nothing and scores the gate clamp its checkpoint holds, so such a
+        flag fails before anything is read or written."""
         cli_flag = "--" + flag.replace("_", "-")
         out = tmp_path / "run"
         argv = [command, "--config", str(tiny_config_json(tmp_path)), "--out", str(out),
@@ -655,16 +704,15 @@ class TestCli:
         assert not out.exists()
 
     def test_gen_and_eval_take_switches_from_the_config_file(self, tmp_path, capsys):
-        """One config file serves every subcommand, so its switches pass;
-        `eval` also takes a pathway switch as a flag."""
-        cfg = tiny_config_json(tmp_path, no_sim=True, no_uni=True)
+        """One config file serves every subcommand, so its switches pass."""
+        cfg = tiny_config_json(tmp_path, no_int=True, no_sim=True, no_uni=True)
         out = tmp_path / "run"
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "train.bin").exists()
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg), "--checkpoint",
-                     str(out / "model_seed0.ckpt"), "--no-int"]) == 0
+                     str(out / "model_seed0.ckpt")]) == 0
         assert "metrics" in json.loads(capsys.readouterr().out)
 
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):

@@ -188,17 +188,17 @@ class TestGateOverride:
     def test_override_outside_unit_interval_is_rejected(self):
         for value in (-0.1, 1.5, float("nan"), float("inf"), True, "0.5"):
             with pytest.raises(ValueError, match="gate_override"):
-                Model(CFG, value)
+                Model(replace(CFG, gate_override=value))
 
     def test_gate_override_values(self, batch):
         """Any value in [0, 1] clamps the gate there, and a stack holds
         each member's value."""
         for value in (None, 0.0, 0.5, 1.0):
-            assert Model(CFG, value).gate_override == value
-        gate = Model(CFG, 0.5).forward_batch(*batch).report.gate.data
+            assert Model(replace(CFG, gate_override=value)).gate_overrides == (value,)
+        gate = Model(replace(CFG, gate_override=0.5)).forward_batch(*batch).report.gate.data
         assert np.array_equal(gate, np.full_like(gate, 0.5))
-        members = [Model(CFG), Model(CFG, 1.0), Model(CFG, 0.0)]
-        assert Model.stack(members).gate_override == [None, 1.0, 0.0]
+        members = [Model(replace(CFG, gate_override=v)) for v in (None, 1.0, 0.0)]
+        assert Model.stack(members).gate_overrides == (None, 1.0, 0.0)
 
     @pytest.mark.parametrize("share", [False, True])
     @pytest.mark.parametrize("override", [0.0, 0.5, 1.0])
@@ -208,9 +208,9 @@ class TestGateOverride:
         plain or in a stack, and no parameter's gradient is None."""
         cfg = replace(CFG, share_shared_encoder=share)
         labels = np.arange(len(batch[0])) % CFG.num_classes
-        plain = Model(cfg, override)
+        plain = Model(replace(cfg, gate_override=override))
         total_loss(plain.forward_batch(*batch), labels, LossConfig())[0].backward()
-        stack = Model.stack([Model(cfg, override), Model(cfg)])
+        stack = Model.stack([Model(replace(cfg, gate_override=override)), Model(cfg)])
         stack_cfg = stack_loss_configs([LossConfig()] * 2)
         total_loss(stack.forward_batch(*batch), labels, stack_cfg)[0].sum().backward()
         for model, shares in ((plain, slice(None)), (stack, 0)):
@@ -222,30 +222,30 @@ class TestGateOverride:
         assert np.any(stack.params()["perception.div_gate.weight"].grad[1] != 0.0)
 
     def test_no_rea_uses_consensus_only(self, batch):
-        model = Model(CFG, 0.0)
+        model = Model(replace(CFG, gate_override=0.0))
         out = model.forward_batch(*batch)
         assert np.array_equal(out.report.gate.data,
                               np.zeros_like(out.report.gate.data))
         assert np.array_equal(out.fused.data, out.intuition_repr.data)
 
     def test_no_int_uses_reasoning_only(self, batch):
-        model = Model(CFG, 1.0)
+        model = Model(replace(CFG, gate_override=1.0))
         out = model.forward_batch(*batch)
         assert np.array_equal(out.fused.data, out.reasoning_repr.data)
 
     def test_no_rea_severs_prototype_influence(self, batch):
         """With the gate clamped to 0 the conflict prototype cannot reach
         the prediction head, so perturbing it must not move the output."""
-        model = Model(CFG, 0.0)
+        model = Model(replace(CFG, gate_override=0.0))
         base = model.forward_batch(*batch)
         model.perception.prototype.data = model.perception.prototype.data + 5.0
         moved = model.forward_batch(*batch)
         assert np.array_equal(base.probs.data, moved.probs.data)
-        model.gate_override = None
-        unablated = model.forward_batch(*batch)
-        model.perception.prototype.data = model.perception.prototype.data - 10.0
+        unablated = Model(CFG)  # the same init with a free gate
+        before = unablated.forward_batch(*batch)
+        unablated.perception.prototype.data = unablated.perception.prototype.data + 5.0
         assert not np.array_equal(
-            unablated.probs.data, model.forward_batch(*batch).probs.data)
+            before.probs.data, unablated.forward_batch(*batch).probs.data)
 
 
 BAD_CONFIG_FIELDS = [
@@ -253,6 +253,7 @@ BAD_CONFIG_FIELDS = [
     ("temperature", True), ("temperature", "1.0"), ("temperature", None),
     ("dropout", "0.1"), ("dropout", None), ("dropout", False),
     ("share_shared_encoder", "yes"), ("share_shared_encoder", 1),
+    ("gate_override", 1.5), ("gate_override", True), ("gate_override", "0.5"),
 ]
 
 
@@ -343,6 +344,11 @@ class TestParams:
                 assert np.array_equal(p.data[m].reshape(shape),
                                       member.params()[name].data), (name, m)
 
+    def test_stack_members_differ_only_in_init_seed_and_gate_override(self):
+        Model.stack([Model(CFG), Model(replace(CFG, init_seed=9, gate_override=1.0))])
+        with pytest.raises(ValueError, match="up to init_seed and gate_override"):
+            Model.stack([Model(CFG), Model(replace(CFG, dropout=0.0))])
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, batch):
@@ -373,10 +379,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("override", [None, 0.0, 1.0])
+    def test_round_trip_keeps_the_gate_clamp(self, tmp_path, batch, override):
+        """The clamp is part of the config block, so a loaded checkpoint
+        forwards exactly as the saved model did."""
+        model = Model(replace(CFG, gate_override=override))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path)
+        assert loaded.config.gate_override == override
+        assert loaded.gate_overrides == (override,)
+        assert np.array_equal(loaded.forward_batch(*batch).probs.data,
+                              model.forward_batch(*batch).probs.data)
+
     def test_rejects_bad_version(self, tmp_path):
         path = tmp_path / "future.ckpt"
         path.write_bytes(b"DPCK" + b"\xff\x7f" + b"\x00" * 32)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_rejects_a_version_1_file(self, tmp_path):
+        """Version 1 stored no gate clamp: such a file fails, naming its
+        version and how to rebuild it."""
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, Model(CFG))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+        with pytest.raises(ValueError, match=r"version 1.*no gate clamp.*dualpath train"):
             load_checkpoint(path)
 
     def test_rejects_truncated_file(self, tmp_path):

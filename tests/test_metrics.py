@@ -1,5 +1,7 @@
 """Classification metrics: hand-computed confusion cases and conventions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,7 +170,7 @@ class TestModelFacing:
         model, test = model_and_split
         # the fixture is an untrained model, so a fresh one of its config
         # holds its parameters; the shared fixture keeps a free gate
-        for clamped in (model, Model(model.config, 0.0)):
+        for clamped in (model, Model(replace(model.config, gate_override=0.0))):
             out = eval_forward(clamped, test)
             assert output_metrics(out, test, 3) == evaluate(clamped, test)
             assert gate_stats(out, test) == gating_summary(clamped, test)
@@ -183,7 +185,7 @@ class TestModelFacing:
 
     def test_gating_summary_respects_ablation(self, model_and_split):
         model, test = model_and_split
-        g = gating_summary(Model(model.config, 0.0), test)
+        g = gating_summary(Model(replace(model.config, gate_override=0.0)), test)
         assert g["gate_mean"] == 0.0
-        g2 = gating_summary(Model(model.config, 1.0), test)
+        g2 = gating_summary(Model(replace(model.config, gate_override=1.0)), test)
         assert g2["gate_mean"] == 1.0

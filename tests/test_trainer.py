@@ -10,7 +10,8 @@ import pytest
 
 import oracles
 from oracles import _kink_crossed, _only_abs_crossed
-from dualpath import layers, trainer
+from dualpath import functional, fusion, layers, losses, perception, tensor, trainer
+from dualpath.experiments import ExperimentConfig
 from dualpath.fusion import Model, ModelConfig, load_checkpoint, save_checkpoint
 from dualpath.losses import LossConfig, total_loss
 from dualpath.rng import Rng
@@ -55,8 +56,7 @@ def first_bad_stage(group: str) -> str:
 
 
 def quick_train_cfg(**kw):
-    base = dict(learning_rate=3e-3, max_epochs=6, batch_size=16, patience=5,
-                dropout=0.1, seed=0)
+    base = dict(learning_rate=3e-3, max_epochs=6, batch_size=16, patience=5, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -416,18 +416,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("value", [5.0, 1.0, -0.1, float("nan")])
     def test_config_rejects_a_dropout_outside_the_unit_interval(self, value):
         with pytest.raises(ValueError, match="dropout"):
-            TrainConfig(dropout=value).validate()
-        TrainConfig(dropout=0.0).validate()
-
-    def test_rejects_a_model_whose_dropout_differs(self, splits):
-        """The model's own rate drives its dropout masks, so a train config
-        naming another rate would be ignored: it fails instead."""
-        train_data, val_data, _ = splits
-        model = Model(replace(MODEL_CFG, dropout=0.0))
-        before = model.snapshot()
-        with pytest.raises(ValueError, match=r"0\.0.*0\.5"):
-            train(model, train_data, val_data, quick_train_cfg(dropout=0.5), LossConfig())
-        assert all(np.array_equal(before[k], v) for k, v in model.snapshot().items())
+            ModelConfig(dropout=value).validate()
+        ModelConfig(dropout=0.0).validate()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -453,7 +443,6 @@ class TestTrainLoop:
         ({"weight_decay": float("inf")}, "weight_decay"),
         ({"epsilon": float("nan")}, "epsilon"),
         ({"epsilon": float("inf")}, "epsilon"),
-        ({"dropout": "0.1"}, "TrainConfig.dropout"),
         ({"beta1": None}, "TrainConfig.beta1"),
         ({"warmup_proportion": True}, "TrainConfig.warmup_proportion"),
         ({"learning_rate": "0.1"}, "TrainConfig.learning_rate"),
@@ -473,7 +462,7 @@ class TestTrainLoop:
         it must stay at its init bit for bit; decay alone would shrink the
         weight off 1.0."""
         train_data, val_data, _ = splits
-        model = Model(MODEL_CFG, override)
+        model = Model(replace(MODEL_CFG, gate_override=override))
         before = model.snapshot()
         train(model, train_data, val_data, quick_train_cfg(max_epochs=2), LossConfig())
         after = model.snapshot()
@@ -494,12 +483,13 @@ class TestTrainLoop:
         cfgs = [quick_train_cfg(seed=s, max_epochs=8, patience=2) for s in seeds]
         loss_cfgs = [LossConfig(), LossConfig(unimodal_weight=0.0),
                      LossConfig(reasoning_weight=0.0)]
-        models = [Model(replace(MODEL_CFG, init_seed=s), v) for s, v in zip(seeds, overrides)]
+        models = [Model(replace(MODEL_CFG, init_seed=s, gate_override=v))
+                  for s, v in zip(seeds, overrides)]
         init = [m.snapshot() for m in models]
         histories = train_models(models, train_data, val_data, cfgs, loss_cfgs)
         assert len({len(h.val_metrics) for h in histories}) > 1
         for m, model in enumerate(models):
-            alone = Model(replace(MODEL_CFG, init_seed=seeds[m]), overrides[m])
+            alone = Model(replace(MODEL_CFG, init_seed=seeds[m], gate_override=overrides[m]))
             history = train(alone, train_data, val_data, cfgs[m], loss_cfgs[m])
             assert history == histories[m], m
             for name, arr in alone.snapshot().items():
@@ -647,7 +637,8 @@ def reference_setup(name: str, request):
                 small, LossConfig(), {"coords_per_group": 8})
     if name == "gate-override":
         # a reasoning-only model: its probe stack must clamp the gate too
-        return Model(replace(SMALL_MODEL, init_seed=4), 1.0), small, LossConfig(), {}
+        return (Model(replace(SMALL_MODEL, init_seed=4, gate_override=1.0)), small,
+                LossConfig(), {})
     assert name == "no-reasoning-loss", name
     return (Model(replace(SMALL_MODEL, init_seed=7)), small,
             LossConfig(reasoning_weight=0.0), {"coords_per_group": 4})
@@ -761,6 +752,50 @@ class TestGradCheck:
         assert result.skipped == 0 and result.resampled == 0
         assert result.coords_checked == size
         assert result.passed(1e-4), max(result.per_group, key=result.per_group.get)
+
+
+# The modules whose ops record their nodes through ``tensor.node``, each
+# holding its own name for it.
+NODE_MODULES = (tensor, functional, fusion, layers, losses, perception)
+
+
+def default_grad_check(monkeypatch, scaled: str | None = None,
+                       seen: set | None = None) -> GradCheckResult:
+    """The default ``dualpath gradcheck`` (seed 0, a batch of 8), with every
+    backward closure of op kind ``scaled`` handed its incoming gradient
+    times 1 + 1e-3. A kind is the owner in the closure's ``__qualname__``
+    (``Tensor.__add__`` for ``Tensor.__add__.<locals>.back``); ``seen``
+    collects the kinds recorded."""
+    record = tensor.node
+
+    def node(data, parents, back):
+        kind = back.__qualname__.split(".<locals>")[0]
+        if seen is not None:
+            seen.add(kind)
+        if kind == scaled:
+            inner = back
+
+            def back(g):
+                inner(g * (1.0 + 1e-3))
+        return record(data, parents, back)
+
+    cfg = ExperimentConfig()
+    batch = generate(replace(cfg.dataset, n_train=8, n_val=2, n_test=2))[0]
+    with monkeypatch.context() as patch:
+        for module in NODE_MODULES:
+            patch.setattr(module, "node", node)
+        return grad_check(Model(cfg.model_config(0)), batch, cfg.effective_loss(), seed=0)
+
+
+def test_the_certifier_fails_a_gradient_off_by_1e_3_in_any_op_kind(monkeypatch):
+    """The default check passes, and scaling the backward of any one op
+    kind it records by 1 + 1e-3 makes it fail at the CLI's threshold."""
+    kinds: set[str] = set()
+    assert default_grad_check(monkeypatch, seen=kinds).passed(1e-4)
+    assert len(kinds) >= 22, sorted(kinds)
+    missed = [kind for kind in sorted(kinds)
+              if default_grad_check(monkeypatch, scaled=kind).passed(1e-4)]
+    assert missed == []
 
 
 class TestKinkKinds:
