@@ -25,7 +25,7 @@ from dualpath.perception import REPORT_COLUMNS
 from dualpath.rng import Rng
 from dualpath.synthdata import (Dataset, DatasetConfig, dataset_digest, generate,
                                 inject_noise_dataset, is_integer, is_number, json_object,
-                                require_bools)
+                                json_scalar, require_bools)
 from dualpath.trainer import TrainConfig, TrainHistory, train_models
 
 ABLATION_FLAGS = ("no_int", "no_rea", "no_sim", "no_diff", "no_uni", "no_rea_loss")
@@ -72,6 +72,9 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if not all(is_integer(s) for s in self.seeds):
             raise ValueError(f"seeds must be integers, got {self.seeds!r}")
+        for i, s in enumerate(self.seeds):
+            if s in self.seeds[:i]:
+                raise ValueError(f"seeds must be distinct, got seed {s!r} twice")
 
     def model_config(self, seed: int) -> ModelConfig:
         return ModelConfig(
@@ -136,7 +139,7 @@ def load_experiment_config(source) -> ExperimentConfig:
 
 def write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=json_scalar)
         fh.write("\n")
 
 

@@ -29,8 +29,8 @@ from dualpath.intuition import IntuitionPath
 from dualpath.layers import Affine, Module
 from dualpath.perception import ConflictReport, Perception
 from dualpath.rng import Rng
-from dualpath.synthdata import (MODALITIES, is_number, json_object, require_bools,
-                                require_integers, require_numbers)
+from dualpath.synthdata import (MODALITIES, is_number, json_object, json_scalar,
+                                require_bools, require_integers, require_numbers)
 from dualpath.tensor import Tensor, _unbroadcast, constant, node
 
 CHECKPOINT_MAGIC = b"DPCK"
@@ -206,12 +206,6 @@ class Model(Module):
                 raise ValueError(f"{m} input holds non-finite values")
         return out
 
-    def gate_params(self) -> list[str]:
-        """The parameters that reach the loss only through the gate: a
-        clamped model's share of their gradient is zero, and ``train_models``
-        leaves that share where it is."""
-        return list(self.perception.div_gate.params())
-
     @classmethod
     def stack(cls, members: list["Model"]) -> "Model":
         """One model over ``members`` (M of them) that runs them together.
@@ -222,7 +216,10 @@ class Model(Module):
         share a config up to ``init_seed`` and ``gate_override``; each keeps
         its gate override."""
         config = members[0].config
-        for member in members:
+        for i, member in enumerate(members):
+            if member.stack_size is not None:
+                raise ValueError(f"Model.stack takes plain models; member {i} is "
+                                 f"a stack of {member.stack_size}")
             if replace(member.config, init_seed=config.init_seed,
                        gate_override=config.gate_override) != config:
                 raise ValueError("stacked models must share a config up to "
@@ -272,7 +269,12 @@ _CK_HEAD = struct.Struct("<4sH")
 
 
 def save_checkpoint(path, model: Model) -> None:
-    cfg_blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
+    """Write one model; a stack raises ValueError before the file is opened."""
+    if model.stack_size is not None:
+        raise ValueError(f"save_checkpoint takes one model, got a stack of "
+                         f"{model.stack_size}; save each member")
+    cfg_blob = json.dumps(asdict(model.config), sort_keys=True,
+                          default=json_scalar).encode("utf-8")
     params = model.params()
     with open(path, "wb") as fh:
         fh.write(_CK_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION))

@@ -109,6 +109,15 @@ def json_object(block, keys, section: str) -> dict:
     return block
 
 
+def json_scalar(value):
+    """The Python number a numpy scalar holds, as ``json``'s ``default``
+    hook: a config that validates a numpy integer also serializes. Any
+    other object raises the TypeError ``json`` would."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass
 class Dataset:
     """Column-major storage for a split: one (N, d) array per modality,

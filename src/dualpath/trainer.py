@@ -14,10 +14,10 @@ first fraction of total steps, then stays constant. It packs every
 parameter group into one flat arena (each ``Tensor.data`` becomes a view
 into it) and updates the whole buffer at once, elementwise in the same
 expression order as a group-by-group loop, so the bits do not depend on
-the layout. Every parameter receives a gradient, a clamped gate's a zero
-one; the optimizer is built with a mask of the model shares that take no
-step (the divergence gate under a gate override): no update, no moment
-change, no decay. Validation accuracy drives early stopping; a model
+the layout. Every parameter takes the same step: a clamped gate's
+parameters receive a zero gradient, which leaves their moments at
+exactly 0 and so their Adam term at exactly 0, and they move by the
+decoupled decay alone. Validation accuracy drives early stopping; a model
 that stops leaves the stack, which is rebuilt from the others with
 their moments, and at the end each model's best-scoring epoch's
 parameters are restored, written into its arena.
@@ -109,24 +109,17 @@ class AdamW:
     directly to the parameter, never through the gradient. ``arena``
     (the parameters), ``m`` and ``v`` are flat buffers holding the groups
     in ``params`` order, each group's M model slices in model order for
-    a stack. ``received``, an (M, groups) bool array, says which model
-    shares of a group take a step; the others keep their values and
-    moments, and every in-place write to the buffers is masked by it.
-    None steps every share."""
+    a stack. Every element takes the same update: a zero gradient leaves
+    its m and v at exactly 0, so its Adam term is exactly 0 and it moves
+    by the decoupled decay alone."""
 
-    def __init__(self, params: dict, cfg: TrainConfig, received: np.ndarray | None = None):
+    def __init__(self, params: dict, cfg: TrainConfig):
         self.cfg = cfg
-        self.received = received
         self._tensors = list(params.values())
-        sizes = [p.data.size for p in self._tensors]
-        self._sizes = np.array(sizes)
         self.arena = np.concatenate([p.data for p in self._tensors], axis=None)
-        offsets = self._offsets = np.cumsum([0] + sizes)
+        offsets = self._offsets = np.cumsum([0] + [p.data.size for p in self._tensors])
         for p, lo, hi in zip(self._tensors, offsets, offsets[1:]):
             p.data = self.arena[lo:hi].reshape(p.data.shape)
-        # group-major, then model-major: each model's share of a group
-        self._mask = True if received is None or received.all() else np.repeat(
-            received.T.ravel(), np.repeat(self._sizes // len(received), len(received)))
         self._grad = np.empty_like(self.arena)
         self._tmp = (np.empty_like(self.arena), np.empty_like(self.arena))
         self.m = np.zeros_like(self.arena)
@@ -141,8 +134,7 @@ class AdamW:
     def take(self, params: dict, rows: list[int]) -> "AdamW":
         """An optimizer over ``params``, a stack of this one's models
         ``rows``, that carries their moments and the step count."""
-        received = None if self.received is None else self.received[rows]
-        out = AdamW(params, self.cfg, received)
+        out = AdamW(params, self.cfg)
         out.t = self.t
         spans = zip(self._tensors, self._offsets, self._offsets[1:],
                     out._offsets, out._offsets[1:])
@@ -158,21 +150,21 @@ class AdamW:
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         g = np.concatenate([p.grad for p in self._tensors], axis=None, out=self._grad)
-        m, v, w, mask = self.m, self.v, self.arena, self._mask
+        m, v, w = self.m, self.v, self.arena
         # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
         # w -= lr (m / bc1) / (sqrt(v / bc2) + eps) + lr wd w,
         # evaluated in place, op for op, in two scratch buffers
         a, b = self._tmp
-        np.multiply(m, b1, out=m, where=mask)
-        np.add(m, np.multiply(g, 1.0 - b1, out=a), out=m, where=mask)
-        np.multiply(v, b2, out=v, where=mask)
+        np.multiply(m, b1, out=m)
+        np.add(m, np.multiply(g, 1.0 - b1, out=a), out=m)
+        np.multiply(v, b2, out=v)
         np.multiply(np.multiply(g, g, out=a), 1.0 - b2, out=a)
-        np.add(v, a, out=v, where=mask)
+        np.add(v, a, out=v)
         np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), self.cfg.epsilon, out=a)
         np.divide(np.divide(m, bc1, out=b), a, out=b)
         np.multiply(b, lr, out=b)
         np.add(b, np.multiply(w, lr * self.cfg.weight_decay, out=a), out=b)
-        np.subtract(w, b, out=w, where=mask)
+        np.subtract(w, b, out=w)
 
 
 def _first_nonfinite(out: ModelOutput, parts: dict[str, float]) -> str:
@@ -231,9 +223,7 @@ def train_models(models: list[Model], train_data: Dataset, val_data: Dataset,
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and val splits must be nonempty")
     stack = Model.stack(models)
-    clamped = np.array([model.config.gate_override is not None for model in models])
-    gate_only = np.isin(list(stack.params()), stack.gate_params())
-    opt = AdamW(stack.params(), cfg, received=~(clamped[:, None] & gate_only))
+    opt = AdamW(stack.params(), cfg)
     stack.bind(models)
     n = len(train_data)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size

@@ -621,14 +621,11 @@ def moment_match(inputs, pairs, order, scale):
 
 def adamw_reference(params, ms, vs, t, lr, cfg):
     """Step ``t`` (1-based) of AdamW, one parameter group at a time.
-    ``ms`` and ``vs`` map group names to moment arrays, updated in place;
-    a group whose grad is None is skipped: no update, no decay."""
+    ``ms`` and ``vs`` map group names to moment arrays, updated in place."""
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, p in params.items():
-        if p.grad is None:
-            continue
         g = p.grad
         m = ms[name]
         v = vs[name]

@@ -19,7 +19,7 @@ from dualpath.experiments import (ABLATION_FLAGS, ExperimentConfig,
                                   load_experiment_config, render_csv,
                                   run_ablation, run_main, run_robustness,
                                   train_single, write_json)
-from dualpath.fusion import ModelOutput, load_checkpoint, save_checkpoint
+from dualpath.fusion import Model, ModelOutput, load_checkpoint, save_checkpoint
 from dualpath.losses import LossConfig
 from dualpath.metrics import Metrics
 from dualpath.synthdata import DatasetConfig, dataset_digest, generate
@@ -105,6 +105,7 @@ class TestConfig:
         ({"seeds": [1.5]}, "seeds"),
         ({"seeds": ["1"]}, "seeds"),
         ({"seeds": []}, "seed"),
+        ({"seeds": [0, 1, 0]}, "distinct, got seed 0 twice"),
     ])
     def test_rejects_bad_sigmas_and_seeds(self, raw, field):
         with pytest.raises(ValueError, match=field):
@@ -336,6 +337,18 @@ class TestRunMain:
         report, out = main_result
         on_disk = json.loads((out / "main_report.json").read_text())
         assert on_disk == json.loads(json.dumps(report))
+
+
+def test_a_numpy_seed_writes_the_bytes_of_a_python_seed(tmp_path, main_result):
+    """``is_integer`` accepts numpy integers, so the writers take them too:
+    the report files and a checkpoint match the int-seed ones byte for byte."""
+    _, out = main_result
+    run_main(replace(TINY, seeds=(np.int64(0),)), str(tmp_path))
+    for name in ("main_report.json", "main_metrics.csv", "gating.csv"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+    for seed, name in ((3, "int.ckpt"), (np.int64(3), "numpy.ckpt")):
+        save_checkpoint(tmp_path / name, Model(TINY.model_config(seed)))
+    assert (tmp_path / "int.ckpt").read_bytes() == (tmp_path / "numpy.ckpt").read_bytes()
 
 
 def test_run_main_is_byte_deterministic(tmp_path):
@@ -688,12 +701,14 @@ class TestCli:
     @pytest.mark.parametrize("command,flags,named", [
         (command, flags, named) for command in ("main", "ablate", "robust")
         for flags, named in ((["--seed", "3", "--seeds", "1,2"], "--seeds"),
-                             (["--seeds", ""], "--seeds"))] + [
+                             (["--seeds", ""], "--seeds"),
+                             (["--seeds", "0,0"], "seed 0 twice"))] + [
         ("robust", ["--sigmas", ""], "--sigmas")])
     def test_sweeps_reject_seed_and_sigma_flags_they_would_drop(self, tmp_path, capsys,
                                                                 command, flags, named):
-        """`--seed` with `--seeds`, or an empty list, fails before anything
-        runs instead of falling back to other seeds or noise levels."""
+        """`--seed` with `--seeds`, an empty list or a repeated seed fails
+        before anything runs instead of falling back to other seeds or noise
+        levels, or training one seed twice."""
         out = tmp_path / "run"
         assert main([command, "--config", str(tiny_config_json(tmp_path)),
                      "--out", str(out)] + flags) == 1

@@ -216,7 +216,7 @@ class TestGateOverride:
         for model, shares in ((plain, slice(None)), (stack, 0)):
             params = model.params()
             assert all(p.grad is not None for p in params.values())
-            for name in model.gate_params():
+            for name in model.perception.div_gate.params():
                 assert np.array_equal(params[name].grad[shares],
                                       np.zeros_like(params[name].data[shares])), name
         assert np.any(stack.params()["perception.div_gate.weight"].grad[1] != 0.0)
@@ -349,6 +349,13 @@ class TestParams:
         with pytest.raises(ValueError, match="up to init_seed and gate_override"):
             Model.stack([Model(CFG), Model(replace(CFG, dropout=0.0))])
 
+    def test_a_stack_is_not_a_member(self):
+        """A stack's parameters carry a model axis already; stacking it again
+        fails naming the member instead of deep inside a reshape."""
+        stack = Model.stack([Model(CFG), Model(replace(CFG, init_seed=2))])
+        with pytest.raises(ValueError, match="member 1 is a stack of 2"):
+            Model.stack([Model(CFG), stack])
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, batch):
@@ -372,6 +379,13 @@ class TestCheckpoint:
         save_checkpoint(p1, model)
         save_checkpoint(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_refuses_a_stack_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "stack.ckpt"
+        stack = Model.stack([Model(CFG), Model(replace(CFG, init_seed=2))])
+        with pytest.raises(ValueError, match="one model, got a stack of 2"):
+            save_checkpoint(path, stack)
+        assert not path.exists()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

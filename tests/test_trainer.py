@@ -100,15 +100,14 @@ class TestAdamW:
 
     def test_matches_per_group_reference_bit_for_bit(self):
         """The whole-buffer step against the group-by-group loop on a
-        default model's groups, with the gated groups masked out at
-        construction (the reference sees their grads None): moments and
-        parameters agree exactly after every step."""
+        default model's groups, every group stepped and the gate's groups
+        given zero gradients, as under a clamp: moments and parameters
+        agree exactly after every step."""
         cfg = TrainConfig()
         ref = Model(ModelConfig()).params()
         params = Model(ModelConfig()).params()
         assert len(params) == 54
-        gated = {name: name.startswith("perception.div_gate.") for name in params}
-        opt = AdamW(params, cfg, received=np.array([[not gated[name] for name in params]]))
+        opt = AdamW(params, cfg)
         ms = {k: np.zeros_like(p.data) for k, p in ref.items()}
         vs = {k: np.zeros_like(p.data) for k, p in ref.items()}
         rng = Rng(0, "adamw_reference")
@@ -116,8 +115,10 @@ class TestAdamW:
             for i, (name, p) in enumerate(params.items()):
                 g = rng.child(f"grad{i}", t).normal(scale=10.0 ** (i % 5 - 3),
                                                     size=p.data.shape)
+                if name.startswith("perception.div_gate."):
+                    g = np.zeros_like(g)
                 p.grad = g
-                ref[name].grad = None if gated[name] else g.copy()
+                ref[name].grad = g.copy()
             lr = cfg.learning_rate * min(1.0, t / 5)
             opt.step(lr)
             oracles.adamw_reference(ref, ms, vs, t, lr, cfg)
@@ -125,23 +126,6 @@ class TestAdamW:
             assert np.array_equal(opt.v, np.concatenate(list(vs.values()), axis=None))
             for name, p in params.items():
                 assert np.array_equal(p.data, ref[name].data), (t, name)
-
-    def test_a_model_share_that_received_nothing_does_not_move(self):
-        """Two models' slices of two groups; model 1 received nothing for
-        "p" (a clamped gate) and model 0 nothing at all: those shares keep
-        their values and moments, the rest update."""
-        p = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        q = Tensor(np.array([[[5.0]], [[6.0]]]))
-        received = np.array([[False, False], [False, True]])
-        opt = AdamW({"p": p, "q": q}, TrainConfig(learning_rate=0.1, weight_decay=0.5),
-                    received)
-        for _ in range(3):
-            p.grad, q.grad = np.ones((2, 2)), np.ones((2, 1, 1))
-            opt.step(0.1)
-        assert np.array_equal(p.data, [[1.0, 2.0], [3.0, 4.0]])
-        assert q.data[0, 0, 0] == 5.0 and q.data[1, 0, 0] < 6.0
-        assert np.array_equal(opt.m[:5], np.zeros(5)) and opt.m[5] > 0.0
-        assert np.array_equal(opt.v[:5], np.zeros(5)) and opt.v[5] > 0.0
 
     def test_take_carries_the_kept_models_moments(self):
         """Dropping the middle model of three: the new optimizer holds the
@@ -165,22 +149,6 @@ class TestAdamW:
         taken.step(0.01)
         for k, p in params.items():
             assert np.array_equal(kept[k].data, p.data[[0, 2]]), k
-
-    def test_take_keeps_the_kept_models_rows_of_the_mask(self):
-        """Of three models, the last takes no step on "p" (a clamped gate):
-        after dropping the middle one it is row 1 of the new mask and its
-        share still does not move, while the rest do."""
-        p, q = Tensor(np.zeros((3, 1, 2))), Tensor(np.zeros((3, 1, 1)))
-        received = np.array([[True, True], [True, True], [False, True]])
-        opt = AdamW({"p": p, "q": q}, TrainConfig(learning_rate=0.1), received)
-        kept = {"p": Tensor(p.data[[0, 2]]), "q": Tensor(q.data[[0, 2]])}
-        taken = opt.take(kept, [0, 2])
-        assert np.array_equal(taken.received, received[[0, 2]])
-        for t in kept.values():
-            t.grad = np.ones(t.data.shape)
-        taken.step(0.1)
-        assert np.all(kept["p"].data[0] < 0.0) and np.array_equal(kept["p"].data[1], [[0.0, 0.0]])
-        assert np.all(kept["q"].data < 0.0)
 
     def test_restored_values_land_in_the_arena(self, tmp_path):
         model = Model(MODEL_CFG)
@@ -457,26 +425,41 @@ class TestTrainLoop:
         TrainConfig(learning_rate=0.0, weight_decay=0.0, beta1=0.0, beta2=0.0).validate()
 
     @pytest.mark.parametrize("override", [1.0, 0.0], ids=["no_int", "no_rea"])
-    def test_clamped_gate_parameters_get_no_update_and_no_decay(self, splits, override):
-        """Under a gate clamp the divergence gate receives no gradient, so
-        it must stay at its init bit for bit; decay alone would shrink the
-        weight off 1.0."""
+    def test_a_clamped_gate_moves_by_decay_alone(self, splits, override):
+        """Under a gate clamp the divergence gate receives a zero gradient,
+        so its Adam term is exactly 0: without decay it stays at its init
+        bit for bit, and with the default decay its weight is its init
+        shrunk by ``w - w * (lr_t * wd)`` at each step up to the best
+        epoch, while the rest of the model trains."""
         train_data, val_data, _ = splits
+        gate = ("perception.div_gate.weight", "perception.div_gate.bias")
         model = Model(replace(MODEL_CFG, gate_override=override))
         before = model.snapshot()
-        train(model, train_data, val_data, quick_train_cfg(max_epochs=2), LossConfig())
+        train(model, train_data, val_data, quick_train_cfg(max_epochs=2, weight_decay=0.0),
+              LossConfig())
+        for name in gate:
+            assert np.array_equal(model.snapshot()[name], before[name]), name
+
+        cfg = quick_train_cfg(max_epochs=2)
+        model = Model(replace(MODEL_CFG, gate_override=override))
+        history = train(model, train_data, val_data, cfg, LossConfig())
         after = model.snapshot()
-        for name in ("perception.div_gate.weight", "perception.div_gate.bias"):
-            assert np.array_equal(after[name], before[name]), name
-        assert after["perception.div_gate.weight"][0, 0] == 1.0
+        steps_per_epoch = -(-len(train_data) // cfg.batch_size)
+        warmup_steps = max(1, round(cfg.warmup_proportion * cfg.max_epochs * steps_per_epoch))
+        w = before["perception.div_gate.weight"].copy()
+        for t in range(1, (history.best_epoch + 1) * steps_per_epoch + 1):
+            lr_t = cfg.learning_rate * min(1.0, t / warmup_steps)
+            w = w - w * (lr_t * cfg.weight_decay)
+        assert w[0, 0] < 1.0
+        assert np.array_equal(after["perception.div_gate.weight"], w)
+        assert np.array_equal(after["perception.div_gate.bias"], before["perception.div_gate.bias"])
         assert not np.array_equal(after["head.weight"], before["head.weight"])
 
     def test_mixed_stack_matches_models_trained_alone(self, splits):
         """A full, a reasoning-only and a consensus-only model, at two seeds
         with different loss weights, trained as one stack with a patience
         that stops them at different epochs: each ends bit for bit where it
-        ends trained alone, with the same history, and the clamped models'
-        gates stay at init."""
+        ends trained alone, with the same history."""
         train_data, val_data, _ = splits
         seeds = (0, 1, 0)
         overrides = [None, 1.0, 0.0]
@@ -485,7 +468,6 @@ class TestTrainLoop:
                      LossConfig(reasoning_weight=0.0)]
         models = [Model(replace(MODEL_CFG, init_seed=s, gate_override=v))
                   for s, v in zip(seeds, overrides)]
-        init = [m.snapshot() for m in models]
         histories = train_models(models, train_data, val_data, cfgs, loss_cfgs)
         assert len({len(h.val_metrics) for h in histories}) > 1
         for m, model in enumerate(models):
@@ -494,9 +476,6 @@ class TestTrainLoop:
             assert history == histories[m], m
             for name, arr in alone.snapshot().items():
                 assert np.array_equal(model.snapshot()[name], arr), (m, name)
-        for m in (1, 2):
-            for name in models[m].gate_params():
-                assert np.array_equal(models[m].snapshot()[name], init[m][name]), (m, name)
 
     def test_stacked_runs_must_share_their_train_settings(self, splits):
         train_data, val_data, _ = splits
@@ -864,7 +843,7 @@ class TestStackedProbes:
         else:
             assert result.passed(1e-4), max(result.per_group, key=result.per_group.get)
         if name == "gate-override":  # the gate is a constant: no probe moves the loss
-            assert all(result.per_group[p] == 0.0 for p in model.gate_params())
+            assert all(result.per_group[p] == 0.0 for p in model.perception.div_gate.params())
 
     @pytest.mark.parametrize("name", [
         "abs-retry", "eps-1e-2", "eps-1e-3", "shared-encoder", "perfbench-1"])
