@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dualpath import tensor
 from dualpath.tensor import Tensor, _note_kink, node
 
 # numpy runs a last-axis reduction one row per inner-loop call, ~30-50 ns
@@ -66,6 +67,8 @@ def softmax(x: Tensor) -> Tensor:
     rounding; the max-shift is treated as a constant, which leaves the
     gradient unchanged.
     """
+    if tensor._reuse is not None:
+        return tensor._reuse(softmax, x)
     e = np.exp(x.data - row_max(x.data))
     y = e / row_sum(e)
 
@@ -78,6 +81,8 @@ def softmax(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean and unit variance, then scale and
     shift. One tape node."""
+    if tensor._reuse is not None:
+        return tensor._reuse(layer_norm, x, gain, bias)
     xd = x.data
     d = xd.shape[-1]
     # sum / d is ndarray.mean's own arithmetic without its Python-level wrapper
@@ -109,6 +114,8 @@ def guarded_sqrt(sq: np.ndarray) -> np.ndarray:
 def l2_norm(x: Tensor) -> Tensor:
     """Euclidean norm of each row: a kept (..., N, 1) column. A zero row
     maps to exactly 0 with zero gradient rather than NaN. One tape node."""
+    if tensor._reuse is not None:
+        return tensor._reuse(l2_norm, x)
     norm = guarded_sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
 
     def back(g):
@@ -126,6 +133,8 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     Rows whose norm is zero yield similarity 0 with zero gradient; a NaN
     norm yields NaN.
     """
+    if tensor._reuse is not None:
+        return tensor._reuse(cosine_rows, a, b)
     ad, bd = a.data, b.data
     dots = (ad * bd).sum(axis=-1, keepdims=True)
     na = guarded_sqrt((ad * ad).sum(axis=-1, keepdims=True))

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
+from dualpath import tensor
 from dualpath.decoupler import Decoupler
 from dualpath.functional import softmax
 from dualpath.intuition import IntuitionPath
@@ -99,6 +100,8 @@ def reasoning_aggregate(trust: Tensor, private: dict[str, Tensor]) -> Tensor:
     (text + video) + audio: one tape node over ``trust`` and the three
     features, whose backward runs as the per-modality products' and sums'
     own nodes would."""
+    if tensor._reuse is not None:
+        return tensor._reuse(reasoning_aggregate, trust, private)
     ps = tuple(private[m] for m in MODALITIES)
     w = [trust.data[..., i:i + 1] for i in range(3)]
     out = w[0] * ps[0].data + w[1] * ps[1].data + w[2] * ps[2].data
@@ -122,6 +125,8 @@ def clamp_gate(gate: Tensor, mask: np.ndarray, value: np.ndarray) -> Tensor:
     """``value`` where ``mask`` is set and ``gate`` elsewhere, the masks
     broadcasting over rows: one node that passes no gradient back through
     the clamped entries, so a fully clamped gate's parameters get zeros."""
+    if tensor._reuse is not None:
+        return tensor._reuse(clamp_gate, gate, mask, value)
     data = np.where(mask, value, gate.data)
 
     def back(g):
@@ -214,7 +219,10 @@ class Model(Module):
         scalars (M, 1, 1). Its arrays are copies;
         ``bind`` makes the members' parameters views of them. Members must
         share a config up to ``init_seed`` and ``gate_override``; each keeps
-        its gate override."""
+        its gate override. The stack's modules are the first member's,
+        copied without drawing an init."""
+        if not members:
+            raise ValueError("Model.stack needs at least one member, got an empty list")
         config = members[0].config
         for i, member in enumerate(members):
             if member.stack_size is not None:
@@ -224,7 +232,7 @@ class Model(Module):
                        gate_override=config.gate_override) != config:
                 raise ValueError("stacked models must share a config up to "
                                  "init_seed and gate_override")
-        out = cls(config)
+        out = members[0]._copy({})
         out.stack_size = len(members)
         out.gate_overrides = tuple(member.config.gate_override for member in members)
         member_params = [member.params() for member in members]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dualpath import tensor
 from dualpath.functional import stack_slices
 from dualpath.rng import Rng
 from dualpath.tensor import Tensor, constant, node
@@ -54,6 +55,23 @@ class Module:
                     if isinstance(item, Module):
                         item._register(out)
 
+    def _copy(self, memo: dict) -> "Module":
+        """This module again, drawing no init: each tensor a new leaf over
+        the same array, and a module reached twice copied once (``memo``),
+        so a shared module stays shared and ``params`` keeps its order."""
+        if id(self) not in memo:
+            out = memo[id(self)] = object.__new__(type(self))
+            for attr, value in vars(self).items():
+                if isinstance(value, Tensor):
+                    value = Tensor(value.data)
+                elif isinstance(value, Module):
+                    value = value._copy(memo)
+                elif isinstance(value, dict):
+                    value = {k: v._copy(memo) if isinstance(v, Module) else v
+                             for k, v in value.items()}
+                setattr(out, attr, value)
+        return memo[id(self)]
+
 
 class Affine(Module):
     """y = x @ W + b with W of shape (d_in, d_out)."""
@@ -75,6 +93,8 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor, squash: bool) -> Tensor:
     """x @ W + b, then tanh when ``squash``, as one node. The weight's
     gradient contracts the second-to-last axis and the bias takes the
     gradient summed down to its shape."""
+    if tensor._reuse is not None:
+        return tensor._reuse(_affine, x, weight, bias, squash)
     xd, wd = x.data, weight.data
     if xd.ndim < 2:
         raise ValueError(f"affine input must be at least 2-D (rows of features), "
@@ -104,6 +124,8 @@ def affine_block(xs: list[Tensor], layers: list[Affine]) -> Tensor:
     block whose slice k is that map's output bit for bit. The inputs and
     parameters stay its parents; their arrays are stacked at call time
     (``stack_slices``) and the backward runs the maps last first."""
+    if tensor._reuse is not None:
+        return tensor._reuse(affine_block, xs, layers)
     weights, biases = [lin.weight for lin in layers], [lin.bias for lin in layers]
     x = stack_slices([t.data for t in xs])
     w = stack_slices([t.data for t in weights])

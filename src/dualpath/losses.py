@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dualpath import tensor
 from dualpath.functional import guarded_sqrt, one_hot, softmax, stack_slices
 from dualpath.fusion import ModelOutput
 from dualpath.synthdata import MODALITIES, is_integer, require_integers, require_numbers
@@ -88,6 +89,8 @@ def _nll(probs: Tensor, mask: np.ndarray, block: bool = False) -> Tensor:
     gets no gradient. A NaN probability is not floored: it makes the loss
     NaN.
     """
+    if tensor._reuse is not None:
+        return tensor._reuse(_nll, probs, mask, block)
     n = probs.data.shape[-2]
     if block:
         mask = mask[..., None, :, :]
@@ -112,6 +115,8 @@ def _weighted_sum(base: Tensor, terms: tuple, weights: tuple) -> Tensor:
     """``base + weights[0] * terms[0] + ...``, added left to right, as one
     node: each term takes the gradient times its weight and ``base`` the
     gradient itself."""
+    if tensor._reuse is not None:
+        return tensor._reuse(_weighted_sum, base, terms, weights)
     value = sum((w * t.data for t, w in zip(terms, weights)), base.data)
 
     def back(g):
@@ -163,6 +168,8 @@ def diff_loss(shared: dict[str, Tensor], private: dict[str, Tensor]) -> Tensor:
     ``private`` ones then the ``shared`` ones, each in ``MODALITIES`` order;
     in a recorded graph the nine products are one batched matmul over a
     pair axis, under no_grad() one matmul per pair."""
+    if tensor._reuse is not None:
+        return tensor._reuse(diff_loss, shared, private)
     inputs = tuple(private[m] for m in MODALITIES) + tuple(shared[m] for m in MODALITIES)
     *lead, n, d_h = inputs[0].data.shape
     if n < 2:
@@ -241,6 +248,8 @@ def sim_loss(shared: dict[str, Tensor], order: int) -> Tensor:
     ``guarded_sqrt`` over the pairs: one ``norm_floor`` record per order.
     The backward runs the pairs as separate nodes would, last pair first.
     """
+    if tensor._reuse is not None:
+        return tensor._reuse(sim_loss, shared, order)
     if not is_integer(order, low=1):
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
     inputs = tuple(shared[m] for m in MODALITIES)

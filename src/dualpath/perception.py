@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dualpath import tensor
 from dualpath.functional import cosine_rows, l2_norm, row_sum, softmax
 from dualpath.layers import Affine, Module, affine_block
 from dualpath.rng import Rng
@@ -78,6 +79,8 @@ def deviations(private: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     a constant, and their elementwise absolute deviations from it
     concatenated in MODALITIES order, (..., N, 3 d_h): one tape node over
     the three, each abs recording its ``abs_signs`` kink."""
+    if tensor._reuse is not None:
+        return tensor._reuse(deviations, private)
     ps = tuple(private[m] for m in MODALITIES)
     c = (ps[0].data + ps[1].data + ps[2].data) * (1.0 / 3.0)
     diffs = [p.data - c for p in ps]
@@ -114,6 +117,8 @@ def js_divergence(probs: Tensor) -> Tensor:
     is zero only where all three inputs are, and those terms vanish.
     Bounded above by ln 3.
     """
+    if tensor._reuse is not None:
+        return tensor._reuse(js_divergence, probs)
     p = probs.data
     avg = (p[..., 0, :, :] + p[..., 1, :, :] + p[..., 2, :, :]) * (1.0 / 3.0)
     log_avg, avg_positive = _safe_log(avg)
@@ -136,6 +141,8 @@ def normalized_entropy(p: Tensor, num_classes: int) -> Tensor:
     block, scaled to [0, 1] by ln C: one (..., N, K) column per
     distribution, one tape node. Zero probabilities contribute 0 and take
     no gradient from their log."""
+    if tensor._reuse is not None:
+        return tensor._reuse(normalized_entropy, p, num_classes)
     if not is_integer(num_classes, low=2):
         raise ValueError(f"normalized_entropy needs num_classes an integer >= 2, "
                          f"got {num_classes!r}")

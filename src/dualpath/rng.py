@@ -34,7 +34,10 @@ hashes the labels' shared ``#{index}/`` once, and one ``np.random.Philox``,
 built on first use, serves every (label, distinct seed) stream, its state
 set to the stream's key at counter 0, so its raw words are the fresh
 stream's and ``unit_double`` of them is ``Generator.uniform(0, 1)`` bit for
-bit. ``Substreams`` costs more below many rows: for 12 rows of 256 words on
+bit. ``child_permutations`` draws the gradient checker's coordinate pools
+the same way: a numpy ``Generator`` over that one bit generator shuffles
+as a fresh child's own generator would, from the same words.
+``Substreams`` costs more below many rows: for 12 rows of 256 words on
 a shared 2-core machine a pass took ~350-630 us, twelve fresh generators
 ~250-370 us and ``child_uniforms`` ~100-150 us.
 """
@@ -57,8 +60,9 @@ _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> _S32
 # Rows per Philox pass in Substreams: bounds the size of the temporaries.
 _BLOCK_ROWS = 512
 
-# _fresh_uniforms' bit generator and fresh state; each stream resets it whole.
-_PHILOX = _FRESH_STATE = None
+# The fresh streams' bit generator, its fresh state and a generator over it;
+# each stream resets the state whole (``_fresh``).
+_PHILOX = _FRESH_STATE = _FRESH_GEN = None
 
 
 def _splitmix64(x):
@@ -115,26 +119,34 @@ def unit_double(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _fresh_uniforms(seeds: list[int], prefix: int, labels: list[str], size: tuple) -> np.ndarray:
-    """(len(labels), len(seeds), *size): entry (i, s) is
-    ``uniform(size=size)`` of a fresh ``Rng(seeds[s], label, 0)`` whose
-    label hash continues ``prefix`` over ``labels[i]``. One bit generator
-    serves every stream: setting its state to a stream's key, at the
-    counter and empty buffer of a fresh generator, gives that stream's raw
-    words, and ``uniform(0, 1)`` is numpy's double of each word."""
-    global _PHILOX, _FRESH_STATE
+def _fresh(seed_key: int, label_hash: int) -> np.random.Generator:
+    """A generator at the start of the fresh stream ``Rng(seed, label, 0)``,
+    given its seed's splitmix64 hash and its label's FNV-1a hash. One bit
+    generator serves every stream: its state set to the stream's key, at
+    the counter and empty buffer of a fresh generator, it gives that
+    stream's raw words. The generator is shared: draw before the next call."""
+    global _PHILOX, _FRESH_STATE, _FRESH_GEN
     if _PHILOX is None:  # on first use: importing numpy.random early raised peak RSS
         _PHILOX = np.random.Philox(0)
         _FRESH_STATE = _PHILOX.state
-    raw = np.empty((len(labels), len(seeds), *size), dtype=np.uint64)
+        _FRESH_GEN = np.random.Generator(_PHILOX)
     key = _FRESH_STATE["state"]["key"]
+    key[0], key[1] = _key_of(seed_key, label_hash, 0)
+    _PHILOX.state = _FRESH_STATE
+    return _FRESH_GEN
+
+
+def _fresh_uniforms(seeds: list[int], prefix: int, labels: list[str], size: tuple) -> np.ndarray:
+    """(len(labels), len(seeds), *size): entry (i, s) is
+    ``uniform(size=size)`` of a fresh ``Rng(seeds[s], label, 0)`` whose
+    label hash continues ``prefix`` over ``labels[i]``: numpy's double of
+    each of the stream's raw words, as ``uniform(0, 1)`` forms it."""
+    raw = np.empty((len(labels), len(seeds), *size), dtype=np.uint64)
     seed_keys = [_splitmix64(seed & _MASK64) for seed in seeds]
     for label, rows in zip(labels, raw):
         label_hash = _fnv1a(prefix, label.encode("utf-8"))
         for k0, row in zip(seed_keys, rows):
-            key[0], key[1] = _key_of(k0, label_hash, 0)
-            _PHILOX.state = _FRESH_STATE
-            row[...] = _PHILOX.random_raw(size)
+            row[...] = _fresh(k0, label_hash).bit_generator.random_raw(size)
     return unit_double(raw)
 
 
@@ -309,6 +321,13 @@ class Rng:
         """(len(labels), *size): row i is ``child(labels[i]).uniform(size=size)``,
         drawn without building a child or a generator."""
         return _fresh_uniforms([self.seed], self._child_hash(""), labels, size)[:, 0]
+
+    def child_permutations(self, labels: list[str], sizes: list[int]) -> list[np.ndarray]:
+        """Entry i is ``child(labels[i]).permutation(sizes[i])``, drawn
+        without building a child or a generator per label."""
+        seed_key, prefix = _splitmix64(self.seed & _MASK64), self._child_hash("")
+        return [_fresh(seed_key, _fnv1a(prefix, label.encode("utf-8"))).permutation(size)
+                for label, size in zip(labels, sizes)]
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=size)

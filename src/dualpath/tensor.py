@@ -36,6 +36,21 @@ to ``watch_kinks()``, so a finite-difference probe run without a tape is
 judged exactly as a recorded one. An op hands ``_note_kink`` its raw
 array and the reduction to a kink record runs only inside a watch, so
 an unwatched forward pays nothing for it.
+
+Inside a ``ReusedOutputs`` block (the gradient checker's probe rounds)
+every op first hands its call to the block's cache. An op that reads only
+fixed arrays (the stack's shared (1, ...) groups, the batch, or outputs
+of such ops) runs once: a later call on the same arrays returns that
+first output and re-appends the kink records that call made
+(self-adjusting computation; Acar, Blelloch & Harper, POPL 2002). The
+key is the op and the identity of every array it reads, through list,
+dict and module arguments too; the cache holds each fixed array, so an
+identity names one array for the whole block. Other arguments (one-hot
+labels, gate clamp arrays, loss weights, config numbers) are not in the
+key: they are the same in every round of a check. This holds only while
+no fixed array is written in place: a round perturbs a group by handing
+it a new array. Outside the block an op pays one test of a module
+global, not a call.
 """
 
 from __future__ import annotations
@@ -60,6 +75,9 @@ _recording = True
 
 # The nodes recorded inside the open tape(), in creation order; else None.
 _tape: list | None = None
+
+# The cache of the open ReusedOutputs block, else None: each op's first test.
+_reuse: "ReusedOutputs | None" = None
 
 # Creation sequence numbers; backward() runs closures in decreasing order.
 # Only their order matters, so one counter serves every graph.
@@ -115,6 +133,62 @@ def tape():
         yield
     finally:
         _tape = outer
+
+
+class ReusedOutputs:
+    """A cache of op outputs, active inside ``with`` blocks of unrecorded
+    forwards in a watch_kinks(): an op that reads only ``fixed`` arrays and
+    the outputs of such ops runs once over all the blocks."""
+
+    def __init__(self, fixed: list[Array]):
+        self.fixed = {id(a): a for a in fixed}  # held, so no other array takes an id
+        self.outputs: dict[tuple, tuple] = {}
+
+    def __enter__(self):
+        global _reuse
+        self._outer, _reuse = _reuse, self
+
+    def __exit__(self, *exc):
+        global _reuse
+        _reuse = self._outer
+
+    def __call__(self, op, *args):
+        """``op(*args)``, or the output it gave on the same fixed arrays."""
+        global _reuse
+        reads: list[Array] = []
+        _arrays(args, reads)
+        key = (op, *map(id, reads))
+        hit = self.outputs.get(key)  # a stored key holds only fixed arrays' ids
+        if hit is not None:
+            _kink_watch.extend(hit[1])
+            return hit[0]
+        if not self.fixed.keys() >= set(key[1:]):
+            key = None
+        start = len(_kink_watch)
+        _reuse = None  # the op runs its own body; an op it calls runs uncached
+        # not again through a wrapper (a tracer's) installed over its name
+        out = getattr(op, "__wrapped__", op)(*args)
+        _reuse = self
+        if key is not None:
+            self.outputs[key] = out, _kink_watch[start:]
+            made: list[Array] = []
+            _arrays((out,), made)
+            self.fixed.update((id(a), a) for a in made)
+        return out
+
+
+def _arrays(items, out: list[Array]) -> None:
+    """Append the arrays of the tensors among ``items`` and in the lists,
+    tuples, dicts and modules (an object's attributes) among them."""
+    for x in items:
+        if isinstance(x, Tensor):
+            out.append(x.data)
+        elif isinstance(x, (list, tuple)):
+            _arrays(x, out)
+        elif isinstance(x, dict):
+            _arrays(x.values(), out)
+        elif hasattr(x, "__dict__"):
+            _arrays(vars(x).values(), out)
 
 
 def is_recording() -> bool:
@@ -216,6 +290,8 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.__add__, self, other)
         other = _operand(other)
 
         def back(g):
@@ -225,6 +301,8 @@ class Tensor:
         return node(self.data + other.data, (self, other), back)
 
     def __sub__(self, other) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.__sub__, self, other)
         other = _operand(other)
 
         def back(g):
@@ -234,6 +312,8 @@ class Tensor:
         return node(self.data - other.data, (self, other), back)
 
     def __mul__(self, other) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.__mul__, self, other)
         other = _operand(other)
 
         def back(g):
@@ -245,12 +325,18 @@ class Tensor:
         return node(self.data * other.data, (self, other), back)
 
     def __rsub__(self, other) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.__rsub__, self, other)
         return constant(other) - self
 
     def __rmul__(self, other) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.__rmul__, self, other)
         return constant(other) * self
 
     def __matmul__(self, other) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.__matmul__, self, other)
         other = _operand(other)
         a, b = self.data, other.data
         if a.ndim != b.ndim or a.ndim < 2:
@@ -268,6 +354,8 @@ class Tensor:
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.sum, self, axis, keepdims)
         def back(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -276,6 +364,8 @@ class Tensor:
         return node(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def reshape(self, *shape: int) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.reshape, self, *shape)
         def back(g):
             self._accum(g.reshape(self.data.shape))
 
@@ -284,6 +374,8 @@ class Tensor:
     # -- elementwise functions ------------------------------------------------
 
     def tanh(self) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.tanh, self)
         y = np.tanh(self.data)
 
         def back(g):
@@ -292,6 +384,8 @@ class Tensor:
         return node(y, (self,), back)
 
     def sigmoid(self) -> "Tensor":
+        if _reuse is not None:
+            return _reuse(Tensor.sigmoid, self)
         x = self.data
         e = np.exp(-np.abs(x))
         y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -336,6 +430,8 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     Parts that differ off that axis, such as a (1, ...) part beside a
     stack's (M, ...) one, are broadcast there first; the (1, ...) part then
     takes the gradient summed over the members."""
+    if _reuse is not None:
+        return _reuse(concat, tensors, axis)
     parts = tuple(_operand(t) for t in tensors)
     arrays = [p.data for p in parts]
     ndim = arrays[0].ndim

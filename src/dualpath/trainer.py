@@ -49,7 +49,18 @@ written. A stack slice is bit for bit its model's own forward, so the
 result is exactly that of probing one coordinate at a time. A group
 takes a new coordinate only while its checked and in-flight probes fall
 short of its quota, so the coordinates probed are those a one-at-a-time
-loop would probe.
+loop would probe: each group's pool is its ``Rng(seed, "gradcheck")``
+child's permutation, drawn by ``Rng.child_permutations`` and taken from
+the end.
+
+The rounds share one ``tensor.ReusedOutputs`` cache: an op whose inputs
+are all unperturbed (the shared groups, the batch, or outputs of such
+ops) runs on the first round that reaches it, and later rounds take its
+output and its kink records. So a round recomputes only what its probes
+move; one that perturbs only the heads runs no encoder. A round perturbs
+a group by handing it a new array, never by writing into a shared one,
+which is what lets the cache know an unperturbed group by its identity.
+The stack itself is built without an init draw (``Model.stack``).
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ from dualpath.metrics import eval_forward
 from dualpath.rng import Rng, StackedRng
 from dualpath.synthdata import (Dataset, MODALITIES, is_integer, require_integers,
                                 require_numbers)
-from dualpath.tensor import no_grad, tape, watch_kinks
+from dualpath.tensor import ReusedOutputs, no_grad, tape, watch_kinks
 
 
 class DivergenceError(RuntimeError):
@@ -367,6 +378,8 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
         raise ValueError(f"coords_per_group must be an integer >= 1, got {coords_per_group!r}")
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    if len(batch) < 2:  # diff_loss and sim_loss would skip, certifying nothing
+        raise ValueError(f"grad_check needs a batch of at least 2 rows, got {len(batch)}")
     loss_cfg.validate()
     labels = batch.labels
     # A stack of copies of the model whose groups keep their (1, ...) stack
@@ -386,8 +399,9 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     shared = [t.data for t in tensors]
     flats = [a.reshape(-1) for a in shared]
     gflats = [grads[name].reshape(-1) for name in names]
-    rng = Rng(seed, "gradcheck")
-    pools = [list(rng.child(name).permutation(flat.size)) for name, flat in zip(names, flats)]
+    # each group's coordinates in probe order, taken from the end
+    pools = Rng(seed, "gradcheck").child_permutations(names, [flat.size for flat in flats])
+    left = [len(pool) for pool in pools]
     wants = [min(flat.size, coords_per_group) for flat in flats]
     done = [0] * len(names)
     in_flight = [0] * len(names)
@@ -396,23 +410,30 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     steps = (PROBE_STEP, PROBE_STEP / 10.0, PROBE_STEP / 100.0)
     members = 2 * _PROBE_PAIRS
     retries: list[tuple[int, int, int]] = []
+    # an op that reads only unperturbed groups, the batch and such ops'
+    # outputs runs once a check; the labels, the gate clamp and the loss
+    # config, which ops read beside them, are the same in every round
+    reuse = ReusedOutputs(shared + [batch.text, batch.video, batch.audio])
     while True:
         # (group, coordinate, step index) per pair of members
         probes, retries = retries, []
         for g, pool in enumerate(pools):
-            while len(probes) < _PROBE_PAIRS and pool and done[g] + in_flight[g] < wants[g]:
-                probes.append((g, int(pool.pop()), 0))
+            while len(probes) < _PROBE_PAIRS and left[g] and done[g] + in_flight[g] < wants[g]:
+                left[g] -= 1
+                probes.append((g, int(pool[left[g]]), 0))
                 in_flight[g] += 1
         if not probes:
             break
         rows = {}
         for j, (g, i, k) in enumerate(probes):
             if g not in rows:
+                # a new array, never a write into a shared one: the reuse
+                # cache knows an unperturbed group by its array's identity
                 tensors[g].data = np.repeat(shared[g], members, axis=0)
                 rows[g] = tensors[g].data.reshape(members, -1)
             rows[g][2 * j, i] = flats[g][i] + steps[k]
             rows[g][2 * j + 1, i] = flats[g][i] - steps[k]
-        with no_grad(), watch_kinks(members) as kinks:
+        with no_grad(), watch_kinks(members) as kinks, reuse:
             out = stack.forward_batch(batch.text, batch.video, batch.audio, train=False)
             values = total_loss(out, labels, loss_cfg)[0].data
         del out  # else it lives on through the next round's forward

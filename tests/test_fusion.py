@@ -7,6 +7,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from dualpath import layers
 from dualpath.fusion import (Model, ModelConfig, final_fuse,
                              load_checkpoint, reasoning_aggregate,
                              save_checkpoint)
@@ -348,6 +349,32 @@ class TestParams:
         Model.stack([Model(CFG), Model(replace(CFG, init_seed=9, gate_override=1.0))])
         with pytest.raises(ValueError, match="up to init_seed and gate_override"):
             Model.stack([Model(CFG), Model(replace(CFG, dropout=0.0))])
+
+    def test_a_stack_of_no_members_raises(self):
+        with pytest.raises(ValueError, match="empty list"):
+            Model.stack([])
+
+    def test_stack_draws_no_init_and_keeps_shared_modules_shared(self, monkeypatch):
+        """The stack copies its first member's module tree: no init draw,
+        so it builds with every init draw made to raise, and an encoder
+        that three modalities share is one module in the stack too."""
+        cfg = replace(CFG, share_shared_encoder=True)
+        members = [Model(cfg), Model(replace(cfg, init_seed=2))]
+
+        def draw(*args, **kwargs):
+            raise AssertionError("Model.stack drew an init")
+
+        monkeypatch.setattr(layers, "glorot", draw)
+        monkeypatch.setattr(Rng, "normal", draw)
+        stack = Model.stack(members)
+        encoders = stack.decoupler.shared_enc
+        assert encoders["text"] is encoders["video"] is encoders["audio"]
+        assert encoders["text"] is not members[0].decoupler.shared_enc["text"]
+        assert list(stack.params()) == list(members[0].params())
+        for name, p in stack.params().items():
+            assert p is not members[0].params()[name], name
+            assert np.array_equal(p.data[1].reshape(members[1].params()[name].data.shape),
+                                  members[1].params()[name].data), name
 
     def test_a_stack_is_not_a_member(self):
         """A stack's parameters carry a model axis already; stacking it again

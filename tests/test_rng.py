@@ -173,6 +173,20 @@ def test_child_uniforms_equal_each_childs_draw(step):
     assert parent._generator is None  # the parent itself never drew
 
 
+def test_child_permutations_equal_each_childs_draw():
+    """Drawn from the bit generator ``child_uniforms`` also re-keys, so a
+    draw between two of them leaves the next one as it would be fresh."""
+    parent = Rng(5, "gradcheck")
+    sizes = [1, 4, 96, 768]
+    first = parent.child_permutations(LABELS[:4], sizes)
+    parent.child_uniforms(LABELS, (4, 3))
+    again = parent.child_permutations(LABELS[:4], sizes)
+    for label, size, perm, perm_again in zip(LABELS, sizes, first, again):
+        want = parent.child(label).permutation(size)
+        assert np.array_equal(perm, want) and np.array_equal(perm_again, want), label
+    assert parent._generator is None  # the parent itself never drew
+
+
 @pytest.mark.parametrize("step", [1, 56, 999, 10000])
 def test_stacked_child_uniforms_equal_each_models_draw(step):
     seeds = [8, 3, 8, 5]  # a repeated seed shares its rows

@@ -697,6 +697,21 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="seed"):
             grad_check(Model(SMALL_MODEL), small_batch, LossConfig(), seed=seed)
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_refuses_a_batch_of_fewer_than_two_rows(self, small_batch, monkeypatch, rows):
+        """At 0 rows every probe resampled with divide-by-zero warnings; at 1
+        the check passed though diff_loss and sim_loss were skipped, their
+        backward never certified. Both now fail before the stack is built."""
+        def stack(*args, **kwargs):
+            raise AssertionError("a stack was built before the batch was checked")
+
+        monkeypatch.setattr(Model, "stack", stack)
+        batch = Dataset(*(a[:rows] for a in (small_batch.text, small_batch.video,
+                                              small_batch.audio, small_batch.labels,
+                                              small_batch.conflict_flag)))
+        with pytest.raises(ValueError, match=f"at least 2 rows, got {rows}"):
+            grad_check(Model(SMALL_MODEL), batch, LossConfig())
+
     def test_unused_head_reports_zero_error(self, small_batch):
         """With the auxiliary weight at zero its head gets no gradient; the
         checker must agree the true derivative is zero rather than flag it."""
@@ -906,6 +921,37 @@ class TestStackedProbes:
             perturbed |= wide
         assert perturbed == set(model.params())
 
+    @pytest.mark.parametrize("shared_encoder", [False, True])
+    def test_pools_are_each_groups_permutation_taken_from_the_end(self, shared_encoder,
+                                                                  monkeypatch):
+        """Group g's pool is ``Rng(seed, "gradcheck").child(g).permutation``
+        of its size, and the rounds probe its coordinates from the end."""
+        model, batch, loss_cfg, kw = perfbench_setup(1)
+        if shared_encoder:
+            model = Model(replace(model.config, share_shared_encoder=True))
+        forward = Model.forward_batch
+        probed: dict[str, list[int]] = {}
+
+        def recording(self, *args, **kwargs):
+            if not is_recording():  # a probe round: pair j moved one coordinate
+                for name, p in self.params().items():
+                    rows = p.data.reshape(len(p.data), -1)
+                    for plus, minus in zip(rows[0::2], rows[1::2]):
+                        for i in np.flatnonzero(plus != minus).tolist():
+                            if i not in probed.setdefault(name, []):
+                                probed[name].append(i)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_batch", recording)
+        result = grad_check(model, batch, loss_cfg, **kw)
+        assert result.passed(1e-4)
+        params = model.params()
+        assert set(probed) == set(params)
+        for name, p in params.items():
+            pool = Rng(kw["seed"], "gradcheck").child(name).permutation(p.data.size)
+            assert len(probed[name]) >= min(p.data.size, 20), name
+            assert probed[name] == pool[::-1][:len(probed[name])].tolist(), name
+
     def test_judges_a_round_as_pair_by_pair(self):
         """One pass over a round's records gives each pair the kind and the
         abs-only flag ``_kink_crossed`` and ``_only_abs_crossed`` give it,
@@ -972,3 +1018,79 @@ class TestStackedProbes:
         with pytest.raises(RuntimeError, match="loss failed"):
             grad_check(model, small_batch, LossConfig(), coords_per_group=4)
         assert_untouched()
+
+
+class TestReusedOutputs:
+    """Inside a check's probe rounds an op that reads only unperturbed
+    arrays returns the output its first call on them gave."""
+
+    def test_a_head_round_runs_no_encoder_affine(self, monkeypatch):
+        """A round that perturbs only head groups takes every encoder's
+        output from the cache; a round that perturbs an encoder runs it."""
+        model, batch, loss_cfg, kw = perfbench_setup(1)
+        record, forward = layers.node, Model.forward_batch
+        rounds: list[dict] = []  # per round: the groups it widens, encoder affines run
+
+        def counting_node(data, parents, back):
+            if rounds and back.__qualname__.startswith("_affine."):
+                rounds[-1]["affines"] += parents[1] in rounds[-1]["encoders"]
+            return record(data, parents, back)
+
+        def recording(self, *args, **kwargs):
+            if not is_recording():
+                params = self.params().items()
+                rounds.append({"wide": {n for n, p in params if len(p.data) > 1},
+                               "encoders": {p for n, p in params if n.startswith("decoupler.")},
+                               "affines": 0})
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "node", counting_node)
+        monkeypatch.setattr(Model, "forward_batch", recording)
+        grad_check(model, batch, loss_cfg, **kw)
+        head = [r for r in rounds if all(n.split(".")[0] in ("head", "rea_head")
+                                         for n in r["wide"])]
+        encoder = [r for r in rounds if any(n.startswith("decoupler.") for n in r["wide"])]
+        assert head and encoder
+        assert [r["affines"] for r in head] == [0] * len(head)
+        assert all(r["affines"] > 0 for r in encoder)
+
+    @pytest.mark.parametrize("name", ["shared-encoder", "gate-override", "abs-retry"])
+    def test_each_round_equals_the_same_round_without_the_cache(self, name, request,
+                                                                monkeypatch):
+        """Each round's loss vector and kink records (kinds, shapes, values
+        and whether a record is one slice fanned out) equal those of the
+        same stack state evaluated again with the cache off."""
+        model, batch, loss_cfg, kw = reference_setup(name, request)
+        forward, loss = Model.forward_batch, trainer.total_loss
+        members = 2 * trainer._PROBE_PAIRS
+        calls, checked = [], []
+
+        def capturing(self, *args, **kwargs):
+            calls.append((self, args, kwargs))
+            return forward(self, *args, **kwargs)
+
+        def comparing(out, labels, cfg):
+            result = loss(out, labels, cfg)
+            if is_recording():  # the analytic pass
+                return result
+            reuse, kinks = tensor._reuse, list(tensor._kink_watch)
+            assert reuse is not None and reuse.outputs  # the round reused outputs
+            stack, args, kwargs = calls[-1]
+            tensor._reuse = None
+            try:
+                with tensor.watch_kinks(members) as plain_kinks:
+                    plain = loss(forward(stack, *args, **kwargs), labels, cfg)[0].data
+            finally:
+                tensor._reuse = reuse
+            np.testing.assert_array_equal(result[0].data, plain)
+            assert [k for k, _ in kinks] == [k for k, _ in plain_kinks]
+            for (kind, pay), (_, want) in zip(kinks, plain_kinks):
+                assert pay.shape == want.shape and (pay.strides[0] == 0) == (want.strides[0] == 0)
+                np.testing.assert_array_equal(pay, want, err_msg=kind)
+            checked.append(len(kinks))
+            return result
+
+        monkeypatch.setattr(Model, "forward_batch", capturing)
+        monkeypatch.setattr(trainer, "total_loss", comparing)
+        result = grad_check(model, batch, loss_cfg, **kw)
+        assert len(checked) >= 2 and result.passed(1e-4)
