@@ -72,9 +72,10 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if not all(is_integer(s) for s in self.seeds):
             raise ValueError(f"seeds must be integers, got {self.seeds!r}")
-        for i, s in enumerate(self.seeds):
-            if s in self.seeds[:i]:
-                raise ValueError(f"seeds must be distinct, got seed {s!r} twice")
+        for name, values in (("sigma", self.sigmas), ("seed", self.seeds)):
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"{name}s must be distinct, got {name} {v!r} twice")
 
     def model_config(self, seed: int) -> ModelConfig:
         return ModelConfig(

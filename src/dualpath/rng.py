@@ -222,14 +222,6 @@ class Substreams:
         h = _fnv1a(h, f"/{label}".encode("utf-8"))
         return Substreams._of(self.seed, h, np.zeros(len(self), dtype=np.uint64))
 
-    @staticmethod
-    def concat(parts: list["Substreams"]) -> "Substreams":
-        """The rows of ``parts`` in order, drawn in one pass; one seed."""
-        if len({p.seed for p in parts}) != 1:
-            raise ValueError("concatenated substreams must share one seed")
-        return Substreams._of(parts[0].seed, np.concatenate([p._hashes for p in parts]),
-                              np.concatenate([p._index for p in parts]))
-
     def _raw_blocks(self, words: int):
         """Yield (rows, raw) for blocks of at most _BLOCK_ROWS rows, where raw
         is (rows, words) uint64: the first ``words`` outputs of each row's

@@ -220,14 +220,14 @@ def _draw_split(config: DatasetConfig, split: str, n: int,
         y[i], conflict[i], swap_m[i], other[i] = _draw_header(config, split, int(i))
     y_swap = np.where(other < y, other, other + 1)
     flags = np.where(conflict, swap_m, -1).astype(np.int8)
-    # All three modalities in one buffer: row block mi holds modality mi.
-    feats = Substreams.concat([rows.child(f"noise/{m}") for m in MODALITIES]).normal(d)
-    feats *= config.noise_std
+    feats = []
     for mi, m in enumerate(MODALITIES):
+        x = rows.child(f"noise/{m}").normal(d) * config.noise_std
         # One matvec per class, as a per-sample maps[m] @ anchors[c] computes it.
         centers = np.stack([maps[m] @ anchors[c] for c in range(C)])
-        feats[mi * n:(mi + 1) * n] += centers[np.where(flags == mi, y_swap, y)]
-    return Dataset(feats[:n], feats[n:2 * n], feats[2 * n:], y, flags)
+        x += centers[np.where(flags == mi, y_swap, y)]
+        feats.append(x)
+    return Dataset(*feats, y, flags)
 
 
 def generate(config: DatasetConfig) -> tuple[Dataset, Dataset, Dataset]:

@@ -27,8 +27,9 @@ Every op records exactly one node through ``node()``: the primitive
 ``Tensor`` ops and ``concat`` here, and the composite functions with a
 hand-written backward elsewhere (affine maps, softmax, layer norm,
 cosine similarity, the divergences, the guarded norm and the loss
-terms). ``node()`` is the only code that reads the recording flag or
-attaches parents and a closure.
+terms). ``node()`` is the only code that attaches parents and a
+closure; ``diff_loss`` and ``sim_loss`` also read ``is_recording()``, to
+skip work that only their backward needs.
 
 Inside ``no_grad()`` operations compute the same values but record
 nothing: no parents, no closure. Nonsmooth ops still report their kinks
@@ -38,19 +39,17 @@ array and the reduction to a kink record runs only inside a watch, so
 an unwatched forward pays nothing for it.
 
 Inside a ``ReusedOutputs`` block (the gradient checker's probe rounds)
-every op first hands its call to the block's cache. An op that reads only
-fixed arrays (the stack's shared (1, ...) groups, the batch, or outputs
-of such ops) runs once: a later call on the same arrays returns that
-first output and re-appends the kink records that call made
-(self-adjusting computation; Acar, Blelloch & Harper, POPL 2002). The
-key is the op and the identity of every array it reads, through list,
-dict and module arguments too; the cache holds each fixed array, so an
-identity names one array for the whole block. Other arguments (one-hot
-labels, gate clamp arrays, loss weights, config numbers) are not in the
-key: they are the same in every round of a check. This holds only while
-no fixed array is written in place: a round perturbs a group by handing
-it a new array. Outside the block an op pays one test of a module
-global, not a call.
+every op that carries its hook first hands its call to the block's
+cache, which returns a stored output only for an identical call: the
+same op, the same array in each tensor argument and equal values in
+every other argument. An output is stored only when every tensor
+argument's array is fixed (the stack's shared (1, ...) groups, the
+batch, or outputs of such calls), and a hit re-appends the kink records
+its first call made (self-adjusting computation; Acar, Blelloch &
+Harper, POPL 2002). The cache holds each fixed array, so an identity
+names one array for the whole block, as long as none is written in
+place: a round perturbs a group by handing it a new array. Outside the
+block an op pays one test of a module global, not a call.
 """
 
 from __future__ import annotations
@@ -137,8 +136,8 @@ def tape():
 
 class ReusedOutputs:
     """A cache of op outputs, active inside ``with`` blocks of unrecorded
-    forwards in a watch_kinks(): an op that reads only ``fixed`` arrays and
-    the outputs of such ops runs once over all the blocks."""
+    forwards in a watch_kinks(): a call on ``fixed`` arrays and the outputs
+    of such calls runs once over all the blocks."""
 
     def __init__(self, fixed: list[Array]):
         self.fixed = {id(a): a for a in fixed}  # held, so no other array takes an id
@@ -153,42 +152,55 @@ class ReusedOutputs:
         _reuse = self._outer
 
     def __call__(self, op, *args):
-        """``op(*args)``, or the output it gave on the same fixed arrays."""
+        """``op(*args)``, or the output an identical call gave."""
         global _reuse
-        reads: list[Array] = []
-        _arrays(args, reads)
-        key = (op, *map(id, reads))
+        key, reads = [op], []
+        _key(args, key, reads)
+        key = tuple(key)
         hit = self.outputs.get(key)  # a stored key holds only fixed arrays' ids
         if hit is not None:
             _kink_watch.extend(hit[1])
             return hit[0]
-        if not self.fixed.keys() >= set(key[1:]):
-            key = None
+        fixed = all(id(a) in self.fixed for a in reads)
         start = len(_kink_watch)
         _reuse = None  # the op runs its own body; an op it calls runs uncached
         # not again through a wrapper (a tracer's) installed over its name
         out = getattr(op, "__wrapped__", op)(*args)
         _reuse = self
-        if key is not None:
+        if fixed:
             self.outputs[key] = out, _kink_watch[start:]
             made: list[Array] = []
-            _arrays((out,), made)
+            _key((out,), [], made)
             self.fixed.update((id(a), a) for a in made)
         return out
 
 
-def _arrays(items, out: list[Array]) -> None:
-    """Append the arrays of the tensors among ``items`` and in the lists,
-    tuples, dicts and modules (an object's attributes) among them."""
+def _key(items, key: list, reads: list[Array]) -> None:
+    """Append to ``key`` what makes a call on ``items`` the same call, and
+    to ``reads`` its tensors' arrays: a tensor's array's identity; a list's,
+    tuple's or dict's type, size and items; a module's type and attributes;
+    a numpy array's dtype, shape and bytes; a float's bits (0.0 is not
+    -0.0); any other value after its type. Every item opens with an
+    identity or a type, so equal keys mean equal items."""
     for x in items:
         if isinstance(x, Tensor):
-            out.append(x.data)
+            reads.append(x.data)
+            key.append(id(x.data))
         elif isinstance(x, (list, tuple)):
-            _arrays(x, out)
+            key += type(x), len(x)
+            _key(x, key, reads)
         elif isinstance(x, dict):
-            _arrays(x.values(), out)
+            key += dict, len(x), *x
+            _key(x.values(), key, reads)
+        elif isinstance(x, np.ndarray):
+            key += np.ndarray, x.dtype.str, x.shape, x.tobytes()
+        elif isinstance(x, float):
+            key += type(x), x.hex()
         elif hasattr(x, "__dict__"):
-            _arrays(vars(x).values(), out)
+            key.append(type(x))
+            _key((vars(x),), key, reads)
+        else:
+            key += type(x), x
 
 
 def is_recording() -> bool:
@@ -238,7 +250,8 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 class Tensor:
     __slots__ = ("data", "grad", "const", "_parents", "_back", "_seq")
-    # numpy defers to the reflected operators, so ``array * tensor`` is a node
+    # numpy defers to the reflected operators, of which only ``__rsub__`` is
+    # here: an array or a number left of ``+`` or ``*`` raises TypeError
     __array_ufunc__ = None
 
     def __init__(self, data):
@@ -301,8 +314,6 @@ class Tensor:
         return node(self.data + other.data, (self, other), back)
 
     def __sub__(self, other) -> "Tensor":
-        if _reuse is not None:
-            return _reuse(Tensor.__sub__, self, other)
         other = _operand(other)
 
         def back(g):
@@ -329,11 +340,6 @@ class Tensor:
             return _reuse(Tensor.__rsub__, self, other)
         return constant(other) - self
 
-    def __rmul__(self, other) -> "Tensor":
-        if _reuse is not None:
-            return _reuse(Tensor.__rmul__, self, other)
-        return constant(other) * self
-
     def __matmul__(self, other) -> "Tensor":
         if _reuse is not None:
             return _reuse(Tensor.__matmul__, self, other)
@@ -354,8 +360,6 @@ class Tensor:
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if _reuse is not None:
-            return _reuse(Tensor.sum, self, axis, keepdims)
         def back(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)

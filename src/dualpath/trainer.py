@@ -53,13 +53,14 @@ loop would probe: each group's pool is its ``Rng(seed, "gradcheck")``
 child's permutation, drawn by ``Rng.child_permutations`` and taken from
 the end.
 
-The rounds share one ``tensor.ReusedOutputs`` cache: an op whose inputs
-are all unperturbed (the shared groups, the batch, or outputs of such
-ops) runs on the first round that reaches it, and later rounds take its
-output and its kink records. So a round recomputes only what its probes
-move; one that perturbs only the heads runs no encoder. A round perturbs
-a group by handing it a new array, never by writing into a shared one,
-which is what lets the cache know an unperturbed group by its identity.
+The rounds share one ``tensor.ReusedOutputs`` cache: an op call whose
+tensor arguments are all unperturbed (the shared groups, the batch, or
+outputs of such calls) runs on the first round that reaches it, and
+later rounds making the identical call take its output and its kink
+records. So a round recomputes only what its probes move; one that
+perturbs only the heads runs no encoder. A round perturbs a group by
+handing it a new array, never by writing into a shared one, which is
+what lets the cache know an unperturbed group by its identity.
 The stack itself is built without an init draw (``Model.stack``).
 """
 
@@ -410,9 +411,8 @@ def grad_check(model: Model, batch: Dataset, loss_cfg: LossConfig,
     steps = (PROBE_STEP, PROBE_STEP / 10.0, PROBE_STEP / 100.0)
     members = 2 * _PROBE_PAIRS
     retries: list[tuple[int, int, int]] = []
-    # an op that reads only unperturbed groups, the batch and such ops'
-    # outputs runs once a check; the labels, the gate clamp and the loss
-    # config, which ops read beside them, are the same in every round
+    # an op call that reads only unperturbed groups, the batch and such
+    # calls' outputs runs once a check
     reuse = ReusedOutputs(shared + [batch.text, batch.video, batch.audio])
     while True:
         # (group, coordinate, step index) per pair of members

@@ -512,7 +512,7 @@ def weighted_sum_composite(terms, weights):
     """terms[0] + weights[0] * terms[1] + ..., each weight a constant leaf."""
     total = terms[0]
     for t, w in zip(terms[1:], weights):
-        total = total + w * t
+        total = total + t * w
     return total
 
 

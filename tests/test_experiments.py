@@ -106,6 +106,8 @@ class TestConfig:
         ({"seeds": ["1"]}, "seeds"),
         ({"seeds": []}, "seed"),
         ({"seeds": [0, 1, 0]}, "distinct, got seed 0 twice"),
+        ({"sigmas": [0.5, 0.3, 0.5]}, "distinct, got sigma 0.5 twice"),
+        ({"sigmas": [0, 0.0]}, "distinct, got sigma 0.0 twice"),
     ])
     def test_rejects_bad_sigmas_and_seeds(self, raw, field):
         with pytest.raises(ValueError, match=field):
@@ -458,17 +460,16 @@ class TestRunRobustness:
         accs = [ps["by_sigma"][1]["acc"] for ps in report["per_seed"]]
         assert row["acc"]["mean"] == pytest.approx(float(np.mean(accs)), abs=1e-15)
 
-    def test_a_repeated_sigma_keeps_each_of_its_draws(self, tmp_path):
-        """Each sigma's noise is drawn for its position in the list, so a
-        repeated sigma's rows are those of its two positions."""
+    def test_a_sigma_draws_for_its_position(self, tmp_path):
+        """Each sigma's noise is drawn for its position in the list, so the
+        same sigma at another position draws other noise."""
         def rows(sigmas):
             report = run_robustness(replace(TINY, sigmas=sigmas), str(tmp_path))
             return report["per_seed"][0]["by_sigma"]
 
-        repeated = rows((1.0, 0.3, 1.0))
-        assert repeated[0] == rows((1.0,))[0]
-        assert repeated[2] == rows((0.0, 0.0, 1.0))[2]
-        assert repeated[0] != repeated[2]
+        first = rows((1.0, 0.3))[0]
+        assert first == rows((1.0,))[0]
+        assert first != rows((0.0, 0.3, 1.0))[2]
 
     def test_notes_the_noisy_modality(self, robustness_result):
         report, _ = robustness_result
@@ -703,12 +704,14 @@ class TestCli:
         for flags, named in ((["--seed", "3", "--seeds", "1,2"], "--seeds"),
                              (["--seeds", ""], "--seeds"),
                              (["--seeds", "0,0"], "seed 0 twice"))] + [
-        ("robust", ["--sigmas", ""], "--sigmas")])
+        ("robust", ["--sigmas", ""], "--sigmas"),
+        ("robust", ["--sigmas", "0.5,0.5"], "sigma 0.5 twice")])
     def test_sweeps_reject_seed_and_sigma_flags_they_would_drop(self, tmp_path, capsys,
                                                                 command, flags, named):
-        """`--seed` with `--seeds`, an empty list or a repeated seed fails
-        before anything runs instead of falling back to other seeds or noise
-        levels, or training one seed twice."""
+        """`--seed` with `--seeds`, an empty list, a repeated seed or a
+        repeated sigma fails before anything runs instead of falling back to
+        other seeds or noise levels, training one seed twice or reporting
+        one sigma twice."""
         out = tmp_path / "run"
         assert main([command, "--config", str(tiny_config_json(tmp_path)),
                      "--out", str(out)] + flags) == 1

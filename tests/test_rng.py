@@ -108,16 +108,10 @@ def test_batched_rows_equal_scalar_streams(n):
                               .normal(scale=0.7, size=7)), i
 
 
-def test_child_of_child_and_concat_follow_the_scalar_labels():
-    rows = Substreams(4, "a", 25)
-    grand = rows.child("b").child("c").normal(4)
-    both = unit_double(Substreams.concat([rows.child("x"), rows]).raw(2))
+def test_child_of_child_follows_the_scalar_labels():
+    grand = Substreams(4, "a", 25).child("b").child("c").normal(4)
     for i in range(25):
         assert np.array_equal(grand[i], Rng(4, "a", i).child("b").child("c").normal(size=4))
-        assert np.array_equal(both[i], Rng(4, "a", i).child("x").uniform(size=2))
-        assert np.array_equal(both[25 + i], Rng(4, "a", i).uniform(size=2))
-    with pytest.raises(ValueError):
-        Substreams.concat([rows, Substreams(5, "a", 3)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 1000])

@@ -2,15 +2,18 @@
 broadcasting, backward order, constants, and the nonsmooth-op
 bookkeeping."""
 
+import ast
 import gc
 import weakref
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualpath
 import oracles
-from dualpath import tensor
+from dualpath import fusion, layers, tensor
 from dualpath.fusion import Model, ModelConfig
 from dualpath.losses import LossConfig, stack_loss_configs, total_loss
 from dualpath.rng import Rng, StackedRng
@@ -63,7 +66,9 @@ def test_arithmetic_values():
     assert np.allclose(oracles.truediv(a, b).data, [1 / 3, 2 / 5])
     assert np.array_equal(oracles.neg(a).data, [-1.0, -2.0])
     assert np.array_equal((2.0 - a).data, [1.0, 0.0])
-    assert np.array_equal((2.0 * a).data, [2.0, 4.0])
+    assert np.array_equal((a * 2.0).data, [2.0, 4.0])
+    with pytest.raises(TypeError):
+        2.0 * a  # no reflected multiply: a number goes on the right
 
 
 def test_backward_requires_scalar():
@@ -230,7 +235,7 @@ def test_recorded_forward_is_freed_by_refcount(default_batch):
 def test_constants_take_no_gradient():
     x = Tensor(np.array([1.0, -2.0]))
     c = constant(np.array([3.0, 4.0]))
-    (x * c + oracles.truediv(c, x) - c + 2.0 * x).sum().backward()
+    (x * c + oracles.truediv(c, x) - c + x * 2.0).sum().backward()
     assert c.grad is None
     assert np.allclose(x.grad, [3.0 - 3.0 + 2.0, 4.0 - 1.0 + 2.0])
 
@@ -537,7 +542,6 @@ RECORDING_CASES = [
     ("sub", lambda a, b, c: a - b, "ab"),
     ("rsub", lambda a, b, c: 2.0 - a, "*a"),
     ("mul", lambda a, b, c: a * b, "ab"),
-    ("rmul", lambda a, b, c: 2.0 * a, "*a"),
     ("matmul", lambda a, b, c: a @ b, "ab"),
     ("sum", lambda a, b, c: a.sum(axis=0), "a"),
     ("reshape", lambda a, b, c: a.reshape(-1), "a"),
@@ -626,3 +630,77 @@ def test_no_grad_matches_recorded_forward(default_batch):
     assert [k for k, _ in kinks] == [k for k, _ in kinks_ng]
     for (_, p), (_, q) in zip(kinks, kinks_ng):
         assert np.array_equal(p, q)
+
+
+class TestReusedOutputs:
+    """The probe-round cache returns a stored output only for an identical
+    call: the same op on the same arrays with equal other arguments."""
+
+    def test_a_reshape_keys_on_its_shape(self):
+        x = np.arange(6.0)
+        with no_grad(), watch_kinks(), tensor.ReusedOutputs([x]):
+            wide, tall = Tensor(x).reshape(2, 3), Tensor(x).reshape(3, 2)
+            again = Tensor(x).reshape(2, 3)
+        assert wide.data.shape == (2, 3) and tall.data.shape == (3, 2)
+        assert again is wide  # an identical call still takes the stored output
+
+    def test_an_affine_keys_on_squash(self):
+        arrays = np.array([[1.0]]), np.array([[1.0]]), np.array([2.0])
+        with no_grad(), watch_kinks(), tensor.ReusedOutputs(list(arrays)):
+            plain = layers._affine(*map(Tensor, arrays), False)
+            squashed = layers._affine(*map(Tensor, arrays), True)
+        assert plain.data[0, 0] == 3.0
+        assert squashed.data[0, 0] == np.tanh(3.0)
+
+    def test_an_array_argument_keys_on_its_values(self):
+        gate = np.array([[0.25], [0.75]])
+        with no_grad(), watch_kinks(), tensor.ReusedOutputs([gate]):
+            outs = [fusion.clamp_gate(Tensor(gate), np.array([[mask]]), np.array([[1.0]])).data
+                    for mask in (True, False)]
+        assert np.array_equal(outs[0], [[1.0], [1.0]])
+        assert np.array_equal(outs[1], gate)
+
+    def test_a_float_argument_keys_on_its_bits(self):
+        """0.0 == -0.0 in Python, but the two products differ in sign."""
+        x = np.array([1.0, -2.0])
+        with no_grad(), watch_kinks(), tensor.ReusedOutputs([x]):
+            outs = [(Tensor(x) * w).data for w in (0.0, -0.0)]
+        assert np.array_equal(np.signbit(outs[0]), [False, True])
+        assert np.array_equal(np.signbit(outs[1]), [True, False])
+
+
+def _is_reuse_call(node) -> bool:
+    func = getattr(node, "func", None)
+    return (isinstance(func, ast.Name) and func.id == "_reuse"
+            or isinstance(func, ast.Attribute) and func.attr == "_reuse")
+
+
+def test_every_reuse_hook_opens_its_op_and_passes_every_parameter():
+    """A hook is its function's first statement (after the docstring),
+    hands the cache that function and passes all its parameters in order
+    (``*shape`` as one): an argument left out would be missing from the
+    cache key."""
+    hooked = set()
+    for path in sorted(Path(dualpath.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for call in filter(_is_reuse_call, ast.walk(tree)):
+            where = f"{path.name}:{call.lineno}"
+            ret = parent[call]
+            hook = parent.get(ret)
+            fn = parent.get(hook)
+            assert isinstance(ret, ast.Return) and isinstance(hook, ast.If), where
+            assert isinstance(fn, ast.FunctionDef), where
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            assert body[0] is hook, f"{where}: the hook is not {fn.name}'s first statement"
+            op = call.args[0]
+            assert getattr(op, "id", getattr(op, "attr", None)) == fn.name, where
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            params += [f"*{fn.args.vararg.arg}"] if fn.args.vararg else []
+            params += [a.arg for a in fn.args.kwonlyargs]
+            params += [f"**{fn.args.kwarg.arg}"] if fn.args.kwarg else []
+            passed = [f"*{a.value.id}" if isinstance(a, ast.Starred) else a.id
+                      for a in call.args[1:]]
+            assert passed == params and not call.keywords, f"{where}: {fn.name} passes {passed}"
+            hooked.add(fn.name)
+    assert {"__add__", "reshape", "concat", "_affine", "clamp_gate"} <= hooked
