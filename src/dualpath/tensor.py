@@ -38,18 +38,18 @@ judged exactly as a recorded one. An op hands ``_note_kink`` its raw
 array and the reduction to a kink record runs only inside a watch, so
 an unwatched forward pays nothing for it.
 
-Inside a ``ReusedOutputs`` block (the gradient checker's probe rounds)
-every op that carries its hook first hands its call to the block's
-cache, which returns a stored output only for an identical call: the
-same op, the same array in each tensor argument and equal values in
-every other argument. An output is stored only when every tensor
-argument's array is fixed (the stack's shared (1, ...) groups, the
-batch, or outputs of such calls), and a hit re-appends the kink records
-its first call made (self-adjusting computation; Acar, Blelloch &
-Harper, POPL 2002). The cache holds each fixed array, so an identity
-names one array for the whole block, as long as none is written in
-place: a round perturbs a group by handing it a new array. Outside the
-block an op pays one test of a module global, not a call.
+A ``ReusedOutputs`` block (a gradient check's probe round) opens in
+``no_grad()`` and ``watch_kinks()``; an op that carries its hook hands its
+call to the block's cache, which returns a stored output only for an
+identical call: the same op, the same array in each tensor argument,
+equal values in every other one and the same watch width. An output is
+stored only when every tensor argument's array is fixed (the stack's
+shared (1, ...) groups, the batch, or outputs of such calls), and a hit
+re-appends the kink records its first call made (self-adjusting
+computation; Acar, Blelloch & Harper, POPL 2002). The cache holds each
+fixed array, so an identity names one array for the whole block, as
+long as none is written in place: a round perturbs a group by handing
+it a new array. Outside the block an op pays one global test, not a call.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ class ReusedOutputs:
 
     def __enter__(self):
         global _reuse
+        if _recording or _kink_watch is None:  # the ops would not run alike
+            raise RuntimeError("a ReusedOutputs block opens inside no_grad() and watch_kinks()")
         self._outer, _reuse = _reuse, self
 
     def __exit__(self, *exc):
@@ -154,7 +156,7 @@ class ReusedOutputs:
     def __call__(self, op, *args):
         """``op(*args)``, or the output an identical call gave."""
         global _reuse
-        key, reads = [op], []
+        key, reads = [op, _kink_members], []  # the width of its kink records
         _key(args, key, reads)
         key = tuple(key)
         hit = self.outputs.get(key)  # a stored key holds only fixed arrays' ids

@@ -461,15 +461,17 @@ class TestRunRobustness:
         assert row["acc"]["mean"] == pytest.approx(float(np.mean(accs)), abs=1e-15)
 
     def test_a_sigma_draws_for_its_position(self, tmp_path):
-        """Each sigma's noise is drawn for its position in the list, so the
-        same sigma at another position draws other noise."""
+        """Each sigma's noise is drawn for its position in the list, whatever
+        the sigmas before and after it, so the same sigma at another
+        position draws other noise."""
         def rows(sigmas):
             report = run_robustness(replace(TINY, sigmas=sigmas), str(tmp_path))
             return report["per_seed"][0]["by_sigma"]
 
-        first = rows((1.0, 0.3))[0]
-        assert first == rows((1.0,))[0]
-        assert first != rows((0.0, 0.3, 1.0))[2]
+        first, later = rows((1.0, 0.3, 0.7)), rows((0.0, 0.5, 0.7, 1.0))
+        assert first[2] == later[2]  # noisy or noise-free sigmas before it
+        assert first[0] == rows((1.0,))[0]
+        assert first[0] != later[3]
 
     def test_notes_the_noisy_modality(self, robustness_result):
         report, _ = robustness_result

@@ -13,7 +13,7 @@ import pytest
 
 import dualpath
 import oracles
-from dualpath import fusion, layers, tensor
+from dualpath import functional, fusion, layers, tensor
 from dualpath.fusion import Model, ModelConfig
 from dualpath.losses import LossConfig, stack_loss_configs, total_loss
 from dualpath.rng import Rng, StackedRng
@@ -668,6 +668,27 @@ class TestReusedOutputs:
         assert np.array_equal(np.signbit(outs[0]), [False, True])
         assert np.array_equal(np.signbit(outs[1]), [True, False])
 
+
+    def test_a_block_opens_only_where_its_ops_run_alike(self):
+        """Outside no_grad() the loss terms keep their backward's work, and
+        outside a watch a hit has nowhere to replay its kink records."""
+        reuse = tensor.ReusedOutputs([])
+        for outside in (watch_kinks, no_grad):
+            with outside(), pytest.raises(RuntimeError, match="no_grad"):
+                with reuse:
+                    pass
+
+    def test_a_call_keys_on_the_watch_width(self):
+        """A shared slice's kink record is fanned out to the watch's width,
+        so a call in a wider watch makes its own records."""
+        x = np.array([[[3.0, 4.0]]])
+        reuse = tensor.ReusedOutputs([x])
+        widths = []
+        for members in (2, 3, 2):
+            with no_grad(), watch_kinks(members) as kinks, reuse:
+                functional.l2_norm(Tensor(x))
+            widths.append([payload.shape for _, payload in kinks])
+        assert widths == [[(2,)], [(3,)], [(2,)]]
 
 def _is_reuse_call(node) -> bool:
     func = getattr(node, "func", None)
